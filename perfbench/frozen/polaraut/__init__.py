@@ -1,0 +1,57 @@
+"""Automorphism groups of decreasing monomial codes, with decoders to match."""
+
+__version__ = "0.1.0"
+
+from .monomials import (  # noqa: F401
+    CapabilityError,
+    Monomial,
+    MonomialCode,
+    decreasing_closure,
+    enumerate_decreasing_codes,
+    is_decreasing,
+    minimal_generators,
+    monomial_to_row,
+    partial_order_leq,
+    row_to_monomial,
+)
+from .construction import (  # noqa: F401
+    ConstructionSpec,
+    SpecError,
+    bec_bhattacharyya,
+    bhattacharyya_bec_design,
+    rm_code,
+)
+from .automorphisms import (  # noqa: F401
+    AffineAutomorphism,
+    BlockStructure,
+    Permutation,
+    blta_size,
+    block_reversal_matrix,
+    brute_force_stabilizer,
+    find_block_structure,
+    interval_disjoint_decomposition,
+    is_code_automorphism,
+    lemma1_decompose,
+    position_action,
+    sample_blta,
+    stabilizes,
+)
+from .codec import (  # noqa: F401
+    Codeword,
+    DecoderConfig,
+    LlrFrame,
+    MessageWord,
+    aut_sc_decode,
+    encode,
+    polar_transform,
+    sc_decode,
+    scl_decode,
+)
+from .channel import (  # noqa: F401
+    ChannelParams,
+    DecoderSpec,
+    SimResult,
+    run_bler,
+    transmit,
+    wilson_interval,
+)

@@ -1,0 +1,362 @@
+"""BPSK/AWGN transmission and a deterministic Monte Carlo BLER harness.
+
+Every frame owns an RNG stream keyed by (master seed, SNR index, frame
+index) through a counter-based generator, so results are reproducible frame
+by frame and invariant to batching, scheduling, and worker count.
+"""
+
+from __future__ import annotations
+
+import csv
+import math
+import re
+from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass
+from functools import lru_cache
+from typing import IO, Iterable, Sequence
+
+import numpy as np
+
+from .automorphisms import (
+    BlockStructure,
+    find_block_structure,
+    position_tables_batch,
+    sample_blta_batch,
+)
+from .codec import (
+    DecoderConfig,
+    aut_sc_decode_batch,
+    encode_batch,
+    sc_decode_batch,
+    scl_decode_batch,
+)
+from .monomials import MonomialCode, minimal_generators, monomial_to_row
+
+__all__ = [
+    "Z95",
+    "CSV_COLUMNS",
+    "ChannelParams",
+    "DecoderSpec",
+    "SimResult",
+    "transmit",
+    "wilson_interval",
+    "run_bler",
+    "write_results_csv",
+    "default_code_id",
+]
+
+Z95 = 1.959963984540054
+
+CSV_COLUMNS = (
+    "code_id",
+    "decoder",
+    "ebn0_db",
+    "frames",
+    "block_errors",
+    "bler",
+    "ci_lo",
+    "ci_hi",
+    "seed",
+)
+
+# Spawn key tag for the shared-ensemble stream; frame streams use 2-tuples,
+# so a 1-tuple can never collide.
+_ENSEMBLE_TAG = 0x175A
+
+
+@dataclass(frozen=True)
+class ChannelParams:
+    """Binary-input AWGN at a given Eb/N0; BPSK maps 0 to +1 and 1 to -1."""
+
+    ebn0_db: float
+    rate: float
+
+    def __post_init__(self) -> None:
+        if not 0.0 < self.rate <= 1.0:
+            raise ValueError(f"rate must be in (0, 1], got {self.rate}")
+
+    @property
+    def noise_variance(self) -> float:
+        return 1.0 / (2.0 * self.rate * 10.0 ** (self.ebn0_db / 10.0))
+
+
+def transmit(
+    bits: np.ndarray, params: ChannelParams, rng: np.random.Generator
+) -> np.ndarray:
+    """Modulate, add noise, and return LLRs (2y / sigma^2); any leading shape."""
+    bits = np.asarray(bits)
+    sigma2 = params.noise_variance
+    y = (1.0 - 2.0 * bits) + math.sqrt(sigma2) * rng.standard_normal(bits.shape)
+    return 2.0 * y / sigma2
+
+
+def wilson_interval(errors: int, trials: int) -> tuple[float, float]:
+    """Wilson 95% score interval for a binomial proportion."""
+    if trials <= 0:
+        raise ValueError("trials must be positive")
+    if not 0 <= errors <= trials:
+        raise ValueError("errors must be in 0..trials")
+    p = errors / trials
+    z2 = Z95 * Z95
+    denom = 1.0 + z2 / trials
+    center = (p + z2 / (2.0 * trials)) / denom
+    half = (
+        Z95
+        * math.sqrt(p * (1.0 - p) / trials + z2 / (4.0 * trials * trials))
+        / denom
+    )
+    return max(0.0, center - half), min(1.0, center + half)
+
+
+_SPEC_RE = re.compile(r"^(sc|scl-(\d+)|aut-(\d+)-sc(-lta)?)$")
+
+
+@dataclass(frozen=True)
+class DecoderSpec:
+    """Parsed decoder description: sc, scl-<L>, aut-<M>-sc, aut-<M>-sc-lta."""
+
+    label: str
+    kind: str
+    list_size: int = 1
+    ensemble_size: int = 1
+    lta_only: bool = False
+
+    @classmethod
+    def parse(cls, text: str) -> "DecoderSpec":
+        got = _SPEC_RE.match(text.strip().lower())
+        if not got:
+            raise ValueError(
+                f"invalid decoder spec {text!r}; expected sc, scl-<L>, "
+                "aut-<M>-sc or aut-<M>-sc-lta"
+            )
+        label = got.group(1)
+        if label == "sc":
+            return cls(label, "sc")
+        if got.group(2) is not None:
+            size = int(got.group(2))
+            if size < 1:
+                raise ValueError("list size must be positive")
+            return cls(label, "scl", list_size=size)
+        size = int(got.group(3))
+        if size < 1:
+            raise ValueError("ensemble size must be positive")
+        return cls(label, "aut_sc", ensemble_size=size, lta_only=got.group(4) is not None)
+
+
+@dataclass(frozen=True)
+class SimResult:
+    """One decoder at one operating point."""
+
+    code_id: str
+    decoder: str
+    ebn0_db: float
+    frames: int
+    block_errors: int
+    seed: int
+
+    def __post_init__(self) -> None:
+        if not 0 <= self.block_errors <= self.frames:
+            raise ValueError("block_errors must be in 0..frames")
+
+    @property
+    def bler(self) -> float:
+        return self.block_errors / self.frames
+
+    @property
+    def ci95(self) -> tuple[float, float]:
+        return wilson_interval(self.block_errors, self.frames)
+
+
+def default_code_id(code: MonomialCode) -> str:
+    gens = sorted(monomial_to_row(f, code.n) for f in minimal_generators(code))
+    joined = "-".join(str(g) for g in gens)
+    return f"N{code.block_length}_K{code.dimension}_gen{joined}"
+
+
+@lru_cache(maxsize=32)
+def _context(
+    n: int, rows: tuple[int, ...], label: str, kernel: str
+) -> tuple[MonomialCode, DecoderSpec, DecoderConfig, BlockStructure | None]:
+    code = MonomialCode.from_rows(n, rows)
+    spec = DecoderSpec.parse(label)
+    config = DecoderConfig(list_size=max(spec.list_size, 1), kernel=kernel)
+    structure: BlockStructure | None = None
+    if spec.kind == "aut_sc":
+        if spec.lta_only:
+            structure = BlockStructure((1,) * n)
+        else:
+            structure = find_block_structure(code)
+    return code, spec, config, structure
+
+
+def _frame_rng(master_seed: int, snr_idx: int, frame_idx: int) -> np.random.Generator:
+    seq = np.random.SeedSequence(master_seed, spawn_key=(snr_idx, frame_idx))
+    return np.random.Generator(np.random.Philox(seq))
+
+
+def _run_batch(args: tuple) -> tuple[int, int]:
+    """Simulate frames [lo, hi) at one SNR; returns (frames, block errors)."""
+    (n, rows, label, kernel, ebn0_db, master_seed, snr_idx, lo, hi, fixed_tables) = args
+    code, spec, config, structure = _context(n, rows, label, kernel)
+    dim = code.dimension
+    size = code.block_length
+    params = ChannelParams(ebn0_db, dim / size)
+    sigma2 = params.noise_variance
+    sigma = math.sqrt(sigma2)
+    batch = hi - lo
+    msgs = np.empty((batch, dim), dtype=np.uint8)
+    noise = np.empty((batch, size), dtype=np.float64)
+    fresh = spec.kind == "aut_sc" and fixed_tables is None
+    if fresh:
+        m = spec.ensemble_size
+        aut_rows = np.empty((batch * m, n), dtype=np.uint32)
+        aut_offs = np.empty(batch * m, dtype=np.uint32)
+    for b, frame_idx in enumerate(range(lo, hi)):
+        rng = _frame_rng(master_seed, snr_idx, frame_idx)
+        msgs[b] = rng.integers(0, 2, size=dim, dtype=np.uint8)
+        noise[b] = rng.standard_normal(size)
+        if fresh:
+            r, o = sample_blta_batch(structure, m, rng)
+            aut_rows[b * m : (b + 1) * m] = r
+            aut_offs[b * m : (b + 1) * m] = o
+    sent = encode_batch(code, msgs)
+    y = (1.0 - 2.0 * sent) + sigma * noise
+    llrs = 2.0 * y / sigma2
+    if spec.kind == "sc":
+        _, words = sc_decode_batch(code, llrs, config)
+    elif spec.kind == "scl":
+        _, words = scl_decode_batch(code, llrs, config)
+    else:
+        if fixed_tables is not None:
+            tables = fixed_tables
+        else:
+            tables = position_tables_batch(aut_rows, aut_offs).reshape(
+                batch, spec.ensemble_size, size
+            )
+        _, words = aut_sc_decode_batch(code, llrs, tables, config)
+    errors = int((words != sent).any(axis=1).sum())
+    return batch, errors
+
+
+def run_bler(
+    code: MonomialCode,
+    decoder: str | DecoderSpec,
+    ebn0_list: Sequence[float],
+    *,
+    master_seed: int,
+    target_errors: int | None = 100,
+    max_frames: int = 1_000_000,
+    workers: int = 1,
+    batch_frames: int = 256,
+    kernel: str = "exact_boxplus",
+    fixed_ensemble: bool = False,
+    code_id: str | None = None,
+) -> list[SimResult]:
+    """Monte Carlo BLER at each SNR; stops at target_errors or max_frames.
+
+    Frames are consumed in fixed-size batches in index order, so counts do
+    not depend on the worker count.  With fixed_ensemble the automorphism
+    ensemble is drawn once per run instead of per frame.
+    """
+    spec = decoder if isinstance(decoder, DecoderSpec) else DecoderSpec.parse(decoder)
+    if not ebn0_list:
+        raise ValueError("ebn0_list must not be empty")
+    if max_frames < 1:
+        raise ValueError("max_frames must be positive")
+    if target_errors is not None and target_errors < 1:
+        raise ValueError("target_errors must be positive when given")
+    if workers < 1:
+        raise ValueError("workers must be positive")
+    if batch_frames < 1:
+        raise ValueError("batch_frames must be positive")
+    label = spec.label
+    rows = code.rows
+    cid = code_id if code_id is not None else default_code_id(code)
+    fixed_tables = None
+    if spec.kind == "aut_sc" and fixed_ensemble:
+        seq = np.random.SeedSequence(master_seed, spawn_key=(_ENSEMBLE_TAG,))
+        rng = np.random.Generator(np.random.Philox(seq))
+        _, _, _, structure = _context(code.n, rows, label, kernel)
+        r, o = sample_blta_batch(structure, spec.ensemble_size, rng)
+        fixed_tables = position_tables_batch(r, o)
+
+    bounds = [
+        (lo, min(lo + batch_frames, max_frames))
+        for lo in range(0, max_frames, batch_frames)
+    ]
+
+    def args_for(snr_idx: int, b: int) -> tuple:
+        lo, hi = bounds[b]
+        return (
+            code.n,
+            rows,
+            label,
+            kernel,
+            float(ebn0_list[snr_idx]),
+            master_seed,
+            snr_idx,
+            lo,
+            hi,
+            fixed_tables,
+        )
+
+    def consume(snr_idx: int, batch_results: Iterable[tuple[int, int]]) -> SimResult:
+        frames = errors = 0
+        for got_frames, got_errors in batch_results:
+            frames += got_frames
+            errors += got_errors
+            if target_errors is not None and errors >= target_errors:
+                break
+            if frames >= max_frames:
+                break
+        return SimResult(cid, label, float(ebn0_list[snr_idx]), frames, errors, master_seed)
+
+    results = []
+    if workers == 1:
+        for snr_idx in range(len(ebn0_list)):
+            results.append(
+                consume(snr_idx, (_run_batch(args_for(snr_idx, b)) for b in range(len(bounds))))
+            )
+        return results
+
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        for snr_idx in range(len(ebn0_list)):
+            window = 2 * workers
+
+            def batch_stream():
+                pending = {}
+                next_submit = 0
+                next_read = 0
+                while next_read < len(bounds):
+                    while next_submit < len(bounds) and len(pending) < window:
+                        pending[next_submit] = pool.submit(
+                            _run_batch, args_for(snr_idx, next_submit)
+                        )
+                        next_submit += 1
+                    fut = pending.pop(next_read)
+                    yield fut.result()
+                    next_read += 1
+                # generator close cancels nothing; leftover futures finish idle
+
+            results.append(consume(snr_idx, batch_stream()))
+    return results
+
+
+def write_results_csv(results: Iterable[SimResult], out: IO[str]) -> None:
+    writer = csv.writer(out)
+    writer.writerow(CSV_COLUMNS)
+    for r in results:
+        lo, hi = r.ci95
+        writer.writerow(
+            [
+                r.code_id,
+                r.decoder,
+                repr(r.ebn0_db),
+                r.frames,
+                r.block_errors,
+                repr(r.bler),
+                repr(lo),
+                repr(hi),
+                r.seed,
+            ]
+        )

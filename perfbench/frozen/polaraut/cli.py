@@ -1,0 +1,317 @@
+"""Command line surface: analyze, sweep-epsilon, enumerate, sample, simulate.
+
+Exit codes: 0 success, 2 invalid spec or arguments, 3 capability exceeded.
+Every file output is accompanied by a <file>.manifest.json echoing the run.
+"""
+
+from __future__ import annotations
+
+import argparse
+import csv
+import json
+import sys
+from datetime import datetime, timezone
+from decimal import Decimal
+from pathlib import Path
+from typing import Sequence
+
+import numpy as np
+
+from . import __version__
+from .automorphisms import blta_size, find_block_structure, sample_blta_batch
+from .channel import DecoderSpec, default_code_id, run_bler, write_results_csv
+from .construction import ConstructionSpec, SpecError, bhattacharyya_bec_design
+from .monomials import (
+    CapabilityError,
+    MonomialCode,
+    enumerate_decreasing_codes,
+    minimal_generators,
+    monomial_to_row,
+)
+
+__all__ = ["main", "analysis_report", "sci3"]
+
+
+def sci3(value: int | Decimal) -> str:
+    """Three significant figures, compact exponent: 14088... -> '1.41e16'."""
+    mant, _, exp = f"{Decimal(value):.2E}".partition("E")
+    return f"{mant.lower()}e{int(exp)}"
+
+
+def analysis_report(code: MonomialCode) -> dict:
+    """The analyze payload: block structure, group size, generators."""
+    structure = find_block_structure(code)
+    size = blta_size(structure)
+    gens = sorted(monomial_to_row(f, code.n) for f in minimal_generators(code))
+    return {
+        "s": list(structure.sizes),
+        "aut_size": str(size),
+        "aut_size_sci": sci3(size),
+        "generators": gens,
+    }
+
+
+def _utc_now() -> str:
+    return datetime.now(timezone.utc).isoformat(timespec="seconds")
+
+
+def _write_manifest(out_path: str, command: str, args: argparse.Namespace) -> None:
+    echo = {k: v for k, v in vars(args).items() if k != "func"}
+    manifest = {
+        "command": command,
+        "config": echo,
+        "version": __version__,
+        "master_seed": getattr(args, "seed", None),
+        "created_utc": _utc_now(),
+    }
+    Path(out_path + ".manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
+
+
+def _emit(text: str, out: str | None, command: str, args: argparse.Namespace) -> None:
+    if out:
+        Path(out).write_text(text)
+        _write_manifest(out, command, args)
+    else:
+        sys.stdout.write(text)
+
+
+def _load_spec(path: str) -> ConstructionSpec:
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise SpecError(f"cannot read spec file {path}: {exc}") from exc
+    return ConstructionSpec.from_json(text)
+
+
+def _space_joined(values) -> str:
+    return " ".join(str(v) for v in values)
+
+
+def _gen_rows(code: MonomialCode) -> list[int]:
+    return sorted(monomial_to_row(f, code.n) for f in minimal_generators(code))
+
+
+def _cmd_analyze(args: argparse.Namespace) -> int:
+    spec = _load_spec(args.spec)
+    code = spec.build()
+    text = json.dumps(analysis_report(code), indent=2) + "\n"
+    _emit(text, args.out, "analyze", args)
+    return 0
+
+
+def _parse_grid(text: str | None) -> list[float]:
+    if text is None:
+        return [float(e) for e in np.geomspace(1e-4, 0.5, 25)]
+    try:
+        grid = [float(part) for part in text.split(",") if part.strip()]
+    except ValueError as exc:
+        raise SpecError(f"invalid grid: {exc}") from exc
+    if not grid or any(not 0.0 < e < 1.0 for e in grid):
+        raise SpecError("grid values must lie in (0, 1)")
+    return grid
+
+
+def _cmd_sweep_epsilon(args: argparse.Namespace) -> int:
+    grid = _parse_grid(args.grid)
+    lines = [["epsilon", "aut_size", "aut_size_sci", "s", "i_min"]]
+    for eps in sorted(grid):
+        code = bhattacharyya_bec_design(eps, args.K, args.n)
+        structure = find_block_structure(code)
+        size = blta_size(structure)
+        lines.append(
+            [
+                repr(eps),
+                str(size),
+                sci3(size),
+                _space_joined(structure.sizes),
+                _space_joined(_gen_rows(code)),
+            ]
+        )
+    _emit(_csv_text(lines), args.out, "sweep-epsilon", args)
+    return 0
+
+
+def _csv_text(rows: list[list[str]]) -> str:
+    import io
+
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+def _cmd_enumerate(args: argparse.Namespace) -> int:
+    per_code = [["i_min", "s", "aut_size", "aut_size_sci"]]
+    groups: dict[int, list[int]] = {}
+    for code in enumerate_decreasing_codes(args.n, args.K):
+        structure = find_block_structure(code)
+        size = blta_size(structure)
+        gens = _gen_rows(code)
+        per_code.append(
+            [
+                _space_joined(gens),
+                _space_joined(structure.sizes),
+                str(size),
+                sci3(size),
+            ]
+        )
+        groups.setdefault(len(gens), []).append(size)
+    summary = [["i_min_size", "count", "aut_min", "aut_avg_sci", "aut_max"]]
+    for k in sorted(groups):
+        sizes = groups[k]
+        avg = Decimal(sum(sizes)) / len(sizes)
+        summary.append(
+            [str(k), str(len(sizes)), str(min(sizes)), sci3(avg), str(max(sizes))]
+        )
+    _emit(_csv_text(per_code), args.out, "enumerate", args)
+    if args.summary_out:
+        _emit(_csv_text(summary), args.summary_out, "enumerate-summary", args)
+    elif not args.out:
+        sys.stdout.write(_csv_text(summary))
+    return 0
+
+
+def _cmd_sample(args: argparse.Namespace) -> int:
+    spec = _load_spec(args.spec)
+    code = spec.build()
+    structure = find_block_structure(code)
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(args.seed)))
+    rows, offsets = sample_blta_batch(structure, args.count, rng)
+    n = code.n
+    samples = []
+    for i in range(args.count):
+        mat = [[int(rows[i, r]) >> j & 1 for j in range(n)] for r in range(n)]
+        vec = [int(offsets[i]) >> j & 1 for j in range(n)]
+        samples.append({"A": mat, "b": vec})
+    doc = {"s": list(structure.sizes), "count": args.count, "samples": samples}
+    _emit(json.dumps(doc, indent=2) + "\n", args.out, "sample", args)
+    return 0
+
+
+_KERNEL_NAMES = {
+    "exact": "exact_boxplus",
+    "exact_boxplus": "exact_boxplus",
+    "minsum": "min_sum",
+    "min_sum": "min_sum",
+}
+
+
+def _normalize_decoder(text: str, args: argparse.Namespace) -> str:
+    t = text.strip().lower()
+    if t == "scl":
+        return f"scl-{args.list_size}"
+    if t == "aut-sc":
+        return f"aut-{args.ensemble}-sc"
+    if t == "aut-sc-lta":
+        return f"aut-{args.ensemble}-sc-lta"
+    return t
+
+
+def _cmd_simulate(args: argparse.Namespace) -> int:
+    spec = _load_spec(args.spec)
+    code = spec.build()
+    try:
+        ebn0 = [float(part) for part in args.ebn0.split(",") if part.strip()]
+    except ValueError as exc:
+        raise SpecError(f"invalid --ebn0 list: {exc}") from exc
+    if not ebn0:
+        raise SpecError("--ebn0 needs at least one value")
+    kernel = _KERNEL_NAMES[args.kernel]
+    decoders = [DecoderSpec.parse(_normalize_decoder(d, args)) for d in args.decoders]
+    cid = default_code_id(code)
+    results = []
+    for dec in decoders:
+        results.extend(
+            run_bler(
+                code,
+                dec,
+                ebn0,
+                master_seed=args.seed,
+                target_errors=args.target_errors,
+                max_frames=args.max_frames,
+                workers=args.workers,
+                kernel=kernel,
+                fixed_ensemble=args.fixed_ensemble,
+                code_id=cid,
+            )
+        )
+    import io
+
+    buf = io.StringIO()
+    write_results_csv(results, buf)
+    _emit(buf.getvalue(), args.out, "simulate", args)
+    return 0
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="polaraut",
+        description="Decreasing monomial code analysis, sampling, and simulation.",
+    )
+    parser.add_argument("--version", action="version", version=__version__)
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("analyze", help="block structure and automorphism count")
+    p.add_argument("--spec", required=True, help="construction spec JSON file")
+    p.add_argument("--out", help="output JSON path (default stdout)")
+    p.set_defaults(func=_cmd_analyze)
+
+    p = sub.add_parser("sweep-epsilon", help="design sweep over erasure probability")
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--K", type=int, required=True)
+    p.add_argument("--grid", help="comma separated erasure probabilities in (0,1)")
+    p.add_argument("--out", help="output CSV path (default stdout)")
+    p.set_defaults(func=_cmd_sweep_epsilon)
+
+    p = sub.add_parser("enumerate", help="census of decreasing codes at (n, K)")
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--K", type=int, required=True)
+    p.add_argument("--out", help="per-code CSV path (default stdout)")
+    p.add_argument("--summary-out", help="summary CSV path")
+    p.set_defaults(func=_cmd_enumerate)
+
+    p = sub.add_parser("sample", help="draw affine automorphisms uniformly")
+    p.add_argument("--spec", required=True)
+    p.add_argument("--count", type=int, default=10)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--out", help="output JSON path (default stdout)")
+    p.set_defaults(func=_cmd_sample)
+
+    p = sub.add_parser("simulate", help="Monte Carlo BLER over an SNR grid")
+    p.add_argument("decoders", nargs="+", help="sc, scl-<L>, aut-<M>-sc, aut-<M>-sc-lta")
+    p.add_argument("--spec", required=True)
+    p.add_argument("--ebn0", required=True, help="comma separated Eb/N0 values in dB")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--list-size", type=int, default=8, help="list size for bare 'scl'")
+    p.add_argument("--ensemble", type=int, default=8, help="branches for bare 'aut-sc'")
+    p.add_argument(
+        "--kernel", choices=sorted(_KERNEL_NAMES), default="exact", help="check-node rule"
+    )
+    p.add_argument("--max-frames", type=int, default=1_000_000)
+    p.add_argument("--target-errors", type=int, default=100)
+    p.add_argument(
+        "--fixed-ensemble",
+        action="store_true",
+        help="sample the automorphism ensemble once per run instead of per frame",
+    )
+    p.add_argument("--out", help="output CSV path (default stdout)")
+    p.set_defaults(func=_cmd_simulate)
+    return parser
+
+
+def main(argv: Sequence[str] | None = None) -> int:
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    try:
+        return args.func(args)
+    except CapabilityError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except (SpecError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,0 +1,279 @@
+"""Square-free monomials over GF(2), the divisibility-style partial order,
+and decreasing (downward closed) monomial codes.
+
+A monomial on variables x_0..x_{n-1} is stored as an index bitmask: bit i set
+means x_i divides the monomial.  The empty mask is the constant 1.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from functools import lru_cache
+from typing import Iterable, Iterator
+
+MAX_VARS = 16
+
+__all__ = [
+    "MAX_VARS",
+    "CapabilityError",
+    "Monomial",
+    "MonomialCode",
+    "monomial_to_row",
+    "row_to_monomial",
+    "partial_order_leq",
+    "decreasing_closure",
+    "is_decreasing",
+    "minimal_generators",
+    "enumerate_decreasing_codes",
+]
+
+
+class CapabilityError(RuntimeError):
+    """Raised when an exact computation is requested beyond its guarded size."""
+
+
+@dataclass(frozen=True, order=True)
+class Monomial:
+    """A square-free monomial, identified by the bitmask of its variable indices."""
+
+    mask: int
+
+    def __post_init__(self) -> None:
+        if self.mask < 0 or self.mask >= 1 << MAX_VARS:
+            raise ValueError(f"monomial mask out of range: {self.mask}")
+
+    @classmethod
+    def from_indices(cls, indices: Iterable[int]) -> "Monomial":
+        mask = 0
+        for i in indices:
+            if not 0 <= i < MAX_VARS:
+                raise ValueError(f"variable index out of range: {i}")
+            mask |= 1 << i
+        return cls(mask)
+
+    @property
+    def indices(self) -> tuple[int, ...]:
+        """Variable indices in increasing order."""
+        return tuple(i for i in range(self.mask.bit_length()) if self.mask >> i & 1)
+
+    @property
+    def degree(self) -> int:
+        return self.mask.bit_count()
+
+    def divides(self, other: "Monomial") -> bool:
+        return self.mask & other.mask == self.mask
+
+    def __str__(self) -> str:
+        if self.mask == 0:
+            return "1"
+        return "".join(f"x{i}" for i in self.indices)
+
+
+def monomial_to_row(f: Monomial, n: int) -> int:
+    """Row index of f in the length-2**n polar transform.
+
+    The row is the integer whose zero bits (below n) sit exactly at the
+    variable indices of f.
+    """
+    _check_n(n)
+    if f.mask >> n:
+        raise ValueError(f"monomial {f} uses variables beyond x{n - 1}")
+    return (1 << n) - 1 ^ f.mask
+
+
+def row_to_monomial(row: int, n: int) -> Monomial:
+    """Inverse of monomial_to_row."""
+    _check_n(n)
+    if not 0 <= row < 1 << n:
+        raise ValueError(f"row index out of range for n={n}: {row}")
+    return Monomial((1 << n) - 1 ^ row)
+
+
+def _check_n(n: int) -> None:
+    if not 1 <= n <= MAX_VARS:
+        raise ValueError(f"variable count must be in 1..{MAX_VARS}, got {n}")
+
+
+def partial_order_leq(f: Monomial, g: Monomial) -> bool:
+    """Whether f precedes g in the monomial order.
+
+    Same degree: the sorted index tuples compare elementwise.  Lower degree:
+    f must precede some degree-deg(f) divisor of g; the elementwise-largest
+    such divisor is the top deg(f) indices of g, so comparing against that
+    block alone decides the relation.
+    """
+    if f.mask == g.mask:
+        return True
+    df, dg = f.degree, g.degree
+    if df > dg:
+        return False
+    fi, gi = f.indices, g.indices
+    off = dg - df
+    return all(fi[j] <= gi[j + off] for j in range(df))
+
+
+def decreasing_closure(generators: Iterable[Monomial], n: int) -> "MonomialCode":
+    """Smallest decreasing code on n variables containing the generators."""
+    _check_n(n)
+    gens = list(generators)
+    if not gens:
+        raise ValueError("need at least one generator")
+    seen: set[int] = set()
+    stack: list[int] = []
+    for g in gens:
+        if g.mask >> n:
+            raise ValueError(f"generator {g} uses variables beyond x{n - 1}")
+        if g.mask not in seen:
+            seen.add(g.mask)
+            stack.append(g.mask)
+    # One-step moves (drop a variable, slide an index down one slot) generate
+    # the full order, so a BFS over them reaches exactly the lower set.
+    while stack:
+        m = stack.pop()
+        for nb in _down_neighbours(m):
+            if nb not in seen:
+                seen.add(nb)
+                stack.append(nb)
+    return MonomialCode(n, frozenset(Monomial(m) for m in seen))
+
+
+def _down_neighbours(mask: int) -> Iterator[int]:
+    """Immediate predecessors: remove one variable, or move one index down."""
+    m = mask
+    while m:
+        bit = m & -m
+        yield mask ^ bit
+        if bit > 1 and not mask & bit >> 1:
+            yield mask ^ bit | bit >> 1
+        m ^= bit
+
+
+def _up_neighbours(mask: int, n: int) -> Iterator[int]:
+    """Immediate successors within n variables: inverse moves of _down_neighbours."""
+    for i in range(n):
+        bit = 1 << i
+        if not mask & bit:
+            yield mask | bit
+        elif i + 1 < n and not mask & bit << 1:
+            yield mask ^ bit | bit << 1
+
+
+def is_decreasing(code: "MonomialCode") -> bool:
+    """Whether the information set is downward closed for the monomial order."""
+    masks = code.masks
+    return all(nb in masks for m in masks for nb in _down_neighbours(m))
+
+
+def minimal_generators(code: "MonomialCode") -> frozenset[Monomial]:
+    """Maximal monomials of a decreasing code; its unique minimal generator set."""
+    if not is_decreasing(code):
+        raise ValueError("minimal generators are defined for decreasing codes only")
+    masks = code.masks
+    return frozenset(
+        Monomial(m)
+        for m in masks
+        if not any(nb in masks for nb in _up_neighbours(m, code.n))
+    )
+
+
+@dataclass(frozen=True)
+class MonomialCode:
+    """A monomial code: n variables and the information set of monomials."""
+
+    n: int
+    info_set: frozenset[Monomial]
+
+    def __post_init__(self) -> None:
+        _check_n(self.n)
+        if not self.info_set:
+            raise ValueError("information set is empty")
+        for f in self.info_set:
+            if f.mask >> self.n:
+                raise ValueError(f"monomial {f} uses variables beyond x{self.n - 1}")
+
+    @property
+    def block_length(self) -> int:
+        return 1 << self.n
+
+    @property
+    def dimension(self) -> int:
+        return len(self.info_set)
+
+    @property
+    def masks(self) -> frozenset[int]:
+        return frozenset(f.mask for f in self.info_set)
+
+    @property
+    def rows(self) -> tuple[int, ...]:
+        """Information row indices, ascending."""
+        return tuple(sorted(monomial_to_row(f, self.n) for f in self.info_set))
+
+    @classmethod
+    def from_rows(cls, n: int, rows: Iterable[int]) -> "MonomialCode":
+        return cls(n, frozenset(row_to_monomial(r, n) for r in rows))
+
+    def __contains__(self, f: Monomial) -> bool:
+        return f in self.info_set
+
+
+def _sorted_monomials(n: int) -> list[Monomial]:
+    """All monomials on n variables in a linear extension of the order."""
+    return sorted(
+        (Monomial(m) for m in range(1 << n)), key=lambda f: (f.degree, f.indices)
+    )
+
+
+@lru_cache(maxsize=None)
+def _lower_masks(n: int) -> tuple[tuple[Monomial, ...], tuple[int, ...]]:
+    """Linear extension plus, per position, the bitmask of its lower set."""
+    mons = tuple(_sorted_monomials(n))
+    lower = []
+    for i, g in enumerate(mons):
+        bits = 0
+        for j in range(i + 1):
+            if partial_order_leq(mons[j], g):
+                bits |= 1 << j
+        lower.append(bits)
+    return mons, tuple(lower)
+
+
+def enumerate_decreasing_codes(n: int, dimension: int) -> Iterator[MonomialCode]:
+    """All decreasing codes with the given dimension, in a deterministic order.
+
+    Exhaustive search; guarded at n <= 7 where the census is tractable.
+    """
+    _check_n(n)
+    if n > 7:
+        raise CapabilityError(f"exhaustive census is supported for n <= 7, got n={n}")
+    total = 1 << n
+    if not 1 <= dimension <= total:
+        raise ValueError(f"dimension must be in 1..{total}, got {dimension}")
+    mons, lower = _lower_masks(n)
+
+    def emit(included: int) -> MonomialCode:
+        info = frozenset(mons[j] for j in range(total) if included >> j & 1)
+        return MonomialCode(n, info)
+
+    # DFS over the linear extension.  A position is includable once none of
+    # its lower set is excluded; the includable suffix completes to a valid
+    # down-set of every size up to its count, so the bound below is exact.
+    def rec(i: int, included: int, excluded: int, count: int) -> Iterator[MonomialCode]:
+        if count == dimension:
+            yield emit(included)
+            return
+        free = [j for j in range(i, total) if not lower[j] & excluded]
+        if count + len(free) < dimension:
+            return
+        if count + len(free) == dimension:
+            full = included
+            for j in free:
+                full |= 1 << j
+            yield emit(full)
+            return
+        j = i
+        while lower[j] & excluded:
+            j += 1
+        yield from rec(j + 1, included | 1 << j, excluded, count + 1)
+        yield from rec(j + 1, included, excluded | 1 << j, count)
+
+    yield from rec(0, 0, 0, 0)
