@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -231,36 +231,18 @@ def _gl2_order(m: int) -> int:
     return out
 
 
-def _blta_linear_size_rowwise(structure: BlockStructure) -> int:
-    """Invertible block lower triangular count, row by row.
+def blta_size(structure: BlockStructure) -> int:
+    """Order of the block lower triangular affine group, exact.
 
-    Row i contributes (free bits left of its block) x (choices completing its
-    diagonal block to full rank).
+    GL factors per diagonal block, times the free bits below the diagonal,
+    times the 2**n offsets.
     """
-    out = 1
-    for k, s in enumerate(structure.sizes):
-        start = structure.starts[k]
-        for local in range(s):
-            out <<= start
-            out *= (1 << s) - (1 << local)
-    return out
-
-
-def _blta_linear_size_blockwise(structure: BlockStructure) -> int:
-    """Same count, as GL factors per block times free bits below the diagonal."""
     out = 1
     below = 0
     for k, s in enumerate(structure.sizes):
         out *= _gl2_order(s)
         below += structure.starts[k] * s
-    return out << below
-
-
-def blta_size(structure: BlockStructure) -> int:
-    """Order of the block lower triangular affine group, exact."""
-    linear = _blta_linear_size_blockwise(structure)
-    assert linear == _blta_linear_size_rowwise(structure)
-    return linear << structure.n
+    return out << (below + structure.n)
 
 
 def block_reversal_matrix(structure: BlockStructure) -> BinaryMatrix:
@@ -282,16 +264,6 @@ def is_block_lower_triangular(m: BinaryMatrix, structure: BlockStructure) -> boo
         k = structure.block_of(i)
         end = structure.starts[k] + structure.sizes[k]
         if r >> end:
-            return False
-    return True
-
-
-def _is_block_diagonal_permutation(m: BinaryMatrix, structure: BlockStructure) -> bool:
-    if not m.is_permutation():
-        return False
-    for i, r in enumerate(m.rows):
-        j = r.bit_length() - 1
-        if structure.block_of(i) != structure.block_of(j):
             return False
     return True
 
@@ -374,34 +346,25 @@ def position_action(aut: AffineAutomorphism, j: int) -> int:
     return aut.matrix.apply(j) ^ aut.offset
 
 
-_PARITY_TABLE = None
-
-
-def _parity_table() -> np.ndarray:
-    """parity of popcount for every 16-bit value, built by doubling."""
-    global _PARITY_TABLE
-    if _PARITY_TABLE is None:
-        t = np.zeros(1 << 16, dtype=np.uint8)
-        size = 1
-        while size < t.size:
-            t[size : 2 * size] = t[:size] ^ 1
-            size *= 2
-        _PARITY_TABLE = t
-    return _PARITY_TABLE
-
-
 def position_tables_batch(rows: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     """Position permutation tables for affine maps given as row bitmasks.
 
     rows is (count, n), offsets is (count,); returns (count, 2**n) indices.
+    Built by doubling: positions j + 2**k, j < 2**k, map to the image of j
+    XOR the image A e_k of the k-th basis vector.  The doubling runs in the
+    narrowest unsigned type that holds a position, widened once at the end.
     """
     count, n = rows.shape
-    pt = _parity_table()
-    j = np.arange(1 << n, dtype=np.uint32)[None, :]
-    out = np.repeat(offsets.astype(np.uint32)[:, None], 1 << n, axis=1)
+    shifts = np.arange(n, dtype=rows.dtype)
+    cols = np.zeros((count, n), dtype=rows.dtype)
     for i in range(n):
-        masked = j & rows[:, i : i + 1].astype(np.uint32)
-        out ^= pt[masked].astype(np.uint32) << np.uint32(i)
+        cols |= ((rows[:, i : i + 1] >> shifts) & 1) << i
+    narrow = np.min_scalar_type((1 << n) - 1)
+    cols = cols.astype(narrow)
+    out = np.empty((count, 1 << n), dtype=narrow)
+    out[:, 0] = offsets
+    for k in range(n):
+        np.bitwise_xor(out[:, : 1 << k], cols[:, k : k + 1], out=out[:, 1 << k : 2 << k])
     return out.astype(np.int64)
 
 
@@ -422,40 +385,60 @@ def sample_blta(
 
 
 def sample_blta_batch(
-    structure: BlockStructure, count: int, rng: np.random.Generator
+    structure: BlockStructure,
+    count: int,
+    rng: np.random.Generator | Sequence[np.random.Generator],
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorised uniform sampling: (count, n) row bitmasks and (count,) offsets.
+    """Uniform sampling without rejection: (count, n) row bitmasks and offsets.
 
-    Diagonal blocks are rejection-sampled until invertible (acceptance is the
-    GL fraction, at least 0.288); everything below the diagonal block and the
-    offset are free uniform bits.
+    Each map takes exactly n+1 bounded integers.  Row i of a size-s diagonal
+    block starting at `start` takes one below (2**s - 2**i) << start: its low
+    `start` bits are the free bits left of the block, and the high part r
+    picks one of the 2**s - 2**i vectors outside the span V of the block's
+    rows above it.  V is kept as a reduced echelon basis whose pivot bits
+    (lowest set bits) appear in no other basis vector; every vector is then
+    y ^ w, y on the non-pivot bits and w in V, and it lies outside V exactly
+    when y != 0.  So r >> i, plus one, is deposited into the non-pivot bits
+    as y, and the bits of r below i choose w from the basis.  The last
+    integer is the offset.  Every invertible block lower triangular matrix
+    and offset matches exactly one tuple of integers, so the draw is exactly
+    uniform, and a block costs O(s**2) vector operations.
+
+    rng may be a sequence of Generators; each then gives `count` maps, and
+    the result equals the concatenation of the per-Generator calls.
     """
     if count < 1:
         raise ValueError("count must be positive")
     n = structure.n
-    rows = np.zeros((count, n), dtype=np.uint32)
-    for k, s in enumerate(structure.sizes):
-        start = structure.starts[k]
-        block = _sample_gl_batch(s, count, rng)
-        for local in range(s):
-            rows[:, start + local] = block[:, local] << np.uint32(start)
-        if start:
-            free = rng.integers(0, 1 << start, size=(count, s), dtype=np.uint32)
-            for local in range(s):
-                rows[:, start + local] |= free[:, local]
-    offsets = rng.integers(0, 1 << n, size=count, dtype=np.uint32)
-    return rows, offsets
-
-
-def _sample_gl_batch(s: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform invertible s x s matrices as (count, s) row bitmasks."""
-    out = rng.integers(0, 1 << s, size=(count, s), dtype=np.uint32)
-    bad = ~gl_full_rank_mask(out)
-    while bad.any():
-        redo = int(bad.sum())
-        out[bad] = rng.integers(0, 1 << s, size=(redo, s), dtype=np.uint32)
-        bad[bad] = ~gl_full_rank_mask(out[bad])
-    return out
+    pairs = list(zip(structure.sizes, structure.starts))
+    highs = [((1 << s) - (1 << i)) << start for s, start in pairs for i in range(s)]
+    highs = np.array(highs + [1 << n], dtype=np.int64)
+    gens = [rng] if isinstance(rng, np.random.Generator) else rng
+    draws = np.concatenate([g.integers(0, highs, size=(count, n + 1)) for g in gens])
+    total = len(draws)
+    rows = np.empty((total, n), dtype=np.uint32)
+    for s, start in pairs:
+        basis = np.zeros((total, s), dtype=np.int64)
+        pivots = np.zeros(total, dtype=np.int64)
+        for i in range(s):
+            draw = draws[:, start + i]
+            rank = draw >> start
+            pattern = (rank >> i) + 1
+            y = np.zeros(total, dtype=np.int64)
+            for k in range(s):
+                free = ((pivots >> k) & 1) ^ 1
+                y |= (pattern & free) << k
+                pattern >>= free
+            row = y.copy()
+            for j in range(i):
+                row ^= basis[:, j] & -((rank >> j) & 1)
+            rows[:, start + i] = (row << start) | (draw & ((1 << start) - 1))
+            pivot = y & -y
+            hit = (basis[:, :i] & pivot[:, None]) != 0
+            basis[:, :i] ^= np.where(hit, y[:, None], 0)
+            basis[:, i] = y
+            pivots |= pivot
+    return rows, draws[:, n].astype(np.uint32)
 
 
 def gl_full_rank_mask(rows: np.ndarray) -> np.ndarray:

@@ -33,6 +33,7 @@ from .codec import (
 from .monomials import MonomialCode, minimal_generators, monomial_to_row
 
 __all__ = [
+    "STREAM_VERSION",
     "Z95",
     "CSV_COLUMNS",
     "ChannelParams",
@@ -46,6 +47,11 @@ __all__ = [
 ]
 
 Z95 = 1.959963984540054
+
+# How frame streams are consumed, stamped in every manifest: a new version
+# means the same seed gives different counts.  Version 2: a frame draws its
+# message bits, its noise, then n+1 bounded integers per automorphism.
+STREAM_VERSION = 2
 
 CSV_COLUMNS = (
     "code_id",
@@ -206,19 +212,12 @@ def _run_batch(args: tuple) -> tuple[int, int]:
     batch = hi - lo
     msgs = np.empty((batch, dim), dtype=np.uint8)
     noise = np.empty((batch, size), dtype=np.float64)
-    fresh = spec.kind == "aut_sc" and fixed_tables is None
-    if fresh:
-        m = spec.ensemble_size
-        aut_rows = np.empty((batch * m, n), dtype=np.uint32)
-        aut_offs = np.empty(batch * m, dtype=np.uint32)
+    rngs = []
     for b, frame_idx in enumerate(range(lo, hi)):
         rng = _frame_rng(master_seed, snr_idx, frame_idx)
         msgs[b] = rng.integers(0, 2, size=dim, dtype=np.uint8)
         noise[b] = rng.standard_normal(size)
-        if fresh:
-            r, o = sample_blta_batch(structure, m, rng)
-            aut_rows[b * m : (b + 1) * m] = r
-            aut_offs[b * m : (b + 1) * m] = o
+        rngs.append(rng)
     sent = encode_batch(code, msgs)
     y = (1.0 - 2.0 * sent) + sigma * noise
     llrs = 2.0 * y / sigma2
@@ -230,6 +229,9 @@ def _run_batch(args: tuple) -> tuple[int, int]:
         if fixed_tables is not None:
             tables = fixed_tables
         else:
+            # Automorphisms are drawn last in each frame's stream, so messages
+            # and noise match the SC and SCL streams frame for frame.
+            aut_rows, aut_offs = sample_blta_batch(structure, spec.ensemble_size, rngs)
             tables = position_tables_batch(aut_rows, aut_offs).reshape(
                 batch, spec.ensemble_size, size
             )

@@ -19,7 +19,13 @@ import numpy as np
 
 from . import __version__
 from .automorphisms import blta_size, find_block_structure, sample_blta_batch
-from .channel import DecoderSpec, default_code_id, run_bler, write_results_csv
+from .channel import (
+    STREAM_VERSION,
+    DecoderSpec,
+    default_code_id,
+    run_bler,
+    write_results_csv,
+)
 from .construction import ConstructionSpec, SpecError, bhattacharyya_bec_design
 from .monomials import (
     CapabilityError,
@@ -62,6 +68,7 @@ def _write_manifest(out_path: str, command: str, args: argparse.Namespace) -> No
         "config": echo,
         "version": __version__,
         "master_seed": getattr(args, "seed", None),
+        "stream_version": STREAM_VERSION,
         "created_utc": _utc_now(),
     }
     Path(out_path + ".manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")

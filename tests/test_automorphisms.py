@@ -3,6 +3,8 @@ permutation-triangular factorization of block lower triangular matrices."""
 
 import itertools
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -37,6 +39,47 @@ from polaraut.monomials import (
     MonomialCode,
     decreasing_closure,
 )
+
+
+def blta_linear_size_rowwise(structure):
+    """Invertible block lower triangular count, row by row: the oracle.
+
+    Row i contributes (free bits left of its block) x (choices completing its
+    diagonal block to full rank).
+    """
+    out = 1
+    for k, s in enumerate(structure.sizes):
+        start = structure.starts[k]
+        for local in range(s):
+            out <<= start
+            out *= (1 << s) - (1 << local)
+    return out
+
+
+def parity_position_tables(rows, offsets):
+    """Position tables from per-bit parities of j & row: the oracle."""
+    count, n = rows.shape
+    parity = np.zeros(1 << 16, dtype=np.uint8)
+    size = 1
+    while size < parity.size:
+        parity[size : 2 * size] = parity[:size] ^ 1
+        size *= 2
+    j = np.arange(1 << n, dtype=np.uint32)[None, :]
+    out = np.repeat(offsets.astype(np.uint32)[:, None], 1 << n, axis=1)
+    for i in range(n):
+        masked = j & rows[:, i : i + 1].astype(np.uint32)
+        out ^= parity[masked].astype(np.uint32) << np.uint32(i)
+    return out.astype(np.int64)
+
+
+def chi_square(keys, cells):
+    """Chi-square statistic of the observed keys against uniform over cells."""
+    counts = {}
+    for key in keys:
+        counts[key] = counts.get(key, 0) + 1
+    assert len(counts) == cells
+    expected = len(keys) / cells
+    return sum((c - expected) ** 2 / expected for c in counts.values())
 
 
 def code_from_generator_rows(n, rows):
@@ -248,6 +291,18 @@ class TestBltaSize:
                     count += 1
             assert blta_size(structure) == count << n
 
+    def test_matches_rowwise_count_on_every_composition(self):
+        for n in range(1, 11):
+            for cuts in itertools.product((False, True), repeat=n - 1):
+                sizes, size = [], 1
+                for cut in cuts:
+                    if cut:
+                        sizes.append(size)
+                        size = 0
+                    size += 1
+                structure = BlockStructure(tuple(sizes + [size]))
+                assert blta_size(structure) == blta_linear_size_rowwise(structure) << n
+
 
 class TestBlockReversal:
     def test_reverses_each_block(self):
@@ -373,6 +428,15 @@ class TestAffineAutomorphism:
             aut = AffineAutomorphism(mat, int(offsets[i]))
             assert np.array_equal(tables[i], position_table(aut))
 
+    def test_batch_tables_match_parity_oracle(self):
+        rng = np.random.default_rng(56)
+        for n in range(1, 11):
+            rows, offsets = sample_blta_batch(BlockStructure((n,)), 20, rng)
+            assert np.array_equal(
+                position_tables_batch(rows, offsets),
+                parity_position_tables(rows, offsets),
+            )
+
 
 class TestSampling:
     def test_samples_live_in_the_group(self):
@@ -396,6 +460,69 @@ class TestSampling:
         rows_b, offs_b = draw()
         assert np.array_equal(rows_a, rows_b)
         assert np.array_equal(offs_a, offs_b)
+
+    def test_generator_sequence_concatenates_single_calls(self):
+        structure = BlockStructure((3, 2, 1))
+        seeds = [np.random.SeedSequence(7, spawn_key=(i,)) for i in range(5)]
+        gens = lambda: [np.random.Generator(np.random.Philox(q)) for q in seeds]
+        rows, offsets = sample_blta_batch(structure, 4, gens())
+        singles = [sample_blta_batch(structure, 4, g) for g in gens()]
+        assert rows.shape == (20, 6)
+        assert np.array_equal(rows, np.concatenate([r for r, _ in singles]))
+        assert np.array_equal(offsets, np.concatenate([o for _, o in singles]))
+
+    def test_uniform_over_gl_3_2(self):
+        rows, _ = sample_blta_batch(
+            BlockStructure((3,)), 168 * 200, np.random.default_rng(57)
+        )
+        chi2 = chi_square([tuple(r) for r in rows.tolist()], 168)
+        assert chi2 < 212.43129395391728, chi2  # 0.99 quantile, 167 dof
+
+    def test_uniform_over_full_group(self):
+        structure = BlockStructure((2, 1))
+        cells = blta_size(structure)
+        assert cells == 192
+        rows, offsets = sample_blta_batch(structure, cells * 200, np.random.default_rng(58))
+        keys = [(*r, o) for r, o in zip(rows.tolist(), offsets.tolist())]
+        chi2 = chi_square(keys, cells)
+        assert chi2 < 239.38562055019008, chi2  # 0.99 quantile, 191 dof
+
+    def test_every_draw_tuple_gives_a_distinct_matrix(self):
+        class FixedDraws:
+            def __init__(self, draws):
+                self.draws = draws
+
+            def integers(self, low, high, size):
+                assert size == self.draws.shape and np.all(self.draws < high)
+                return self.draws
+
+        for sizes in ((4,), (2, 1), (1, 2, 2)):
+            structure = BlockStructure(sizes)
+            highs = [
+                ((1 << s) - (1 << i)) << start
+                for s, start in zip(structure.sizes, structure.starts)
+                for i in range(s)
+            ]
+            draws = np.array(
+                [(*t, 0) for t in itertools.product(*map(range, highs))],
+                dtype=np.int64,
+            )
+            assert len(draws) == blta_linear_size_rowwise(structure)
+            rows, _ = sample_blta_batch(structure, len(draws), [FixedDraws(draws)])
+            assert len({tuple(r) for r in rows.tolist()}) == len(draws)
+
+    def test_large_block_is_cheap(self):
+        structure = BlockStructure((16,))
+        tracemalloc.start()
+        began = time.perf_counter()
+        rows, offsets = sample_blta_batch(structure, 300, np.random.default_rng(59))
+        elapsed = time.perf_counter() - began
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert gl_full_rank_mask(rows).all()
+        assert np.all(offsets < (1 << 16))
+        assert elapsed < 2.0, elapsed
+        assert peak < 4 << 20, peak
 
     def test_single_sample_wraps_batch_types(self):
         aut = sample_blta(BlockStructure((2, 1)), np.random.default_rng(3))

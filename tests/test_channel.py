@@ -162,6 +162,19 @@ class TestRunBler:
             duo[0].block_errors,
         )
 
+    def test_batch_size_does_not_change_fixed_work_counts(self):
+        code = small_code()
+        kwargs = dict(master_seed=19, target_errors=None, max_frames=40)
+        counts = {
+            batch: [
+                (r.frames, r.block_errors)
+                for r in run_bler(code, "aut-4-sc", [1.0], batch_frames=batch, **kwargs)
+            ]
+            for batch in (1, 7, 256)
+        }
+        assert counts[1] == counts[7] == counts[256]
+        assert counts[1][0][1] > 0
+
     def test_seed_changes_the_outcome(self):
         code = small_code()
         a = run_bler(code, "sc", [2.0], master_seed=1, target_errors=50, max_frames=5000)
