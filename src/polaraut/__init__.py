@@ -37,15 +37,13 @@ from .automorphisms import (  # noqa: F401
     stabilizes,
 )
 from .codec import (  # noqa: F401
-    Codeword,
     DecoderConfig,
-    LlrFrame,
-    MessageWord,
-    aut_sc_decode,
-    encode,
+    aut_sc_decode_batch,
+    encode_batch,
+    frozen_mask,
     polar_transform,
-    sc_decode,
-    scl_decode,
+    sc_decode_batch,
+    scl_decode_batch,
 )
 from .channel import (  # noqa: F401
     ChannelParams,

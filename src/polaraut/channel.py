@@ -86,13 +86,14 @@ class ChannelParams:
         return 1.0 / (2.0 * self.rate * 10.0 ** (self.ebn0_db / 10.0))
 
 
-def transmit(
-    bits: np.ndarray, params: ChannelParams, rng: np.random.Generator
-) -> np.ndarray:
-    """Modulate, add noise, and return LLRs (2y / sigma^2); any leading shape."""
+def transmit(bits: np.ndarray, params: ChannelParams, noise: np.ndarray) -> np.ndarray:
+    """BPSK over AWGN: modulate, add sigma times the standard-normal noise
+    (same shape as bits), and return LLRs (2y / sigma^2)."""
     bits = np.asarray(bits)
+    if np.shape(noise) != bits.shape:
+        raise ValueError("noise must have the shape of bits")
     sigma2 = params.noise_variance
-    y = (1.0 - 2.0 * bits) + math.sqrt(sigma2) * rng.standard_normal(bits.shape)
+    y = (1.0 - 2.0 * bits) + math.sqrt(sigma2) * noise
     return 2.0 * y / sigma2
 
 
@@ -207,8 +208,6 @@ def _run_batch(args: tuple) -> tuple[int, int]:
     dim = code.dimension
     size = code.block_length
     params = ChannelParams(ebn0_db, dim / size)
-    sigma2 = params.noise_variance
-    sigma = math.sqrt(sigma2)
     batch = hi - lo
     msgs = np.empty((batch, dim), dtype=np.uint8)
     noise = np.empty((batch, size), dtype=np.float64)
@@ -219,8 +218,7 @@ def _run_batch(args: tuple) -> tuple[int, int]:
         noise[b] = rng.standard_normal(size)
         rngs.append(rng)
     sent = encode_batch(code, msgs)
-    y = (1.0 - 2.0 * sent) + sigma * noise
-    llrs = 2.0 * y / sigma2
+    llrs = transmit(sent, params, noise)
     if spec.kind == "sc":
         _, words = sc_decode_batch(code, llrs, config)
     elif spec.kind == "scl":

@@ -44,16 +44,19 @@ def sci3(value: int | Decimal) -> str:
     return f"{mant.lower()}e{int(exp)}"
 
 
+def _gen_rows(code: MonomialCode) -> list[int]:
+    return sorted(monomial_to_row(f, code.n) for f in minimal_generators(code))
+
+
 def analysis_report(code: MonomialCode) -> dict:
     """The analyze payload: block structure, group size, generators."""
     structure = find_block_structure(code)
     size = blta_size(structure)
-    gens = sorted(monomial_to_row(f, code.n) for f in minimal_generators(code))
     return {
         "s": list(structure.sizes),
         "aut_size": str(size),
         "aut_size_sci": sci3(size),
-        "generators": gens,
+        "generators": _gen_rows(code),
     }
 
 
@@ -92,10 +95,6 @@ def _load_spec(path: str) -> ConstructionSpec:
 
 def _space_joined(values) -> str:
     return " ".join(str(v) for v in values)
-
-
-def _gen_rows(code: MonomialCode) -> list[int]:
-    return sorted(monomial_to_row(f, code.n) for f in minimal_generators(code))
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:

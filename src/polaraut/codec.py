@@ -2,39 +2,32 @@
 
 Codewords are evaluations of the message polynomial over all points, so the
 encoder is the butterfly transform followed by an index reversal (point j
-corresponds to transform row ~j).  Decoders work in transform order and the
-public wrappers translate.
+corresponds to transform row ~j).  Decoders take (B, N) frames in
+evaluation order, work in transform order, and return (messages,
+codewords).
 
-Three engines: successive cancellation (recursive, batched over frames),
-successive cancellation list (iterative over leaves, batched over frames and
-paths), and an automorphism ensemble that runs SC on permuted frames and
-keeps the best candidate by correlation.
+One tree walker serves all three decoders: successive cancellation is its
+list-size-1 case, successive cancellation list keeps up to L paths, and the
+automorphism ensemble runs SC on permuted frames.  Each keeps the candidate
+most correlated with the channel.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable
 
 import numpy as np
 
-from .automorphisms import AffineAutomorphism, position_table
-from .monomials import Monomial, MonomialCode
+from .monomials import MonomialCode
 
 __all__ = [
-    "MessageWord",
-    "Codeword",
-    "LlrFrame",
     "DecoderConfig",
     "KERNELS",
     "polar_transform",
-    "encode",
     "encode_batch",
-    "sc_decode",
     "sc_decode_batch",
-    "scl_decode",
     "scl_decode_batch",
-    "aut_sc_decode",
     "aut_sc_decode_batch",
     "frozen_mask",
 ]
@@ -62,89 +55,6 @@ def frozen_mask(code: MonomialCode) -> np.ndarray:
     mask = np.ones(code.block_length, dtype=bool)
     mask[list(code.rows)] = False
     return mask
-
-
-@dataclass(frozen=True)
-class MessageWord:
-    """Message coefficients, one bit per information monomial.
-
-    Bits align with code.rows (ascending row order).
-    """
-
-    code: MonomialCode
-    bits: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.bits) != self.code.dimension:
-            raise ValueError("bit count does not match the code dimension")
-        if any(b not in (0, 1) for b in self.bits):
-            raise ValueError("message bits must be 0 or 1")
-
-    @classmethod
-    def from_coeffs(
-        cls, code: MonomialCode, coeffs: Mapping[Monomial, int]
-    ) -> "MessageWord":
-        if set(coeffs) != set(code.info_set):
-            raise ValueError("coefficient keys must be exactly the information set")
-        from .monomials import monomial_to_row
-
-        by_row = {monomial_to_row(f, code.n): v for f, v in coeffs.items()}
-        return cls(code, tuple(by_row[r] for r in code.rows))
-
-    def coeff(self, f: Monomial) -> int:
-        from .monomials import monomial_to_row
-
-        return self.bits[self.code.rows.index(monomial_to_row(f, self.code.n))]
-
-    def as_dict(self) -> dict[Monomial, int]:
-        from .monomials import row_to_monomial
-
-        return {
-            row_to_monomial(r, self.code.n): b for r, b in zip(self.code.rows, self.bits)
-        }
-
-
-@dataclass(frozen=True, eq=False)
-class Codeword:
-    """A codeword in evaluation order: bit j is the polynomial value at point j."""
-
-    bits: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.bits)
-        if arr.ndim != 1 or arr.size & (arr.size - 1):
-            raise ValueError("codeword length must be a power of two")
-        if not np.isin(arr, (0, 1)).all():
-            raise ValueError("codeword bits must be 0 or 1")
-        object.__setattr__(self, "bits", arr.astype(np.uint8))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Codeword):
-            return NotImplemented
-        return self.bits.shape == other.bits.shape and bool(
-            (self.bits == other.bits).all()
-        )
-
-    def __len__(self) -> int:
-        return int(self.bits.size)
-
-
-@dataclass(frozen=True, eq=False)
-class LlrFrame:
-    """Channel log likelihood ratios in evaluation order; positive favours 0."""
-
-    llrs: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.llrs, dtype=np.float64)
-        if arr.ndim != 1 or arr.size & (arr.size - 1):
-            raise ValueError("frame length must be a power of two")
-        if not np.isfinite(arr).all():
-            raise ValueError("frame values must be finite")
-        object.__setattr__(self, "llrs", arr)
-
-    def __len__(self) -> int:
-        return int(self.llrs.size)
 
 
 def _f_exact(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -191,185 +101,127 @@ def encode_batch(code: MonomialCode, messages: np.ndarray) -> np.ndarray:
     messages = np.asarray(messages, dtype=np.uint8)
     if messages.ndim != 2 or messages.shape[1] != code.dimension:
         raise ValueError("messages must have shape (batch, K)")
+    if messages.max(initial=0) > 1:
+        raise ValueError("message bits must be 0 or 1")
     u = np.zeros((messages.shape[0], code.block_length), dtype=np.uint8)
     u[:, list(code.rows)] = messages
     return polar_transform(u)[:, ::-1]
 
 
-def encode(code: MonomialCode, message: MessageWord) -> Codeword:
-    """Evaluate the message polynomial at every point."""
-    if message.code != code:
-        raise ValueError("message was built for a different code")
-    word = encode_batch(code, np.array([message.bits], dtype=np.uint8))[0]
-    return Codeword(word)
-
-
-def _sc_batch(
+def _tree(
     llrs: np.ndarray,
     frozen: np.ndarray,
     f_kernel: Callable[[np.ndarray, np.ndarray], np.ndarray],
-) -> tuple[np.ndarray, np.ndarray]:
-    """SC over a batch; llrs are (B, N) in transform order.
+    list_size: int,
+) -> np.ndarray:
+    """Successive cancellation with up to list_size paths per frame.
 
-    Returns (u, v): decided rows and the re-encoded transform-order words.
+    llrs are (B, N) in transform order; returns (B, P, N) candidate words in
+    transform order.  With list_size 1 an information leaf is the hard
+    decision and arrays stay (B, width).  Otherwise arrays are (B, P, width):
+    information leaves fork every path, and once more than list_size would
+    live the best survive by path metric (stable sort, so tied candidates
+    keep parent-then-0-bit priority).  A subtree returns its word and, when
+    it forked or pruned, the parent of each of its paths among the paths it
+    was given; its caller gathers only what it still holds by that map.
     """
     batch = llrs.shape[0]
-    size = llrs.shape[1]
-    u = np.zeros((batch, size), dtype=np.uint8)
+    listing = list_size > 1
+    pm = np.zeros((batch, 1))
 
-    def rec(llr: np.ndarray, start: int) -> np.ndarray:
-        width = llr.shape[1]
+    def take(x: np.ndarray, parent: np.ndarray) -> np.ndarray:
+        return np.take_along_axis(x, parent[:, :, None], axis=1)
+
+    def leaf(llr: np.ndarray, index: int) -> tuple[np.ndarray, np.ndarray | None]:
+        nonlocal pm
+        if frozen[index]:
+            if listing:
+                pm = pm + np.maximum(-llr[..., 0], 0.0)
+            return np.zeros(llr.shape, dtype=np.uint8), None
+        if not listing:
+            return (llr < 0).astype(np.uint8), None
+        pen0, pen1 = np.maximum(-llr[..., 0], 0.0), np.maximum(llr[..., 0], 0.0)
+        cand = np.stack([pm + pen0, pm + pen1], axis=2).reshape(batch, -1)
+        if cand.shape[1] <= list_size:
+            order = np.broadcast_to(np.arange(cand.shape[1]), cand.shape)
+        else:
+            order = np.argsort(cand, axis=1, kind="stable")[:, :list_size]
+        pm = np.take_along_axis(cand, order, axis=1)
+        return (order & 1).astype(np.uint8)[:, :, None], order >> 1
+
+    def node(llr: np.ndarray, start: int) -> tuple[np.ndarray, np.ndarray | None]:
+        width = llr.shape[-1]
         if width == 1:
-            if frozen[start]:
-                bit = np.zeros((batch, 1), dtype=np.uint8)
-            else:
-                bit = (llr < 0).astype(np.uint8)
-            u[:, start : start + 1] = bit
-            return bit
+            return leaf(llr, start)
         h = width // 2
-        a, b = llr[:, :h], llr[:, h:]
-        left = rec(f_kernel(a, b), start)
-        right = rec(_g(a, b, left), start + h)
-        return np.concatenate([left ^ right, right], axis=1)
+        a, b = llr[..., :h], llr[..., h:]
+        left, parent = node(f_kernel(a, b), start)
+        if parent is not None:
+            a, b = take(a, parent), take(b, parent)
+        right, right_parent = node(_g(a, b, left), start + h)
+        if right_parent is not None:
+            left = take(left, right_parent)
+            parent = (
+                right_parent
+                if parent is None
+                else np.take_along_axis(parent, right_parent, axis=1)
+            )
+        return np.concatenate([left ^ right, right], axis=-1), parent
 
-    v = rec(llrs, 0)
-    return u, v
+    if listing:
+        return node(llrs[:, None, :], 0)[0]
+    return node(llrs, 0)[0][:, None, :]
+
+
+def _checked(code: MonomialCode, llrs: np.ndarray) -> np.ndarray:
+    """Decoder input as float64, rejected unless (B, N) and finite."""
+    llrs = np.asarray(llrs, dtype=np.float64)
+    if llrs.ndim != 2 or llrs.shape[1] != code.block_length:
+        raise ValueError(
+            f"llrs must have shape (batch, {code.block_length}), got {llrs.shape}"
+        )
+    if not np.isfinite(llrs).all():
+        raise ValueError("llrs must be finite")
+    return llrs
+
+
+def _most_correlated(cands: np.ndarray, llrs: np.ndarray) -> np.ndarray:
+    """Per frame, the (B, P, N) candidate that best matches llrs (first on a tie)."""
+    corr = ((1.0 - 2.0 * cands.astype(np.float64)) * llrs[:, None, :]).sum(axis=2)
+    return cands[np.arange(len(cands)), corr.argmax(axis=1)]
+
+
+def _with_messages(
+    code: MonomialCode, words: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(messages, words) for codewords in evaluation order."""
+    return polar_transform(words[:, ::-1])[:, list(code.rows)], words
+
+
+def _list_decode(
+    code: MonomialCode, llrs_eval: np.ndarray, config: DecoderConfig, list_size: int
+) -> tuple[np.ndarray, np.ndarray]:
+    chan = _checked(code, llrs_eval)[:, ::-1]
+    cands = _tree(chan, frozen_mask(code), config.f_kernel, list_size)
+    return _with_messages(code, _most_correlated(cands, chan)[:, ::-1])
 
 
 def sc_decode_batch(
     code: MonomialCode, llrs_eval: np.ndarray, config: DecoderConfig | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Batch SC; frames in evaluation order, returns (messages, codewords)."""
-    config = config or DecoderConfig()
-    frozen = frozen_mask(code)
-    u, v = _sc_batch(llrs_eval[:, ::-1], frozen, config.f_kernel)
-    return u[:, list(code.rows)], v[:, ::-1]
-
-
-def sc_decode(
-    code: MonomialCode, frame: LlrFrame, config: DecoderConfig | None = None
-) -> tuple[MessageWord, Codeword]:
-    """Successive cancellation decoding of one frame."""
-    if len(frame) != code.block_length:
-        raise ValueError("frame length does not match the code")
-    msgs, words = sc_decode_batch(code, frame.llrs[None, :], config)
-    return MessageWord(code, tuple(int(b) for b in msgs[0])), Codeword(words[0])
-
-
-def _penalties(leaf_llr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Path-metric penalties for deciding 0 and 1 at a leaf."""
-    return np.maximum(-leaf_llr, 0.0), np.maximum(leaf_llr, 0.0)
+    return _list_decode(code, llrs_eval, config or DecoderConfig(), 1)
 
 
 def scl_decode_batch(
-    code: MonomialCode, llrs_eval: np.ndarray, config: DecoderConfig
+    code: MonomialCode, llrs_eval: np.ndarray, config: DecoderConfig | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Batch SCL; frames in evaluation order, returns (messages, codewords).
 
-    Paths fork at information leaves and the best list_size survive by path
-    metric (stable sort, so tied candidates keep parent-then-0-bit priority).
-    The returned word is the most correlated codeword in the final list.
+    The most correlated word in the final list wins.  List size 1 is SC.
     """
-    f_kernel = config.f_kernel
-    cap = config.list_size
-    frozen = frozen_mask(code)
-    n = code.n
-    size = code.block_length
-    chan = llrs_eval[:, ::-1].astype(np.float64)
-    batch = chan.shape[0]
-
-    llrs: list[np.ndarray | None] = [chan[:, None, :]] + [None] * n
-    lefts: list[np.ndarray | None] = [None] * n
-    u_all = np.zeros((batch, 1, size), dtype=np.uint8)
-    pm = np.zeros((batch, 1), dtype=np.float64)
-
-    def refresh_llrs(leaf: int) -> None:
-        if leaf == 0:
-            start = 1
-        else:
-            q = (leaf & -leaf).bit_length() - 1
-            start = n - q
-            prev = llrs[start - 1]
-            h = prev.shape[2] // 2
-            llrs[start] = _g(prev[..., :h], prev[..., h:], lefts[start - 1])
-            start += 1
-        for d in range(start, n + 1):
-            prev = llrs[d - 1]
-            h = prev.shape[2] // 2
-            llrs[d] = f_kernel(prev[..., :h], prev[..., h:])
-
-    def gather(order: np.ndarray) -> None:
-        sel = order[:, :, None]
-        for d in range(1, n + 1):
-            if llrs[d] is not None:
-                llrs[d] = np.take_along_axis(llrs[d], sel, axis=1)
-        for d in range(n):
-            if lefts[d] is not None:
-                lefts[d] = np.take_along_axis(lefts[d], sel, axis=1)
-
-    v_final: np.ndarray | None = None
-
-    for leaf in range(size):
-        refresh_llrs(leaf)
-        leaf_llr = llrs[n][..., 0]
-        paths = leaf_llr.shape[1]
-        if frozen[leaf]:
-            pen0, _ = _penalties(leaf_llr)
-            pm = pm + pen0
-            bits = np.zeros((batch, paths, 1), dtype=np.uint8)
-        else:
-            pen0, pen1 = _penalties(leaf_llr)
-            cand_pm = np.stack([pm + pen0, pm + pen1], axis=2).reshape(batch, 2 * paths)
-            if 2 * paths <= cap:
-                for d in range(1, n + 1):
-                    llrs[d] = np.repeat(llrs[d], 2, axis=1)
-                for d in range(n):
-                    if lefts[d] is not None:
-                        lefts[d] = np.repeat(lefts[d], 2, axis=1)
-                u_all = np.repeat(u_all, 2, axis=1)
-                pm = cand_pm
-                bit_vals = np.tile(
-                    np.arange(2 * paths, dtype=np.uint8) & 1, (batch, 1)
-                )
-            else:
-                order = np.argsort(cand_pm, axis=1, kind="stable")[:, :cap]
-                parent = order >> 1
-                gather(parent)
-                u_all = np.take_along_axis(u_all, parent[:, :, None], axis=1)
-                pm = np.take_along_axis(cand_pm, order, axis=1)
-                bit_vals = (order & 1).astype(np.uint8)
-            u_all[:, :, leaf] = bit_vals
-            bits = bit_vals[:, :, None]
-        word = bits
-        depth = n
-        rem = leaf
-        while depth > 0 and rem & 1:
-            word = np.concatenate([lefts[depth - 1] ^ word, word], axis=2)
-            depth -= 1
-            rem >>= 1
-        if depth > 0:
-            lefts[depth - 1] = word
-        else:
-            v_final = word
-
-    assert v_final is not None
-    corr = ((1.0 - 2.0 * v_final.astype(np.float64)) * chan[:, None, :]).sum(axis=2)
-    best = corr.argmax(axis=1)
-    rows = np.arange(batch)
-    v_best = v_final[rows, best]
-    u_best = u_all[rows, best]
-    return u_best[:, list(code.rows)], v_best[:, ::-1]
-
-
-def scl_decode(
-    code: MonomialCode, frame: LlrFrame, config: DecoderConfig | None = None
-) -> tuple[MessageWord, Codeword]:
-    """List decoding of one frame; the most correlated list entry wins."""
     config = config or DecoderConfig()
-    if len(frame) != code.block_length:
-        raise ValueError("frame length does not match the code")
-    msgs, words = scl_decode_batch(code, frame.llrs[None, :], config)
-    return MessageWord(code, tuple(int(b) for b in msgs[0])), Codeword(words[0])
+    return _list_decode(code, llrs_eval, config, config.list_size)
 
 
 def aut_sc_decode_batch(
@@ -386,41 +238,15 @@ def aut_sc_decode_batch(
     to the channel wins (lowest branch index on a tie).
     """
     config = config or DecoderConfig()
-    batch, size = llrs_eval.shape
+    llrs = _checked(code, llrs_eval)
+    batch, size = llrs.shape
     if tables.ndim == 2:
         tables = np.broadcast_to(tables[None, :, :], (batch,) + tables.shape)
     m_branches = tables.shape[1]
-    frozen = frozen_mask(code)
 
-    permuted = np.take_along_axis(llrs_eval[:, None, :], tables, axis=2)
+    permuted = np.take_along_axis(llrs[:, None, :], tables, axis=2)
     flat = permuted.reshape(batch * m_branches, size)
-    _, v = _sc_batch(flat[:, ::-1], frozen, config.f_kernel)
-    cand = v[:, ::-1].reshape(batch, m_branches, size)
-    unperm = np.zeros_like(cand)
-    np.put_along_axis(unperm, tables, cand, axis=2)
-
-    corr = ((1.0 - 2.0 * unperm.astype(np.float64)) * llrs_eval[:, None, :]).sum(axis=2)
-    best = corr.argmax(axis=1)
-    rows = np.arange(batch)
-    words = unperm[rows, best]
-    u = polar_transform(words[:, ::-1])
-    return u[:, list(code.rows)], words
-
-
-def aut_sc_decode(
-    code: MonomialCode,
-    frame: LlrFrame,
-    automorphisms: Sequence[AffineAutomorphism],
-    config: DecoderConfig | None = None,
-) -> tuple[MessageWord, Codeword]:
-    """Ensemble decoding of one frame with explicit automorphisms."""
-    if len(frame) != code.block_length:
-        raise ValueError("frame length does not match the code")
-    if not automorphisms:
-        raise ValueError("need at least one automorphism")
-    for aut in automorphisms:
-        if aut.n != code.n:
-            raise ValueError("automorphism size does not match the code")
-    tables = np.stack([position_table(a) for a in automorphisms])
-    msgs, words = aut_sc_decode_batch(code, frame.llrs[None, :], tables, config)
-    return MessageWord(code, tuple(int(b) for b in msgs[0])), Codeword(words[0])
+    cands = _tree(flat[:, ::-1], frozen_mask(code), config.f_kernel, 1)[:, 0, ::-1]
+    unperm = np.zeros((batch, m_branches, size), dtype=np.uint8)
+    np.put_along_axis(unperm, tables, cands.reshape(batch, m_branches, size), axis=2)
+    return _with_messages(code, _most_correlated(unperm, llrs))

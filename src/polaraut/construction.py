@@ -17,7 +17,6 @@ from .monomials import (
     MonomialCode,
     decreasing_closure,
     is_decreasing,
-    monomial_to_row,
     row_to_monomial,
 )
 
@@ -194,13 +193,3 @@ class ConstructionSpec:
             return decreasing_closure(gens, self.n)
         assert self.r is not None
         return rm_code(self.r, self.n)
-
-    def code_id(self, code: MonomialCode | None = None) -> str:
-        """Stable identifier used in result tables."""
-        if code is None:
-            code = self.build()
-        from .monomials import minimal_generators
-
-        gens = sorted(monomial_to_row(f, code.n) for f in minimal_generators(code))
-        gen_part = "-".join(str(g) for g in gens)
-        return f"N{code.block_length}_K{code.dimension}_gen{gen_part}"

@@ -17,7 +17,7 @@ from polaraut.channel import (
     wilson_interval,
     write_results_csv,
 )
-from polaraut.construction import bhattacharyya_bec_design
+from polaraut.construction import ConstructionSpec, bhattacharyya_bec_design
 from polaraut.monomials import Monomial, decreasing_closure
 
 
@@ -48,7 +48,8 @@ class TestTransmit:
     def test_llr_signs_at_high_snr(self):
         params = ChannelParams(ebn0_db=20.0, rate=0.5)
         bits = np.array([0, 1, 0, 1, 1, 0, 0, 1], dtype=np.uint8)
-        llrs = transmit(bits, params, np.random.default_rng(1))
+        noise = np.random.default_rng(1).standard_normal(bits.shape)
+        llrs = transmit(bits, params, noise)
         assert np.array_equal(llrs < 0, bits.astype(bool))
 
     def test_moments_match_the_model(self):
@@ -57,7 +58,7 @@ class TestTransmit:
         sigma2 = params.noise_variance
         count = 1_000_000
         bits = np.zeros(count, dtype=np.uint8)
-        llrs = transmit(bits, params, np.random.default_rng(2))
+        llrs = transmit(bits, params, np.random.default_rng(2).standard_normal(count))
         y = llrs * sigma2 / 2.0
         se_mean = np.sqrt(sigma2 / count)
         assert abs(float(y.mean()) - 1.0) < 3.0 * se_mean
@@ -67,9 +68,14 @@ class TestTransmit:
     def test_deterministic_replay(self):
         params = ChannelParams(ebn0_db=3.0, rate=0.5)
         bits = np.array([1, 0, 1, 0], dtype=np.uint8)
-        a = transmit(bits, params, np.random.default_rng(7))
-        b = transmit(bits, params, np.random.default_rng(7))
+        a = transmit(bits, params, np.random.default_rng(7).standard_normal(4))
+        b = transmit(bits, params, np.random.default_rng(7).standard_normal(4))
         assert np.array_equal(a, b)
+
+    def test_noise_shape_must_match(self):
+        params = ChannelParams(ebn0_db=3.0, rate=0.5)
+        with pytest.raises(ValueError):
+            transmit(np.zeros(4, dtype=np.uint8), params, np.zeros(3))
 
 
 class TestWilsonInterval:
@@ -140,6 +146,8 @@ class TestSimResult:
 def test_default_code_id():
     code = decreasing_closure([Monomial.from_indices([0, 1, 2])], 4)
     assert default_code_id(code) == "N16_K8_gen8"
+    spec = ConstructionSpec.from_dict({"kind": "generators", "n": 7, "generators": [27, 56]})
+    assert default_code_id(spec.build()) == "N128_K64_gen27-56"
 
 
 class TestRunBler:

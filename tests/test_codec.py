@@ -13,23 +13,19 @@ from polaraut.automorphisms import (
     sample_blta,
     sample_blta_batch,
 )
+from polaraut.channel import ChannelParams
 from polaraut.codec import (
-    Codeword,
     DecoderConfig,
-    LlrFrame,
-    MessageWord,
-    aut_sc_decode,
     aut_sc_decode_batch,
-    encode,
     encode_batch,
     frozen_mask,
     polar_transform,
-    sc_decode,
     sc_decode_batch,
-    scl_decode,
     scl_decode_batch,
 )
-from polaraut.monomials import Monomial, MonomialCode, decreasing_closure
+from polaraut.construction import bhattacharyya_bec_design
+from polaraut.monomials import Monomial, MonomialCode, decreasing_closure, row_to_monomial
+from reference_codec import aut_sc_reference, sc_reference, scl_reference
 
 
 def noisy_llrs(code, rng, frames, sigma):
@@ -96,9 +92,9 @@ class TestEncode:
         for n in range(1, 5):
             for m in range(1 << n):
                 code = MonomialCode(n, frozenset({Monomial(m)}))
-                word = encode(code, MessageWord(code, (1,)))
+                word = encode_batch(code, np.ones((1, 1), dtype=np.uint8))[0]
                 expected = [1 if j & m == m else 0 for j in range(1 << n)]
-                assert word.bits.tolist() == expected
+                assert word.tolist() == expected
 
     def test_linearity(self):
         rng = np.random.default_rng(62)
@@ -111,8 +107,8 @@ class TestEncode:
 
     def test_zero_message(self):
         code = decreasing_closure([Monomial.from_indices([0, 1])], 3)
-        word = encode(code, MessageWord(code, (0,) * code.dimension))
-        assert not word.bits.any()
+        word = encode_batch(code, np.zeros((1, code.dimension), dtype=np.uint8))
+        assert not word.any()
 
     def test_shape_validation(self):
         code = MonomialCode.from_rows(2, [3])
@@ -122,32 +118,30 @@ class TestEncode:
 
 class TestMessageTypes:
     def test_message_word_round_trip(self):
+        # Message bit i is the coefficient of the monomial of row code.rows[i]:
+        # the codeword is that polynomial evaluated at every point, and
+        # decoding the clean word gives the coefficients back.
         code = decreasing_closure([Monomial.from_indices([0, 1])], 2)
         coeffs = {Monomial(m): 1 if m in (0b11, 0) else 0 for m in range(4)}
-        msg = MessageWord.from_coeffs(code, coeffs)
-        assert msg.coeff(Monomial(0b11)) == 1
-        assert msg.coeff(Monomial(0b01)) == 0
-        assert msg.as_dict() == coeffs
-
-    def test_from_coeffs_needs_every_key(self):
-        code = decreasing_closure([Monomial.from_indices([0, 1])], 2)
-        with pytest.raises(ValueError):
-            MessageWord.from_coeffs(code, {Monomial(0): 1})
+        msg = np.array([[coeffs[row_to_monomial(r, 2)] for r in code.rows]], np.uint8)
+        word = encode_batch(code, msg)
+        # 1 + x0 x1 is 0 exactly at the point x0 = x1 = 1
+        assert word.tolist() == [[1, 1, 1, 0]]
+        got_msg, got_word = sc_decode_batch(code, 4.0 * (1.0 - 2.0 * word))
+        assert np.array_equal(got_msg, msg)
+        assert np.array_equal(got_word, word)
 
     def test_message_word_validation(self):
         code = MonomialCode.from_rows(2, [3])
         with pytest.raises(ValueError):
-            MessageWord(code, (0, 1))
+            encode_batch(code, np.array([[0, 1]], dtype=np.uint8))
         with pytest.raises(ValueError):
-            MessageWord(code, (2,))
-
-    def test_codeword_validation(self):
-        with pytest.raises(ValueError):
-            Codeword(np.array([0, 1, 1], dtype=np.uint8))
+            encode_batch(code, np.array([[2]], dtype=np.uint8))
 
     def test_llr_frame_rejects_non_finite(self):
+        code = MonomialCode.from_rows(1, [1])
         with pytest.raises(ValueError):
-            LlrFrame(np.array([1.0, np.inf]))
+            sc_decode_batch(code, np.array([[1.0, np.inf]]))
 
     def test_decoder_config_validation(self):
         assert DecoderConfig().kernel == "exact_boxplus"
@@ -162,9 +156,9 @@ class TestScDecode:
         # One frozen leaf, then an information leaf seen through the g update:
         # llrs (+2, +3) give 3 + 2 = 5 > 0, so the bit decodes to 0.
         code = MonomialCode.from_rows(1, [1])
-        msg, word = sc_decode(code, LlrFrame(np.array([2.0, 3.0])))
-        assert msg.bits == (0,)
-        assert word.bits.tolist() == [0, 0]
+        msgs, words = sc_decode_batch(code, np.array([[2.0, 3.0]]))
+        assert msgs.tolist() == [[0]]
+        assert words.tolist() == [[0, 0]]
 
     def test_noiseless_round_trip(self):
         rng = np.random.default_rng(63)
@@ -197,8 +191,9 @@ class TestScDecode:
 
     def test_single_frame_wrapper(self):
         code = MonomialCode.from_rows(2, [1, 3])
-        msg, word = sc_decode(code, LlrFrame(np.array([4.0, -4.0, 4.0, -4.0])))
-        assert encode(code, msg).bits.tolist() == word.bits.tolist()
+        msgs, words = sc_decode_batch(code, np.array([[4.0, -4.0, 4.0, -4.0]]))
+        assert msgs.shape == (1, 2)
+        assert np.array_equal(encode_batch(code, msgs), words)
 
 
 class TestSclDecode:
@@ -213,6 +208,25 @@ class TestSclDecode:
             )
             assert np.array_equal(sc_msgs, scl_msgs)
             assert np.array_equal(sc_words, scl_words)
+
+    def test_list_one_equals_sc_on_rounding_tie(self):
+        # Adding a tiny penalty to a large path metric can round to the same
+        # float; a per-leaf list of one path then keeps bit 0 by tie order
+        # where SC decides 1.  Frame 16 here is such a frame.
+        code = decreasing_closure([row_to_monomial(27, 7), row_to_monomial(56, 7)], 7)
+        rng = np.random.default_rng(5)
+        msgs = rng.integers(0, 2, (1500, 64), dtype=np.uint8)
+        words = encode_batch(code, msgs)
+        sigma2 = ChannelParams(1.5, 0.5).noise_variance
+        y = (1.0 - 2.0 * words) + np.sqrt(sigma2) * rng.standard_normal(words.shape)
+        llrs = np.round(2.0 * y / sigma2)
+        list_one = DecoderConfig(list_size=1)
+        sc = sc_decode_batch(code, llrs)
+        scl = scl_decode_batch(code, llrs, list_one)
+        assert np.array_equal(sc[0], scl[0])
+        assert np.array_equal(sc[1], scl[1])
+        _, per_leaf = scl_reference(code, llrs[16:17], list_one)
+        assert not np.array_equal(per_leaf, sc[1][16:17])
 
     def test_big_list_is_maximum_likelihood(self):
         # With the list covering the whole codebook the pick must be the
@@ -247,9 +261,10 @@ class TestSclDecode:
     def test_single_frame_wrapper(self):
         code = MonomialCode.from_rows(3, [3, 5, 6, 7])
         rng = np.random.default_rng(70)
-        _, words, llrs = noisy_llrs(code, rng, 1, sigma=0.4)
-        msg, word = scl_decode(code, LlrFrame(llrs[0]), DecoderConfig(list_size=4))
-        assert encode(code, msg).bits.tolist() == word.bits.tolist()
+        _, _, llrs = noisy_llrs(code, rng, 1, sigma=0.4)
+        msgs, words = scl_decode_batch(code, llrs, DecoderConfig(list_size=4))
+        assert msgs.shape == (1, 4)
+        assert np.array_equal(encode_batch(code, msgs), words)
 
 
 class TestAutScDecode:
@@ -311,10 +326,11 @@ class TestAutScDecode:
         rng = np.random.default_rng(75)
         code = random_decreasing_code(rng, 4)
         structure = find_block_structure(code)
-        auts = [sample_blta(structure, rng) for _ in range(3)]
-        _, words, llrs = noisy_llrs(code, rng, 1, sigma=0.3)
-        msg, word = aut_sc_decode(code, LlrFrame(llrs[0]), auts)
-        assert encode(code, msg).bits.tolist() == word.bits.tolist()
+        tables = np.stack([position_table(sample_blta(structure, rng)) for _ in range(3)])
+        _, _, llrs = noisy_llrs(code, rng, 1, sigma=0.3)
+        msgs, words = aut_sc_decode_batch(code, llrs, tables)
+        assert msgs.shape == (1, code.dimension)
+        assert np.array_equal(encode_batch(code, msgs), words)
 
 
 class TestLtaInvariance:
@@ -335,3 +351,64 @@ class TestLtaInvariance:
             restored = np.empty_like(perm_words)
             restored[:, table] = perm_words
             assert np.array_equal(restored, base_words)
+
+
+class TestInputChecks:
+    @pytest.fixture
+    def code(self):
+        return MonomialCode.from_rows(3, [3, 5, 6, 7])
+
+    def decoders(self, code):
+        tables = np.arange(code.block_length)[None, :]
+        return [
+            lambda llrs: sc_decode_batch(code, llrs),
+            lambda llrs: scl_decode_batch(code, llrs),
+            lambda llrs: scl_decode_batch(code, llrs, DecoderConfig(list_size=4)),
+            lambda llrs: aut_sc_decode_batch(code, llrs, tables),
+        ]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, code, bad):
+        llrs = np.ones((3, 8))
+        llrs[1, 5] = bad
+        for decode in self.decoders(code):
+            with pytest.raises(ValueError, match="finite"):
+                decode(llrs)
+
+    @pytest.mark.parametrize("shape", [(3, 4), (3, 16), (8,), (1, 3, 8)])
+    def test_wrong_shape_rejected(self, code, shape):
+        for decode in self.decoders(code):
+            with pytest.raises(ValueError, match="shape"):
+                decode(np.ones(shape))
+
+
+class TestAgainstReference:
+    """Bit-exact against the per-leaf SCL and recursive SC in reference_codec."""
+
+    @pytest.mark.parametrize("kernel", ["exact_boxplus", "min_sum"])
+    @pytest.mark.parametrize("rounded", [False, True])
+    def test_bit_exact(self, kernel, rounded):
+        rng = np.random.default_rng(77)
+        code = bhattacharyya_bec_design(0.3, 32, 6)
+        frames = 200
+        _, _, llrs = noisy_llrs(code, rng, frames, sigma=1.1)
+        if rounded:
+            llrs = np.round(llrs)
+        config = DecoderConfig(kernel=kernel)
+        rows, offsets = sample_blta_batch(find_block_structure(code), 4 * frames, rng)
+        tables = position_tables_batch(rows, offsets).reshape(frames, 4, -1)
+        pairs = [
+            (sc_decode_batch(code, llrs, config), sc_reference(code, llrs, config)),
+            (
+                aut_sc_decode_batch(code, llrs, tables, config),
+                aut_sc_reference(code, llrs, tables, config),
+            ),
+        ]
+        for size in (2, 4, 8, 32):
+            config = DecoderConfig(list_size=size, kernel=kernel)
+            pairs.append(
+                (scl_decode_batch(code, llrs, config), scl_reference(code, llrs, config))
+            )
+        for got, want in pairs:
+            assert np.array_equal(got[0], want[0])
+            assert np.array_equal(got[1], want[1])

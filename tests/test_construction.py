@@ -168,12 +168,6 @@ class TestConstructionSpec:
         text = json.dumps({"kind": "reed_muller", "n": 4, "r": 2})
         assert ConstructionSpec.from_json(text).build() == rm_code(2, 4)
 
-    def test_code_id(self):
-        spec = ConstructionSpec.from_dict(
-            {"kind": "generators", "n": 7, "generators": [27, 56]}
-        )
-        assert spec.code_id() == "N128_K64_gen27-56"
-
     @pytest.mark.parametrize(
         "data",
         [
