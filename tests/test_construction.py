@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from polaraut.channel import default_code_id
 from polaraut.construction import (
     ConstructionSpec,
     SpecError,
@@ -167,6 +168,12 @@ class TestConstructionSpec:
     def test_from_json(self):
         text = json.dumps({"kind": "reed_muller", "n": 4, "r": 2})
         assert ConstructionSpec.from_json(text).build() == rm_code(2, 4)
+
+    def test_code_id(self):
+        # A spec's code is named by channel.default_code_id; an RM code has
+        # a single minimal generator.
+        spec = ConstructionSpec.from_dict({"kind": "reed_muller", "n": 7, "r": 3})
+        assert default_code_id(spec.build()) == "N128_K64_gen15"
 
     @pytest.mark.parametrize(
         "data",
