@@ -11,6 +11,7 @@ import csv
 import math
 import re
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import IO, Iterable, Sequence
@@ -327,18 +328,25 @@ def run_bler(
                 pending = {}
                 next_submit = 0
                 next_read = 0
-                while next_read < len(bounds):
-                    while next_submit < len(bounds) and len(pending) < window:
-                        pending[next_submit] = pool.submit(
-                            _run_batch, args_for(snr_idx, next_submit)
-                        )
-                        next_submit += 1
-                    fut = pending.pop(next_read)
-                    yield fut.result()
-                    next_read += 1
-                # generator close cancels nothing; leftover futures finish idle
+                try:
+                    while next_read < len(bounds):
+                        while next_submit < len(bounds) and len(pending) < window:
+                            pending[next_submit] = pool.submit(
+                                _run_batch, args_for(snr_idx, next_submit)
+                            )
+                            next_submit += 1
+                        fut = pending.pop(next_read)
+                        yield fut.result()
+                        next_read += 1
+                finally:
+                    # Once the point stops, batches the pool has not yet
+                    # handed to a process are dropped; the others finish and
+                    # are ignored.
+                    for fut in pending.values():
+                        fut.cancel()
 
-            results.append(consume(snr_idx, batch_stream()))
+            with closing(batch_stream()) as stream:
+                results.append(consume(snr_idx, stream))
     return results
 
 

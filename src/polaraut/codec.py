@@ -9,17 +9,24 @@ codewords).
 One tree walker serves all three decoders: successive cancellation is its
 list-size-1 case, successive cancellation list keeps up to L paths, and the
 automorphism ensemble runs SC on permuted frames.  Each keeps the candidate
-most correlated with the channel.
+most correlated with the channel.  The walker keeps its arrays width-major,
+(width, B) or (width, B, P), so a node's two halves are contiguous slabs.
+SC skips whole subtrees whose kind the frozen mask fixes: Rate-0 (all
+frozen), repetition (only the last row free) and Rate-1 (none frozen), after
+Alamdar-Yazdi & Kschischang (2011) and Sarkis et al. (2014); every shortcut
+is bit-exact with the generic nodes.  SCL walks generic nodes only.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable
 
 import numpy as np
 
-from .monomials import MonomialCode
+from .monomials import MAX_VARS, MonomialCode
 
 __all__ = [
     "DecoderConfig",
@@ -38,16 +45,19 @@ def polar_transform(bits: np.ndarray) -> np.ndarray:
 
     The transform is an involution over GF(2).
     """
-    out = np.ascontiguousarray(bits, dtype=np.uint8).copy()
-    size = out.shape[-1]
+    bits = np.asarray(bits, dtype=np.uint8)
+    size = bits.shape[-1]
     if size & (size - 1):
         raise ValueError(f"length must be a power of two, got {size}")
+    # The stages run on a width-major copy, so even the narrowest one XORs
+    # contiguous slabs instead of looping over short rows.
+    out = np.moveaxis(bits, -1, 0).copy()
     h = size // 2
     while h:
-        shaped = out.reshape(out.shape[:-1] + (-1, 2 * h))
-        shaped[..., :h] ^= shaped[..., h:]
+        shaped = out.reshape((-1, 2 * h) + out.shape[1:])
+        shaped[:, :h] ^= shaped[:, h:]
         h //= 2
-    return out
+    return np.moveaxis(out, 0, -1)
 
 
 def frozen_mask(code: MonomialCode) -> np.ndarray:
@@ -69,12 +79,39 @@ def _f_min_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _g(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Variable-node combine given the left-side word x."""
-    return np.where(x.astype(bool), b - a, b + a)
+    return b + np.where(x.view(bool), -a, a)
 
 
 KERNELS: dict[str, Callable[[np.ndarray, np.ndarray], np.ndarray]] = {
     "exact_boxplus": _f_exact,
     "min_sum": _f_min_sum,
+}
+
+
+def _boxplus_floors() -> tuple[float, ...]:
+    """Per depth d = log2(width), the |LLR| from which exact-boxplus SC on a
+    Rate-1 node is the hard decision.
+
+    phi(x) = 2 atanh(tanh(x/2)**2) is the smallest exact f of two inputs of
+    magnitude at least x.  It is monotone and shrinks its input, and g inside
+    a Rate-1 node never shrinks one, so inputs at or above the depth-d floor
+    give every f in the node a magnitude of at least tau = 1e-6, far above
+    the rounding error of the computed f: each f keeps its inputs' sign
+    product.  Depth 0 is a leaf and needs no floor.
+    """
+    floors = [0.0]
+    x = 1e-6
+    for _ in range(MAX_VARS):
+        x = 2.0 * math.atanh(math.sqrt(math.tanh(x / 2.0)))
+        floors.append(x)
+    return tuple(floors)
+
+
+# Min-sum f keeps the sign product of any two non-zero inputs, so its floor
+# is the smallest positive float.
+_RATE1_FLOORS: dict[str, tuple[float, ...]] = {
+    "exact_boxplus": _boxplus_floors(),
+    "min_sum": (0.0,) + (math.ulp(0.0),) * MAX_VARS,
 }
 
 
@@ -103,62 +140,92 @@ def encode_batch(code: MonomialCode, messages: np.ndarray) -> np.ndarray:
         raise ValueError("messages must have shape (batch, K)")
     if messages.max(initial=0) > 1:
         raise ValueError("message bits must be 0 or 1")
-    u = np.zeros((messages.shape[0], code.block_length), dtype=np.uint8)
-    u[:, list(code.rows)] = messages
-    return polar_transform(u)[:, ::-1]
+    u = np.zeros((code.block_length, messages.shape[0]), dtype=np.uint8)
+    u[list(code.rows)] = messages.T
+    return polar_transform(u.T)[:, ::-1]
 
 
 def _tree(
-    llrs: np.ndarray,
-    frozen: np.ndarray,
-    f_kernel: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    list_size: int,
+    llrs: np.ndarray, frozen: np.ndarray, kernel: str, list_size: int
 ) -> np.ndarray:
     """Successive cancellation with up to list_size paths per frame.
 
-    llrs are (B, N) in transform order; returns (B, P, N) candidate words in
-    transform order.  With list_size 1 an information leaf is the hard
-    decision and arrays stay (B, width).  Otherwise arrays are (B, P, width):
-    information leaves fork every path, and once more than list_size would
-    live the best survive by path metric (stable sort, so tied candidates
-    keep parent-then-0-bit priority).  A subtree returns its word and, when
-    it forked or pruned, the parent of each of its paths among the paths it
-    was given; its caller gathers only what it still holds by that map.
+    llrs are (N, B) in transform order; returns (N, B, P) candidate words in
+    transform order.  With list_size 1 arrays are (width, B) and a node the
+    frozen mask makes Rate-0 returns zeros, a repetition node the sign of
+    its LLRs summed by halves (as its g chain sums them), and a Rate-1 node
+    the hard decision for every frame whose smallest |LLR| there reaches the
+    kernel's floor; the other frames walk that node generically.  Otherwise
+    arrays are (width, B, P) and every node is generic: information leaves
+    fork every path, and once more than list_size would live the best
+    survive by path metric (stable sort, so tied candidates keep
+    parent-then-0-bit priority).  A subtree returns its word and, when it
+    forked or pruned, the parent of each of its paths among the paths it was
+    given; its caller gathers only what it still holds by that map.
     """
-    batch = llrs.shape[0]
+    f_kernel = KERNELS[kernel]
+    floors = _RATE1_FLOORS[kernel]
+    batch = llrs.shape[1]
     listing = list_size > 1
+    frozen_before = [0, *accumulate(frozen.tolist())]
     pm = np.zeros((batch, 1))
 
     def take(x: np.ndarray, parent: np.ndarray) -> np.ndarray:
-        return np.take_along_axis(x, parent[:, :, None], axis=1)
+        return np.take_along_axis(x, parent[None], axis=2)
 
     def leaf(llr: np.ndarray, index: int) -> tuple[np.ndarray, np.ndarray | None]:
         nonlocal pm
         if frozen[index]:
             if listing:
-                pm = pm + np.maximum(-llr[..., 0], 0.0)
+                pm = pm + np.maximum(-llr[0], 0.0)
             return np.zeros(llr.shape, dtype=np.uint8), None
         if not listing:
             return (llr < 0).astype(np.uint8), None
-        pen0, pen1 = np.maximum(-llr[..., 0], 0.0), np.maximum(llr[..., 0], 0.0)
+        pen0, pen1 = np.maximum(-llr[0], 0.0), np.maximum(llr[0], 0.0)
         cand = np.stack([pm + pen0, pm + pen1], axis=2).reshape(batch, -1)
         if cand.shape[1] <= list_size:
             order = np.broadcast_to(np.arange(cand.shape[1]), cand.shape)
         else:
             order = np.argsort(cand, axis=1, kind="stable")[:, :list_size]
         pm = np.take_along_axis(cand, order, axis=1)
-        return (order & 1).astype(np.uint8)[:, :, None], order >> 1
+        return (order & 1).astype(np.uint8)[None], order >> 1
 
-    def node(llr: np.ndarray, start: int) -> tuple[np.ndarray, np.ndarray | None]:
-        width = llr.shape[-1]
+    def rate1(llr: np.ndarray, start: int) -> np.ndarray:
+        hard = (llr < 0).astype(np.uint8)
+        depth = len(llr).bit_length() - 1
+        if depth:
+            weak = np.flatnonzero(np.abs(llr).min(axis=0) < floors[depth])
+            if weak.size:
+                hard[:, weak] = node(llr[:, weak], start, False)[0]
+        return hard
+
+    def repetition(llr: np.ndarray) -> np.ndarray:
+        total = llr
+        while len(total) > 1:
+            h = len(total) // 2
+            total = total[:h] + total[h:]
+        return np.repeat((total < 0).astype(np.uint8), len(llr), axis=0)
+
+    def node(
+        llr: np.ndarray, start: int, shortcuts: bool
+    ) -> tuple[np.ndarray, np.ndarray | None]:
+        width = len(llr)
+        if shortcuts:
+            n_frozen = frozen_before[start + width] - frozen_before[start]
+            if n_frozen == width:
+                return np.zeros(llr.shape, dtype=np.uint8), None
+            if n_frozen == 0:
+                return rate1(llr, start), None
+            if n_frozen == width - 1 and not frozen[start + width - 1]:
+                return repetition(llr), None
         if width == 1:
             return leaf(llr, start)
         h = width // 2
-        a, b = llr[..., :h], llr[..., h:]
-        left, parent = node(f_kernel(a, b), start)
+        a, b = llr[:h], llr[h:]
+        left, parent = node(f_kernel(a, b), start, shortcuts)
         if parent is not None:
             a, b = take(a, parent), take(b, parent)
-        right, right_parent = node(_g(a, b, left), start + h)
+        right, right_parent = node(_g(a, b, left), start + h, shortcuts)
         if right_parent is not None:
             left = take(left, right_parent)
             parent = (
@@ -166,11 +233,11 @@ def _tree(
                 if parent is None
                 else np.take_along_axis(parent, right_parent, axis=1)
             )
-        return np.concatenate([left ^ right, right], axis=-1), parent
+        return np.concatenate([left ^ right, right]), parent
 
     if listing:
-        return node(llrs[:, None, :], 0)[0]
-    return node(llrs, 0)[0][:, None, :]
+        return node(llrs[:, :, None], 0, False)[0]
+    return node(llrs, 0, True)[0][:, :, None]
 
 
 def _checked(code: MonomialCode, llrs: np.ndarray) -> np.ndarray:
@@ -185,9 +252,34 @@ def _checked(code: MonomialCode, llrs: np.ndarray) -> np.ndarray:
     return llrs
 
 
+def _checked_tables(tables: np.ndarray, batch: int, size: int) -> np.ndarray:
+    """Ensemble tables as (B, M, N), rejected unless (M, N) or (B, M, N)
+    integers in [0, N)."""
+    tables = np.asarray(tables)
+    if (
+        tables.ndim not in (2, 3)
+        or (tables.ndim == 3 and len(tables) != batch)
+        or tables.shape[-2] < 1
+        or tables.shape[-1] != size
+    ):
+        raise ValueError(
+            f"tables must have shape (M, {size}) or ({batch}, M, {size}), "
+            f"got {tables.shape}"
+        )
+    if not np.issubdtype(tables.dtype, np.integer):
+        raise ValueError("tables must hold integers")
+    if tables.size and (tables.min() < 0 or tables.max() >= size):
+        raise ValueError(f"table entries must lie in [0, {size})")
+    return np.broadcast_to(tables, (batch,) + tables.shape[-2:])
+
+
 def _most_correlated(cands: np.ndarray, llrs: np.ndarray) -> np.ndarray:
     """Per frame, the (B, P, N) candidate that best matches llrs (first on a tie)."""
-    corr = ((1.0 - 2.0 * cands.astype(np.float64)) * llrs[:, None, :]).sum(axis=2)
+    # Contiguous rows keep the summation order of the correlations, so
+    # near-tied candidates always rank the same way.
+    cands = np.ascontiguousarray(cands)
+    signs = 1.0 - 2.0 * cands.astype(np.float64)
+    corr = (signs * np.ascontiguousarray(llrs)[:, None, :]).sum(axis=2)
     return cands[np.arange(len(cands)), corr.argmax(axis=1)]
 
 
@@ -201,9 +293,13 @@ def _with_messages(
 def _list_decode(
     code: MonomialCode, llrs_eval: np.ndarray, config: DecoderConfig, list_size: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    chan = _checked(code, llrs_eval)[:, ::-1]
-    cands = _tree(chan, frozen_mask(code), config.f_kernel, list_size)
-    return _with_messages(code, _most_correlated(cands, chan)[:, ::-1])
+    llrs = _checked(code, llrs_eval)
+    chan = np.ascontiguousarray(llrs.T[::-1])
+    cands = _tree(chan, frozen_mask(code), config.kernel, list_size)
+    if cands.shape[2] == 1:
+        return _with_messages(code, cands[::-1, :, 0].T)
+    best = _most_correlated(cands.transpose(1, 2, 0), chan.T)
+    return _with_messages(code, best[:, ::-1])
 
 
 def sc_decode_batch(
@@ -235,18 +331,27 @@ def aut_sc_decode_batch(
     tables holds position permutations, shape (M, N) shared across the batch
     or (B, M, N) per frame.  Each branch decodes the permuted frame with SC,
     the permutation is undone, and the codeword with the highest correlation
-    to the channel wins (lowest branch index on a tie).
+    to the channel wins (lowest branch index on a tie).  Tables of another
+    shape, or with entries outside [0, N), raise ValueError.
     """
     config = config or DecoderConfig()
     llrs = _checked(code, llrs_eval)
     batch, size = llrs.shape
-    if tables.ndim == 2:
-        tables = np.broadcast_to(tables[None, :, :], (batch,) + tables.shape)
+    tables = _checked_tables(tables, batch, size)
     m_branches = tables.shape[1]
 
-    permuted = np.take_along_axis(llrs[:, None, :], tables, axis=2)
-    flat = permuted.reshape(batch * m_branches, size)
-    cands = _tree(flat[:, ::-1], frozen_mask(code), config.f_kernel, 1)[:, 0, ::-1]
-    unperm = np.zeros((batch, m_branches, size), dtype=np.uint8)
-    np.put_along_axis(unperm, tables, cands.reshape(batch, m_branches, size), axis=2)
+    # Column b*M + m of the walker's input is frame b read through table m,
+    # in transform order: row j holds llrs[b, tables[b, m, N-1-j]].
+    index = np.empty((size, batch * m_branches), dtype=np.intp)
+    np.add(
+        tables.reshape(batch * m_branches, size).T[::-1],
+        np.repeat(size * np.arange(batch), m_branches),
+        out=index,
+    )
+    chan = llrs.ravel()[index]
+    cands = _tree(chan, frozen_mask(code), config.kernel, 1)[::-1, :, 0]
+    unperm = np.zeros(batch * m_branches * size, dtype=np.uint8)
+    branch_starts = size * np.arange(batch * m_branches).reshape(batch, m_branches, 1)
+    unperm[(tables + branch_starts).ravel()] = cands.T.ravel()
+    unperm = unperm.reshape(batch, m_branches, size)
     return _with_messages(code, _most_correlated(unperm, llrs))

@@ -5,7 +5,9 @@ These are the decoders polaraut shipped before the shared tree walker in
 LLR stack and gathers all of it at every fork.  The batch decoders must
 match them bit for bit (SCL for list sizes of 2 and more; with list size 1
 the per-leaf loop can keep bit 0 where SC decides 1, when adding a tiny
-penalty to a large path metric rounds to the same float).
+penalty to a large path metric rounds to the same float).  The polar
+transform staged on the last axis is kept too, as the oracle for the
+width-major staging in `polaraut.codec.polar_transform`.
 """
 
 from __future__ import annotations
@@ -16,6 +18,17 @@ import numpy as np
 
 from polaraut.codec import DecoderConfig, frozen_mask, polar_transform
 from polaraut.monomials import MonomialCode
+
+
+def polar_transform_reference(bits: np.ndarray) -> np.ndarray:
+    """The butterfly on the last axis, one stage per slice of each row."""
+    out = np.ascontiguousarray(bits, dtype=np.uint8).copy()
+    h = out.shape[-1] // 2
+    while h:
+        shaped = out.reshape(out.shape[:-1] + (-1, 2 * h))
+        shaped[..., :h] ^= shaped[..., h:]
+        h //= 2
+    return out
 
 
 def _g(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -2,10 +2,12 @@
 Monte Carlo harness: determinism, stop rules, worker invariance."""
 
 import io
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
 
+from polaraut import channel
 from polaraut.channel import (
     CSV_COLUMNS,
     ChannelParams,
@@ -169,6 +171,49 @@ class TestRunBler:
             duo[0].frames,
             duo[0].block_errors,
         )
+
+    def test_unstarted_batches_cancelled_when_a_point_stops(self, monkeypatch):
+        # A stand-in pool whose batches run only when their result is read,
+        # so every batch left unread when a point stops is still unstarted.
+        made = []
+
+        class LazyFuture(Future):
+            def __init__(self, fn, args):
+                super().__init__()
+                self.call = (fn, args)
+
+            def result(self, timeout=None):
+                if not self.done():
+                    fn, args = self.call
+                    self.set_result(fn(*args))
+                return super().result(timeout)
+
+        class LazyPool:
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                made.append(LazyFuture(fn, args))
+                return made[-1]
+
+        monkeypatch.setattr(channel, "ProcessPoolExecutor", LazyPool)
+        code = small_code()
+        kwargs = dict(master_seed=12, target_errors=20, max_frames=6000, batch_frames=16)
+        duo = run_bler(code, "sc", [1.0, 2.0], workers=2, **kwargs)
+        monkeypatch.undo()
+        solo = run_bler(code, "sc", [1.0, 2.0], workers=1, **kwargs)
+        assert [(r.frames, r.block_errors) for r in duo] == [
+            (r.frames, r.block_errors) for r in solo
+        ]
+        read = sum(r.frames for r in duo) // 16
+        assert sum(f.done() and not f.cancelled() for f in made) == read
+        assert sum(f.cancelled() for f in made) == len(made) - read > 0
 
     def test_batch_size_does_not_change_fixed_work_counts(self):
         code = small_code()

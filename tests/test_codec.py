@@ -13,8 +13,10 @@ from polaraut.automorphisms import (
     sample_blta,
     sample_blta_batch,
 )
+from polaraut import codec
 from polaraut.channel import ChannelParams
 from polaraut.codec import (
+    KERNELS,
     DecoderConfig,
     aut_sc_decode_batch,
     encode_batch,
@@ -23,9 +25,15 @@ from polaraut.codec import (
     sc_decode_batch,
     scl_decode_batch,
 )
-from polaraut.construction import bhattacharyya_bec_design
+from polaraut.construction import ConstructionSpec, bhattacharyya_bec_design
 from polaraut.monomials import Monomial, MonomialCode, decreasing_closure, row_to_monomial
-from reference_codec import aut_sc_reference, sc_reference, scl_reference
+from reference_codec import (
+    _sc_batch,
+    aut_sc_reference,
+    polar_transform_reference,
+    sc_reference,
+    scl_reference,
+)
 
 
 def noisy_llrs(code, rng, frames, sigma):
@@ -64,6 +72,14 @@ class TestPolarTransform:
     def test_non_power_of_two_rejected(self):
         with pytest.raises(ValueError):
             polar_transform(np.array([1, 0, 1], dtype=np.uint8))
+
+    def test_matches_last_axis_staging(self):
+        rng = np.random.default_rng(63)
+        for shape in [(1,), (16,), (5, 32), (3, 4, 64), (2, 256), (256, 128)]:
+            bits = rng.integers(0, 2, size=shape, dtype=np.uint8)
+            assert np.array_equal(polar_transform(bits), polar_transform_reference(bits))
+        view = rng.integers(0, 2, size=(64, 8), dtype=np.uint8).T[:, ::-1]
+        assert np.array_equal(polar_transform(view), polar_transform_reference(view))
 
 
 def test_frozen_mask_complements_rows():
@@ -381,6 +397,100 @@ class TestInputChecks:
             with pytest.raises(ValueError, match="shape"):
                 decode(np.ones(shape))
 
+    @pytest.mark.parametrize("shape", [(8,), (2, 4), (2, 16), (0, 8), (2, 2, 8), (3, 0, 8), (1, 3, 2, 8)])
+    def test_wrong_table_shape_rejected(self, code, shape):
+        with pytest.raises(ValueError, match="shape"):
+            aut_sc_decode_batch(code, np.ones((3, 8)), np.zeros(shape, dtype=np.int64))
+
+    @pytest.mark.parametrize("bad", [-1, 8, 100])
+    def test_table_entries_out_of_range_rejected(self, code, bad):
+        tables = np.tile(np.arange(8), (3, 2, 1))
+        tables[1, 0, 3] = bad
+        for shaped in (tables, tables[1]):
+            with pytest.raises(ValueError, match=r"\[0, 8\)"):
+                aut_sc_decode_batch(code, np.ones((3, 8)), shaped)
+
+    def test_non_integer_tables_rejected(self, code):
+        with pytest.raises(ValueError, match="integers"):
+            aut_sc_decode_batch(code, np.ones((3, 8)), np.arange(8.0)[None, :])
+
+
+def generator_code(n, gens):
+    return ConstructionSpec.from_dict({"kind": "generators", "n": n, "generators": gens}).build()
+
+
+class TestNodeSchedule:
+    """SC visits Rate-0, repetition and Rate-1 nodes whole; SCL visits every node."""
+
+    @pytest.mark.parametrize(
+        "n, gens, visited", [(8, [31, 57], 89), (7, [27, 56], 51)]
+    )
+    def test_visited_nodes(self, monkeypatch, n, gens, visited):
+        code = generator_code(n, gens)
+        shapes = []
+        kernel = KERNELS["exact_boxplus"]
+
+        def counting(a, b):
+            shapes.append(a.shape)
+            return kernel(a, b)
+
+        monkeypatch.setitem(KERNELS, "exact_boxplus", counting)
+        rng = np.random.default_rng(79)
+        # Clean frames keep every node's LLRs above its Rate-1 floor, so no
+        # frame walks a Rate-1 node generically: each generic node calls f
+        # once and has two children, and the visited nodes form a full
+        # binary tree.
+        _, _, llrs = noisy_llrs(code, rng, 4, sigma=0.2)
+        sc_decode_batch(code, llrs)
+        assert 2 * len(shapes) + 1 == visited
+        shapes.clear()
+        scl_decode_batch(code, llrs, DecoderConfig(list_size=2))
+        assert len(shapes) == code.block_length - 1
+
+    @pytest.mark.parametrize("kernel", ["exact_boxplus", "min_sum"])
+    def test_rate1_floor_is_safe(self, kernel):
+        # Inputs sitting exactly on a width's floor, with random signs, are
+        # the worst case for the hard-decision shortcut: generic SC must
+        # still return the hard decision there.
+        rng = np.random.default_rng(80)
+        floors = codec._RATE1_FLOORS[kernel]
+        for depth in range(1, 10):
+            width = 1 << depth
+            frozen = np.zeros(width, dtype=bool)
+            llrs = floors[depth] * rng.choice([-1.0, 1.0], size=(width, 300))
+            hard = (llrs < 0).astype(np.uint8)
+            _, generic = _sc_batch(llrs.T, frozen, KERNELS[kernel])
+            assert np.array_equal(generic.T, hard)
+            assert np.array_equal(codec._tree(llrs, frozen, kernel, 1)[:, :, 0], hard)
+
+    def test_any_frozen_mask_matches_generic_sc(self):
+        # Arbitrary masks, not only decreasing codes, give nodes with one
+        # free row that is not the last.
+        rng = np.random.default_rng(81)
+        for _ in range(60):
+            width = 1 << int(rng.integers(1, 7))
+            frozen = rng.random(width) < rng.random()
+            llrs = 3.0 * rng.standard_normal((width, 40))
+            llrs[rng.random(llrs.shape) < 0.05] = 0.0
+            for kernel in KERNELS:
+                _, generic = _sc_batch(llrs.T, frozen, KERNELS[kernel])
+                assert np.array_equal(codec._tree(llrs, frozen, kernel, 1)[:, :, 0].T, generic)
+
+    def test_repetition_sums_in_g_chain_order(self):
+        # In the g chain 1e16 and -1e16 cancel before -1 and 0.5 are added;
+        # summed left to right, -1 is lost to rounding and the sign flips.
+        frozen = np.array([True, True, True, False])
+        llrs = np.array([[1e16], [-1.0], [-1e16], [0.5]])
+        _, generic = _sc_batch(llrs.T, frozen, KERNELS["exact_boxplus"])
+        assert generic.tolist() == [[1, 1, 1, 1]]
+        assert np.array_equal(codec._tree(llrs, frozen, "exact_boxplus", 1)[:, :, 0].T, generic)
+
+    def test_boxplus_floors(self):
+        floors = codec._RATE1_FLOORS["exact_boxplus"]
+        expected = [0.001, 0.053, 0.33, 0.86, 1.50, 2.18, 2.87, 3.56]
+        assert np.allclose(floors[1:9], expected, rtol=0.02, atol=5e-4)
+        assert all(np.diff(floors) > 0)
+
 
 class TestAgainstReference:
     """Bit-exact against the per-leaf SCL and recursive SC in reference_codec."""
@@ -388,12 +498,26 @@ class TestAgainstReference:
     @pytest.mark.parametrize("kernel", ["exact_boxplus", "min_sum"])
     @pytest.mark.parametrize("rounded", [False, True])
     def test_bit_exact(self, kernel, rounded):
-        rng = np.random.default_rng(77)
         code = bhattacharyya_bec_design(0.3, 32, 6)
+        self.check(code, kernel, rounded, scale=1.0, zeros=0.0, list_sizes=(2, 4, 8, 32))
+
+    @pytest.mark.parametrize("kernel", ["exact_boxplus", "min_sum"])
+    @pytest.mark.parametrize("rounded", [False, True])
+    def test_bit_exact_on_weak_llrs(self, kernel, rounded):
+        # Tiny LLRs and exact zeros fall below the Rate-1 floors of both
+        # kernels, so SC and Aut-SC walk those nodes generically.
+        code = generator_code(7, [27, 56])
+        self.check(code, kernel, rounded, scale=1e-3, zeros=0.05, list_sizes=(4,))
+
+    def check(self, code, kernel, rounded, scale, zeros, list_sizes):
+        rng = np.random.default_rng(77)
         frames = 200
         _, _, llrs = noisy_llrs(code, rng, frames, sigma=1.1)
         if rounded:
             llrs = np.round(llrs)
+        llrs = scale * llrs
+        if zeros:
+            llrs[rng.random(llrs.shape) < zeros] = 0.0
         config = DecoderConfig(kernel=kernel)
         rows, offsets = sample_blta_batch(find_block_structure(code), 4 * frames, rng)
         tables = position_tables_batch(rows, offsets).reshape(frames, 4, -1)
@@ -404,7 +528,7 @@ class TestAgainstReference:
                 aut_sc_reference(code, llrs, tables, config),
             ),
         ]
-        for size in (2, 4, 8, 32):
+        for size in list_sizes:
             config = DecoderConfig(list_size=size, kernel=kernel)
             pairs.append(
                 (scl_decode_batch(code, llrs, config), scl_reference(code, llrs, config))
