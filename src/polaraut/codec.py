@@ -273,6 +273,22 @@ def _checked_tables(tables: np.ndarray, batch: int, size: int) -> np.ndarray:
     return np.broadcast_to(tables, (batch,) + tables.shape[-2:])
 
 
+def _branch_llrs(llrs: np.ndarray, tables: np.ndarray) -> np.ndarray:
+    """The ensemble's (N, B*M) walker input from (B, N) llrs and (B, M, N) tables.
+
+    Column b*M + m is frame b read through table m, in transform order: row
+    j holds llrs[b, tables[b, m, N-1-j]].
+    """
+    batch, m_branches, size = tables.shape
+    index = np.empty((size, batch * m_branches), dtype=np.intp)
+    np.add(
+        tables.reshape(batch * m_branches, size).T[::-1],
+        np.repeat(size * np.arange(batch), m_branches),
+        out=index,
+    )
+    return llrs.ravel()[index]
+
+
 def _most_correlated(cands: np.ndarray, llrs: np.ndarray) -> np.ndarray:
     """Per frame, the (B, P, N) candidate that best matches llrs (first on a tie)."""
     # Contiguous rows keep the summation order of the correlations, so
@@ -339,16 +355,7 @@ def aut_sc_decode_batch(
     batch, size = llrs.shape
     tables = _checked_tables(tables, batch, size)
     m_branches = tables.shape[1]
-
-    # Column b*M + m of the walker's input is frame b read through table m,
-    # in transform order: row j holds llrs[b, tables[b, m, N-1-j]].
-    index = np.empty((size, batch * m_branches), dtype=np.intp)
-    np.add(
-        tables.reshape(batch * m_branches, size).T[::-1],
-        np.repeat(size * np.arange(batch), m_branches),
-        out=index,
-    )
-    chan = llrs.ravel()[index]
+    chan = _branch_llrs(llrs, tables)
     cands = _tree(chan, frozen_mask(code), config.kernel, 1)[::-1, :, 0]
     unperm = np.zeros(batch * m_branches * size, dtype=np.uint8)
     branch_starts = size * np.arange(batch * m_branches).reshape(batch, m_branches, 1)
