@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import kron_generator_matrix, random_decreasing_code
+from polaraut import codec
 from polaraut.automorphisms import (
     BlockStructure,
     find_block_structure,
@@ -13,7 +14,6 @@ from polaraut.automorphisms import (
     sample_blta,
     sample_blta_batch,
 )
-from polaraut import codec
 from polaraut.channel import ChannelParams
 from polaraut.codec import (
     KERNELS,
