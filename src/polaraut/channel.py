@@ -31,7 +31,7 @@ from .codec import (
     sc_decode_batch,
     scl_decode_batch,
 )
-from .monomials import MonomialCode, minimal_generators, monomial_to_row
+from .monomials import MonomialCode
 
 __all__ = [
     "STREAM_VERSION",
@@ -176,8 +176,13 @@ class SimResult:
 
 
 def default_code_id(code: MonomialCode) -> str:
-    gens = sorted(monomial_to_row(f, code.n) for f in minimal_generators(code))
-    joined = "-".join(str(g) for g in gens)
+    """N<length>_K<dimension>_gen<generator rows joined by '-'>."""
+    # The one generator-row helper lives in cli, whose census calls to
+    # minimal_generators perfbench traces; cli imports this module, hence
+    # the late import.
+    from .cli import generator_rows
+
+    joined = "-".join(str(g) for g in generator_rows(code))
     return f"N{code.block_length}_K{code.dimension}_gen{joined}"
 
 
@@ -257,11 +262,15 @@ def run_bler(
 
     Frames are consumed in fixed-size batches in index order, so counts do
     not depend on the worker count.  With fixed_ensemble the automorphism
-    ensemble is drawn once per run instead of per frame.
+    ensemble is drawn once per run instead of per frame.  An unknown kernel
+    or an Eb/N0 that is not finite raises ValueError before any batch runs.
     """
     spec = decoder if isinstance(decoder, DecoderSpec) else DecoderSpec.parse(decoder)
+    DecoderConfig(kernel=kernel)  # an unknown kernel fails here, not in a batch
     if not ebn0_list:
         raise ValueError("ebn0_list must not be empty")
+    if not all(math.isfinite(e) for e in ebn0_list):
+        raise ValueError(f"Eb/N0 values must be finite, got {list(ebn0_list)}")
     if max_frames < 1:
         raise ValueError("max_frames must be positive")
     if target_errors is not None and target_errors < 1:

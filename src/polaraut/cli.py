@@ -35,7 +35,7 @@ from .monomials import (
     monomial_to_row,
 )
 
-__all__ = ["main", "analysis_report", "sci3"]
+__all__ = ["main", "analysis_report", "generator_rows", "sci3"]
 
 
 def sci3(value: int | Decimal) -> str:
@@ -44,7 +44,9 @@ def sci3(value: int | Decimal) -> str:
     return f"{mant.lower()}e{int(exp)}"
 
 
-def _gen_rows(code: MonomialCode) -> list[int]:
+def generator_rows(code: MonomialCode) -> list[int]:
+    """Transform rows of the code's minimal generators, ascending: the
+    `i_min` column, and the generator part of `channel.default_code_id`."""
     return sorted(monomial_to_row(f, code.n) for f in minimal_generators(code))
 
 
@@ -56,7 +58,7 @@ def analysis_report(code: MonomialCode) -> dict:
         "s": list(structure.sizes),
         "aut_size": str(size),
         "aut_size_sci": sci3(size),
-        "generators": _gen_rows(code),
+        "generators": generator_rows(code),
     }
 
 
@@ -130,7 +132,7 @@ def _cmd_sweep_epsilon(args: argparse.Namespace) -> int:
                 str(size),
                 sci3(size),
                 _space_joined(structure.sizes),
-                _space_joined(_gen_rows(code)),
+                _space_joined(generator_rows(code)),
             ]
         )
     _emit(_csv_text(lines), args.out, "sweep-epsilon", args)
@@ -152,7 +154,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     for code in enumerate_decreasing_codes(args.n, args.K):
         structure = find_block_structure(code)
         size = blta_size(structure)
-        gens = _gen_rows(code)
+        gens = generator_rows(code)
         per_code.append(
             [
                 _space_joined(gens),

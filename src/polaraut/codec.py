@@ -14,7 +14,11 @@ most correlated with the channel.  The walker keeps its arrays width-major,
 SC skips whole subtrees whose kind the frozen mask fixes: Rate-0 (all
 frozen), repetition (only the last row free) and Rate-1 (none frozen), after
 Alamdar-Yazdi & Kschischang (2011) and Sarkis et al. (2014); every shortcut
-is bit-exact with the generic nodes.  SCL walks generic nodes only.
+is bit-exact with the generic nodes.  SCL walks generic nodes only.  Its
+paths live on the last axis, and a subtree that forks or prunes hands back
+the parent of each of its paths: the caller gathers only the LLRs and left
+word it still holds by that map (the lazy copy of Tal & Vardy, 2015), by
+flat index into the (width, B * P) view of each array.
 """
 
 from __future__ import annotations
@@ -68,13 +72,38 @@ def frozen_mask(code: MonomialCode) -> np.ndarray:
 
 
 def _f_exact(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Log-domain check-node combine, exact and overflow-safe."""
-    m = np.sign(a) * np.sign(b) * np.minimum(np.abs(a), np.abs(b))
-    return m + np.log1p(np.exp(-np.abs(a + b))) - np.log1p(np.exp(-np.abs(a - b)))
+    """Log-domain check-node combine, exact and overflow-safe.
+
+    (m + log1p(exp(-|a+b|))) - log1p(exp(-|a-b|)), m the min-sum term, each
+    pass in place.  a * b has the sign of sign(a) sign(b) even where it
+    underflows or overflows, except with a zero input; m is then zero, and
+    adding the non-negative first correction clears its sign.
+    """
+    m = np.minimum(np.abs(a), np.abs(b))
+    np.copysign(m, a * b, out=m)
+    s = a + b
+    d = a - b
+    for t in (s, d):
+        np.abs(t, out=t)
+        np.negative(t, out=t)
+        np.exp(t, out=t)
+        np.log1p(t, out=t)
+    m += s
+    m -= d
+    return m
 
 
 def _f_min_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.sign(a) * np.sign(b) * np.minimum(np.abs(a), np.abs(b))
+    """sign(a) sign(b) min(|a|, |b|), bit for bit.
+
+    The sign comes from a product of the inputs with -0 taken as +0, since
+    sign(-0) is +0 and the zero this returns then keeps the other input's
+    sign.
+    """
+    m = np.minimum(np.abs(a), np.abs(b))
+    sign = a + 0.0
+    sign *= b + 0.0
+    return np.copysign(m, sign, out=m)
 
 
 def _g(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -128,10 +157,6 @@ class DecoderConfig:
         if self.kernel not in KERNELS:
             raise ValueError(f"unknown kernel {self.kernel!r}; pick from {sorted(KERNELS)}")
 
-    @property
-    def f_kernel(self) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-        return KERNELS[self.kernel]
-
 
 def encode_batch(code: MonomialCode, messages: np.ndarray) -> np.ndarray:
     """Encode (B, K) message bits into (B, N) codewords in evaluation order."""
@@ -169,9 +194,13 @@ def _tree(
     listing = list_size > 1
     frozen_before = [0, *accumulate(frozen.tolist())]
     pm = np.zeros((batch, 1))
+    frames = np.arange(batch)[:, None]
 
     def take(x: np.ndarray, parent: np.ndarray) -> np.ndarray:
-        return np.take_along_axis(x, parent[None], axis=2)
+        # Path p of frame f is column f * P + p of the (width, B * P) view;
+        # np.take returns it C-contiguous, unlike a fancy index.
+        flat = (parent + x.shape[2] * frames).ravel()
+        return np.take(x.reshape(len(x), -1), flat, axis=1).reshape(len(x), batch, -1)
 
     def leaf(llr: np.ndarray, index: int) -> tuple[np.ndarray, np.ndarray | None]:
         nonlocal pm
@@ -187,7 +216,7 @@ def _tree(
             order = np.broadcast_to(np.arange(cand.shape[1]), cand.shape)
         else:
             order = np.argsort(cand, axis=1, kind="stable")[:, :list_size]
-        pm = np.take_along_axis(cand, order, axis=1)
+        pm = cand[frames, order]
         return (order & 1).astype(np.uint8)[None], order >> 1
 
     def rate1(llr: np.ndarray, start: int) -> np.ndarray:
@@ -228,11 +257,7 @@ def _tree(
         right, right_parent = node(_g(a, b, left), start + h, shortcuts)
         if right_parent is not None:
             left = take(left, right_parent)
-            parent = (
-                right_parent
-                if parent is None
-                else np.take_along_axis(parent, right_parent, axis=1)
-            )
+            parent = right_parent if parent is None else parent[frames, right_parent]
         return np.concatenate([left ^ right, right]), parent
 
     if listing:

@@ -7,7 +7,9 @@ match them bit for bit (SCL for list sizes of 2 and more; with list size 1
 the per-leaf loop can keep bit 0 where SC decides 1, when adding a tiny
 penalty to a large path metric rounds to the same float).  The polar
 transform staged on the last axis is kept too, as the oracle for the
-width-major staging in `polaraut.codec.polar_transform`.
+width-major staging in `polaraut.codec.polar_transform`, and so are the
+check-node kernels as first written, which the reference decoders use in
+place of the codec's own.
 """
 
 from __future__ import annotations
@@ -18,6 +20,21 @@ import numpy as np
 
 from polaraut.codec import DecoderConfig, frozen_mask, polar_transform
 from polaraut.monomials import MonomialCode
+
+
+def _f_exact(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    m = np.sign(a) * np.sign(b) * np.minimum(np.abs(a), np.abs(b))
+    return m + np.log1p(np.exp(-np.abs(a + b))) - np.log1p(np.exp(-np.abs(a - b)))
+
+
+def _f_min_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.sign(a) * np.sign(b) * np.minimum(np.abs(a), np.abs(b))
+
+
+REFERENCE_KERNELS: dict[str, Callable[[np.ndarray, np.ndarray], np.ndarray]] = {
+    "exact_boxplus": _f_exact,
+    "min_sum": _f_min_sum,
+}
 
 
 def polar_transform_reference(bits: np.ndarray) -> np.ndarray:
@@ -71,7 +88,8 @@ def sc_reference(
     code: MonomialCode, llrs_eval: np.ndarray, config: DecoderConfig | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     config = config or DecoderConfig()
-    u, v = _sc_batch(llrs_eval[:, ::-1], frozen_mask(code), config.f_kernel)
+    f_kernel = REFERENCE_KERNELS[config.kernel]
+    u, v = _sc_batch(llrs_eval[:, ::-1], frozen_mask(code), f_kernel)
     return u[:, list(code.rows)], v[:, ::-1]
 
 
@@ -79,7 +97,7 @@ def scl_reference(
     code: MonomialCode, llrs_eval: np.ndarray, config: DecoderConfig
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-leaf SCL; the most correlated word in the final list wins."""
-    f_kernel = config.f_kernel
+    f_kernel = REFERENCE_KERNELS[config.kernel]
     cap = config.list_size
     frozen = frozen_mask(code)
     n = code.n
@@ -180,7 +198,8 @@ def aut_sc_reference(
 
     permuted = np.take_along_axis(llrs_eval[:, None, :], tables, axis=2)
     flat = permuted.reshape(batch * m_branches, size)
-    _, v = _sc_batch(flat[:, ::-1], frozen_mask(code), config.f_kernel)
+    f_kernel = REFERENCE_KERNELS[config.kernel]
+    _, v = _sc_batch(flat[:, ::-1], frozen_mask(code), f_kernel)
     cand = v[:, ::-1].reshape(batch, m_branches, size)
     unperm = np.zeros_like(cand)
     np.put_along_axis(unperm, tables, cand, axis=2)

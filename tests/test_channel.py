@@ -2,6 +2,7 @@
 Monte Carlo harness: determinism, stop rules, worker invariance."""
 
 import io
+import math
 from concurrent.futures import Future
 
 import numpy as np
@@ -216,17 +217,21 @@ class TestRunBler:
         assert sum(f.cancelled() for f in made) == len(made) - read > 0
 
     def test_batch_size_does_not_change_fixed_work_counts(self):
+        # SCL gathers its paths by an index over the frames of each batch,
+        # so a batch of one frame, a ragged last batch and one whole batch
+        # must all decode alike.
         code = small_code()
         kwargs = dict(master_seed=19, target_errors=None, max_frames=40)
-        counts = {
-            batch: [
-                (r.frames, r.block_errors)
-                for r in run_bler(code, "aut-4-sc", [1.0], batch_frames=batch, **kwargs)
-            ]
-            for batch in (1, 7, 256)
-        }
-        assert counts[1] == counts[7] == counts[256]
-        assert counts[1][0][1] > 0
+        for decoder in ("aut-4-sc", "sc", "scl-4"):
+            counts = {
+                batch: [
+                    (r.frames, r.block_errors)
+                    for r in run_bler(code, decoder, [1.0], batch_frames=batch, **kwargs)
+                ]
+                for batch in (1, 7, 256)
+            }
+            assert counts[1] == counts[7] == counts[256]
+            assert counts[1][0][1] > 0
 
     def test_seed_changes_the_outcome(self):
         code = small_code()
@@ -257,6 +262,21 @@ class TestRunBler:
     def test_empty_snr_list_rejected(self):
         with pytest.raises(ValueError):
             run_bler(small_code(), "sc", [], master_seed=0)
+
+    def test_unknown_kernel_rejected_before_any_batch(self, monkeypatch):
+        monkeypatch.setattr(channel, "_run_batch", self.no_batch)
+        with pytest.raises(ValueError, match="kernel"):
+            run_bler(small_code(), "sc", [1.0], master_seed=0, kernel="minsum")
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_ebn0_rejected_before_any_batch(self, monkeypatch, bad):
+        monkeypatch.setattr(channel, "_run_batch", self.no_batch)
+        with pytest.raises(ValueError, match="Eb/N0"):
+            run_bler(small_code(), "sc", [1.0, bad], master_seed=0, workers=2)
+
+    @staticmethod
+    def no_batch(args):
+        raise AssertionError("a batch ran before the arguments were checked")
 
     def test_result_fields(self):
         code = small_code()

@@ -28,6 +28,7 @@ from polaraut.codec import (
 from polaraut.construction import ConstructionSpec, bhattacharyya_bec_design
 from polaraut.monomials import Monomial, MonomialCode, decreasing_closure, row_to_monomial
 from reference_codec import (
+    REFERENCE_KERNELS,
     _sc_batch,
     aut_sc_reference,
     polar_transform_reference,
@@ -419,6 +420,42 @@ def generator_code(n, gens):
     return ConstructionSpec.from_dict({"kind": "generators", "n": n, "generators": gens}).build()
 
 
+class TestKernels:
+    """The check-node kernels equal the pinned originals bit for bit."""
+
+    # Signed zeros, subnormals, the edge of exp underflow, magnitudes whose
+    # products underflow (1e-200) or overflow (1e200, 1e300), and near the
+    # largest float, where a + b overflows too.
+    SPECIAL = [0.0, 5e-324, 1e-310, 2.2e-308, 1e-200, 0.3, 1.0, 2.5, 744.0, 745.0,
+               746.0, 1e200, 1e300, 1.7e308]
+
+    @pytest.mark.parametrize("kernel", ["exact_boxplus", "min_sum"])
+    def test_bitwise_on_special_values(self, kernel):
+        values = np.array(self.SPECIAL)
+        values = np.concatenate([values, -values])
+        a, b = np.meshgrid(values, values)
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = KERNELS[kernel](a, b)
+            want = REFERENCE_KERNELS[kernel](a, b)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("kernel", ["exact_boxplus", "min_sum"])
+    def test_bitwise_on_random_values(self, kernel):
+        rng = np.random.default_rng(82)
+        x = rng.standard_normal((64, 40, 8)) * 10.0 ** rng.integers(-8, 4, (64, 40, 8))
+        x[rng.random(x.shape) < 0.02] = -0.0
+        a, b = x[:32], x[32:]  # a node's two halves, as the walker passes them
+        got = KERNELS[kernel](a, b)
+        want = REFERENCE_KERNELS[kernel](a, b)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_inputs_left_untouched(self):
+        a, b = np.array([[1.5, -0.0, 3.0]]), np.array([[-2.0, 4.0, 0.5]])
+        for kernel in KERNELS.values():
+            kernel(a, b)
+            assert a.tolist() == [[1.5, -0.0, 3.0]] and b.tolist() == [[-2.0, 4.0, 0.5]]
+
+
 class TestNodeSchedule:
     """SC visits Rate-0, repetition and Rate-1 nodes whole; SCL visits every node."""
 
@@ -459,7 +496,7 @@ class TestNodeSchedule:
             frozen = np.zeros(width, dtype=bool)
             llrs = floors[depth] * rng.choice([-1.0, 1.0], size=(width, 300))
             hard = (llrs < 0).astype(np.uint8)
-            _, generic = _sc_batch(llrs.T, frozen, KERNELS[kernel])
+            _, generic = _sc_batch(llrs.T, frozen, REFERENCE_KERNELS[kernel])
             assert np.array_equal(generic.T, hard)
             assert np.array_equal(codec._tree(llrs, frozen, kernel, 1)[:, :, 0], hard)
 
@@ -473,7 +510,7 @@ class TestNodeSchedule:
             llrs = 3.0 * rng.standard_normal((width, 40))
             llrs[rng.random(llrs.shape) < 0.05] = 0.0
             for kernel in KERNELS:
-                _, generic = _sc_batch(llrs.T, frozen, KERNELS[kernel])
+                _, generic = _sc_batch(llrs.T, frozen, REFERENCE_KERNELS[kernel])
                 assert np.array_equal(codec._tree(llrs, frozen, kernel, 1)[:, :, 0].T, generic)
 
     def test_repetition_sums_in_g_chain_order(self):
@@ -481,7 +518,7 @@ class TestNodeSchedule:
         # summed left to right, -1 is lost to rounding and the sign flips.
         frozen = np.array([True, True, True, False])
         llrs = np.array([[1e16], [-1.0], [-1e16], [0.5]])
-        _, generic = _sc_batch(llrs.T, frozen, KERNELS["exact_boxplus"])
+        _, generic = _sc_batch(llrs.T, frozen, REFERENCE_KERNELS["exact_boxplus"])
         assert generic.tolist() == [[1, 1, 1, 1]]
         assert np.array_equal(codec._tree(llrs, frozen, "exact_boxplus", 1)[:, :, 0].T, generic)
 
