@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .gf2 import BinaryMatrix
-from .monomials import CapabilityError, MonomialCode, is_decreasing
+from .monomials import CapabilityError, MonomialCode, _swap_variables, is_decreasing
 
 __all__ = [
     "Permutation",
@@ -115,11 +115,18 @@ class Permutation:
 
 
 def stabilizes(perm: Permutation, code: MonomialCode) -> bool:
-    """Whether relabelling variables by perm maps the information set onto itself."""
+    """Whether relabelling variables by perm maps the information set onto itself.
+
+    Each cycle (c0 c1 ... ck) is applied to the membership integer as the
+    swaps of c0 with c1, c2, ..., ck in turn.
+    """
     if perm.n != code.n:
         raise ValueError("permutation size does not match the code")
-    masks = code.masks
-    return all(perm.apply_mask(m) in masks for m in masks)
+    members = code.members
+    for cycle in perm.cycles():
+        for j in cycle[1:]:
+            members = _swap_variables(members, code.n, cycle[0], j)
+    return members == code.members
 
 
 @dataclass(frozen=True)
@@ -163,12 +170,12 @@ def find_block_structure(code: MonomialCode) -> BlockStructure:
     """
     if not is_decreasing(code):
         raise ValueError("block structure is defined for decreasing codes only")
-    n = code.n
+    n, members = code.n, code.members
     sizes = []
     i = 0
     while i < n:
         j = n - 1
-        while j > i and not stabilizes(Permutation.transposition(n, i, j), code):
+        while j > i and _swap_variables(members, n, i, j) != members:
             j -= 1
         sizes.append(j - i + 1)
         i = j + 1
@@ -239,9 +246,9 @@ def blta_size(structure: BlockStructure) -> int:
     """
     out = 1
     below = 0
-    for k, s in enumerate(structure.sizes):
+    for s, start in zip(structure.sizes, structure.starts):
         out *= _gl2_order(s)
-        below += structure.starts[k] * s
+        below += start * s
     return out << (below + structure.n)
 
 

@@ -40,6 +40,9 @@ __all__ = ["main", "analysis_report", "generator_rows", "sci3"]
 
 def sci3(value: int | Decimal) -> str:
     """Three significant figures, compact exponent: 14088... -> '1.41e16'."""
+    if not value:
+        # Decimal keeps a zero's exponent when formatting: 0 gives '0.00E+2'.
+        return "0.00e0"
     mant, _, exp = f"{Decimal(value):.2E}".partition("E")
     return f"{mant.lower()}e{int(exp)}"
 

@@ -2,12 +2,14 @@
 and decreasing (downward closed) monomial codes.
 
 A monomial on variables x_0..x_{n-1} is stored as an index bitmask: bit i set
-means x_i divides the monomial.  The empty mask is the constant 1.
+means x_i divides the monomial.  The empty mask is the constant 1.  A code's
+information set is also held as one membership integer, bit m set when mask m
+is a member, so that set checks run as a few shifts and masks on that integer.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Iterator
 
@@ -118,62 +120,80 @@ def decreasing_closure(generators: Iterable[Monomial], n: int) -> "MonomialCode"
     gens = list(generators)
     if not gens:
         raise ValueError("need at least one generator")
-    seen: set[int] = set()
-    stack: list[int] = []
+    members = 0
     for g in gens:
         if g.mask >> n:
             raise ValueError(f"generator {g} uses variables beyond x{n - 1}")
-        if g.mask not in seen:
-            seen.add(g.mask)
-            stack.append(g.mask)
+        members |= 1 << g.mask
     # One-step moves (drop a variable, slide an index down one slot) generate
-    # the full order, so a BFS over them reaches exactly the lower set.
-    while stack:
-        m = stack.pop()
-        for nb in _down_neighbours(m):
-            if nb not in seen:
-                seen.add(nb)
-                stack.append(nb)
-    return MonomialCode(n, frozenset(Monomial(m) for m in seen))
+    # the full order, so closing under them reaches exactly the lower set.
+    while (grown := members | _down_images(members, n)) != members:
+        members = grown
+    return MonomialCode(n, frozenset(map(Monomial, _member_masks(members))))
 
 
-def _down_neighbours(mask: int) -> Iterator[int]:
-    """Immediate predecessors: remove one variable, or move one index down."""
-    m = mask
-    while m:
-        bit = m & -m
-        yield mask ^ bit
-        if bit > 1 and not mask & bit >> 1:
-            yield mask ^ bit | bit >> 1
-        m ^= bit
-
-
-def _up_neighbours(mask: int, n: int) -> Iterator[int]:
-    """Immediate successors within n variables: inverse moves of _down_neighbours."""
+@lru_cache(maxsize=None)
+def _variable_members(n: int) -> tuple[int, ...]:
+    """Per variable x_i, the membership integer of every mask on n variables
+    that contains x_i: runs of 2**i clear and 2**i set bits, repeated."""
+    full = (1 << (1 << n)) - 1
+    out = []
     for i in range(n):
-        bit = 1 << i
-        if not mask & bit:
-            yield mask | bit
-        elif i + 1 < n and not mask & bit << 1:
-            yield mask ^ bit | bit << 1
+        run = 1 << i
+        period = ((1 << run) - 1) << run
+        out.append(period * (full // ((1 << 2 * run) - 1)))
+    return tuple(out)
+
+
+def _swap_variables(members: int, n: int, i: int, j: int) -> int:
+    """Exchange x_i and x_j, i < j, in every member of a membership integer.
+
+    Members holding x_i but not x_j move up by 2**j - 2**i, members holding
+    x_j but not x_i move down by as much, and the others stay.
+    """
+    has = _variable_members(n)
+    up = has[i] & ~has[j]
+    d = (1 << j) - (1 << i)
+    return members & ~(up | up << d) | (members & up) << d | members >> d & up
+
+
+def _down_images(members: int, n: int) -> int:
+    """Union of the members' images under the generating down moves.
+
+    The moves are dropping x_0, and moving x_i to x_{i-1} when x_{i-1} is
+    absent: n masked shifts, each lowering the mask by a fixed amount.
+    Dropping x_i, i > 0, is two of these moves through a monomial between
+    the two (move x_i down then drop x_{i-1}, or drop x_{i-1} then move x_i
+    down), so a set closed under these n moves is closed under all of them,
+    and in a down-set a member one step below another member is also one of
+    these moves below some member.
+    """
+    has = _variable_members(n)
+    out = (members & has[0]) >> 1
+    for i in range(1, n):
+        out |= (members & has[i] & ~has[i - 1]) >> (1 << i - 1)
+    return out
+
+
+def _member_masks(members: int) -> list[int]:
+    """The masks whose bits are set in a membership integer, ascending."""
+    return [m for m, bit in enumerate(bin(members)[:1:-1]) if bit == "1"]
 
 
 def is_decreasing(code: "MonomialCode") -> bool:
     """Whether the information set is downward closed for the monomial order."""
-    masks = code.masks
-    return all(nb in masks for m in masks for nb in _down_neighbours(m))
+    return not _down_images(code.members, code.n) & ~code.members
 
 
 def minimal_generators(code: "MonomialCode") -> frozenset[Monomial]:
-    """Maximal monomials of a decreasing code; its unique minimal generator set."""
-    if not is_decreasing(code):
+    """Maximal monomials of a decreasing code; its unique minimal generator set.
+
+    A member is maximal when no member reaches it by one down move.
+    """
+    below = _down_images(code.members, code.n)
+    if below & ~code.members:
         raise ValueError("minimal generators are defined for decreasing codes only")
-    masks = code.masks
-    return frozenset(
-        Monomial(m)
-        for m in masks
-        if not any(nb in masks for nb in _up_neighbours(m, code.n))
-    )
+    return frozenset(map(Monomial, _member_masks(code.members & ~below)))
 
 
 @dataclass(frozen=True)
@@ -182,14 +202,20 @@ class MonomialCode:
 
     n: int
     info_set: frozenset[Monomial]
+    # Bit m set exactly when Monomial(m) is in info_set.
+    members: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         _check_n(self.n)
         if not self.info_set:
             raise ValueError("information set is empty")
+        members = 0
         for f in self.info_set:
-            if f.mask >> self.n:
-                raise ValueError(f"monomial {f} uses variables beyond x{self.n - 1}")
+            members |= 1 << f.mask
+        if members >> (1 << self.n):
+            top = Monomial(members.bit_length() - 1)
+            raise ValueError(f"monomial {top} uses variables beyond x{self.n - 1}")
+        object.__setattr__(self, "members", members)
 
     @property
     def block_length(self) -> int:
@@ -198,10 +224,6 @@ class MonomialCode:
     @property
     def dimension(self) -> int:
         return len(self.info_set)
-
-    @property
-    def masks(self) -> frozenset[int]:
-        return frozenset(f.mask for f in self.info_set)
 
     @property
     def rows(self) -> tuple[int, ...]:

@@ -37,7 +37,9 @@ from polaraut.monomials import (
     CapabilityError,
     Monomial,
     MonomialCode,
+    _swap_variables,
     decreasing_closure,
+    enumerate_decreasing_codes,
 )
 
 
@@ -80,6 +82,24 @@ def chi_square(keys, cells):
     assert len(counts) == cells
     expected = len(keys) / cells
     return sum((c - expected) ** 2 / expected for c in counts.values())
+
+
+def relabelled_members(perm, code):
+    """Membership integer of the information set relabelled mask by mask."""
+    return sum(1 << perm.apply_mask(f.mask) for f in code.info_set)
+
+
+def stabilizes_per_mask(perm, code):
+    """The per-mask relabelling loop: the oracle for stabilizes."""
+    masks = {f.mask for f in code.info_set}
+    return all(perm.apply_mask(m) in masks for m in masks)
+
+
+def random_info_set(rng, n):
+    """A random, usually not decreasing, non-empty information set."""
+    size = int(rng.integers(1, (1 << n) + 1))
+    masks = rng.choice(1 << n, size=size, replace=False)
+    return MonomialCode(n, frozenset(Monomial(int(m)) for m in masks))
 
 
 def code_from_generator_rows(n, rows):
@@ -145,6 +165,41 @@ class TestStabilizes:
         code = rm_code(2, 4)
         for images in itertools.permutations(range(4)):
             assert stabilizes(Permutation(images), code)
+
+    def test_matches_per_mask_loop_on_every_decreasing_code(self):
+        for n in range(1, 5):
+            perms = [Permutation(p) for p in itertools.permutations(range(n))]
+            for k in range(1, (1 << n) + 1):
+                for code in enumerate_decreasing_codes(n, k):
+                    for p in perms:
+                        assert stabilizes(p, code) == stabilizes_per_mask(p, code)
+
+    def test_matches_per_mask_loop_on_random_sets(self):
+        rng = np.random.default_rng(46)
+        for n in (5, 6):
+            for _ in range(60):
+                code = random_info_set(rng, n)
+                p = Permutation(tuple(int(i) for i in rng.permutation(n)))
+                # The union of the orbit of the set under p is stabilized by
+                # p, so both answers occur.
+                orbit, q = set(code.info_set), p
+                while not q.is_identity():
+                    orbit |= {Monomial(q.apply_mask(f.mask)) for f in code.info_set}
+                    q = q * p
+                closed = MonomialCode(n, frozenset(orbit))
+                assert stabilizes(p, closed)
+                others = [Permutation(tuple(int(i) for i in rng.permutation(n))) for _ in range(8)]
+                for c in (code, closed):
+                    for r in [p, p * p, p.inverse()] + others:
+                        assert stabilizes(r, c) == stabilizes_per_mask(r, c)
+
+    def test_swap_matches_per_mask_loop_on_census_codes(self):
+        codes = list(enumerate_decreasing_codes(7, 32))
+        assert len(codes) == 218
+        for i, j in itertools.combinations(range(7), 2):
+            t = Permutation.transposition(7, i, j)
+            for code in codes:
+                assert _swap_variables(code.members, 7, i, j) == relabelled_members(t, code)
 
 
 class TestBlockStructure:

@@ -1,0 +1,64 @@
+"""The summary of tools/bench_pairs.py on made-up run results."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
+_SPEC = importlib.util.spec_from_file_location("bench_pairs", _PATH)
+bench_pairs = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bench_pairs)
+
+
+def result(items_per_s, solve_s, failed=0):
+    return {
+        "correct": failed == 0,
+        "attempted": 10,
+        "failed": failed,
+        "metrics": {
+            "items_per_s": {"value": items_per_s, "unit": "1/s"},
+            "solve_s": {"value": solve_s, "unit": "s"},
+        },
+    }
+
+
+BETTER = {"items_per_s": "higher", "solve_s": "lower"}
+
+
+def test_medians_quartiles_ratio_and_wins():
+    base = [result(100.0 + k, 1.0 + k / 10) for k in range(5)]
+    change = [result(300.0, 0.5), result(90.0, 2.0), result(310.0, 0.4),
+              result(320.0, 0.3), result(305.0, 0.45)]
+    got = bench_pairs.summarize(list(zip(base, change)), BETTER)
+    items = got["metrics"]["items_per_s"]
+    assert items["base"]["median"] == 102.0
+    assert (items["base"]["q1"], items["base"]["q3"]) == (101.0, 103.0)
+    assert items["change"]["median"] == 305.0
+    assert items["change"]["values"] == [300.0, 90.0, 310.0, 320.0, 305.0]
+    assert items["ratio"] == pytest.approx(305.0 / 102.0)
+    assert items["wins"] == 4 and items["pairs"] == 5
+    assert items["unit"] == "1/s" and items["better"] == "higher"
+    # Lower is better for solve_s: the second pair (2.0 against 1.1) is a loss.
+    solve = got["metrics"]["solve_s"]
+    assert solve["wins"] == 4
+    assert solve["base"]["median"] == pytest.approx(1.2)
+
+
+def test_ties_are_not_wins_and_failures_are_summed():
+    pairs = [(result(5.0, 1.0), result(5.0, 1.0, failed=2)),
+             (result(5.0, 1.0, failed=1), result(6.0, 0.9))]
+    got = bench_pairs.summarize(pairs, BETTER)
+    assert got["metrics"]["items_per_s"]["wins"] == 1
+    assert got["metrics"]["solve_s"]["wins"] == 1
+    assert got["operations"] == {
+        "base": {"attempted": 20, "failed": 1},
+        "change": {"attempted": 20, "failed": 2},
+    }
+
+
+def test_single_pair_spread():
+    got = bench_pairs.summarize([(result(4.0, 2.0), result(8.0, 1.0))], BETTER)
+    spread = got["metrics"]["items_per_s"]["base"]
+    assert spread["median"] == spread["q1"] == spread["q3"] == 4.0
+    assert got["metrics"]["items_per_s"]["ratio"] == 2.0

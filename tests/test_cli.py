@@ -1,6 +1,7 @@
 """Command line surface: subcommand outputs, manifests, exit codes."""
 
 import csv
+import hashlib
 import json
 from decimal import Decimal
 
@@ -45,6 +46,10 @@ class TestSci3:
 
     def test_decimal_input(self):
         assert sci3(Decimal("12345.6")) == "1.23e4"
+
+    def test_zero(self):
+        assert sci3(0) == "0.00e0"
+        assert sci3(Decimal("0.0")) == "0.00e0"
 
 
 class TestAnalysisReport:
@@ -179,6 +184,29 @@ class TestEnumerate:
         assert sum(int(g["count"]) for g in groups) == 3
         for g in groups:
             assert int(g["aut_min"]) <= int(g["aut_max"])
+
+    # sha256 prefixes of the n=7 census CSVs (per-code, summary) per K, as
+    # written before the census ran on membership integers.
+    CENSUS_N7 = {
+        32: ("20e0ef377ef7fad8", "fdfd68f313398dca"),
+        64: ("335c843276ca4cd3", "d0ad36f59c9d26a6"),
+        96: ("ea3ccb6c9b47cdff", "6f211c2de0efc58b"),
+    }
+
+    @pytest.mark.parametrize("k", sorted(CENSUS_N7))
+    def test_census_n7_is_pinned(self, tmp_path, k):
+        out = tmp_path / "codes.csv"
+        summary = tmp_path / "summary.csv"
+        assert main(
+            [
+                "enumerate", "--n", "7", "--K", str(k),
+                "--out", str(out), "--summary-out", str(summary),
+            ]
+        ) == 0
+        digests = tuple(
+            hashlib.sha256(path.read_bytes()).hexdigest()[:16] for path in (out, summary)
+        )
+        assert digests == self.CENSUS_N7[k]
 
     def test_capability_exit_3(self, capsys):
         assert main(["enumerate", "--n", "8", "--K", "128"]) == 3

@@ -39,6 +39,31 @@ def brute_closure(generators, n: int) -> frozenset[Monomial]:
     return frozenset(f for f in space if any(partial_order_leq(f, g) for g in generators))
 
 
+def down_neighbours(mask: int):
+    """Immediate predecessors: remove one variable, or move one index down."""
+    m = mask
+    while m:
+        bit = m & -m
+        yield mask ^ bit
+        if bit > 1 and not mask & bit >> 1:
+            yield mask ^ bit | bit >> 1
+        m ^= bit
+
+
+def up_neighbours(mask: int, n: int):
+    """Immediate successors within n variables: inverse moves of down_neighbours."""
+    for i in range(n):
+        bit = 1 << i
+        if not mask & bit:
+            yield mask | bit
+        elif i + 1 < n and not mask & bit << 1:
+            yield mask ^ bit | bit << 1
+
+
+def code_from_bits(bits: int, n: int) -> MonomialCode:
+    return MonomialCode(n, frozenset(Monomial(m) for m in range(1 << n) if bits >> m & 1))
+
+
 def all_downsets(n: int):
     # Every downward-closed subset of the 2**n monomials, by lower-set masks.
     total = 1 << n
@@ -185,16 +210,23 @@ class TestIsDecreasing:
         n = 4
         downsets = {bits for bits in all_downsets(n)}
         for bits in range(1, 1 << (1 << n)):
-            members = frozenset(
-                Monomial(i) for i in range(1 << n) if bits >> i & 1
-            )
-            code = MonomialCode(n, members)
+            code = code_from_bits(bits, n)
             assert is_decreasing(code) == (bits in downsets), bits
 
     def test_removing_interior_element_breaks(self):
         code = decreasing_closure([Monomial.from_indices([0, 1])], 3)
         broken = MonomialCode(3, code.info_set - {Monomial.from_indices([0])})
         assert not is_decreasing(broken)
+
+    def test_matches_down_neighbour_walk(self):
+        rng = np.random.default_rng(80)
+        for _ in range(60):
+            code = random_decreasing_code(rng, int(rng.integers(5, 8)))
+            drop = list(code.info_set)[int(rng.integers(code.dimension))]
+            for c in (code, MonomialCode(code.n, code.info_set - {drop} or code.info_set)):
+                masks = {f.mask for f in c.info_set}
+                walk = all(nb in masks for m in masks for nb in down_neighbours(m))
+                assert is_decreasing(c) == walk
 
 
 class TestMinimalGenerators:
@@ -226,6 +258,22 @@ class TestMinimalGenerators:
             )
             assert minimal_generators(code) == expected
 
+    def test_matches_up_neighbour_walk_on_every_downset(self):
+        for n in range(1, 5):
+            for bits in all_downsets(n):
+                code = code_from_bits(bits, n)
+                masks = {f.mask for f in code.info_set}
+                walk = frozenset(
+                    Monomial(m)
+                    for m in masks
+                    if not any(nb in masks for nb in up_neighbours(m, n))
+                )
+                assert minimal_generators(code) == walk, bits
+
+    def test_rejects_non_decreasing_codes(self):
+        with pytest.raises(ValueError):
+            minimal_generators(MonomialCode(3, frozenset({Monomial(0b10)})))
+
 
 class TestMonomialCode:
     def test_rows_round_trip(self):
@@ -248,6 +296,15 @@ class TestMonomialCode:
             MonomialCode(3, frozenset())
         with pytest.raises(ValueError):
             MonomialCode(3, frozenset({Monomial(0b1000)}))
+        with pytest.raises(ValueError, match="x3"):
+            MonomialCode(3, frozenset({Monomial(0), Monomial(0b1010)}))
+
+    def test_members_has_one_bit_per_monomial(self):
+        rng = np.random.default_rng(81)
+        for _ in range(20):
+            code = random_decreasing_code(rng, int(rng.integers(1, 9)))
+            assert code.members == sum(1 << f.mask for f in code.info_set)
+            assert code_from_bits(code.members, code.n) == code
 
 
 class TestEnumerate:
