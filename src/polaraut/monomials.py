@@ -125,8 +125,8 @@ def decreasing_closure(generators: Iterable[Monomial], n: int) -> "MonomialCode"
         if g.mask >> n:
             raise ValueError(f"generator {g} uses variables beyond x{n - 1}")
         members |= 1 << g.mask
-    # One-step moves (drop a variable, slide an index down one slot) generate
-    # the full order, so closing under them reaches exactly the lower set.
+    # The down moves generate the full order, so closing the set under them
+    # reaches exactly the lower set.
     while (grown := members | _down_images(members, n)) != members:
         members = grown
     return MonomialCode(n, frozenset(map(Monomial, _member_masks(members))))

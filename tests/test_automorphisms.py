@@ -188,7 +188,9 @@ class TestStabilizes:
                     q = q * p
                 closed = MonomialCode(n, frozenset(orbit))
                 assert stabilizes(p, closed)
-                others = [Permutation(tuple(int(i) for i in rng.permutation(n))) for _ in range(8)]
+                others = [
+                    Permutation(tuple(int(i) for i in rng.permutation(n))) for _ in range(8)
+                ]
                 for c in (code, closed):
                     for r in [p, p * p, p.inverse()] + others:
                         assert stabilizes(r, c) == stabilizes_per_mask(r, c)
