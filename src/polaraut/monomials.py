@@ -209,13 +209,18 @@ class MonomialCode:
         _check_n(self.n)
         if not self.info_set:
             raise ValueError("information set is empty")
-        members = 0
-        for f in self.info_set:
-            members |= 1 << f.mask
-        if members >> (1 << self.n):
-            top = Monomial(members.bit_length() - 1)
-            raise ValueError(f"monomial {top} uses variables beyond x{self.n - 1}")
-        object.__setattr__(self, "members", members)
+        # The integer is read from a base-2 numeral whose digit ~m stands for
+        # mask m: or-ing each bit into a growing integer would copy that
+        # integer, up to 2**n bits, once per member.  A mask of 2**n or more
+        # indexes past the numeral's first digit.
+        digits = bytearray(b"0" * (1 << self.n))
+        one = ord("1")
+        try:
+            for f in self.info_set:
+                digits[~f.mask] = one
+        except IndexError:
+            raise ValueError(f"monomial {f} uses variables beyond x{self.n - 1}") from None
+        object.__setattr__(self, "members", int(digits, 2))
 
     @property
     def block_length(self) -> int:

@@ -1,10 +1,11 @@
 """Alternating base/change pairs of perfbench/run.py, summarised per metric.
 
     python3 tools/bench_pairs.py --label census --base HEAD~1 --change HEAD \\
-        --workload census-n7 --pairs 10 --first-seed 1 --seconds 15 --trace 0
+        --workload census-n7 --pairs 10 --first-seed 1 --trace 0
 
 Each revision is exported with `git archive` into a temporary directory, so
-the runs see committed files only.  Pair k runs both exports with seed
+the runs see committed files only, and each run lasts as long as its
+checkout's perfbench sets.  Pair k runs both exports with seed
 first_seed + k, the base first on even k and the change first on odd k, so
 a slow drift of the host's speed falls on both sides alike.  Each run's
 result is the last line of its stdout.  BENCH_<label>.json, written at the
@@ -80,10 +81,10 @@ def export(commit: str, dest: Path) -> Path:
     return dest
 
 
-def run(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+def run(checkout: Path, workload: str, seed: int, trace: int) -> dict:
     cmd = [
         sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-        "--seconds", str(seconds), "--trace", str(trace),
+        "--trace", str(trace),
     ]
     done = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     if done.returncode != 0:
@@ -100,7 +101,6 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--workload", action="append", required=True, help="repeatable")
     p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--first-seed", type=int, default=1)
-    p.add_argument("--seconds", type=float, default=15)
     p.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = p.parse_args(argv)
 
@@ -111,11 +111,14 @@ def main(argv: list[str] | None = None) -> int:
     results: dict[str, list[tuple[dict, dict]]] = {w: [] for w in args.workload}
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
         dirs = {side: export(c, Path(tmp) / side) for side, c in commits.items()}
+        # The run length each side's run.py uses by default.
+        seconds = {s: json.loads((d / "BENCHMARK.json").read_text())["run_seconds"]
+                   for s, d in dirs.items()}
         for k in range(args.pairs):
             seed = args.first_seed + k
             order = ("base", "change") if k % 2 == 0 else ("change", "base")
             for w in args.workload:
-                got = {s: run(dirs[s], w, seed, args.seconds, args.trace) for s in order}
+                got = {s: run(dirs[s], w, seed, args.trace) for s in order}
                 results[w].append((got["base"], got["change"]))
                 print(f"pair {k + 1}/{args.pairs} {w} seed {seed}: " + ", ".join(
                     f"{m} {got['base']['metrics'][m]['value']:.4g} -> "
@@ -124,10 +127,9 @@ def main(argv: list[str] | None = None) -> int:
                 ), flush=True)
             doc = {
                 "label": args.label,
-                "base": {"rev": args.base, "commit": commits["base"]},
-                "change": {"rev": args.change, "commit": commits["change"]},
+                **{s: {"rev": getattr(args, s), "commit": commits[s], "seconds": seconds[s]}
+                   for s in ("base", "change")},
                 "seeds": list(range(args.first_seed, seed + 1)),
-                "seconds": args.seconds,
                 "trace": args.trace,
                 "order": "base first on even pairs, change first on odd pairs",
                 "workloads": {w: summarize(r, better) for w, r in results.items()},
