@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -30,6 +30,7 @@ __all__ = [
     "block_reversal_matrix",
     "lemma1_decompose",
     "sample_blta",
+    "blta_bounds",
     "sample_blta_batch",
     "position_action",
     "position_table",
@@ -391,37 +392,52 @@ def sample_blta(
     return AffineAutomorphism(mat, int(offsets[0]))
 
 
+def blta_bounds(structure: BlockStructure) -> np.ndarray:
+    """Exclusive upper bounds of the n+1 integers that pick one BLTA map."""
+    highs = [
+        ((1 << s) - (1 << i)) << start
+        for s, start in zip(structure.sizes, structure.starts)
+        for i in range(s)
+    ]
+    return np.array(highs + [1 << structure.n], dtype=np.int64)
+
+
 def sample_blta_batch(
     structure: BlockStructure,
     count: int,
-    rng: np.random.Generator | Sequence[np.random.Generator],
+    rng: np.random.Generator | np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Uniform sampling without rejection: (count, n) row bitmasks and offsets.
 
-    Each map takes exactly n+1 bounded integers.  Row i of a size-s diagonal
-    block starting at `start` takes one below (2**s - 2**i) << start: its low
-    `start` bits are the free bits left of the block, and the high part r
-    picks one of the 2**s - 2**i vectors outside the span V of the block's
-    rows above it.  V is kept as a reduced echelon basis whose pivot bits
-    (lowest set bits) appear in no other basis vector; every vector is then
-    y ^ w, y on the non-pivot bits and w in V, and it lies outside V exactly
-    when y != 0.  So r >> i, plus one, is deposited into the non-pivot bits
-    as y, and the bits of r below i choose w from the basis.  The last
-    integer is the offset.  Every invertible block lower triangular matrix
-    and offset matches exactly one tuple of integers, so the draw is exactly
-    uniform, and a block costs O(s**2) vector operations.
-
-    rng may be a sequence of Generators; each then gives `count` maps, and
-    the result equals the concatenation of the per-Generator calls.
+    Each map takes exactly n+1 bounded integers, below blta_bounds(structure);
+    rng is a Generator that draws them, or the (count, n+1) integers
+    themselves.  Row i of a size-s diagonal block starting at `start` takes
+    one below (2**s - 2**i) << start: its low `start` bits are the free bits
+    left of the block, and the high part r picks one of the 2**s - 2**i
+    vectors outside the span V of the block's rows above it.  V is kept as a
+    reduced echelon basis whose pivot bits (lowest set bits) appear in no
+    other basis vector; every vector is then y ^ w, y on the non-pivot bits
+    and w in V, and it lies outside V exactly when y != 0.  So r >> i, plus
+    one, is deposited into the non-pivot bits as y, and the bits of r below
+    i choose w from the basis.  The last integer is the offset.  Every
+    invertible block lower triangular matrix and offset matches exactly one
+    tuple of integers, so uniform integers give an exactly uniform map, and
+    a block costs O(s**2) vector operations.
     """
     if count < 1:
         raise ValueError("count must be positive")
     n = structure.n
+    highs = blta_bounds(structure)
+    if isinstance(rng, np.random.Generator):
+        draws = rng.integers(0, highs, size=(count, n + 1))
+    else:
+        draws = np.asarray(rng)
+        if draws.shape != (count, n + 1) or draws.dtype.kind not in "iu":
+            raise ValueError(f"expected a ({count}, {n + 1}) integer array, got {draws.shape}")
+        draws = draws.astype(np.int64, copy=False)
+        if (draws < 0).any() or (draws >= highs).any():
+            raise ValueError("every integer must lie below its bound in blta_bounds")
     pairs = list(zip(structure.sizes, structure.starts))
-    highs = [((1 << s) - (1 << i)) << start for s, start in pairs for i in range(s)]
-    highs = np.array(highs + [1 << n], dtype=np.int64)
-    gens = [rng] if isinstance(rng, np.random.Generator) else rng
-    draws = np.concatenate([g.integers(0, highs, size=(count, n + 1)) for g in gens])
     total = len(draws)
     rows = np.empty((total, n), dtype=np.uint32)
     for s, start in pairs:

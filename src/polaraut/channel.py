@@ -1,13 +1,16 @@
 """BPSK/AWGN transmission and a deterministic Monte Carlo BLER harness.
 
-Every frame owns an RNG stream keyed by (master seed, SNR index, frame
-index) through a counter-based generator, so results are reproducible frame
-by frame and invariant to batching, scheduling, and worker count.
+Frame streams are counter based: each (master seed, SNR index) keys one
+Philox4x64-10, and a frame's random words are the blocks at fixed counters
+under that key, so they are a pure function of (master seed, SNR index,
+frame index) and one call draws a whole batch.  Results are reproducible
+frame by frame and invariant to batching, scheduling, and worker count.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 import re
 from concurrent.futures import ProcessPoolExecutor
@@ -20,6 +23,7 @@ import numpy as np
 
 from .automorphisms import (
     BlockStructure,
+    blta_bounds,
     find_block_structure,
     position_tables_batch,
     sample_blta_batch,
@@ -50,9 +54,13 @@ __all__ = [
 Z95 = 1.959963984540054
 
 # How frame streams are consumed, stamped in every manifest: a new version
-# means the same seed gives different counts.  Version 2: a frame draws its
-# message bits, its noise, then n+1 bounded integers per automorphism.
-STREAM_VERSION = 2
+# means the same seed gives different counts.  Version 3: counter-based
+# words.  The Philox counter's top word names a range and its low words
+# count four-word blocks; frame f owns blocks [f*b, (f+1)*b) of each range.
+# Range 0 holds a frame's message words, then its Box-Muller words; range 1
+# its automorphism words, n+1 per map, made bounded integers by Lemire's
+# method; ranges 2, 3, ... redraw the integers that method rejects.
+STREAM_VERSION = 3
 
 CSV_COLUMNS = (
     "code_id",
@@ -66,9 +74,12 @@ CSV_COLUMNS = (
     "seed",
 )
 
-# Spawn key tag for the shared-ensemble stream; frame streams use 2-tuples,
-# so a 1-tuple can never collide.
+# Spawn key tags.  The shared-ensemble stream is SeedSequence(master_seed,
+# spawn_key=(_ENSEMBLE_TAG,)); frame keys come from the 2-tuple
+# (snr_idx, _FRAME_TAG).  SeedSequence appends the spawn key to the padded
+# entropy, so a 1-tuple and a 2-tuple never name the same sequence.
 _ENSEMBLE_TAG = 0x175A
+_FRAME_TAG = 0xF7A3
 
 
 @dataclass(frozen=True)
@@ -113,7 +124,11 @@ def wilson_interval(errors: int, trials: int) -> tuple[float, float]:
         * math.sqrt(p * (1.0 - p) / trials + z2 / (4.0 * trials * trials))
         / denom
     )
-    return max(0.0, center - half), min(1.0, center + half)
+    # center equals half at 0 errors and center + half equals 1 at `trials`
+    # errors; pin those ends, which rounding can miss by an ulp.
+    lo = 0.0 if errors == 0 else max(0.0, center - half)
+    hi = 1.0 if errors == trials else min(1.0, center + half)
+    return lo, hi
 
 
 _SPEC_RE = re.compile(r"^(sc|scl-(\d+)|aut-(\d+)-sc(-lta)?)$")
@@ -202,29 +217,104 @@ def _context(
     return code, spec, config, structure
 
 
-def _frame_rng(master_seed: int, snr_idx: int, frame_idx: int) -> np.random.Generator:
-    seq = np.random.SeedSequence(master_seed, spawn_key=(snr_idx, frame_idx))
-    return np.random.Generator(np.random.Philox(seq))
+def _frame_key(master_seed: int, snr_idx: int) -> np.ndarray:
+    """The Philox key of every frame at one SNR point."""
+    seq = np.random.SeedSequence(master_seed, spawn_key=(snr_idx, _FRAME_TAG))
+    return seq.generate_state(2, np.uint64)
+
+
+def _frame_words(key: np.ndarray, part: int, lo: int, hi: int, width: int) -> np.ndarray:
+    """The first `width` words of frames [lo, hi) in counter range `part`.
+
+    Frame f owns the b = ceil(width / 4) blocks from counter
+    (part << 192) + f * b on.  numpy steps the counter before each block, so
+    the call starts one below, which wraps to 2**256 - 1 for part 0, lo 0.
+    """
+    blocks = -(-width // 4)
+    start = ((part << 192) + lo * blocks - 1) % (1 << 256)
+    raw = np.random.Philox(key=key, counter=start).random_raw((hi - lo) * 4 * blocks)
+    return raw.reshape(hi - lo, 4 * blocks)[:, :width]
+
+
+def _box_muller(u_words: np.ndarray, v_words: np.ndarray) -> np.ndarray:
+    """Standard normals from two word arrays of one shape, the cos half and
+    then the sin half along the last axis.  The uniforms are the words' top
+    53 bits; the radius takes log(1 - u), which never sees 0."""
+    scale = 2.0**-53
+    radius = np.sqrt(-2.0 * np.log(1.0 - (u_words >> 11) * scale))
+    # An angle in [-pi, pi) rather than [0, 2 pi): same distribution, and
+    # numpy's cos and sin are faster on the smaller arguments.
+    angle = (2.0 * np.pi * scale) * (v_words >> 11) - np.pi
+    return np.concatenate((radius * np.cos(angle), radius * np.sin(angle)), axis=-1)
+
+
+def _channel_draw(
+    key: np.ndarray, lo: int, hi: int, dim: int, size: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Message bits (hi - lo, dim) and noise (hi - lo, size) of frames
+    [lo, hi): per frame, the low dim bits of ceil(dim / 64) range-0 words,
+    little-endian, then Box-Muller on two runs of ceil(size / 2) words."""
+    head = -(-dim // 64)
+    half = -(-size // 2)
+    words = _frame_words(key, 0, lo, hi, head + 2 * half)
+    octets = words[:, :head].astype("<u8", copy=False).view(np.uint8)
+    msgs = np.unpackbits(octets, axis=1, count=dim, bitorder="little")
+    noise = _box_muller(words[:, head : head + half], words[:, head + half :])
+    return msgs, noise[:, :size]
+
+
+def _lemire(words: np.ndarray, bounds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lemire's multiply-shift on 64-bit words against bounds h <= 2**32
+    (broadcast): (floor(x * h / 2**64), accepted).
+
+    A word is rejected when x * h mod 2**64 falls below 2**64 mod h; that
+    leaves exactly floor(2**64 / h) accepted words for every value.
+    """
+    bounds = np.asarray(bounds, dtype=np.uint64)
+    if int(bounds.max()) > 1 << 32:
+        raise ValueError("bounds above 2**32 are not supported")
+    thresholds = (-bounds) % bounds  # 2**64 mod h, as (2**64 - h) mod h
+    # The high word of the 128-bit product, from 32-bit halves of x; the low
+    # word is the product mod 2**64, which uint64 wraps to.
+    high = ((words >> 32) * bounds + (((words & 0xFFFFFFFF) * bounds) >> 32)) >> 32
+    return high.astype(np.int64), words * bounds >= thresholds
+
+
+def _automorphism_draw(
+    key: np.ndarray, lo: int, hi: int, bounds: np.ndarray, count: int
+) -> np.ndarray:
+    """Exactly uniform integers of frames [lo, hi), `count` maps per frame
+    in frame order: ((hi - lo) * count, len(bounds)), column j below
+    bounds[j].  The words come from range 1; an entry _lemire rejects takes
+    the word at its position in range 2, then 3, until none is left."""
+    shape = ((hi - lo) * count, len(bounds))
+
+    def words(part: int) -> np.ndarray:
+        return _frame_words(key, part, lo, hi, count * len(bounds)).reshape(shape)
+
+    out, accepted = _lemire(words(1), bounds)
+    todo = ~accepted
+    for part in itertools.count(2):
+        if not todo.any():
+            return out
+        values, accepted = _lemire(words(part), bounds)
+        take = todo & accepted
+        out[take] = values[take]
+        todo &= ~take
 
 
 def _run_batch(args: tuple) -> tuple[int, int]:
     """Simulate frames [lo, hi) at one SNR; returns (frames, block errors)."""
     (n, rows, label, kernel, ebn0_db, master_seed, snr_idx, lo, hi, fixed_tables) = args
     code, spec, config, structure = _context(n, rows, label, kernel)
-    dim = code.dimension
     size = code.block_length
-    params = ChannelParams(ebn0_db, dim / size)
+    params = ChannelParams(ebn0_db, code.dimension / size)
     batch = hi - lo
-    msgs = np.empty((batch, dim), dtype=np.uint8)
-    noise = np.empty((batch, size), dtype=np.float64)
-    rngs = []
-    for b, frame_idx in enumerate(range(lo, hi)):
-        rng = _frame_rng(master_seed, snr_idx, frame_idx)
-        msgs[b] = rng.integers(0, 2, size=dim, dtype=np.uint8)
-        noise[b] = rng.standard_normal(size)
-        rngs.append(rng)
+    key = _frame_key(master_seed, snr_idx)
+    msgs, noise = _channel_draw(key, lo, hi, code.dimension, size)
     sent = encode_batch(code, msgs)
     llrs = transmit(sent, params, noise)
+    del msgs, noise
     if spec.kind == "sc":
         _, words = sc_decode_batch(code, llrs, config)
     elif spec.kind == "scl":
@@ -233,12 +323,13 @@ def _run_batch(args: tuple) -> tuple[int, int]:
         if fixed_tables is not None:
             tables = fixed_tables
         else:
-            # Automorphisms are drawn last in each frame's stream, so messages
-            # and noise match the SC and SCL streams frame for frame.
-            aut_rows, aut_offs = sample_blta_batch(structure, spec.ensemble_size, rngs)
-            tables = position_tables_batch(aut_rows, aut_offs).reshape(
-                batch, spec.ensemble_size, size
-            )
+            # Automorphism words live in their own counter ranges, so
+            # messages and noise match the SC and SCL streams frame for frame.
+            m = spec.ensemble_size
+            draws = _automorphism_draw(key, lo, hi, blta_bounds(structure), m)
+            aut_rows, aut_offs = sample_blta_batch(structure, batch * m, draws)
+            del draws
+            tables = position_tables_batch(aut_rows, aut_offs).reshape(batch, m, size)
         _, words = aut_sc_decode_batch(code, llrs, tables, config)
     errors = int((words != sent).any(axis=1).sum())
     return batch, errors
@@ -261,8 +352,12 @@ def run_bler(
     """Monte Carlo BLER at each SNR; stops at target_errors or max_frames.
 
     Frames are consumed in fixed-size batches in index order, so counts do
-    not depend on the worker count.  With fixed_ensemble the automorphism
-    ensemble is drawn once per run instead of per frame.  An unknown kernel
+    not depend on the worker count.  Each SNR point keys one Philox from
+    (master_seed, its index); frame f's messages, noise and automorphism
+    integers come from counter blocks fixed by f (see STREAM_VERSION), and
+    a batch draws each counter range with one call.  With fixed_ensemble
+    the automorphism ensemble is drawn once per run, from a Generator on the
+    separate _ENSEMBLE_TAG stream, instead of per frame.  An unknown kernel
     or an Eb/N0 that is not finite raises ValueError before any batch runs.
     """
     spec = decoder if isinstance(decoder, DecoderSpec) else DecoderSpec.parse(decoder)

@@ -10,11 +10,13 @@ import numpy as np
 import pytest
 
 from conftest import block_group, random_decreasing_code
+from polaraut import channel
 from polaraut.automorphisms import (
     AffineAutomorphism,
     BlockStructure,
     Permutation,
     block_reversal_matrix,
+    blta_bounds,
     blta_size,
     brute_force_stabilizer,
     find_block_structure,
@@ -518,15 +520,26 @@ class TestSampling:
         assert np.array_equal(rows_a, rows_b)
         assert np.array_equal(offs_a, offs_b)
 
-    def test_generator_sequence_concatenates_single_calls(self):
+    def test_integer_array_matches_generator_call(self):
         structure = BlockStructure((3, 2, 1))
-        seeds = [np.random.SeedSequence(7, spawn_key=(i,)) for i in range(5)]
-        gens = lambda: [np.random.Generator(np.random.Philox(q)) for q in seeds]
-        rows, offsets = sample_blta_batch(structure, 4, gens())
-        singles = [sample_blta_batch(structure, 4, g) for g in gens()]
+        draws = np.random.default_rng(7).integers(0, blta_bounds(structure), size=(20, 7))
+        rows, offsets = sample_blta_batch(structure, 20, draws)
+        want_rows, want_offsets = sample_blta_batch(structure, 20, np.random.default_rng(7))
         assert rows.shape == (20, 6)
-        assert np.array_equal(rows, np.concatenate([r for r, _ in singles]))
-        assert np.array_equal(offsets, np.concatenate([o for _, o in singles]))
+        assert np.array_equal(rows, want_rows)
+        assert np.array_equal(offsets, want_offsets)
+
+    def test_integer_array_is_checked(self):
+        structure = BlockStructure((2, 1))
+        highs = blta_bounds(structure)
+        good = np.zeros((3, 4), dtype=np.int64)
+        with pytest.raises(ValueError):
+            sample_blta_batch(structure, 2, good)
+        with pytest.raises(ValueError):
+            sample_blta_batch(structure, 3, good.astype(float))
+        for bad in (-1, highs):
+            with pytest.raises(ValueError):
+                sample_blta_batch(structure, 3, good + bad)
 
     def test_uniform_over_gl_3_2(self):
         rows, _ = sample_blta_batch(
@@ -544,15 +557,28 @@ class TestSampling:
         chi2 = chi_square(keys, cells)
         assert chi2 < 239.38562055019008, chi2  # 0.99 quantile, 191 dof
 
+    # The same two chi-square checks, fed the simulation's own integers:
+    # Philox frame words through Lemire's bounded draw into the integer core.
+    @staticmethod
+    def frame_stream(structure, count, seed):
+        key = channel._frame_key(seed, 0)
+        draws = channel._automorphism_draw(key, 0, count, blta_bounds(structure), 1)
+        return sample_blta_batch(structure, count, draws)
+
+    def test_frame_stream_uniform_over_gl_3_2(self):
+        rows, _ = self.frame_stream(BlockStructure((3,)), 168 * 200, 57)
+        chi2 = chi_square([tuple(r) for r in rows.tolist()], 168)
+        assert chi2 < 212.43129395391728, chi2  # 0.99 quantile, 167 dof
+
+    def test_frame_stream_uniform_over_full_group(self):
+        structure = BlockStructure((2, 1))
+        cells = blta_size(structure)
+        rows, offsets = self.frame_stream(structure, cells * 200, 58)
+        keys = [(*r, o) for r, o in zip(rows.tolist(), offsets.tolist())]
+        chi2 = chi_square(keys, cells)
+        assert chi2 < 239.38562055019008, chi2  # 0.99 quantile, 191 dof
+
     def test_every_draw_tuple_gives_a_distinct_matrix(self):
-        class FixedDraws:
-            def __init__(self, draws):
-                self.draws = draws
-
-            def integers(self, low, high, size):
-                assert size == self.draws.shape and np.all(self.draws < high)
-                return self.draws
-
         for sizes in ((4,), (2, 1), (1, 2, 2)):
             structure = BlockStructure(sizes)
             highs = [
@@ -565,7 +591,8 @@ class TestSampling:
                 dtype=np.int64,
             )
             assert len(draws) == blta_linear_size_rowwise(structure)
-            rows, _ = sample_blta_batch(structure, len(draws), [FixedDraws(draws)])
+            assert blta_bounds(structure).tolist() == highs + [1 << structure.n]
+            rows, _ = sample_blta_batch(structure, len(draws), draws)
             assert len({tuple(r) for r in rows.tolist()}) == len(draws)
 
     def test_large_block_is_cheap(self):

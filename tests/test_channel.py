@@ -107,6 +107,11 @@ class TestWilsonInterval:
         assert lo == pytest.approx(1.0 - fhi)
         assert hi == pytest.approx(1.0 - flo)
 
+    def test_ends_are_exact(self):
+        for trials in (1, 3, 10, 500, 10**6):
+            assert wilson_interval(0, trials)[0] == 0.0
+            assert wilson_interval(trials, trials)[1] == 1.0
+
     def test_validation(self):
         with pytest.raises(ValueError):
             wilson_interval(1, 0)
@@ -232,6 +237,18 @@ class TestRunBler:
             }
             assert counts[1] == counts[7] == counts[256]
             assert counts[1][0][1] > 0
+
+    def test_worker_count_does_not_change_fixed_work_counts(self):
+        code = small_code()
+        kwargs = dict(master_seed=19, target_errors=None, max_frames=40, batch_frames=7)
+        for decoder in ("aut-4-sc", "sc", "scl-4"):
+            solo, duo = (
+                [(r.frames, r.block_errors) for r in run_bler(
+                    code, decoder, [1.0, 2.0], workers=workers, **kwargs
+                )]
+                for workers in (1, 2)
+            )
+            assert solo == duo
 
     def test_seed_changes_the_outcome(self):
         code = small_code()

@@ -97,7 +97,7 @@ class TestAnalyze:
         manifest = json.loads((tmp_path / "report.json.manifest.json").read_text())
         assert manifest["command"] == "analyze"
         assert manifest["version"] == __version__
-        assert manifest["stream_version"] == 2
+        assert manifest["stream_version"] == 3
         assert manifest["config"]["spec"] == spec
 
     def test_invalid_spec_exits_2(self, tmp_path, capsys):
