@@ -9,8 +9,8 @@ is a member, so that set checks run as a few shifts and masks on that integer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from typing import Iterable, Iterator
 
 MAX_VARS = 16
@@ -116,20 +116,12 @@ def partial_order_leq(f: Monomial, g: Monomial) -> bool:
 
 def decreasing_closure(generators: Iterable[Monomial], n: int) -> "MonomialCode":
     """Smallest decreasing code on n variables containing the generators."""
-    _check_n(n)
-    gens = list(generators)
-    if not gens:
-        raise ValueError("need at least one generator")
-    members = 0
-    for g in gens:
-        if g.mask >> n:
-            raise ValueError(f"generator {g} uses variables beyond x{n - 1}")
-        members |= 1 << g.mask
+    members = MonomialCode(n, generators).members
     # The down moves generate the full order, so closing the set under them
     # reaches exactly the lower set.
     while (grown := members | _down_images(members, n)) != members:
         members = grown
-    return MonomialCode(n, frozenset(map(Monomial, _member_masks(members))))
+    return MonomialCode.from_members(n, members)
 
 
 @lru_cache(maxsize=None)
@@ -196,72 +188,85 @@ def minimal_generators(code: "MonomialCode") -> frozenset[Monomial]:
     return frozenset(map(Monomial, _member_masks(code.members & ~below)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False)
 class MonomialCode:
-    """A monomial code: n variables and the information set of monomials."""
+    """A monomial code: n variables and the information set of monomials,
+    held as `members` (bit m set exactly when Monomial(m) is a member), which
+    is the code's identity; the set, rows and dimension are derived once."""
 
     n: int
-    info_set: frozenset[Monomial]
-    # Bit m set exactly when Monomial(m) is in info_set.
-    members: int = field(init=False, repr=False, compare=False)
+    members: int
 
-    def __post_init__(self) -> None:
-        _check_n(self.n)
-        if not self.info_set:
+    def __init__(self, n: int, info_set: Iterable[Monomial]) -> None:
+        _check_n(n)
+        info_set = frozenset(info_set)
+        if not info_set:
             raise ValueError("information set is empty")
         # The integer is read from a base-2 numeral whose digit ~m stands for
         # mask m: or-ing each bit into a growing integer would copy that
         # integer, up to 2**n bits, once per member.  A mask of 2**n or more
         # indexes past the numeral's first digit.
-        digits = bytearray(b"0" * (1 << self.n))
+        digits = bytearray(b"0" * (1 << n))
         one = ord("1")
         try:
-            for f in self.info_set:
+            for f in info_set:
                 digits[~f.mask] = one
         except IndexError:
-            raise ValueError(f"monomial {f} uses variables beyond x{self.n - 1}") from None
-        object.__setattr__(self, "members", int(digits, 2))
+            raise ValueError(f"monomial {f} uses variables beyond x{n - 1}") from None
+        self.__dict__.update(n=n, members=int(digits, 2), info_set=info_set)
+
+    @classmethod
+    def from_members(cls, n: int, members: int) -> "MonomialCode":
+        """The code whose information set is the masks set in `members`."""
+        _check_n(n)
+        if members <= 0 or members >> (1 << n):
+            raise ValueError(f"members must be a nonzero subset of the {1 << n} masks")
+        code = cls.__new__(cls)
+        code.__dict__.update(n=n, members=members)
+        return code
+
+    def __repr__(self) -> str:
+        return f"MonomialCode(n={self.n}, members={self.members:#x})"
 
     @property
     def block_length(self) -> int:
         return 1 << self.n
 
-    @property
-    def dimension(self) -> int:
-        return len(self.info_set)
+    @cached_property
+    def info_set(self) -> frozenset[Monomial]:
+        return frozenset(map(Monomial, _member_masks(self.members)))
 
-    @property
+    @cached_property
+    def dimension(self) -> int:
+        return self.members.bit_count()
+
+    @cached_property
     def rows(self) -> tuple[int, ...]:
-        """Information row indices, ascending."""
-        return tuple(sorted(monomial_to_row(f, self.n) for f in self.info_set))
+        """Information row indices, ascending (mask complements, descending)."""
+        full = (1 << self.n) - 1
+        return tuple(full ^ m for m in reversed(_member_masks(self.members)))
 
     @classmethod
     def from_rows(cls, n: int, rows: Iterable[int]) -> "MonomialCode":
         return cls(n, frozenset(row_to_monomial(r, n) for r in rows))
 
     def __contains__(self, f: Monomial) -> bool:
-        return f in self.info_set
-
-
-def _sorted_monomials(n: int) -> list[Monomial]:
-    """All monomials on n variables in a linear extension of the order."""
-    return sorted(
-        (Monomial(m) for m in range(1 << n)), key=lambda f: (f.degree, f.indices)
-    )
+        return bool(self.members >> f.mask & 1)
 
 
 @lru_cache(maxsize=None)
-def _lower_masks(n: int) -> tuple[tuple[Monomial, ...], tuple[int, ...]]:
-    """Linear extension plus, per position, the bitmask of its lower set."""
-    mons = tuple(_sorted_monomials(n))
-    lower = []
-    for i, g in enumerate(mons):
-        bits = 0
-        for j in range(i + 1):
-            if partial_order_leq(mons[j], g):
-                bits |= 1 << j
-        lower.append(bits)
-    return mons, tuple(lower)
+def _extension(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The masks in a linear extension of the order (by degree, then index
+    tuple), and per mask the membership integer of its up-set."""
+    total = 1 << n
+    order = tuple(sorted(range(total), key=lambda m: (m.bit_count(), Monomial(m).indices)))
+    # Complementing a mask turns each down move into an up move, so m's
+    # up-set is the mirror image of the down-set of its complement.
+    up = []
+    for m in range(total):
+        down = decreasing_closure([Monomial(total - 1 ^ m)], n).members
+        up.append(int(f"{down:0{total}b}"[::-1], 2))
+    return order, tuple(up)
 
 
 def enumerate_decreasing_codes(n: int, dimension: int) -> Iterator[MonomialCode]:
@@ -275,32 +280,27 @@ def enumerate_decreasing_codes(n: int, dimension: int) -> Iterator[MonomialCode]
     total = 1 << n
     if not 1 <= dimension <= total:
         raise ValueError(f"dimension must be in 1..{total}, got {dimension}")
-    mons, lower = _lower_masks(n)
-
-    def emit(included: int) -> MonomialCode:
-        info = frozenset(mons[j] for j in range(total) if included >> j & 1)
-        return MonomialCode(n, info)
-
-    # DFS over the linear extension.  A position is includable once none of
-    # its lower set is excluded; the includable suffix completes to a valid
-    # down-set of every size up to its count, so the bound below is exact.
-    def rec(i: int, included: int, excluded: int, count: int) -> Iterator[MonomialCode]:
+    order, up = _extension(n)
+    full = (1 << total) - 1
+    # Depth-first over the linear extension, including each position before
+    # excluding it.  Excluding a mask blocks its up-set, and every position
+    # before i is included or blocked, so the unblocked masks left are the
+    # includable suffix.  It completes to a down-set of every size up to its
+    # count, so the bound below is exact.
+    stack = [(0, 0, 0, 0)]
+    while stack:
+        i, included, blocked, count = stack.pop()
         if count == dimension:
-            yield emit(included)
-            return
-        free = [j for j in range(i, total) if not lower[j] & excluded]
-        if count + len(free) < dimension:
-            return
-        if count + len(free) == dimension:
-            full = included
-            for j in free:
-                full |= 1 << j
-            yield emit(full)
-            return
-        j = i
-        while lower[j] & excluded:
-            j += 1
-        yield from rec(j + 1, included | 1 << j, excluded, count + 1)
-        yield from rec(j + 1, included, excluded | 1 << j, count)
-
-    yield from rec(0, 0, 0, 0)
+            yield MonomialCode.from_members(n, included)
+            continue
+        free = full ^ (included | blocked)
+        room = count + free.bit_count()
+        if room == dimension:
+            yield MonomialCode.from_members(n, included | free)
+        if room <= dimension:
+            continue
+        while blocked >> order[i] & 1:
+            i += 1
+        m = order[i]
+        stack.append((i + 1, included, blocked | up[m], count))
+        stack.append((i + 1, included | 1 << m, blocked, count + 1))
