@@ -225,7 +225,7 @@ class MonomialCode:
         code.__dict__.update(n=n, members=members)
         return code
 
-    def __repr__(self) -> str:
+    def __repr__(self) -> str:  # hex: int's decimal str stops at 4,300 digits
         return f"MonomialCode(n={self.n}, members={self.members:#x})"
 
     @property

@@ -1,9 +1,12 @@
 """Monomial arithmetic, the reliability partial order, and down-set codes."""
 
 import itertools
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_decreasing_code, random_monomial
 from polaraut.monomials import (
@@ -18,7 +21,9 @@ from polaraut.monomials import (
     monomial_to_row,
     partial_order_leq,
     row_to_monomial,
+    _extension,
 )
+from reference_census import reference_census
 
 
 def brute_leq(f: Monomial, g: Monomial) -> bool:
@@ -84,6 +89,16 @@ def all_downsets(n: int):
             b &= b - 1
         if ok:
             yield bits
+
+
+@lru_cache(maxsize=None)
+def downset_counts(n: int) -> dict[int, int]:
+    """Number of down-sets per size on n variables."""
+    counts: dict[int, int] = {}
+    for bits in all_downsets(n):
+        k = bits.bit_count()
+        counts[k] = counts.get(k, 0) + 1
+    return counts
 
 
 class TestMonomial:
@@ -303,6 +318,51 @@ class TestMonomialCode:
         with pytest.raises(ValueError, match="x3"):
             MonomialCode(3, frozenset({Monomial(0), Monomial(0b1010)}))
 
+    def test_from_members_round_trip(self):
+        rng = np.random.default_rng(82)
+        cases = [random_decreasing_code(rng, int(rng.integers(1, 9))) for _ in range(20)]
+        for n in (1, 3, 5):
+            for bits in map(int, rng.integers(1, 1 << min(1 << n, 62), size=10)):
+                cases.append(code_from_bits(bits, n))
+        for code in cases:
+            n = code.n
+            twin = MonomialCode.from_members(n, code.members)
+            assert twin == code and hash(twin) == hash(code)
+            assert twin.info_set == code.info_set
+            assert twin.dimension == code.dimension == len(code.info_set)
+            assert twin.rows == code.rows
+            assert twin.rows == tuple(sorted(monomial_to_row(f, n) for f in code.info_set))
+            for m in range(1 << n):
+                assert (Monomial(m) in twin) == (Monomial(m) in code.info_set), m
+            assert Monomial(1 << n) not in twin
+            assert MonomialCode(n, twin.info_set) == twin
+
+    def test_codes_differ_by_members_or_n(self):
+        a = MonomialCode.from_members(3, 0b111)
+        assert a != MonomialCode.from_members(3, 0b1011)
+        assert a != MonomialCode.from_members(4, 0b111)
+        twins = [MonomialCode.from_members(3, 0b111), MonomialCode.from_rows(3, [7, 6, 5])]
+        assert len({a, *twins}) == 1
+
+    def test_from_members_validation(self):
+        with pytest.raises(ValueError):
+            MonomialCode.from_members(3, 0)
+        with pytest.raises(ValueError):
+            MonomialCode.from_members(3, -1)
+        with pytest.raises(ValueError):
+            MonomialCode.from_members(3, 1 << 8)
+        with pytest.raises(ValueError):
+            MonomialCode.from_members(3, 1 | 1 << 9)
+        MonomialCode.from_members(3, (1 << 8) - 1)
+        for n in (0, MAX_VARS + 1):
+            with pytest.raises(ValueError, match="variable count"):
+                MonomialCode.from_members(n, 1)
+
+    def test_repr_of_a_large_code(self):
+        # A decimal str of the 2**16-bit integer would exceed int's digit limit.
+        code = MonomialCode.from_members(MAX_VARS, (1 << (1 << MAX_VARS)) - 1)
+        assert repr(code).startswith(f"MonomialCode(n={MAX_VARS}, members=0xfff")
+
     def test_members_has_one_bit_per_monomial(self):
         rng = np.random.default_rng(81)
         for _ in range(20):
@@ -336,6 +396,33 @@ class TestEnumerate:
             for code in enumerate_decreasing_codes(4, k):
                 assert code.dimension == k
                 assert is_decreasing(code)
+
+    def test_order_matches_reference(self):
+        for n in range(1, 7):
+            for k in range(1, (1 << n) + 1):
+                got = [code.members for code in enumerate_decreasing_codes(n, k)]
+                assert got == list(reference_census(n, k)), (n, k)
+
+    def test_up_sets_match_partial_order(self):
+        for n in range(1, 8):
+            order, up = _extension(n)
+            assert sorted(order) == list(range(1 << n))
+            for m in range(1 << n):
+                want = sum(
+                    1 << h
+                    for h in range(1 << n)
+                    if partial_order_leq(Monomial(m), Monomial(h))
+                )
+                assert up[m] == want, (n, m)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, 2**n))))
+    def test_codes_are_distinct_down_sets(self, case):
+        n, k = case
+        codes = list(enumerate_decreasing_codes(n, k))
+        assert all(is_decreasing(c) and c.dimension == k and c.n == n for c in codes)
+        assert len(set(codes)) == len({c.members for c in codes}) == len(codes)
+        assert len(codes) == downset_counts(n).get(k, 0)
 
     def test_large_n_rejected(self):
         with pytest.raises(CapabilityError):
