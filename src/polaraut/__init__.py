@@ -37,7 +37,6 @@ from .automorphisms import (  # noqa: F401
     stabilizes,
 )
 from .codec import (  # noqa: F401
-    DecoderConfig,
     aut_sc_decode_batch,
     encode_batch,
     frozen_mask,

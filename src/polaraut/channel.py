@@ -16,7 +16,6 @@ import re
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import IO, Iterable, Sequence
 
 import numpy as np
@@ -29,7 +28,7 @@ from .automorphisms import (
     sample_blta_batch,
 )
 from .codec import (
-    DecoderConfig,
+    KERNELS,
     aut_sc_decode_batch,
     encode_batch,
     sc_decode_batch,
@@ -201,22 +200,6 @@ def default_code_id(code: MonomialCode) -> str:
     return f"N{code.block_length}_K{code.dimension}_gen{joined}"
 
 
-@lru_cache(maxsize=32)
-def _context(
-    n: int, rows: tuple[int, ...], label: str, kernel: str
-) -> tuple[MonomialCode, DecoderSpec, DecoderConfig, BlockStructure | None]:
-    code = MonomialCode.from_rows(n, rows)
-    spec = DecoderSpec.parse(label)
-    config = DecoderConfig(list_size=max(spec.list_size, 1), kernel=kernel)
-    structure: BlockStructure | None = None
-    if spec.kind == "aut_sc":
-        if spec.lta_only:
-            structure = BlockStructure((1,) * n)
-        else:
-            structure = find_block_structure(code)
-    return code, spec, config, structure
-
-
 def _frame_key(master_seed: int, snr_idx: int) -> np.ndarray:
     """The Philox key of every frame at one SNR point."""
     seq = np.random.SeedSequence(master_seed, spawn_key=(snr_idx, _FRAME_TAG))
@@ -304,9 +287,9 @@ def _automorphism_draw(
 
 
 def _run_batch(args: tuple) -> tuple[int, int]:
-    """Simulate frames [lo, hi) at one SNR; returns (frames, block errors)."""
-    (n, rows, label, kernel, ebn0_db, master_seed, snr_idx, lo, hi, fixed_tables) = args
-    code, spec, config, structure = _context(n, rows, label, kernel)
+    """Simulate frames [lo, hi) at one SNR; returns (frames, block errors).
+    The structure run_bler passes is None unless the spec is Aut-SC."""
+    code, spec, kernel, structure, ebn0_db, master_seed, snr_idx, lo, hi, fixed_tables = args
     size = code.block_length
     params = ChannelParams(ebn0_db, code.dimension / size)
     batch = hi - lo
@@ -316,9 +299,9 @@ def _run_batch(args: tuple) -> tuple[int, int]:
     llrs = transmit(sent, params, noise)
     del msgs, noise
     if spec.kind == "sc":
-        _, words = sc_decode_batch(code, llrs, config)
+        _, words = sc_decode_batch(code, llrs, kernel)
     elif spec.kind == "scl":
-        _, words = scl_decode_batch(code, llrs, config)
+        _, words = scl_decode_batch(code, llrs, spec.list_size, kernel)
     else:
         if fixed_tables is not None:
             tables = fixed_tables
@@ -330,7 +313,7 @@ def _run_batch(args: tuple) -> tuple[int, int]:
             aut_rows, aut_offs = sample_blta_batch(structure, batch * m, draws)
             del draws
             tables = position_tables_batch(aut_rows, aut_offs).reshape(batch, m, size)
-        _, words = aut_sc_decode_batch(code, llrs, tables, config)
+        _, words = aut_sc_decode_batch(code, llrs, tables, kernel)
     errors = int((words != sent).any(axis=1).sum())
     return batch, errors
 
@@ -361,11 +344,13 @@ def run_bler(
     or an Eb/N0 that is not finite raises ValueError before any batch runs.
     """
     spec = decoder if isinstance(decoder, DecoderSpec) else DecoderSpec.parse(decoder)
-    DecoderConfig(kernel=kernel)  # an unknown kernel fails here, not in a batch
-    if not ebn0_list:
+    if kernel not in KERNELS:
+        raise ValueError(f"unknown kernel {kernel!r}; pick from {sorted(KERNELS)}")
+    ebn0 = [float(e) for e in ebn0_list]
+    if not ebn0:
         raise ValueError("ebn0_list must not be empty")
-    if not all(math.isfinite(e) for e in ebn0_list):
-        raise ValueError(f"Eb/N0 values must be finite, got {list(ebn0_list)}")
+    if not all(math.isfinite(e) for e in ebn0):
+        raise ValueError(f"Eb/N0 values must be finite, got {ebn0}")
     if max_frames < 1:
         raise ValueError("max_frames must be positive")
     if target_errors is not None and target_errors < 1:
@@ -374,16 +359,15 @@ def run_bler(
         raise ValueError("workers must be positive")
     if batch_frames < 1:
         raise ValueError("batch_frames must be positive")
-    label = spec.label
-    rows = code.rows
     cid = code_id if code_id is not None else default_code_id(code)
-    fixed_tables = None
-    if spec.kind == "aut_sc" and fixed_ensemble:
-        seq = np.random.SeedSequence(master_seed, spawn_key=(_ENSEMBLE_TAG,))
-        rng = np.random.Generator(np.random.Philox(seq))
-        _, _, _, structure = _context(code.n, rows, label, kernel)
-        r, o = sample_blta_batch(structure, spec.ensemble_size, rng)
-        fixed_tables = position_tables_batch(r, o)
+    structure = fixed_tables = None
+    if spec.kind == "aut_sc":
+        structure = BlockStructure((1,) * code.n) if spec.lta_only else find_block_structure(code)
+        if fixed_ensemble:
+            seq = np.random.SeedSequence(master_seed, spawn_key=(_ENSEMBLE_TAG,))
+            rng = np.random.Generator(np.random.Philox(seq))
+            r, o = sample_blta_batch(structure, spec.ensemble_size, rng)
+            fixed_tables = position_tables_batch(r, o)
 
     bounds = [
         (lo, min(lo + batch_frames, max_frames))
@@ -393,11 +377,11 @@ def run_bler(
     def args_for(snr_idx: int, b: int) -> tuple:
         lo, hi = bounds[b]
         return (
-            code.n,
-            rows,
-            label,
+            code,
+            spec,
             kernel,
-            float(ebn0_list[snr_idx]),
+            structure,
+            ebn0[snr_idx],
             master_seed,
             snr_idx,
             lo,
@@ -414,18 +398,18 @@ def run_bler(
                 break
             if frames >= max_frames:
                 break
-        return SimResult(cid, label, float(ebn0_list[snr_idx]), frames, errors, master_seed)
+        return SimResult(cid, spec.label, ebn0[snr_idx], frames, errors, master_seed)
 
     results = []
     if workers == 1:
-        for snr_idx in range(len(ebn0_list)):
+        for snr_idx in range(len(ebn0)):
             results.append(
                 consume(snr_idx, (_run_batch(args_for(snr_idx, b)) for b in range(len(bounds))))
             )
         return results
 
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        for snr_idx in range(len(ebn0_list)):
+        for snr_idx in range(len(ebn0)):
             window = 2 * workers
 
             def batch_stream():

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import sys
 from datetime import datetime, timezone
@@ -26,6 +27,7 @@ from .channel import (
     run_bler,
     write_results_csv,
 )
+from .codec import KERNELS
 from .construction import ConstructionSpec, SpecError, bhattacharyya_bec_design
 from .monomials import (
     CapabilityError,
@@ -53,15 +55,22 @@ def generator_rows(code: MonomialCode) -> list[int]:
     return sorted(monomial_to_row(f, code.n) for f in minimal_generators(code))
 
 
-def analysis_report(code: MonomialCode) -> dict:
-    """The analyze payload: block structure, group size, generators."""
+def _analysis(code: MonomialCode) -> tuple[tuple[int, ...], int, str, list[int]]:
+    """(block sizes, BLTA group size, its sci3 text, generator rows) of a
+    code: what analyze, sweep-epsilon and enumerate report per code."""
     structure = find_block_structure(code)
     size = blta_size(structure)
+    return structure.sizes, size, sci3(size), generator_rows(code)
+
+
+def analysis_report(code: MonomialCode) -> dict:
+    """The analyze payload: block structure, group size, generators."""
+    sizes, size, size_sci, gens = _analysis(code)
     return {
-        "s": list(structure.sizes),
+        "s": list(sizes),
         "aut_size": str(size),
-        "aut_size_sci": sci3(size),
-        "generators": generator_rows(code),
+        "aut_size_sci": size_sci,
+        "generators": gens,
     }
 
 
@@ -126,16 +135,14 @@ def _cmd_sweep_epsilon(args: argparse.Namespace) -> int:
     grid = _parse_grid(args.grid)
     lines = [["epsilon", "aut_size", "aut_size_sci", "s", "i_min"]]
     for eps in sorted(grid):
-        code = bhattacharyya_bec_design(eps, args.K, args.n)
-        structure = find_block_structure(code)
-        size = blta_size(structure)
+        sizes, size, size_sci, gens = _analysis(bhattacharyya_bec_design(eps, args.K, args.n))
         lines.append(
             [
                 repr(eps),
                 str(size),
-                sci3(size),
-                _space_joined(structure.sizes),
-                _space_joined(generator_rows(code)),
+                size_sci,
+                _space_joined(sizes),
+                _space_joined(gens),
             ]
         )
     _emit(_csv_text(lines), args.out, "sweep-epsilon", args)
@@ -143,8 +150,6 @@ def _cmd_sweep_epsilon(args: argparse.Namespace) -> int:
 
 
 def _csv_text(rows: list[list[str]]) -> str:
-    import io
-
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerows(rows)
@@ -155,15 +160,13 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     per_code = [["i_min", "s", "aut_size", "aut_size_sci"]]
     groups: dict[int, list[int]] = {}
     for code in enumerate_decreasing_codes(args.n, args.K):
-        structure = find_block_structure(code)
-        size = blta_size(structure)
-        gens = generator_rows(code)
+        sizes, size, size_sci, gens = _analysis(code)
         per_code.append(
             [
                 _space_joined(gens),
-                _space_joined(structure.sizes),
+                _space_joined(sizes),
                 str(size),
-                sci3(size),
+                size_sci,
             ]
         )
         groups.setdefault(len(gens), []).append(size)
@@ -199,25 +202,6 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     return 0
 
 
-_KERNEL_NAMES = {
-    "exact": "exact_boxplus",
-    "exact_boxplus": "exact_boxplus",
-    "minsum": "min_sum",
-    "min_sum": "min_sum",
-}
-
-
-def _normalize_decoder(text: str, args: argparse.Namespace) -> str:
-    t = text.strip().lower()
-    if t == "scl":
-        return f"scl-{args.list_size}"
-    if t == "aut-sc":
-        return f"aut-{args.ensemble}-sc"
-    if t == "aut-sc-lta":
-        return f"aut-{args.ensemble}-sc-lta"
-    return t
-
-
 def _cmd_simulate(args: argparse.Namespace) -> int:
     spec = _load_spec(args.spec)
     code = spec.build()
@@ -227,8 +211,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         raise SpecError(f"invalid --ebn0 list: {exc}") from exc
     if not ebn0:
         raise SpecError("--ebn0 needs at least one value")
-    kernel = _KERNEL_NAMES[args.kernel]
-    decoders = [DecoderSpec.parse(_normalize_decoder(d, args)) for d in args.decoders]
+    decoders = [DecoderSpec.parse(d) for d in args.decoders]
     cid = default_code_id(code)
     results = []
     for dec in decoders:
@@ -241,13 +224,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                 target_errors=args.target_errors,
                 max_frames=args.max_frames,
                 workers=args.workers,
-                kernel=kernel,
+                kernel=args.kernel,
                 fixed_ensemble=args.fixed_ensemble,
                 code_id=cid,
             )
         )
-    import io
-
     buf = io.StringIO()
     write_results_csv(results, buf)
     _emit(buf.getvalue(), args.out, "simulate", args)
@@ -294,10 +275,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ebn0", required=True, help="comma separated Eb/N0 values in dB")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--list-size", type=int, default=8, help="list size for bare 'scl'")
-    p.add_argument("--ensemble", type=int, default=8, help="branches for bare 'aut-sc'")
     p.add_argument(
-        "--kernel", choices=sorted(_KERNEL_NAMES), default="exact", help="check-node rule"
+        "--kernel", choices=sorted(KERNELS), default="exact_boxplus", help="check-node rule"
     )
     p.add_argument("--max-frames", type=int, default=1_000_000)
     p.add_argument("--target-errors", type=int, default=100)

@@ -7,7 +7,7 @@ evaluation order, work in transform order, and return (messages,
 codewords).
 
 One tree walker serves all three decoders: successive cancellation is its
-list-size-1 case, successive cancellation list keeps up to L paths, and the
+one-path case, successive cancellation list keeps up to L paths, and the
 automorphism ensemble runs SC on permuted frames.  Each keeps the candidate
 most correlated with the channel.  The walker keeps its arrays width-major,
 (width, B) or (width, B, P), so a node's two halves are contiguous slabs.
@@ -24,7 +24,6 @@ flat index into the (width, B * P) view of each array.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import accumulate
 from typing import Callable
 
@@ -33,7 +32,6 @@ import numpy as np
 from .monomials import MAX_VARS, MonomialCode
 
 __all__ = [
-    "DecoderConfig",
     "KERNELS",
     "polar_transform",
     "encode_batch",
@@ -144,20 +142,6 @@ _RATE1_FLOORS: dict[str, tuple[float, ...]] = {
 }
 
 
-@dataclass(frozen=True)
-class DecoderConfig:
-    """Knobs shared by the decoders."""
-
-    list_size: int = 8
-    kernel: str = "exact_boxplus"
-
-    def __post_init__(self) -> None:
-        if self.list_size < 1:
-            raise ValueError("list size must be positive")
-        if self.kernel not in KERNELS:
-            raise ValueError(f"unknown kernel {self.kernel!r}; pick from {sorted(KERNELS)}")
-
-
 def encode_batch(code: MonomialCode, messages: np.ndarray) -> np.ndarray:
     """Encode (B, K) message bits into (B, N) codewords in evaluation order."""
     messages = np.asarray(messages, dtype=np.uint8)
@@ -265,8 +249,15 @@ def _tree(
     return node(llrs, 0, True)[0][:, :, None]
 
 
-def _checked(code: MonomialCode, llrs: np.ndarray) -> np.ndarray:
-    """Decoder input as float64, rejected unless (B, N) and finite."""
+def _checked(
+    code: MonomialCode, llrs: np.ndarray, kernel: str, list_size: int = 1
+) -> np.ndarray:
+    """Decoder input as float64, rejected unless (B, N) and finite, with a
+    known kernel and a positive list size."""
+    if kernel not in KERNELS:
+        raise ValueError(f"unknown kernel {kernel!r}; pick from {sorted(KERNELS)}")
+    if list_size < 1:
+        raise ValueError("list size must be positive")
     llrs = np.asarray(llrs, dtype=np.float64)
     if llrs.ndim != 2 or llrs.shape[1] != code.block_length:
         raise ValueError(
@@ -332,11 +323,11 @@ def _with_messages(
 
 
 def _list_decode(
-    code: MonomialCode, llrs_eval: np.ndarray, config: DecoderConfig, list_size: int
+    code: MonomialCode, llrs_eval: np.ndarray, list_size: int, kernel: str
 ) -> tuple[np.ndarray, np.ndarray]:
-    llrs = _checked(code, llrs_eval)
+    llrs = _checked(code, llrs_eval, kernel, list_size)
     chan = np.ascontiguousarray(llrs.T[::-1])
-    cands = _tree(chan, frozen_mask(code), config.kernel, list_size)
+    cands = _tree(chan, frozen_mask(code), kernel, list_size)
     if cands.shape[2] == 1:
         return _with_messages(code, cands[::-1, :, 0].T)
     best = _most_correlated(cands.transpose(1, 2, 0), chan.T)
@@ -344,28 +335,30 @@ def _list_decode(
 
 
 def sc_decode_batch(
-    code: MonomialCode, llrs_eval: np.ndarray, config: DecoderConfig | None = None
+    code: MonomialCode, llrs_eval: np.ndarray, kernel: str = "exact_boxplus"
 ) -> tuple[np.ndarray, np.ndarray]:
     """Batch SC; frames in evaluation order, returns (messages, codewords)."""
-    return _list_decode(code, llrs_eval, config or DecoderConfig(), 1)
+    return _list_decode(code, llrs_eval, 1, kernel)
 
 
 def scl_decode_batch(
-    code: MonomialCode, llrs_eval: np.ndarray, config: DecoderConfig | None = None
+    code: MonomialCode,
+    llrs_eval: np.ndarray,
+    list_size: int,
+    kernel: str = "exact_boxplus",
 ) -> tuple[np.ndarray, np.ndarray]:
     """Batch SCL; frames in evaluation order, returns (messages, codewords).
 
     The most correlated word in the final list wins.  List size 1 is SC.
     """
-    config = config or DecoderConfig()
-    return _list_decode(code, llrs_eval, config, config.list_size)
+    return _list_decode(code, llrs_eval, list_size, kernel)
 
 
 def aut_sc_decode_batch(
     code: MonomialCode,
     llrs_eval: np.ndarray,
     tables: np.ndarray,
-    config: DecoderConfig | None = None,
+    kernel: str = "exact_boxplus",
 ) -> tuple[np.ndarray, np.ndarray]:
     """Automorphism-ensemble SC over a batch.
 
@@ -375,13 +368,12 @@ def aut_sc_decode_batch(
     to the channel wins (lowest branch index on a tie).  Tables of another
     shape, or with entries outside [0, N), raise ValueError.
     """
-    config = config or DecoderConfig()
-    llrs = _checked(code, llrs_eval)
+    llrs = _checked(code, llrs_eval, kernel)
     batch, size = llrs.shape
     tables = _checked_tables(tables, batch, size)
     m_branches = tables.shape[1]
     chan = _branch_llrs(llrs, tables)
-    cands = _tree(chan, frozen_mask(code), config.kernel, 1)[::-1, :, 0]
+    cands = _tree(chan, frozen_mask(code), kernel, 1)[::-1, :, 0]
     unperm = np.zeros(batch * m_branches * size, dtype=np.uint8)
     branch_starts = size * np.arange(batch * m_branches).reshape(batch, m_branches, 1)
     unperm[(tables + branch_starts).ravel()] = cands.T.ravel()

@@ -225,6 +225,9 @@ class MonomialCode:
         code.__dict__.update(n=n, members=members)
         return code
 
+    def __reduce__(self):  # a pickle carries the identity, not the derived fields
+        return MonomialCode.from_members, (self.n, self.members)
+
     def __repr__(self) -> str:  # hex: int's decimal str stops at 4,300 digits
         return f"MonomialCode(n={self.n}, members={self.members:#x})"
 

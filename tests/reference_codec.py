@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from polaraut.codec import DecoderConfig, frozen_mask, polar_transform
+from polaraut.codec import frozen_mask, polar_transform
 from polaraut.monomials import MonomialCode
 
 
@@ -85,20 +85,19 @@ def _sc_batch(
 
 
 def sc_reference(
-    code: MonomialCode, llrs_eval: np.ndarray, config: DecoderConfig | None = None
+    code: MonomialCode, llrs_eval: np.ndarray, kernel: str = "exact_boxplus"
 ) -> tuple[np.ndarray, np.ndarray]:
-    config = config or DecoderConfig()
-    f_kernel = REFERENCE_KERNELS[config.kernel]
+    f_kernel = REFERENCE_KERNELS[kernel]
     u, v = _sc_batch(llrs_eval[:, ::-1], frozen_mask(code), f_kernel)
     return u[:, list(code.rows)], v[:, ::-1]
 
 
 def scl_reference(
-    code: MonomialCode, llrs_eval: np.ndarray, config: DecoderConfig
+    code: MonomialCode, llrs_eval: np.ndarray, list_size: int, kernel: str = "exact_boxplus"
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-leaf SCL; the most correlated word in the final list wins."""
-    f_kernel = REFERENCE_KERNELS[config.kernel]
-    cap = config.list_size
+    f_kernel = REFERENCE_KERNELS[kernel]
+    cap = list_size
     frozen = frozen_mask(code)
     n = code.n
     size = code.block_length
@@ -187,10 +186,9 @@ def aut_sc_reference(
     code: MonomialCode,
     llrs_eval: np.ndarray,
     tables: np.ndarray,
-    config: DecoderConfig | None = None,
+    kernel: str = "exact_boxplus",
 ) -> tuple[np.ndarray, np.ndarray]:
     """SC on each permuted frame, best candidate by correlation (first on a tie)."""
-    config = config or DecoderConfig()
     batch, size = llrs_eval.shape
     if tables.ndim == 2:
         tables = np.broadcast_to(tables[None, :, :], (batch,) + tables.shape)
@@ -198,7 +196,7 @@ def aut_sc_reference(
 
     permuted = np.take_along_axis(llrs_eval[:, None, :], tables, axis=2)
     flat = permuted.reshape(batch * m_branches, size)
-    f_kernel = REFERENCE_KERNELS[config.kernel]
+    f_kernel = REFERENCE_KERNELS[kernel]
     _, v = _sc_batch(flat[:, ::-1], frozen_mask(code), f_kernel)
     cand = v[:, ::-1].reshape(batch, m_branches, size)
     unperm = np.zeros_like(cand)

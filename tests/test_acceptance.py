@@ -28,7 +28,7 @@ from polaraut.automorphisms import (
 )
 from polaraut.channel import run_bler
 from polaraut.cli import main, sci3
-from polaraut.codec import DecoderConfig, encode_batch, sc_decode_batch, scl_decode_batch
+from polaraut.codec import encode_batch, sc_decode_batch, scl_decode_batch
 from polaraut.construction import bhattacharyya_bec_design, rm_code
 from polaraut.gf2 import BinaryMatrix
 from polaraut.monomials import (
@@ -157,7 +157,7 @@ def test_criterion_07_decoder_reductions():
     y = (1.0 - 2.0 * words) + sigma * rng.standard_normal(words.shape)
     llrs = 2.0 * y / (sigma * sigma)
     sc_msgs, sc_words = sc_decode_batch(code, llrs)
-    scl_msgs, scl_words = scl_decode_batch(code, llrs, DecoderConfig(list_size=1))
+    scl_msgs, scl_words = scl_decode_batch(code, llrs, list_size=1)
     assert np.array_equal(sc_msgs, scl_msgs)
     assert np.array_equal(sc_words, scl_words)
 
@@ -172,7 +172,7 @@ def test_criterion_07_decoder_reductions():
         small,
         np.array([[m >> i & 1 for i in range(5)] for m in range(32)], dtype=np.uint8),
     )
-    _, got_words = scl_decode_batch(small, llrs, DecoderConfig(list_size=32))
+    _, got_words = scl_decode_batch(small, llrs, list_size=32)
     got = np.einsum("ij,ij->i", llrs, 1.0 - 2.0 * got_words)
     best = (llrs @ (1.0 - 2.0 * book.astype(np.float64)).T).max(axis=1)
     assert np.allclose(got, best)

@@ -3,6 +3,7 @@ Monte Carlo harness: determinism, stop rules, worker invariance."""
 
 import io
 import math
+import pickle
 from concurrent.futures import Future
 
 import numpy as np
@@ -239,16 +240,35 @@ class TestRunBler:
             assert counts[1][0][1] > 0
 
     def test_worker_count_does_not_change_fixed_work_counts(self):
+        # The Aut-SC runs ship a block structure built in the parent, and
+        # the fixed ensemble its tables too.
         code = small_code()
         kwargs = dict(master_seed=19, target_errors=None, max_frames=40, batch_frames=7)
-        for decoder in ("aut-4-sc", "sc", "scl-4"):
+        for decoder, fixed in [
+            ("aut-4-sc", False),
+            ("aut-4-sc-lta", False),
+            ("aut-4-sc", True),
+            ("sc", False),
+            ("scl-4", False),
+        ]:
             solo, duo = (
                 [(r.frames, r.block_errors) for r in run_bler(
-                    code, decoder, [1.0, 2.0], workers=workers, **kwargs
+                    code, decoder, [1.0, 2.0], workers=workers, fixed_ensemble=fixed, **kwargs
                 )]
                 for workers in (1, 2)
             )
-            assert solo == duo
+            assert solo == duo, (decoder, fixed)
+
+    def test_pickled_code_carries_its_identity_only(self):
+        # A pool task ships the code; a designed code has its information
+        # set filled in, which the pickle must leave behind.
+        code = bhattacharyya_bec_design(0.3, 40, 7)
+        assert "info_set" in code.__dict__
+        payload = pickle.dumps(code)
+        copy = pickle.loads(payload)
+        assert copy == code and hash(copy) == hash(code)
+        assert copy.rows == code.rows
+        assert b"info_set" not in payload
 
     def test_seed_changes_the_outcome(self):
         code = small_code()
@@ -277,8 +297,18 @@ class TestRunBler:
             run_bler(small_code(), "turbo", [1.0], master_seed=0)
 
     def test_empty_snr_list_rejected(self):
-        with pytest.raises(ValueError):
-            run_bler(small_code(), "sc", [], master_seed=0)
+        for empty in ([], np.array([])):
+            with pytest.raises(ValueError, match="must not be empty"):
+                run_bler(small_code(), "sc", empty, master_seed=0)
+
+    def test_numpy_grid_matches_list(self):
+        code = small_code()
+        kwargs = dict(master_seed=3, target_errors=None, max_frames=30)
+        grid = np.linspace(1, 3, 5)
+        got = run_bler(code, "sc", grid, **kwargs)
+        want = run_bler(code, "sc", [1.0, 1.5, 2.0, 2.5, 3.0], **kwargs)
+        assert got == want
+        assert all(type(r.ebn0_db) is float for r in got)
 
     def test_unknown_kernel_rejected_before_any_batch(self, monkeypatch):
         monkeypatch.setattr(channel, "_run_batch", self.no_batch)

@@ -17,7 +17,6 @@ from polaraut.automorphisms import (
 from polaraut.channel import ChannelParams
 from polaraut.codec import (
     KERNELS,
-    DecoderConfig,
     aut_sc_decode_batch,
     encode_batch,
     frozen_mask,
@@ -160,12 +159,19 @@ class TestMessageTypes:
         with pytest.raises(ValueError):
             sc_decode_batch(code, np.array([[1.0, np.inf]]))
 
-    def test_decoder_config_validation(self):
-        assert DecoderConfig().kernel == "exact_boxplus"
-        with pytest.raises(ValueError):
-            DecoderConfig(list_size=0)
-        with pytest.raises(ValueError):
-            DecoderConfig(kernel="fast")
+    def test_bad_kernel_or_list_size_rejected(self):
+        code = MonomialCode.from_rows(1, [1])
+        llrs = np.array([[1.0, -1.0]])
+        tables = np.arange(2)[None, :]
+        for decode in (
+            lambda **kw: sc_decode_batch(code, llrs, **kw),
+            lambda **kw: scl_decode_batch(code, llrs, 2, **kw),
+            lambda **kw: aut_sc_decode_batch(code, llrs, tables, **kw),
+        ):
+            with pytest.raises(ValueError, match="unknown kernel"):
+                decode(kernel="fast")
+        with pytest.raises(ValueError, match="list size"):
+            scl_decode_batch(code, llrs, 0)
 
 
 class TestScDecode:
@@ -202,8 +208,8 @@ class TestScDecode:
         msgs = rng.integers(0, 2, size=(16, code.dimension), dtype=np.uint8)
         words = encode_batch(code, msgs)
         llrs = 7.5 * (1.0 - 2.0 * words.astype(np.float64))
-        exact = sc_decode_batch(code, llrs, DecoderConfig(kernel="exact_boxplus"))
-        minsum = sc_decode_batch(code, llrs, DecoderConfig(kernel="min_sum"))
+        exact = sc_decode_batch(code, llrs, kernel="exact_boxplus")
+        minsum = sc_decode_batch(code, llrs, kernel="min_sum")
         assert np.array_equal(exact[0], minsum[0])
 
     def test_single_frame_wrapper(self):
@@ -220,9 +226,7 @@ class TestSclDecode:
             code = random_decreasing_code(rng, n)
             _, _, llrs = noisy_llrs(code, rng, 500, sigma=1.0)
             sc_msgs, sc_words = sc_decode_batch(code, llrs)
-            scl_msgs, scl_words = scl_decode_batch(
-                code, llrs, DecoderConfig(list_size=1)
-            )
+            scl_msgs, scl_words = scl_decode_batch(code, llrs, 1)
             assert np.array_equal(sc_msgs, scl_msgs)
             assert np.array_equal(sc_words, scl_words)
 
@@ -237,12 +241,11 @@ class TestSclDecode:
         sigma2 = ChannelParams(1.5, 0.5).noise_variance
         y = (1.0 - 2.0 * words) + np.sqrt(sigma2) * rng.standard_normal(words.shape)
         llrs = np.round(2.0 * y / sigma2)
-        list_one = DecoderConfig(list_size=1)
         sc = sc_decode_batch(code, llrs)
-        scl = scl_decode_batch(code, llrs, list_one)
+        scl = scl_decode_batch(code, llrs, 1)
         assert np.array_equal(sc[0], scl[0])
         assert np.array_equal(sc[1], scl[1])
-        _, per_leaf = scl_reference(code, llrs[16:17], list_one)
+        _, per_leaf = scl_reference(code, llrs[16:17], 1)
         assert not np.array_equal(per_leaf, sc[1][16:17])
 
     def test_big_list_is_maximum_likelihood(self):
@@ -254,7 +257,7 @@ class TestSclDecode:
         _, book = all_codewords(code)
         signs = 1.0 - 2.0 * book.astype(np.float64)
         ml_scores = llrs @ signs.T
-        _, got_words = scl_decode_batch(code, llrs, DecoderConfig(list_size=32))
+        _, got_words = scl_decode_batch(code, llrs, 32)
         got_scores = np.einsum("ij,ij->i", llrs, 1.0 - 2.0 * got_words)
         assert np.allclose(got_scores, ml_scores.max(axis=1))
 
@@ -263,7 +266,7 @@ class TestSclDecode:
         code = random_decreasing_code(rng, 6)
         _, _, llrs = noisy_llrs(code, rng, 200, sigma=1.3)
         _, sc_words = sc_decode_batch(code, llrs)
-        _, scl_words = scl_decode_batch(code, llrs, DecoderConfig(list_size=8))
+        _, scl_words = scl_decode_batch(code, llrs, 8)
         sc_scores = np.einsum("ij,ij->i", llrs, 1.0 - 2.0 * sc_words)
         scl_scores = np.einsum("ij,ij->i", llrs, 1.0 - 2.0 * scl_words)
         assert np.all(scl_scores >= sc_scores - 1e-9)
@@ -272,14 +275,14 @@ class TestSclDecode:
         rng = np.random.default_rng(69)
         code = random_decreasing_code(rng, 5)
         _, _, llrs = noisy_llrs(code, rng, 100, sigma=1.4)
-        msgs, words = scl_decode_batch(code, llrs, DecoderConfig(list_size=4))
+        msgs, words = scl_decode_batch(code, llrs, 4)
         assert np.array_equal(encode_batch(code, msgs), words)
 
     def test_single_frame_wrapper(self):
         code = MonomialCode.from_rows(3, [3, 5, 6, 7])
         rng = np.random.default_rng(70)
         _, _, llrs = noisy_llrs(code, rng, 1, sigma=0.4)
-        msgs, words = scl_decode_batch(code, llrs, DecoderConfig(list_size=4))
+        msgs, words = scl_decode_batch(code, llrs, 4)
         assert msgs.shape == (1, 4)
         assert np.array_equal(encode_batch(code, msgs), words)
 
@@ -379,8 +382,8 @@ class TestInputChecks:
         tables = np.arange(code.block_length)[None, :]
         return [
             lambda llrs: sc_decode_batch(code, llrs),
-            lambda llrs: scl_decode_batch(code, llrs),
-            lambda llrs: scl_decode_batch(code, llrs, DecoderConfig(list_size=4)),
+            lambda llrs: scl_decode_batch(code, llrs, 8),
+            lambda llrs: scl_decode_batch(code, llrs, 4),
             lambda llrs: aut_sc_decode_batch(code, llrs, tables),
         ]
 
@@ -481,7 +484,7 @@ class TestNodeSchedule:
         sc_decode_batch(code, llrs)
         assert 2 * len(shapes) + 1 == visited
         shapes.clear()
-        scl_decode_batch(code, llrs, DecoderConfig(list_size=2))
+        scl_decode_batch(code, llrs, 2)
         assert len(shapes) == code.block_length - 1
 
     @pytest.mark.parametrize("kernel", ["exact_boxplus", "min_sum"])
@@ -555,20 +558,21 @@ class TestAgainstReference:
         llrs = scale * llrs
         if zeros:
             llrs[rng.random(llrs.shape) < zeros] = 0.0
-        config = DecoderConfig(kernel=kernel)
         rows, offsets = sample_blta_batch(find_block_structure(code), 4 * frames, rng)
         tables = position_tables_batch(rows, offsets).reshape(frames, 4, -1)
         pairs = [
-            (sc_decode_batch(code, llrs, config), sc_reference(code, llrs, config)),
+            (sc_decode_batch(code, llrs, kernel), sc_reference(code, llrs, kernel)),
             (
-                aut_sc_decode_batch(code, llrs, tables, config),
-                aut_sc_reference(code, llrs, tables, config),
+                aut_sc_decode_batch(code, llrs, tables, kernel),
+                aut_sc_reference(code, llrs, tables, kernel),
             ),
         ]
         for size in list_sizes:
-            config = DecoderConfig(list_size=size, kernel=kernel)
             pairs.append(
-                (scl_decode_batch(code, llrs, config), scl_reference(code, llrs, config))
+                (
+                    scl_decode_batch(code, llrs, size, kernel),
+                    scl_reference(code, llrs, size, kernel),
+                )
             )
         for got, want in pairs:
             assert np.array_equal(got[0], want[0])

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polaraut import channel
-from polaraut.automorphisms import BlockStructure, blta_bounds
+from polaraut.automorphisms import BlockStructure, blta_bounds, find_block_structure
 from polaraut.construction import ConstructionSpec
 
 ONES = (1 << 64) - 1
@@ -80,11 +80,12 @@ class TestRunBatchDraws:
             {"kind": "generators", "n": 7, "generators": [27, 56]}
         ).build()
         dim, size = code.dimension, code.block_length
-        structure = channel._context(code.n, code.rows, "aut-3-sc", "exact_boxplus")[3]
+        structure = find_block_structure(code)
         seen = {}
         for name in ("encode_batch", "transmit", "sample_blta_batch"):
             self.spy(monkeypatch, name, seen)
-        args = (code.n, code.rows, "aut-3-sc", "exact_boxplus", 2.0, 31, 2, lo, hi, None)
+        spec = channel.DecoderSpec.parse("aut-3-sc")
+        args = (code, spec, "exact_boxplus", structure, 2.0, 31, 2, lo, hi, None)
         assert channel._run_batch(args)[0] == hi - lo
 
         msgs = seen["encode_batch"][1]
