@@ -225,7 +225,7 @@ class MonomialCode:
         code.__dict__.update(n=n, members=members)
         return code
 
-    def __reduce__(self):  # a pickle carries the identity, not the derived fields
+    def __reduce__(self) -> tuple:  # a pickle carries the identity, not derived fields
         return MonomialCode.from_members, (self.n, self.members)
 
     def __repr__(self) -> str:  # hex: int's decimal str stops at 4,300 digits
