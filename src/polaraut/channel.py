@@ -13,8 +13,8 @@ import csv
 import itertools
 import math
 import re
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import closing
+from collections import deque
+from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import IO, Iterable, Sequence
 
@@ -318,6 +318,24 @@ def _run_batch(args: tuple) -> tuple[int, int]:
     return batch, errors
 
 
+class _Inline:
+    """The executor of one worker: a batch runs when it is submitted."""
+
+    def __init__(self, max_workers: int) -> None:
+        pass
+
+    def __enter__(self) -> "_Inline":
+        return self
+
+    def __exit__(self, *exc) -> bool:
+        return False
+
+    def submit(self, fn, *args) -> Future:
+        fut: Future = Future()
+        fut.set_result(fn(*args))
+        return fut
+
+
 def run_bler(
     code: MonomialCode,
     decoder: str | DecoderSpec,
@@ -334,8 +352,12 @@ def run_bler(
 ) -> list[SimResult]:
     """Monte Carlo BLER at each SNR; stops at target_errors or max_frames.
 
-    Frames are consumed in fixed-size batches in index order, so counts do
-    not depend on the worker count.  Each SNR point keys one Philox from
+    Each point consumes its frames in fixed-size batches in index order, so
+    counts depend on neither the worker count nor the schedule.  One pool
+    serves the whole sweep: while fewer than 2 * workers batches are
+    pending, the lowest point that has fewer batches in flight than its
+    expected need submits its next one, and results are read first in,
+    first out.  Each SNR point keys one Philox from
     (master_seed, its index); frame f's messages, noise and automorphism
     integers come from counter blocks fixed by f (see STREAM_VERSION), and
     a batch draws each counter range with one call.  With fixed_ensemble
@@ -369,72 +391,61 @@ def run_bler(
             r, o = sample_blta_batch(structure, spec.ensemble_size, rng)
             fixed_tables = position_tables_batch(r, o)
 
-    bounds = [
-        (lo, min(lo + batch_frames, max_frames))
-        for lo in range(0, max_frames, batch_frames)
-    ]
+    batches = -(-max_frames // batch_frames)
+    results: list[SimResult | None] = [None] * len(ebn0)
+    frames, errors, read, submitted = ([0] * len(ebn0) for _ in range(4))
+    pending: deque[tuple[int, Future]] = deque()
 
-    def args_for(snr_idx: int, b: int) -> tuple:
-        lo, hi = bounds[b]
-        return (
-            code,
-            spec,
-            kernel,
-            structure,
-            ebn0[snr_idx],
-            master_seed,
-            snr_idx,
-            lo,
-            hi,
-            fixed_tables,
-        )
+    def need(i: int) -> int:
+        """Batches point i should have in flight: its expected remaining need,
+        doubling while it has no errors, one before its first result."""
+        if target_errors is None:
+            want = batches
+        elif errors[i] == 0:
+            want = read[i]
+        else:
+            want = -(-(target_errors - errors[i]) * frames[i] // (errors[i] * batch_frames))
+        return max(1, min(want, batches - read[i]))
 
-    def consume(snr_idx: int, batch_results: Iterable[tuple[int, int]]) -> SimResult:
-        frames = errors = 0
-        for got_frames, got_errors in batch_results:
-            frames += got_frames
-            errors += got_errors
-            if target_errors is not None and errors >= target_errors:
-                break
-            if frames >= max_frames:
-                break
-        return SimResult(cid, spec.label, ebn0[snr_idx], frames, errors, master_seed)
+    def fill(pool) -> None:
+        while len(pending) < window:
+            open_points = (i for i, r in enumerate(results) if r is None)
+            i = next((i for i in open_points if submitted[i] - read[i] < need(i)), None)
+            if i is None:
+                return
+            lo = submitted[i] * batch_frames
+            hi = min(lo + batch_frames, max_frames)
+            args = (code, spec, kernel, structure, ebn0[i], master_seed, i, lo, hi, fixed_tables)
+            pending.append((i, pool.submit(_run_batch, args)))
+            submitted[i] += 1
 
-    results = []
-    if workers == 1:
-        for snr_idx in range(len(ebn0)):
-            results.append(
-                consume(snr_idx, (_run_batch(args_for(snr_idx, b)) for b in range(len(bounds))))
-            )
-        return results
-
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for snr_idx in range(len(ebn0)):
-            window = 2 * workers
-
-            def batch_stream():
-                pending = {}
-                next_submit = 0
-                next_read = 0
-                try:
-                    while next_read < len(bounds):
-                        while next_submit < len(bounds) and len(pending) < window:
-                            pending[next_submit] = pool.submit(
-                                _run_batch, args_for(snr_idx, next_submit)
-                            )
-                            next_submit += 1
-                        fut = pending.pop(next_read)
-                        yield fut.result()
-                        next_read += 1
-                finally:
-                    # Once the point stops, batches the pool has not yet
-                    # handed to a process are dropped; the others finish and
-                    # are ignored.
-                    for fut in pending.values():
-                        fut.cancel()
-
-            with closing(batch_stream()) as stream:
-                results.append(consume(snr_idx, stream))
+    # One worker runs each batch as it is submitted, so it never speculates.
+    executor, window = (_Inline, 1) if workers == 1 else (ProcessPoolExecutor, 2 * workers)
+    with executor(max_workers=workers) as pool:
+        try:
+            fill(pool)
+            while pending:
+                i, fut = pending.popleft()
+                got_frames, got_errors = fut.result()
+                frames[i] += got_frames
+                errors[i] += got_errors
+                read[i] += 1
+                if read[i] == batches or (
+                    target_errors is not None and errors[i] >= target_errors
+                ):
+                    results[i] = SimResult(
+                        cid, spec.label, ebn0[i], frames[i], errors[i], master_seed
+                    )
+                    # Batches the pool has not yet handed to a process are
+                    # dropped; the others finish and are ignored.
+                    for stale in [p for p in pending if p[0] == i]:
+                        stale[1].cancel()
+                        pending.remove(stale)
+                fill(pool)
+        finally:
+            # After an error, leave the pool no queued batch to wait for.
+            for _, fut in pending:
+                fut.cancel()
     return results
 
 

@@ -3,11 +3,14 @@ Monte Carlo harness: determinism, stop rules, worker invariance."""
 
 import io
 import math
+import multiprocessing
 import pickle
 from concurrent.futures import Future
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polaraut import channel
 from polaraut.channel import (
@@ -29,6 +32,52 @@ def small_code():
     return decreasing_closure(
         [Monomial.from_indices([0, 3]), Monomial.from_indices([1, 2])], 5
     )
+
+
+class LazyFuture(Future):
+    def __init__(self, pool, fn, args):
+        super().__init__()
+        self.pool = pool
+        self.call = (fn, args)
+
+    def result(self, timeout=None):
+        if not self.done():
+            fn, args = self.call
+            self.pool.events.append(("read", *self.pool.batch(args)))
+            self.set_result(fn(*args))
+        return super().result(timeout)
+
+
+class LazyPool:
+    """A stand-in pool whose batches run only when their result is read, so
+    every batch left unread when a point stops is still unstarted.  It
+    records each submission and read as (event, SNR index, first frame),
+    and the most futures pending at once."""
+
+    def __init__(self):
+        self.made = []
+        self.events = []
+        self.peak = 0
+
+    def __call__(self, max_workers):
+        return self
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    @staticmethod
+    def batch(args):
+        (_, _, _, _, _, _, snr_idx, lo, _, _), = args
+        return snr_idx, lo
+
+    def submit(self, fn, *args):
+        self.events.append(("submit", *self.batch(args)))
+        self.made.append(LazyFuture(self, fn, args))
+        self.peak = max(self.peak, sum(not f.done() for f in self.made))
+        return self.made[-1]
 
 
 class TestChannelParams:
@@ -180,36 +229,9 @@ class TestRunBler:
         )
 
     def test_unstarted_batches_cancelled_when_a_point_stops(self, monkeypatch):
-        # A stand-in pool whose batches run only when their result is read,
-        # so every batch left unread when a point stops is still unstarted.
-        made = []
-
-        class LazyFuture(Future):
-            def __init__(self, fn, args):
-                super().__init__()
-                self.call = (fn, args)
-
-            def result(self, timeout=None):
-                if not self.done():
-                    fn, args = self.call
-                    self.set_result(fn(*args))
-                return super().result(timeout)
-
-        class LazyPool:
-            def __init__(self, max_workers):
-                pass
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def submit(self, fn, *args):
-                made.append(LazyFuture(fn, args))
-                return made[-1]
-
-        monkeypatch.setattr(channel, "ProcessPoolExecutor", LazyPool)
+        pool = LazyPool()
+        made = pool.made
+        monkeypatch.setattr(channel, "ProcessPoolExecutor", pool)
         code = small_code()
         kwargs = dict(master_seed=12, target_errors=20, max_frames=6000, batch_frames=16)
         duo = run_bler(code, "sc", [1.0, 2.0], workers=2, **kwargs)
@@ -221,6 +243,89 @@ class TestRunBler:
         read = sum(r.frames for r in duo) // 16
         assert sum(f.done() and not f.cancelled() for f in made) == read
         assert sum(f.cancelled() for f in made) == len(made) - read > 0
+
+    def test_next_point_starts_before_the_lowest_stops(self, monkeypatch):
+        # At 0 dB the first 64 frames hold the 5 errors, so point 0 stops
+        # after one batch; the other points' first batches are already in.
+        pool = LazyPool()
+        monkeypatch.setattr(channel, "ProcessPoolExecutor", pool)
+        results = run_bler(
+            small_code(), "sc", [0.0, 1.0, 2.0], master_seed=5, target_errors=5,
+            max_frames=6000, batch_frames=64, workers=2,
+        )
+        assert results[0].frames == 64
+        stop = pool.events.index(("read", 0, 0))
+        assert pool.events[:stop] == [("submit", 0, 0), ("submit", 1, 0), ("submit", 2, 0)]
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_pending_batches_never_exceed_the_window(self, monkeypatch, workers):
+        pool = LazyPool()
+        monkeypatch.setattr(channel, "ProcessPoolExecutor", pool)
+        run_bler(
+            small_code(), "sc", [1.0, 2.0, 3.0, 4.0], master_seed=6, target_errors=30,
+            max_frames=20_000, batch_frames=16, workers=workers,
+        )
+        assert pool.peak == 2 * workers
+
+    def test_speculation_on_the_benchmark_sweep(self, monkeypatch):
+        # perfbench's sc-sweep-n128 jobs at --seed 1: master seeds 10000 on.
+        code = ConstructionSpec.from_dict(
+            {"kind": "generators", "n": 7, "generators": [27, 56]}
+        ).build()
+        ebn0 = [1.0, 1.5, 2.0, 2.5, 3.0]
+        extra = []
+        for seed in range(10_000, 10_010):
+            pool = LazyPool()
+            monkeypatch.setattr(channel, "ProcessPoolExecutor", pool)
+            results = run_bler(code, "sc", ebn0, master_seed=seed, target_errors=100, workers=2)
+            read = sum(-(-r.frames // 256) for r in results)
+            assert read == sum(f.done() and not f.cancelled() for f in pool.made)
+            extra.append(len(pool.made) - read)
+        assert max(extra) <= len(ebn0)
+        assert extra == [0, 1, 0, 1, 0, 0, 1, 1, 1, 0]
+
+    def test_no_worker_left_running(self):
+        results = run_bler(
+            small_code(), "sc", [1.0, 2.0], master_seed=7, target_errors=10,
+            max_frames=100_000, batch_frames=8, workers=2,
+        )
+        assert all(r.frames < 100_000 for r in results)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize(
+        "decoder, fixed", [("scl-4", False), ("aut-4-sc", False), ("aut-4-sc", True)]
+    )
+    def test_worker_count_does_not_change_stopped_sweeps(self, decoder, fixed):
+        code = small_code()
+        kwargs = dict(master_seed=21, target_errors=12, max_frames=2000, batch_frames=8)
+        solo, duo = (
+            [(r.frames, r.block_errors) for r in run_bler(
+                code, decoder, [0.5, 1.5, 2.5], workers=workers, fixed_ensemble=fixed,
+                **kwargs,
+            )]
+            for workers in (1, 2)
+        )
+        assert solo == duo
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        batch_frames=st.sampled_from([1, 7, 64, 256]),
+        target=st.integers(1, 20),
+        max_frames=st.integers(1, 300),
+        ebn0=st.lists(st.sampled_from([0.0, 1.0, 2.0, 3.0, 4.0]), min_size=1, max_size=4),
+    )
+    def test_worker_count_never_changes_sc_counts(
+        self, seed, batch_frames, target, max_frames, ebn0
+    ):
+        solo, duo = (
+            [(r.frames, r.block_errors) for r in run_bler(
+                small_code(), "sc", ebn0, master_seed=seed, target_errors=target,
+                max_frames=max_frames, batch_frames=batch_frames, workers=workers,
+            )]
+            for workers in (1, 2)
+        )
+        assert solo == duo
 
     def test_batch_size_does_not_change_fixed_work_counts(self):
         # SCL gathers its paths by an index over the frames of each batch,
