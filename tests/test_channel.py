@@ -70,7 +70,7 @@ class LazyPool:
 
     @staticmethod
     def batch(args):
-        (_, _, _, _, _, _, snr_idx, lo, _, _), = args
+        snr_idx, lo = args[0][6:8]
         return snr_idx, lo
 
     def submit(self, fn, *args):
