@@ -21,14 +21,12 @@ from .construction import (  # noqa: F401
     bhattacharyya_bec_design,
     rm_code,
 )
-from .automorphisms import (  # noqa: F401
+from .automorphisms import BlockStructure, blta_size, find_block_structure  # noqa: F401
+from .verify import (  # noqa: F401
     AffineAutomorphism,
-    BlockStructure,
     Permutation,
-    blta_size,
     block_reversal_matrix,
     brute_force_stabilizer,
-    find_block_structure,
     interval_disjoint_decomposition,
     is_code_automorphism,
     lemma1_decompose,

@@ -348,7 +348,6 @@ def run_bler(
     batch_frames: int = 256,
     kernel: str = "exact_boxplus",
     fixed_ensemble: bool = False,
-    code_id: str | None = None,
 ) -> list[SimResult]:
     """Monte Carlo BLER at each SNR; stops at target_errors or max_frames.
 
@@ -381,7 +380,7 @@ def run_bler(
         raise ValueError("workers must be positive")
     if batch_frames < 1:
         raise ValueError("batch_frames must be positive")
-    cid = code_id if code_id is not None else default_code_id(code)
+    cid = default_code_id(code)
     structure = fixed_tables = None
     if spec.kind == "aut_sc":
         structure = BlockStructure((1,) * code.n) if spec.lta_only else find_block_structure(code)

@@ -20,13 +20,7 @@ import numpy as np
 
 from . import __version__
 from .automorphisms import blta_size, find_block_structure, sample_blta_batch
-from .channel import (
-    STREAM_VERSION,
-    DecoderSpec,
-    default_code_id,
-    run_bler,
-    write_results_csv,
-)
+from .channel import STREAM_VERSION, DecoderSpec, run_bler, write_results_csv
 from .codec import KERNELS
 from .construction import ConstructionSpec, SpecError, bhattacharyya_bec_design
 from .monomials import (
@@ -212,7 +206,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if not ebn0:
         raise SpecError("--ebn0 needs at least one value")
     decoders = [DecoderSpec.parse(d) for d in args.decoders]
-    cid = default_code_id(code)
     results = []
     for dec in decoders:
         results.extend(
@@ -226,7 +219,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                 workers=args.workers,
                 kernel=args.kernel,
                 fixed_ensemble=args.fixed_ensemble,
-                code_id=cid,
             )
         )
     buf = io.StringIO()

@@ -35,6 +35,11 @@ class SpecError(ValueError):
     """Raised for malformed or inconsistent construction specs."""
 
 
+def _is_int(x: Any) -> bool:
+    """An integer that is not a bool (JSON true and false load as bools)."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def bec_bhattacharyya(n: int, epsilon: float) -> np.ndarray:
     """Bhattacharyya parameters of the 2**n synthetic channels of a BEC.
 
@@ -120,7 +125,7 @@ class ConstructionSpec:
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
             raise SpecError(f"unknown construction kind: {self.kind!r}")
-        if not isinstance(self.n, int) or not 1 <= self.n <= MAX_VARS:
+        if not _is_int(self.n) or not 1 <= self.n <= MAX_VARS:
             raise SpecError(f"n must be an integer in 1..{MAX_VARS}, got {self.n!r}")
         if self.kind == "bhattacharyya_bec":
             if self.epsilon is None or self.dimension is None:
@@ -133,8 +138,10 @@ class ConstructionSpec:
             if not self.generators:
                 raise SpecError("generators kind needs a non-empty 'generators' list")
             for row in self.generators:
-                if not isinstance(row, int) or not 0 <= row < 1 << self.n:
-                    raise SpecError(f"generator row out of range for n={self.n}: {row!r}")
+                if not _is_int(row) or not 0 <= row < 1 << self.n:
+                    raise SpecError(
+                        f"generators must be integers in 0..{(1 << self.n) - 1}, got {row!r}"
+                    )
         else:
             if self.r is None or not 0 <= self.r <= self.n:
                 raise SpecError(f"reed_muller needs 'r' in 0..{self.n}")
@@ -155,16 +162,16 @@ class ConstructionSpec:
                 raise SpecError("'generators' must be a list of row indices")
             gens = tuple(gens)
         eps = data.get("epsilon")
-        if eps is not None and not isinstance(eps, (int, float)):
+        if eps is not None and (isinstance(eps, bool) or not isinstance(eps, (int, float))):
             raise SpecError("'epsilon' must be a number")
         dim = data.get("K")
-        if dim is not None and not isinstance(dim, int):
+        if dim is not None and not _is_int(dim):
             raise SpecError("'K' must be an integer")
         r = data.get("r")
-        if r is not None and not isinstance(r, int):
+        if r is not None and not _is_int(r):
             raise SpecError("'r' must be an integer")
         n = data["n"]
-        if not isinstance(n, int):
+        if not _is_int(n):
             raise SpecError("'n' must be an integer")
         return cls(
             n=n,

@@ -6,8 +6,9 @@ import itertools
 
 import numpy as np
 
-from polaraut.automorphisms import BlockStructure, Permutation
+from polaraut.automorphisms import BlockStructure
 from polaraut.monomials import Monomial, MonomialCode, decreasing_closure
+from polaraut.verify import Permutation
 
 
 def random_monomial(rng: np.random.Generator, n: int) -> Monomial:
@@ -48,3 +49,33 @@ def block_group(structure: BlockStructure) -> frozenset[Permutation]:
                 images[start + offset] = img
         out.add(Permutation(tuple(images)))
     return frozenset(out)
+
+
+def stabilizer_size(structure: BlockStructure) -> int:
+    """Order of the stabilizer: the product of the block factorials."""
+    out = 1
+    for s in structure.sizes:
+        for k in range(2, s + 1):
+            out *= k
+    return out
+
+
+def gl_full_rank_mask(rows: np.ndarray) -> np.ndarray:
+    """Full-rank test for a batch of s x s GF(2) matrices given as row bitmasks."""
+    work = rows.astype(np.uint32).copy()
+    count, s = work.shape
+    ok = np.ones(count, dtype=bool)
+    idx = np.arange(count)
+    for col in range(s):
+        has = (work[:, col:] >> np.uint32(col)) & np.uint32(1)
+        off = has.argmax(axis=1)
+        ok &= has[idx, off] == 1
+        piv = col + off
+        pivot_rows = work[idx, piv].copy()
+        cur = work[:, col].copy()
+        work[:, col] = pivot_rows
+        work[idx, piv] = cur
+        elim = (work >> np.uint32(col) & np.uint32(1)).astype(bool)
+        elim[:, col] = False
+        work ^= elim * pivot_rows[:, None]
+    return ok

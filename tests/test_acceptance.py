@@ -12,30 +12,31 @@ import json
 import numpy as np
 import pytest
 
-from conftest import block_group, random_decreasing_code
+from conftest import block_group, gl_full_rank_mask, random_decreasing_code
 from polaraut.automorphisms import (
     BlockStructure,
-    block_reversal_matrix,
     blta_size,
-    brute_force_stabilizer,
     find_block_structure,
-    gl_full_rank_mask,
-    is_block_lower_triangular,
-    is_code_automorphism,
-    lemma1_decompose,
-    sample_blta,
     sample_blta_batch,
 )
 from polaraut.channel import run_bler
 from polaraut.cli import main, sci3
 from polaraut.codec import encode_batch, sc_decode_batch, scl_decode_batch
 from polaraut.construction import bhattacharyya_bec_design, rm_code
-from polaraut.gf2 import BinaryMatrix
 from polaraut.monomials import (
     MonomialCode,
     decreasing_closure,
     enumerate_decreasing_codes,
     row_to_monomial,
+)
+from polaraut.verify import (
+    BinaryMatrix,
+    block_reversal_matrix,
+    brute_force_stabilizer,
+    is_block_lower_triangular,
+    is_code_automorphism,
+    lemma1_decompose,
+    sample_blta,
 )
 
 DESIGN_EPSILON = 0.285  # matches the published generator sets at both lengths

@@ -9,32 +9,34 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import block_group, random_decreasing_code
+from conftest import block_group, gl_full_rank_mask, random_decreasing_code, stabilizer_size
 from polaraut import channel
 from polaraut.automorphisms import (
-    AffineAutomorphism,
     BlockStructure,
-    Permutation,
-    block_reversal_matrix,
     blta_bounds,
     blta_size,
-    brute_force_stabilizer,
     find_block_structure,
-    gl_full_rank_mask,
+    position_tables_batch,
+    sample_blta_batch,
+)
+from polaraut.construction import bhattacharyya_bec_design, rm_code
+from polaraut.verify import (
+    AffineAutomorphism,
+    BinaryMatrix,
+    Permutation,
+    block_reversal_matrix,
+    brute_force_stabilizer,
+    from_lists,
+    identity,
     interval_disjoint_decomposition,
     is_block_lower_triangular,
     is_code_automorphism,
     lemma1_decompose,
     position_action,
     position_table,
-    position_tables_batch,
     sample_blta,
-    sample_blta_batch,
-    stabilizer_size,
     stabilizes,
 )
-from polaraut.construction import bhattacharyya_bec_design, rm_code
-from polaraut.gf2 import BinaryMatrix, from_lists, identity
 from polaraut.monomials import (
     CapabilityError,
     Monomial,

@@ -434,11 +434,11 @@ class TestRunBler:
         code = small_code()
         results = run_bler(
             code, "aut-2-sc", [1.0, 2.5], master_seed=14, target_errors=20,
-            max_frames=3000, code_id="demo",
+            max_frames=3000,
         )
         assert [r.ebn0_db for r in results] == [1.0, 2.5]
         for r in results:
-            assert r.code_id == "demo"
+            assert r.code_id == default_code_id(code)
             assert r.decoder == "aut-2-sc"
             assert r.seed == 14
             assert 0 <= r.block_errors <= r.frames

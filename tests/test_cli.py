@@ -8,16 +8,11 @@ from decimal import Decimal
 import pytest
 
 from polaraut import __version__
-from polaraut.automorphisms import (
-    BlockStructure,
-    blta_size,
-    find_block_structure,
-    is_block_lower_triangular,
-)
+from polaraut.automorphisms import BlockStructure, blta_size, find_block_structure
 from polaraut.cli import analysis_report, main, sci3
 from polaraut.construction import bhattacharyya_bec_design, rm_code
-from polaraut.gf2 import from_lists
 from polaraut.monomials import minimal_generators, monomial_to_row
+from polaraut.verify import from_lists, is_block_lower_triangular
 
 
 def write_spec(tmp_path, name, data):
@@ -102,6 +97,11 @@ class TestAnalyze:
 
     def test_invalid_spec_exits_2(self, tmp_path, capsys):
         spec = write_spec(tmp_path, "spec.json", {"kind": "mystery", "n": 4})
+        assert main(["analyze", "--spec", spec]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_boolean_spec_field_exits_2(self, tmp_path, capsys):
+        spec = write_spec(tmp_path, "spec.json", {"kind": "reed_muller", "n": True, "r": False})
         assert main(["analyze", "--spec", spec]) == 2
         assert "error:" in capsys.readouterr().err
 

@@ -9,9 +9,7 @@ from polaraut import codec
 from polaraut.automorphisms import (
     BlockStructure,
     find_block_structure,
-    position_table,
     position_tables_batch,
-    sample_blta,
     sample_blta_batch,
 )
 from polaraut.channel import ChannelParams
@@ -26,6 +24,7 @@ from polaraut.codec import (
 )
 from polaraut.construction import ConstructionSpec, bhattacharyya_bec_design
 from polaraut.monomials import Monomial, MonomialCode, decreasing_closure, row_to_monomial
+from polaraut.verify import position_table, sample_blta
 from reference_codec import (
     REFERENCE_KERNELS,
     _sc_batch,

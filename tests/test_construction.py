@@ -197,6 +197,23 @@ class TestConstructionSpec:
         with pytest.raises(SpecError):
             ConstructionSpec.from_dict(data)
 
+    @pytest.mark.parametrize(
+        "valid, field, flag",
+        [
+            ({"kind": "reed_muller", "n": 4, "r": 1}, "n", True),
+            ({"kind": "reed_muller", "n": 4, "r": 1}, "r", False),
+            ({"kind": "bhattacharyya_bec", "n": 4, "K": 1, "epsilon": 0.3}, "K", True),
+            ({"kind": "bhattacharyya_bec", "n": 4, "K": 1, "epsilon": 0}, "epsilon", True),
+            ({"kind": "generators", "n": 4, "generators": [1]}, "generators", [True]),
+        ],
+    )
+    def test_boolean_fields_rejected(self, valid, field, flag):
+        # JSON true and false load as Python bools, which are ints; the
+        # same spec with the integer it stands for must stay valid.
+        ConstructionSpec.from_dict(valid)
+        with pytest.raises(SpecError, match=field):
+            ConstructionSpec.from_dict({**valid, field: flag})
+
     def test_invalid_json_text(self):
         with pytest.raises(SpecError):
             ConstructionSpec.from_json("{not json")

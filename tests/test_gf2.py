@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from polaraut.gf2 import BinaryMatrix, from_lists, identity, parity
+from polaraut.verify import BinaryMatrix, from_lists, identity, parity
 
 
 def random_matrix(rng: np.random.Generator, n: int) -> BinaryMatrix:

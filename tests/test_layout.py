@@ -1,0 +1,80 @@
+"""Module boundaries: the theory-verification code stays in `polaraut.verify`,
+off the modules the decoders and the census run."""
+
+import ast
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+import polaraut
+
+PACKAGE = Path(polaraut.__file__).parent
+
+HOT_MODULES = ("automorphisms", "channel", "codec", "cli", "monomials", "construction")
+
+# What `import polaraut` exposed before the verification code moved.
+PUBLIC_NAMES = (
+    "AffineAutomorphism", "BlockStructure", "CapabilityError", "ChannelParams",
+    "ConstructionSpec", "DecoderSpec", "Monomial", "MonomialCode", "Permutation",
+    "SimResult", "SpecError", "aut_sc_decode_batch", "bec_bhattacharyya",
+    "bhattacharyya_bec_design", "block_reversal_matrix", "blta_size",
+    "brute_force_stabilizer", "decreasing_closure", "encode_batch",
+    "enumerate_decreasing_codes", "find_block_structure", "frozen_mask",
+    "interval_disjoint_decomposition", "is_code_automorphism", "is_decreasing",
+    "lemma1_decompose", "minimal_generators", "monomial_to_row",
+    "partial_order_leq", "polar_transform", "position_action", "rm_code",
+    "row_to_monomial", "run_bler", "sample_blta", "sc_decode_batch",
+    "scl_decode_batch", "stabilizes", "transmit", "wilson_interval",
+)
+
+
+def imported_modules(name: str) -> set[str]:
+    """Absolute names of the polaraut modules a package module imports."""
+    tree = ast.parse((PACKAGE / f"{name}.py").read_text())
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = "polaraut" if node.level else ""
+            module = ".".join(part for part in (base, node.module) if part)
+            out.add(module)
+            # `from . import verify` names the module in its aliases
+            out.update(f"{module}.{alias.name}" for alias in node.names)
+    return out
+
+
+@pytest.mark.parametrize("name", HOT_MODULES)
+def test_hot_modules_do_not_import_verify(name):
+    assert not any(
+        m == "polaraut.verify" or m.startswith("polaraut.verify.")
+        for m in imported_modules(name)
+    )
+
+
+def test_import_scan_sees_verify():
+    assert "polaraut.verify" in imported_modules("__init__")
+
+
+def test_gf2_is_gone():
+    assert not (PACKAGE / "gf2.py").exists()
+    assert importlib.util.find_spec("polaraut.gf2") is None
+
+
+def test_automorphisms_holds_only_the_hot_path():
+    tree = ast.parse((PACKAGE / "automorphisms.py").read_text())
+    defined = {
+        node.name
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    }
+    assert defined == {
+        "BlockStructure", "find_block_structure", "_gl2_order", "blta_size",
+        "blta_bounds", "sample_blta_batch", "position_tables_batch",
+    }
+
+
+@pytest.mark.parametrize("name", PUBLIC_NAMES)
+def test_package_root_keeps_its_names(name):
+    assert hasattr(polaraut, name)
