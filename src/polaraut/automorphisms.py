@@ -1,10 +1,9 @@
 """Automorphisms of decreasing monomial codes, as the decoders use them.
 
-Covers the permutation side (the stabilizer's block structure, found by a
-greedy transposition scan of the information set) and the affine side (block
-lower triangular matrices plus an offset): exact group sizes, uniform batch
-sampling, and position tables.  Maps are arrays of row bitmasks; single maps
-and the exhaustive checks of the theory live in `verify`.
+The stabilizer's block structure (a greedy transposition scan of the
+information set), exact BLTA group sizes, uniform batch sampling and position
+tables, all on arrays of row bitmasks.  Single maps and the exhaustive checks
+of the theory live in `verify`.
 """
 
 from __future__ import annotations

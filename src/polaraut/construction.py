@@ -139,9 +139,7 @@ class ConstructionSpec:
                 raise SpecError("generators kind needs a non-empty 'generators' list")
             for row in self.generators:
                 if not _is_int(row) or not 0 <= row < 1 << self.n:
-                    raise SpecError(
-                        f"generators must be integers in 0..{(1 << self.n) - 1}, got {row!r}"
-                    )
+                    raise SpecError(f"generators must be integers below {1 << self.n}: {row!r}")
         else:
             if self.r is None or not 0 <= self.r <= self.n:
                 raise SpecError(f"reed_muller needs 'r' in 0..{self.n}")
@@ -170,11 +168,8 @@ class ConstructionSpec:
         r = data.get("r")
         if r is not None and not _is_int(r):
             raise SpecError("'r' must be an integer")
-        n = data["n"]
-        if not _is_int(n):
-            raise SpecError("'n' must be an integer")
         return cls(
-            n=n,
+            n=data["n"],
             kind=data["kind"],
             epsilon=float(eps) if eps is not None else None,
             dimension=dim,

@@ -1,15 +1,11 @@
 """Theory verification and exhaustive oracles, kept off the decode path.
 
 Checks the paper's two results by construction: BLTA maps are automorphisms
-of a decreasing code (`is_code_automorphism`, by exhausting its codewords),
-and an invertible block lower triangular matrix factors as P1 L1 P2 L2 P3
-(`lemma1_decompose`).  Around them sit dense GF(2) matrices, variable
-permutations with the exhaustive stabilizer, and single affine maps with
-their action on codeword positions.
-
-A `BinaryMatrix` stores one int per row, bit j of rows[i] being the entry in
-row i, column j.  Sizes stay small (at most MAX_VARS), so plain Python ints
-beat any packed array representation.
+(`is_code_automorphism`, over every codeword), and an invertible block lower
+triangular matrix factors as P1 L1 P2 L2 P3 (`lemma1_decompose`).  Around
+them: GF(2) matrices, one int per row with bit j of rows[i] the entry (i, j)
+(at n <= MAX_VARS plain ints beat any packed array), variable permutations
+with the exhaustive stabilizer, and single affine maps.
 """
 
 from __future__ import annotations
@@ -34,7 +30,6 @@ __all__ = [
     "brute_force_stabilizer",
     "interval_disjoint_decomposition",
     "block_reversal_matrix",
-    "is_block_lower_triangular",
     "lemma1_decompose",
     "position_action",
     "position_table",
