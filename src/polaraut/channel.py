@@ -9,14 +9,13 @@ frame by frame and invariant to batching, scheduling, and worker count.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import math
 import re
 from collections import deque
 from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import IO, Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -39,15 +38,12 @@ from .monomials import MonomialCode
 __all__ = [
     "STREAM_VERSION",
     "Z95",
-    "CSV_COLUMNS",
     "ChannelParams",
     "DecoderSpec",
     "SimResult",
     "transmit",
     "wilson_interval",
     "run_bler",
-    "write_results_csv",
-    "default_code_id",
 ]
 
 Z95 = 1.959963984540054
@@ -60,18 +56,6 @@ Z95 = 1.959963984540054
 # its automorphism words, n+1 per map, made bounded integers by Lemire's
 # method; ranges 2, 3, ... redraw the integers that method rejects.
 STREAM_VERSION = 3
-
-CSV_COLUMNS = (
-    "code_id",
-    "decoder",
-    "ebn0_db",
-    "frames",
-    "block_errors",
-    "bler",
-    "ci_lo",
-    "ci_hi",
-    "seed",
-)
 
 # Spawn key tags.  The shared-ensemble stream is SeedSequence(master_seed,
 # spawn_key=(_ENSEMBLE_TAG,)); frame keys come from the 2-tuple
@@ -169,12 +153,10 @@ class DecoderSpec:
 class SimResult:
     """One decoder at one operating point."""
 
-    code_id: str
     decoder: str
     ebn0_db: float
     frames: int
     block_errors: int
-    seed: int
 
     def __post_init__(self) -> None:
         if not 0 <= self.block_errors <= self.frames:
@@ -187,17 +169,6 @@ class SimResult:
     @property
     def ci95(self) -> tuple[float, float]:
         return wilson_interval(self.block_errors, self.frames)
-
-
-def default_code_id(code: MonomialCode) -> str:
-    """N<length>_K<dimension>_gen<generator rows joined by '-'>."""
-    # The one generator-row helper lives in cli, whose census calls to
-    # minimal_generators perfbench traces; cli imports this module, hence
-    # the late import.
-    from .cli import generator_rows
-
-    joined = "-".join(str(g) for g in generator_rows(code))
-    return f"N{code.block_length}_K{code.dimension}_gen{joined}"
 
 
 def _frame_key(master_seed: int, snr_idx: int) -> np.ndarray:
@@ -380,7 +351,6 @@ def run_bler(
         raise ValueError("workers must be positive")
     if batch_frames < 1:
         raise ValueError("batch_frames must be positive")
-    cid = default_code_id(code)
     structure = fixed_tables = None
     if spec.kind == "aut_sc":
         structure = BlockStructure((1,) * code.n) if spec.lta_only else find_block_structure(code)
@@ -432,9 +402,7 @@ def run_bler(
                 if read[i] == batches or (
                     target_errors is not None and errors[i] >= target_errors
                 ):
-                    results[i] = SimResult(
-                        cid, spec.label, ebn0[i], frames[i], errors[i], master_seed
-                    )
+                    results[i] = SimResult(spec.label, ebn0[i], frames[i], errors[i])
                     # Batches the pool has not yet handed to a process are
                     # dropped; the others finish and are ignored.
                     for stale in [p for p in pending if p[0] == i]:
@@ -447,22 +415,3 @@ def run_bler(
                 fut.cancel()
     return results
 
-
-def write_results_csv(results: Iterable[SimResult], out: IO[str]) -> None:
-    writer = csv.writer(out)
-    writer.writerow(CSV_COLUMNS)
-    for r in results:
-        lo, hi = r.ci95
-        writer.writerow(
-            [
-                r.code_id,
-                r.decoder,
-                repr(r.ebn0_db),
-                r.frames,
-                r.block_errors,
-                repr(r.bler),
-                repr(lo),
-                repr(hi),
-                r.seed,
-            ]
-        )

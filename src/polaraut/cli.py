@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .automorphisms import blta_size, find_block_structure, sample_blta_batch
-from .channel import STREAM_VERSION, DecoderSpec, run_bler, write_results_csv
+from .channel import STREAM_VERSION, DecoderSpec, run_bler
 from .codec import KERNELS
 from .construction import ConstructionSpec, SpecError, bhattacharyya_bec_design
 from .monomials import (
@@ -31,7 +31,7 @@ from .monomials import (
     monomial_to_row,
 )
 
-__all__ = ["main", "analysis_report", "generator_rows", "sci3"]
+__all__ = ["main", "analysis_report", "default_code_id", "generator_rows", "sci3"]
 
 
 def sci3(value: int | Decimal) -> str:
@@ -45,8 +45,14 @@ def sci3(value: int | Decimal) -> str:
 
 def generator_rows(code: MonomialCode) -> list[int]:
     """Transform rows of the code's minimal generators, ascending: the
-    `i_min` column, and the generator part of `channel.default_code_id`."""
+    `i_min` column, and the generator part of `default_code_id`."""
     return sorted(monomial_to_row(f, code.n) for f in minimal_generators(code))
+
+
+def default_code_id(code: MonomialCode) -> str:
+    """N<length>_K<dimension>_gen<generator rows joined by '-'>."""
+    joined = "-".join(str(g) for g in generator_rows(code))
+    return f"N{code.block_length}_K{code.dimension}_gen{joined}"
 
 
 def _analysis(code: MonomialCode) -> tuple[tuple[int, ...], int, str, list[int]]:
@@ -206,24 +212,30 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if not ebn0:
         raise SpecError("--ebn0 needs at least one value")
     decoders = [DecoderSpec.parse(d) for d in args.decoders]
-    results = []
+    cid = default_code_id(code)
+    lines = [
+        ["code_id", "decoder", "ebn0_db", "frames", "block_errors", "bler",
+         "ci_lo", "ci_hi", "seed"]
+    ]
     for dec in decoders:
-        results.extend(
-            run_bler(
-                code,
-                dec,
-                ebn0,
-                master_seed=args.seed,
-                target_errors=args.target_errors,
-                max_frames=args.max_frames,
-                workers=args.workers,
-                kernel=args.kernel,
-                fixed_ensemble=args.fixed_ensemble,
-            )
+        results = run_bler(
+            code,
+            dec,
+            ebn0,
+            master_seed=args.seed,
+            target_errors=args.target_errors,
+            max_frames=args.max_frames,
+            workers=args.workers,
+            kernel=args.kernel,
+            fixed_ensemble=args.fixed_ensemble,
         )
-    buf = io.StringIO()
-    write_results_csv(results, buf)
-    _emit(buf.getvalue(), args.out, "simulate", args)
+        for r in results:
+            lo, hi = r.ci95
+            lines.append([
+                cid, r.decoder, repr(r.ebn0_db), str(r.frames), str(r.block_errors),
+                repr(r.bler), repr(lo), repr(hi), str(args.seed),
+            ])
+    _emit(_csv_text(lines), args.out, "simulate", args)
     return 0
 
 

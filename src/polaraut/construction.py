@@ -127,6 +127,13 @@ class ConstructionSpec:
             raise SpecError(f"unknown construction kind: {self.kind!r}")
         if not _is_int(self.n) or not 1 <= self.n <= MAX_VARS:
             raise SpecError(f"n must be an integer in 1..{MAX_VARS}, got {self.n!r}")
+        eps = self.epsilon
+        if eps is not None and (isinstance(eps, bool) or not isinstance(eps, (int, float))):
+            raise SpecError("'epsilon' must be a number")
+        if self.dimension is not None and not _is_int(self.dimension):
+            raise SpecError("'K' must be an integer")
+        if self.r is not None and not _is_int(self.r):
+            raise SpecError("'r' must be an integer")
         if self.kind == "bhattacharyya_bec":
             if self.epsilon is None or self.dimension is None:
                 raise SpecError("bhattacharyya_bec needs 'epsilon' and 'K'")
@@ -159,22 +166,13 @@ class ConstructionSpec:
             if not isinstance(gens, list):
                 raise SpecError("'generators' must be a list of row indices")
             gens = tuple(gens)
-        eps = data.get("epsilon")
-        if eps is not None and (isinstance(eps, bool) or not isinstance(eps, (int, float))):
-            raise SpecError("'epsilon' must be a number")
-        dim = data.get("K")
-        if dim is not None and not _is_int(dim):
-            raise SpecError("'K' must be an integer")
-        r = data.get("r")
-        if r is not None and not _is_int(r):
-            raise SpecError("'r' must be an integer")
         return cls(
             n=data["n"],
             kind=data["kind"],
-            epsilon=float(eps) if eps is not None else None,
-            dimension=dim,
+            epsilon=data.get("epsilon"),
+            dimension=data.get("K"),
             generators=gens,
-            r=r,
+            r=data.get("r"),
         )
 
     @classmethod

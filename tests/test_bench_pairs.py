@@ -1,6 +1,12 @@
-"""The summary of tools/bench_pairs.py on made-up run results."""
+"""The summary of tools/bench_pairs.py on made-up run results, and its
+clean-up on SIGTERM."""
 
 import importlib.util
+import os
+import signal
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -62,3 +68,53 @@ def test_single_pair_spread():
     spread = got["metrics"]["items_per_s"]["base"]
     assert spread["median"] == spread["q1"] == spread["q3"] == 4.0
     assert got["metrics"]["items_per_s"]["ratio"] == 2.0
+
+
+# Installs the handler, then waits on a sleeper inside a temporary directory,
+# as main() waits on perfbench/run.py inside its exports.  `exec` makes the
+# shell the sleeper, so it writes its own pid.
+_WAITER = """
+import importlib.util, subprocess, sys, tempfile
+spec = importlib.util.spec_from_file_location("bench_pairs", sys.argv[1])
+bench_pairs = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bench_pairs)
+bench_pairs.stop_on_sigterm()
+with tempfile.TemporaryDirectory(dir=sys.argv[2]) as tmp:
+    print(tmp, flush=True)
+    subprocess.run(["sh", "-c", 'echo $$ > "$0/pid"; exec sleep 60', tmp])
+"""
+
+
+def alive(pid):
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+def test_sigterm_kills_the_child_and_removes_the_exports(tmp_path):
+    waiter = subprocess.Popen(
+        [sys.executable, "-c", _WAITER, str(_PATH), str(tmp_path)],
+        stdout=subprocess.PIPE, text=True,
+    )
+    sleeper = None
+    try:
+        tmp = Path(waiter.stdout.readline().strip())
+        deadline = time.monotonic() + 20
+        while not (tmp / "pid").exists() or not (tmp / "pid").read_text().endswith("\n"):
+            assert time.monotonic() < deadline, "the sleeper did not start"
+            time.sleep(0.05)
+        sleeper = int((tmp / "pid").read_text())
+        waiter.send_signal(signal.SIGTERM)
+        assert waiter.wait(timeout=20) == 128 + signal.SIGTERM
+        assert not tmp.exists()
+        # subprocess.run kills and reaps its child before it re-raises.
+        assert not alive(sleeper)
+    finally:
+        if waiter.poll() is None:
+            waiter.kill()
+        waiter.wait()
+        waiter.stdout.close()
+        if sleeper is not None and alive(sleeper):
+            os.kill(sleeper, signal.SIGKILL)

@@ -1,7 +1,6 @@
 """Channel model, interval estimates, decoder spec parsing, and the
 Monte Carlo harness: determinism, stop rules, worker invariance."""
 
-import io
 import math
 import multiprocessing
 import pickle
@@ -14,16 +13,14 @@ from hypothesis import strategies as st
 
 from polaraut import channel
 from polaraut.channel import (
-    CSV_COLUMNS,
     ChannelParams,
     DecoderSpec,
     SimResult,
-    default_code_id,
     run_bler,
     transmit,
     wilson_interval,
-    write_results_csv,
 )
+from polaraut.cli import default_code_id
 from polaraut.construction import ConstructionSpec, bhattacharyya_bec_design
 from polaraut.monomials import Monomial, decreasing_closure
 
@@ -192,13 +189,13 @@ class TestDecoderSpec:
 
 class TestSimResult:
     def test_derived_fields(self):
-        r = SimResult("c", "sc", 1.0, frames=200, block_errors=10, seed=4)
+        r = SimResult("sc", 1.0, frames=200, block_errors=10)
         assert r.bler == pytest.approx(0.05)
         assert r.ci95 == wilson_interval(10, 200)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            SimResult("c", "sc", 1.0, frames=10, block_errors=11, seed=0)
+            SimResult("sc", 1.0, frames=10, block_errors=11)
 
 
 def test_default_code_id():
@@ -438,9 +435,7 @@ class TestRunBler:
         )
         assert [r.ebn0_db for r in results] == [1.0, 2.5]
         for r in results:
-            assert r.code_id == default_code_id(code)
             assert r.decoder == "aut-2-sc"
-            assert r.seed == 14
             assert 0 <= r.block_errors <= r.frames
             lo, hi = r.ci95
             assert 0.0 <= lo <= r.bler <= hi <= 1.0
@@ -477,21 +472,3 @@ class TestRunBler:
         )
         assert results[0].frames >= 1
 
-
-def test_write_results_csv():
-    r = SimResult("cid", "sc", 1.5, frames=100, block_errors=7, seed=3)
-    buf = io.StringIO()
-    write_results_csv([r], buf)
-    lines = buf.getvalue().strip().splitlines()
-    assert lines[0] == ",".join(CSV_COLUMNS)
-    cells = lines[1].split(",")
-    assert cells[0] == "cid"
-    assert cells[1] == "sc"
-    assert float(cells[2]) == 1.5
-    assert int(cells[3]) == 100
-    assert int(cells[4]) == 7
-    assert float(cells[5]) == pytest.approx(0.07)
-    lo, hi = wilson_interval(7, 100)
-    assert float(cells[6]) == pytest.approx(lo)
-    assert float(cells[7]) == pytest.approx(hi)
-    assert int(cells[8]) == 3

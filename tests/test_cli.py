@@ -9,7 +9,8 @@ import pytest
 
 from polaraut import __version__
 from polaraut.automorphisms import BlockStructure, blta_size, find_block_structure
-from polaraut.cli import analysis_report, main, sci3
+from polaraut.channel import wilson_interval
+from polaraut.cli import analysis_report, default_code_id, main, sci3
 from polaraut.construction import bhattacharyya_bec_design, rm_code
 from polaraut.monomials import minimal_generators, monomial_to_row
 from polaraut.verify import from_lists, is_block_lower_triangular
@@ -245,6 +246,17 @@ class TestSample:
         assert outs[0] == outs[1]
 
 
+PINNED_SIMULATE_CSV = (
+    "code_id,decoder,ebn0_db,frames,block_errors,bler,ci_lo,ci_hi,seed\n"
+    "N32_K16_gen7,sc,2.0,256,26,0.1015625,0.07025498422463894,0.14465090136472736,21\n"
+    "N32_K16_gen7,sc,4.0,500,3,0.006,0.0020425962719602363,0.01749025210405338,21\n"
+    "N32_K16_gen7,scl-2,2.0,256,19,0.07421875,0.048026107191811204,0.11300077054584494,21\n"
+    "N32_K16_gen7,scl-2,4.0,500,2,0.004,0.0010976305226827934,0.014465715215177033,21\n"
+    "N32_K16_gen7,aut-2-sc,2.0,256,15,0.05859375,0.03582660763317509,0.09441226561778955,21\n"
+    "N32_K16_gen7,aut-2-sc,4.0,500,2,0.004,0.0010976305226827934,0.014465715215177033,21\n"
+)
+
+
 class TestSimulate:
     def test_csv_and_manifest(self, tmp_path):
         spec = write_spec(
@@ -269,6 +281,43 @@ class TestSimulate:
         manifest = json.loads((tmp_path / "bler.csv.manifest.json").read_text())
         assert manifest["command"] == "simulate"
         assert manifest["master_seed"] == 21
+
+    def test_csv_columns(self, tmp_path, capsys):
+        spec = write_spec(tmp_path, "spec.json", {"kind": "reed_muller", "n": 4, "r": 1})
+        assert main(
+            [
+                "simulate", "sc", "--spec", spec, "--ebn0", "1.5",
+                "--seed", "3", "--target-errors", "7", "--max-frames", "300",
+            ]
+        ) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert lines[0] == "code_id,decoder,ebn0_db,frames,block_errors,bler,ci_lo,ci_hi,seed"
+        assert len(lines) == 2
+        cells = lines[1].split(",")
+        assert cells[0] == default_code_id(rm_code(1, 4)) == "N16_K5_gen7"
+        assert cells[1] == "sc"
+        assert float(cells[2]) == 1.5
+        frames, errors = int(cells[3]), int(cells[4])
+        assert 0 <= errors <= frames
+        assert float(cells[5]) == errors / frames
+        assert (float(cells[6]), float(cells[7])) == wilson_interval(errors, frames)
+        assert int(cells[8]) == 3
+
+    def test_pinned_csv_text(self, tmp_path):
+        # The exact CSV of this run when the library still wrote it, before
+        # the BLER format moved into the command line.
+        spec = write_spec(
+            tmp_path, "spec.json", {"kind": "generators", "n": 5, "generators": [7, 19]}
+        )
+        out = tmp_path / "bler.csv"
+        assert main(
+            [
+                "simulate", "sc", "scl-2", "aut-2-sc",
+                "--spec", spec, "--ebn0", "2.0,4.0", "--seed", "21",
+                "--target-errors", "10", "--max-frames", "500", "--out", str(out),
+            ]
+        ) == 0
+        assert out.read_text() == PINNED_SIMULATE_CSV
 
     def test_same_seed_same_csv(self, tmp_path):
         spec = write_spec(tmp_path, "spec.json", {"kind": "reed_muller", "n": 5, "r": 2})

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from polaraut.channel import default_code_id
+from polaraut.cli import default_code_id
 from polaraut.construction import (
     ConstructionSpec,
     SpecError,
@@ -170,7 +170,7 @@ class TestConstructionSpec:
         assert ConstructionSpec.from_json(text).build() == rm_code(2, 4)
 
     def test_code_id(self):
-        # A spec's code is named by channel.default_code_id; an RM code has
+        # A spec's code is named by cli.default_code_id; an RM code has
         # a single minimal generator.
         spec = ConstructionSpec.from_dict({"kind": "reed_muller", "n": 7, "r": 3})
         assert default_code_id(spec.build()) == "N128_K64_gen15"
@@ -213,6 +213,26 @@ class TestConstructionSpec:
         ConstructionSpec.from_dict(valid)
         with pytest.raises(SpecError, match=field):
             ConstructionSpec.from_dict({**valid, field: flag})
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"kind": "reed_muller", "r": True}, "'r' must be an integer"),
+            ({"kind": "reed_muller", "r": 1.5}, "'r' must be an integer"),
+            ({"kind": "bhattacharyya_bec", "epsilon": True, "dimension": 1}, "'epsilon'"),
+            ({"kind": "bhattacharyya_bec", "epsilon": "0.3", "dimension": 1}, "'epsilon'"),
+            ({"kind": "bhattacharyya_bec", "epsilon": 0.3, "dimension": True}, "'K'"),
+            ({"kind": "bhattacharyya_bec", "epsilon": True, "dimension": True}, "'epsilon'"),
+            # Fields the kind does not use are checked too.
+            ({"kind": "generators", "generators": (1,), "r": True}, "'r'"),
+            ({"kind": "reed_muller", "r": 1, "epsilon": "0.3"}, "'epsilon'"),
+        ],
+    )
+    def test_direct_construction_checks_types(self, fields, message):
+        # The checks live in __post_init__, so building a spec without
+        # from_dict meets the same SpecError, not a TypeError or a code.
+        with pytest.raises(SpecError, match=message):
+            ConstructionSpec(n=4, **fields)
 
     def test_invalid_json_text(self):
         with pytest.raises(SpecError):

@@ -1,5 +1,6 @@
 """Module boundaries: the theory-verification code stays in `polaraut.verify`,
-off the modules the decoders and the census run."""
+off the modules the decoders and the census run, and the command line in
+`polaraut.cli` sits above every other module."""
 
 import ast
 import importlib.util
@@ -10,6 +11,8 @@ import pytest
 import polaraut
 
 PACKAGE = Path(polaraut.__file__).parent
+
+MODULES = sorted(path.stem for path in PACKAGE.glob("*.py"))
 
 HOT_MODULES = ("automorphisms", "channel", "codec", "cli", "monomials", "construction")
 
@@ -51,6 +54,11 @@ def test_hot_modules_do_not_import_verify(name):
         m == "polaraut.verify" or m.startswith("polaraut.verify.")
         for m in imported_modules(name)
     )
+
+
+@pytest.mark.parametrize("name", [m for m in MODULES if m != "cli"])
+def test_only_cli_imports_cli(name):
+    assert "polaraut.cli" not in imported_modules(name)
 
 
 def test_import_scan_sees_verify():

@@ -13,13 +13,15 @@ repository root, holds both commits and, per workload and metric, each
 side's median and quartiles, the change-over-base ratio of the medians, and
 in how many pairs the change was better, by the metric's `better` direction
 in BENCHMARK.json.  It is rewritten after every pair, so a stopped run keeps
-the pairs it finished.
+the pairs it finished.  SIGTERM stops a run as Ctrl-C does: the running
+perfbench child is killed and the exports are removed.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import signal
 import statistics
 import subprocess
 import sys
@@ -93,6 +95,16 @@ def run(checkout: Path, workload: str, seed: int, trace: int) -> dict:
     return json.loads(done.stdout.strip().splitlines()[-1])
 
 
+def stop_on_sigterm() -> None:
+    """Make SIGTERM raise SystemExit, so the run unwinds: subprocess.run
+    kills the child it waits on, and TemporaryDirectory removes its tree."""
+
+    def stop(signum, frame):
+        raise SystemExit(128 + signum)
+
+    signal.signal(signal.SIGTERM, stop)
+
+
 def main(argv: list[str] | None = None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--label", required=True, help="names the output BENCH_<label>.json")
@@ -103,6 +115,7 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--first-seed", type=int, default=1)
     p.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = p.parse_args(argv)
+    stop_on_sigterm()
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
