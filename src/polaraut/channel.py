@@ -114,39 +114,44 @@ def wilson_interval(errors: int, trials: int) -> tuple[float, float]:
     return lo, hi
 
 
-_SPEC_RE = re.compile(r"^(sc|scl-(\d+)|aut-(\d+)-sc(-lta)?)$")
+_SPEC_RE = re.compile(r"^(?:sc|scl-(\d+)|aut-(\d+)-sc(-lta)?(-fixed)?)$")
 
 
 @dataclass(frozen=True)
 class DecoderSpec:
-    """Parsed decoder description: sc, scl-<L>, aut-<M>-sc, aut-<M>-sc-lta."""
+    """Parsed decoder description: sc, scl-<L> or aut-<M>-sc[-lta][-fixed];
+    -fixed draws one ensemble per run rather than M maps per frame."""
 
-    label: str
     kind: str
     list_size: int = 1
     ensemble_size: int = 1
     lta_only: bool = False
+    fixed: bool = False
+
+    @property
+    def label(self) -> str:
+        """The canonical name: parse(spec.label) == spec."""
+        if self.kind != "aut_sc":
+            return "sc" if self.kind == "sc" else f"scl-{self.list_size}"
+        return f"aut-{self.ensemble_size}-sc" + "-lta" * self.lta_only + "-fixed" * self.fixed
 
     @classmethod
     def parse(cls, text: str) -> "DecoderSpec":
         got = _SPEC_RE.match(text.strip().lower())
         if not got:
             raise ValueError(
-                f"invalid decoder spec {text!r}; expected sc, scl-<L>, "
-                "aut-<M>-sc or aut-<M>-sc-lta"
+                f"invalid decoder spec {text!r}; expected sc, scl-<L> or "
+                "aut-<M>-sc[-lta][-fixed]"
             )
-        label = got.group(1)
-        if label == "sc":
-            return cls(label, "sc")
-        if got.group(2) is not None:
-            size = int(got.group(2))
-            if size < 1:
-                raise ValueError("list size must be positive")
-            return cls(label, "scl", list_size=size)
-        size = int(got.group(3))
+        list_size, ensemble_size, lta, fixed = got.groups()
+        if list_size is None and ensemble_size is None:
+            return cls("sc")
+        size = int(list_size or ensemble_size)
         if size < 1:
-            raise ValueError("ensemble size must be positive")
-        return cls(label, "aut_sc", ensemble_size=size, lta_only=got.group(4) is not None)
+            raise ValueError(f"{'list' if list_size else 'ensemble'} size must be positive")
+        if list_size:
+            return cls("scl", list_size=size)
+        return cls("aut_sc", ensemble_size=size, lta_only=bool(lta), fixed=bool(fixed))
 
 
 @dataclass(frozen=True)
@@ -318,7 +323,6 @@ def run_bler(
     workers: int = 1,
     batch_frames: int = 256,
     kernel: str = "exact_boxplus",
-    fixed_ensemble: bool = False,
 ) -> list[SimResult]:
     """Monte Carlo BLER at each SNR; stops at target_errors or max_frames.
 
@@ -330,10 +334,8 @@ def run_bler(
     first out.  Each SNR point keys one Philox from
     (master_seed, its index); frame f's messages, noise and automorphism
     integers come from counter blocks fixed by f (see STREAM_VERSION), and
-    a batch draws each counter range with one call.  With fixed_ensemble
-    the automorphism ensemble is drawn once per run, from a Generator on the
-    separate _ENSEMBLE_TAG stream, instead of per frame.  An unknown kernel
-    or an Eb/N0 that is not finite raises ValueError before any batch runs.
+    a batch draws each counter range with one call.  An unknown kernel or
+    an Eb/N0 that is not finite raises ValueError before any batch runs.
     """
     spec = decoder if isinstance(decoder, DecoderSpec) else DecoderSpec.parse(decoder)
     if kernel not in KERNELS:
@@ -354,7 +356,7 @@ def run_bler(
     structure = fixed_tables = None
     if spec.kind == "aut_sc":
         structure = BlockStructure((1,) * code.n) if spec.lta_only else find_block_structure(code)
-        if fixed_ensemble:
+        if spec.fixed:
             seq = np.random.SeedSequence(master_seed, spawn_key=(_ENSEMBLE_TAG,))
             rng = np.random.Generator(np.random.Philox(seq))
             r, o = sample_blta_batch(structure, spec.ensemble_size, rng)

@@ -93,8 +93,11 @@ def _write_manifest(out_path: str, command: str, args: argparse.Namespace) -> No
 
 def _emit(text: str, out: str | None, command: str, args: argparse.Namespace) -> None:
     if out:
-        Path(out).write_text(text)
-        _write_manifest(out, command, args)
+        try:
+            Path(out).write_text(text)
+            _write_manifest(out, command, args)
+        except OSError as exc:
+            raise SpecError(f"cannot write {out}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -212,6 +215,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if not ebn0:
         raise SpecError("--ebn0 needs at least one value")
     decoders = [DecoderSpec.parse(d) for d in args.decoders]
+    if args.out and not Path(args.out).parent.is_dir():
+        raise SpecError(f"cannot write {args.out}: no directory {Path(args.out).parent}")
     cid = default_code_id(code)
     lines = [
         ["code_id", "decoder", "ebn0_db", "frames", "block_errors", "bler",
@@ -219,15 +224,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     ]
     for dec in decoders:
         results = run_bler(
-            code,
-            dec,
-            ebn0,
-            master_seed=args.seed,
-            target_errors=args.target_errors,
-            max_frames=args.max_frames,
-            workers=args.workers,
-            kernel=args.kernel,
-            fixed_ensemble=args.fixed_ensemble,
+            code, dec, ebn0, master_seed=args.seed, target_errors=args.target_errors,
+            max_frames=args.max_frames, workers=args.workers, kernel=args.kernel,
         )
         for r in results:
             lo, hi = r.ci95
@@ -274,7 +272,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_sample)
 
     p = sub.add_parser("simulate", help="Monte Carlo BLER over an SNR grid")
-    p.add_argument("decoders", nargs="+", help="sc, scl-<L>, aut-<M>-sc, aut-<M>-sc-lta")
+    p.add_argument("decoders", nargs="+", help="sc, scl-<L>, aut-<M>-sc[-lta][-fixed]")
     p.add_argument("--spec", required=True)
     p.add_argument("--ebn0", required=True, help="comma separated Eb/N0 values in dB")
     p.add_argument("--seed", type=int, default=0)
@@ -284,11 +282,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--max-frames", type=int, default=1_000_000)
     p.add_argument("--target-errors", type=int, default=100)
-    p.add_argument(
-        "--fixed-ensemble",
-        action="store_true",
-        help="sample the automorphism ensemble once per run instead of per frame",
-    )
     p.add_argument("--out", help="output CSV path (default stdout)")
     p.set_defaults(func=_cmd_simulate)
     return parser

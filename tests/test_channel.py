@@ -1,6 +1,7 @@
 """Channel model, interval estimates, decoder spec parsing, and the
 Monte Carlo harness: determinism, stop rules, worker invariance."""
 
+import dataclasses
 import math
 import multiprocessing
 import pickle
@@ -179,8 +180,37 @@ class TestDecoderSpec:
     def test_label_preserved(self):
         assert DecoderSpec.parse("scl-32").label == "scl-32"
 
+    def test_fixed_suffix(self):
+        fixed = DecoderSpec.parse("AUT-04-SC-LTA-FIXED")
+        assert (fixed.kind, fixed.ensemble_size, fixed.lta_only, fixed.fixed) == (
+            "aut_sc", 4, True, True
+        )
+        assert fixed.label == "aut-4-sc-lta-fixed"
+        assert not DecoderSpec.parse("aut-4-sc").fixed
+
     @pytest.mark.parametrize(
-        "text", ["", "scl", "scl-0", "aut-sc", "aut-0-sc", "sc-8", "ml", "scl-2-lta"]
+        "text, label",
+        [
+            ("sc", "sc"), (" SC ", "sc"), ("scl-8", "scl-8"), ("SCL-08", "scl-8"),
+            ("aut-4-sc", "aut-4-sc"), ("aut-04-sc-lta", "aut-4-sc-lta"),
+            ("aut-16-sc-fixed", "aut-16-sc-fixed"), ("aut-1-sc-lta-fixed", "aut-1-sc-lta-fixed"),
+        ],
+    )
+    def test_label_is_canonical_and_round_trips(self, text, label):
+        spec = DecoderSpec.parse(text)
+        assert spec.label == label
+        assert DecoderSpec.parse(spec.label) == spec
+
+    def test_label_is_derived_not_stored(self):
+        assert "label" not in {f.name for f in dataclasses.fields(DecoderSpec)}
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "", "scl", "scl-0", "aut-sc", "aut-0-sc", "sc-8", "ml", "scl-2-lta",
+            "aut-4-sc-fixed-lta", "sc-fixed", "scl-4-fixed", "aut-0-sc-fixed",
+            "aut-4-sc-fixed-fixed",
+        ],
     )
     def test_rejects_malformed(self, text):
         with pytest.raises(ValueError):
@@ -289,16 +319,13 @@ class TestRunBler:
         assert all(r.frames < 100_000 for r in results)
         assert multiprocessing.active_children() == []
 
-    @pytest.mark.parametrize(
-        "decoder, fixed", [("scl-4", False), ("aut-4-sc", False), ("aut-4-sc", True)]
-    )
-    def test_worker_count_does_not_change_stopped_sweeps(self, decoder, fixed):
+    @pytest.mark.parametrize("decoder", ["scl-4", "aut-4-sc", "aut-4-sc-fixed"])
+    def test_worker_count_does_not_change_stopped_sweeps(self, decoder):
         code = small_code()
         kwargs = dict(master_seed=21, target_errors=12, max_frames=2000, batch_frames=8)
         solo, duo = (
             [(r.frames, r.block_errors) for r in run_bler(
-                code, decoder, [0.5, 1.5, 2.5], workers=workers, fixed_ensemble=fixed,
-                **kwargs,
+                code, decoder, [0.5, 1.5, 2.5], workers=workers, **kwargs,
             )]
             for workers in (1, 2)
         )
@@ -346,20 +373,14 @@ class TestRunBler:
         # the fixed ensemble its tables too.
         code = small_code()
         kwargs = dict(master_seed=19, target_errors=None, max_frames=40, batch_frames=7)
-        for decoder, fixed in [
-            ("aut-4-sc", False),
-            ("aut-4-sc-lta", False),
-            ("aut-4-sc", True),
-            ("sc", False),
-            ("scl-4", False),
-        ]:
+        for decoder in ("aut-4-sc", "aut-4-sc-lta", "aut-4-sc-fixed", "sc", "scl-4"):
             solo, duo = (
                 [(r.frames, r.block_errors) for r in run_bler(
-                    code, decoder, [1.0, 2.0], workers=workers, fixed_ensemble=fixed, **kwargs
+                    code, decoder, [1.0, 2.0], workers=workers, **kwargs
                 )]
                 for workers in (1, 2)
             )
-            assert solo == duo, (decoder, fixed)
+            assert solo == duo, decoder
 
     def test_pickled_code_carries_its_identity_only(self):
         # A pool task ships the code; a designed code has its information
@@ -452,7 +473,7 @@ class TestRunBler:
 
     def test_all_decoder_kinds_run(self):
         code = small_code()
-        for name in ("sc", "scl-4", "aut-4-sc", "aut-4-sc-lta"):
+        for name in ("sc", "scl-4", "aut-4-sc", "aut-4-sc-lta", "aut-4-sc-fixed"):
             results = run_bler(
                 code, name, [4.0], master_seed=16, target_errors=10, max_frames=400
             )
@@ -461,9 +482,49 @@ class TestRunBler:
     def test_fixed_ensemble_replay(self):
         code = small_code()
         kwargs = dict(master_seed=17, target_errors=30, max_frames=3000)
-        a = run_bler(code, "aut-4-sc", [2.0], fixed_ensemble=True, **kwargs)
-        b = run_bler(code, "aut-4-sc", [2.0], fixed_ensemble=True, **kwargs)
+        a = run_bler(code, "aut-4-sc-fixed", [2.0], **kwargs)
+        b = run_bler(code, "aut-4-sc-fixed", [2.0], **kwargs)
         assert (a[0].frames, a[0].block_errors) == (b[0].frames, b[0].block_errors)
+
+    def test_fixed_ensemble_counts_are_pinned(self):
+        # The counts of this run when the fixed ensemble was the run_bler
+        # keyword fixed_ensemble=True on "aut-4-sc": the suffix names the
+        # same ensemble stream.
+        code = small_code()
+        kwargs = dict(master_seed=17, target_errors=30, max_frames=3000)
+        (result,) = run_bler(code, "aut-4-sc-fixed", [2.0], **kwargs)
+        assert (result.decoder, result.frames, result.block_errors) == (
+            "aut-4-sc-fixed", 512, 51
+        )
+
+    def test_fixed_and_per_frame_ensembles_differ(self):
+        # On a code with a nontrivial block structure the two ensemble forms
+        # draw different maps, so one seed gives them different counts.
+        code = ConstructionSpec.from_dict(
+            {"kind": "generators", "n": 6, "generators": [7, 25]}
+        ).build()
+        kwargs = dict(master_seed=29, target_errors=40, max_frames=3000, batch_frames=32)
+        counts = {
+            name: [(r.frames, r.block_errors) for r in run_bler(code, name, [1.0, 2.5], **kwargs)]
+            for name in ("aut-4-sc", "aut-4-sc-fixed")
+        }
+        assert counts == {
+            "aut-4-sc": [(128, 51), (544, 40)],
+            "aut-4-sc-fixed": [(128, 53), (512, 40)],
+        }
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_lta_ensembles_share_the_sc_stream(self, workers):
+        # Every LTA branch decodes to SC's word, so at fixed work on one seed
+        # the three decoders count the same errors: all see the same
+        # messages and noise, whether or not they draw maps per frame.
+        code = ConstructionSpec.from_dict(
+            {"kind": "generators", "n": 7, "generators": [27, 56]}
+        ).build()
+        kwargs = dict(master_seed=5, target_errors=None, max_frames=1024, workers=workers)
+        for name in ("sc", "aut-4-sc-lta", "aut-4-sc-lta-fixed"):
+            results = run_bler(code, name, [1.0, 2.0], **kwargs)
+            assert [(r.frames, r.block_errors) for r in results] == [(1024, 502), (1024, 208)]
 
     def test_min_sum_kernel_accepted(self):
         results = run_bler(

@@ -7,7 +7,7 @@ from decimal import Decimal
 
 import pytest
 
-from polaraut import __version__
+from polaraut import __version__, channel
 from polaraut.automorphisms import BlockStructure, blta_size, find_block_structure
 from polaraut.channel import wilson_interval
 from polaraut.cli import analysis_report, default_code_id, main, sci3
@@ -111,6 +111,14 @@ class TestAnalyze:
         path.write_text("{broken")
         assert main(["analyze", "--spec", str(path)]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("target", ["missing/report.json", "."])
+    def test_unwritable_out_exits_2(self, tmp_path, capsys, target):
+        # A missing directory, or a directory in place of the file.
+        spec = write_spec(tmp_path, "spec.json", {"kind": "reed_muller", "n": 4, "r": 1})
+        out = str(tmp_path / target)
+        assert main(["analyze", "--spec", spec, "--out", out]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot write {out}: ")
 
     def test_library_and_cli_agree(self, tmp_path, capsys):
         spec = write_spec(
@@ -349,13 +357,45 @@ class TestSimulate:
         # Decoder names are DecoderSpec's grammar only: no bare scl or
         # aut-sc, and kernels go by their KERNELS names.
         spec = write_spec(tmp_path, "spec.json", {"kind": "reed_muller", "n": 4, "r": 1})
-        for extra in (["viterbi"], ["scl"], ["aut-sc"], ["sc", "--kernel", "minsum"]):
+        # The flags that once sat beside the name are gone.
+        for extra in (
+            ["viterbi"], ["scl"], ["aut-sc"], ["sc", "--kernel", "minsum"],
+            ["scl-4", "--list-size", "4"], ["aut-4-sc", "--ensemble", "4"],
+            ["aut-4-sc", "--fixed-ensemble"],
+        ):
             try:
                 status = main(["simulate", *extra, "--spec", spec, "--ebn0", "1.0"])
-            except SystemExit as exc:  # argparse rejects an unknown --kernel
+            except SystemExit as exc:  # argparse rejects unknown flags and kernels
                 status = exc.code
             assert status == 2, extra
         capsys.readouterr()
+
+    def test_ensemble_forms_share_one_run(self, tmp_path):
+        spec = write_spec(
+            tmp_path, "spec.json", {"kind": "generators", "n": 5, "generators": [7, 19]}
+        )
+        out = tmp_path / "bler.csv"
+        assert main(
+            [
+                "simulate", "aut-4-sc", "AUT-04-SC-FIXED", "--spec", spec, "--ebn0", "2.0",
+                "--seed", "4", "--target-errors", "10", "--max-frames", "500",
+                "--out", str(out),
+            ]
+        ) == 0
+        assert [r["decoder"] for r in read_csv(str(out))] == ["aut-4-sc", "aut-4-sc-fixed"]
+
+    def test_missing_out_directory_exits_2_before_any_batch(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def no_batch(args):
+            raise AssertionError("a batch ran before --out was checked")
+
+        monkeypatch.setattr(channel, "_run_batch", no_batch)
+        spec = write_spec(tmp_path, "spec.json", {"kind": "reed_muller", "n": 4, "r": 1})
+        out = str(tmp_path / "missing" / "bler.csv")
+        assert main(["simulate", "sc", "--spec", spec, "--ebn0", "1.0", "--out", out]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot write {out}: ")
+        assert not (tmp_path / "missing").exists()
 
     def test_bad_ebn0_exits_2(self, tmp_path, capsys):
         spec = write_spec(tmp_path, "spec.json", {"kind": "reed_muller", "n": 4, "r": 1})

@@ -1,14 +1,18 @@
 """Module boundaries: the theory-verification code stays in `polaraut.verify`,
 off the modules the decoders and the census run, and the command line in
-`polaraut.cli` sits above every other module."""
+`polaraut.cli` sits above every other module.  The BLER entry points take a
+pinned set of options."""
 
+import argparse
 import ast
 import importlib.util
+import inspect
 from pathlib import Path
 
 import pytest
 
 import polaraut
+from polaraut import cli
 
 PACKAGE = Path(polaraut.__file__).parent
 
@@ -80,6 +84,30 @@ def test_automorphisms_holds_only_the_hot_path():
     assert defined == {
         "BlockStructure", "find_block_structure", "_gl2_order", "blta_size",
         "blta_bounds", "sample_blta_batch", "position_tables_batch",
+    }
+
+
+def test_run_bler_takes_only_its_options():
+    # Decoder properties live in the decoder's name (DecoderSpec), not in
+    # run_bler keywords; a new knob needs a deliberate edit here.
+    params = inspect.signature(polaraut.run_bler).parameters.values()
+    keywords = {p.name for p in params if p.kind is inspect.Parameter.KEYWORD_ONLY}
+    assert [p.name for p in params if p.kind is not inspect.Parameter.KEYWORD_ONLY] == [
+        "code", "decoder", "ebn0_list",
+    ]
+    assert keywords == {
+        "master_seed", "target_errors", "max_frames", "workers", "batch_frames", "kernel",
+    }
+
+
+def test_simulate_takes_only_its_options():
+    parser = cli._build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    actions = commands.choices["simulate"]._actions
+    assert {a.dest for a in actions if not a.option_strings} == {"decoders"}
+    assert {opt for a in actions for opt in a.option_strings} == {
+        "-h", "--help", "--spec", "--ebn0", "--seed", "--workers", "--kernel",
+        "--max-frames", "--target-errors", "--out",
     }
 
 
