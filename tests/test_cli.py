@@ -355,9 +355,9 @@ class TestSimulate:
 
     def test_bad_decoder_exits_2(self, tmp_path, capsys):
         # Decoder names are DecoderSpec's grammar only: no bare scl or
-        # aut-sc, and kernels go by their KERNELS names.
+        # aut-sc, no decoder flag beside the name, and kernels go by their
+        # KERNELS names.
         spec = write_spec(tmp_path, "spec.json", {"kind": "reed_muller", "n": 4, "r": 1})
-        # The flags that once sat beside the name are gone.
         for extra in (
             ["viterbi"], ["scl"], ["aut-sc"], ["sc", "--kernel", "minsum"],
             ["scl-4", "--list-size", "4"], ["aut-4-sc", "--ensemble", "4"],
