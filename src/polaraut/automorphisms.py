@@ -47,14 +47,6 @@ class BlockStructure:
             acc += s
         return tuple(out)
 
-    def block_of(self, i: int) -> int:
-        acc = 0
-        for k, s in enumerate(self.sizes):
-            acc += s
-            if i < acc:
-                return k
-        raise ValueError(f"index out of range: {i}")
-
 
 def find_block_structure(code: MonomialCode) -> BlockStructure:
     """Block sizes of the stabilizer of a decreasing code.

@@ -314,7 +314,7 @@ class _Inline:
 
 def run_bler(
     code: MonomialCode,
-    decoder: str | DecoderSpec,
+    decoder: str,
     ebn0_list: Sequence[float],
     *,
     master_seed: int,
@@ -334,10 +334,14 @@ def run_bler(
     first out.  Each SNR point keys one Philox from
     (master_seed, its index); frame f's messages, noise and automorphism
     integers come from counter blocks fixed by f (see STREAM_VERSION), and
-    a batch draws each counter range with one call.  An unknown kernel or
-    an Eb/N0 that is not finite raises ValueError before any batch runs.
+    a batch draws each counter range with one call.  decoder is a name
+    (pass spec.label for a DecoderSpec); anything else raises TypeError,
+    and an unknown kernel, an Eb/N0 that is not finite or a frame count
+    that is not a positive int raises ValueError, all before any batch runs.
     """
-    spec = decoder if isinstance(decoder, DecoderSpec) else DecoderSpec.parse(decoder)
+    if not isinstance(decoder, str):
+        raise TypeError(f"decoder must be a name, got {type(decoder).__name__}")
+    spec = DecoderSpec.parse(decoder)
     if kernel not in KERNELS:
         raise ValueError(f"unknown kernel {kernel!r}; pick from {sorted(KERNELS)}")
     ebn0 = [float(e) for e in ebn0_list]
@@ -345,6 +349,9 @@ def run_bler(
         raise ValueError("ebn0_list must not be empty")
     if not all(math.isfinite(e) for e in ebn0):
         raise ValueError(f"Eb/N0 values must be finite, got {ebn0}")
+    for name, value in (("max_frames", max_frames), ("batch_frames", batch_frames)):
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError(f"{name} must be an int, got {value!r}")
     if max_frames < 1:
         raise ValueError("max_frames must be positive")
     if target_errors is not None and target_errors < 1:

@@ -215,6 +215,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if not ebn0:
         raise SpecError("--ebn0 needs at least one value")
     decoders = [DecoderSpec.parse(d) for d in args.decoders]
+    if args.out and Path(args.out).is_dir():
+        raise SpecError(f"cannot write {args.out}: it is a directory")
     if args.out and not Path(args.out).parent.is_dir():
         raise SpecError(f"cannot write {args.out}: no directory {Path(args.out).parent}")
     cid = default_code_id(code)
@@ -224,7 +226,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     ]
     for dec in decoders:
         results = run_bler(
-            code, dec, ebn0, master_seed=args.seed, target_errors=args.target_errors,
+            code, dec.label, ebn0, master_seed=args.seed, target_errors=args.target_errors,
             max_frames=args.max_frames, workers=args.workers, kernel=args.kernel,
         )
         for r in results:

@@ -4,20 +4,22 @@ Checks the paper's two results by construction: BLTA maps are automorphisms
 (`is_code_automorphism`, over every codeword), and an invertible block lower
 triangular matrix factors as P1 L1 P2 L2 P3 (`lemma1_decompose`).  Around
 them: GF(2) matrices, one int per row with bit j of rows[i] the entry (i, j)
-(at n <= MAX_VARS plain ints beat any packed array), variable permutations
-with the exhaustive stabilizer, and single affine maps.
+(at n <= MAX_VARS plain ints beat any packed array) with one row reduction,
+variable permutations with the exhaustive stabilizer, and single affine maps.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .automorphisms import BlockStructure, position_tables_batch, sample_blta_batch
-from .monomials import CapabilityError, MonomialCode, _swap_variables
+from .monomials import CapabilityError, MonomialCode, _swap_variables, _variable_members
 
 __all__ = [
     "BinaryMatrix",
@@ -40,6 +42,32 @@ __all__ = [
 
 def parity(x: int) -> int:
     return x.bit_count() & 1
+
+
+def _row_reduce(
+    rows: Iterable[int], aug: Iterable[int] | None = None
+) -> tuple[list[int], list[int], list[int]]:
+    """Gauss-Jordan over GF(2), pivoting on each row's lowest set bit.
+
+    Returns the nonzero reduced rows, whose pivot bits are set in no other
+    reduced row; the rows of aug (default zeros) put through the same row
+    operations; and each reduced row's pivot bit.
+    """
+    reduced, carried, pivots = [], [], []
+    for r, a in zip(rows, itertools.repeat(0) if aug is None else aug):
+        for b, c, p in zip(reduced, carried, pivots):
+            if r & p:
+                r, a = r ^ b, a ^ c
+        if not r:
+            continue
+        p = r & -r
+        for k, b in enumerate(reduced):
+            if b & p:
+                reduced[k], carried[k] = b ^ r, carried[k] ^ a
+        reduced.append(r)
+        carried.append(a)
+        pivots.append(p)
+    return reduced, carried, pivots
 
 
 @dataclass(frozen=True)
@@ -95,37 +123,18 @@ class BinaryMatrix:
         return BinaryMatrix(self.n, tuple(out))
 
     def rank(self) -> int:
-        rows = list(self.rows)
-        rk = 0
-        for j in range(self.n):
-            piv = next((i for i in range(rk, self.n) if rows[i] >> j & 1), None)
-            if piv is None:
-                continue
-            rows[rk], rows[piv] = rows[piv], rows[rk]
-            for i in range(self.n):
-                if i != rk and rows[i] >> j & 1:
-                    rows[i] ^= rows[rk]
-            rk += 1
-        return rk
+        return len(_row_reduce(self.rows)[2])
 
     def is_invertible(self) -> bool:
         return self.rank() == self.n
 
     def inverse(self) -> "BinaryMatrix":
-        n = self.n
-        rows = list(self.rows)
-        aug = [1 << i for i in range(n)]
-        for j in range(n):
-            piv = next((i for i in range(j, n) if rows[i] >> j & 1), None)
-            if piv is None:
-                raise ValueError("matrix is singular")
-            rows[j], rows[piv] = rows[piv], rows[j]
-            aug[j], aug[piv] = aug[piv], aug[j]
-            for i in range(n):
-                if i != j and rows[i] >> j & 1:
-                    rows[i] ^= rows[j]
-                    aug[i] ^= aug[j]
-        return BinaryMatrix(n, tuple(aug))
+        _, carried, pivots = _row_reduce(self.rows, [1 << i for i in range(self.n)])
+        if len(pivots) < self.n:
+            raise ValueError("matrix is singular")
+        # Each reduced row is the unit row of its pivot, so the identity
+        # carried alongside holds the inverse's rows, in pivot order.
+        return BinaryMatrix(self.n, tuple(c for _, c in sorted(zip(pivots, carried))))
 
     def is_permutation(self) -> bool:
         seen = 0
@@ -288,25 +297,20 @@ def interval_disjoint_decomposition(perm: Permutation) -> frozenset[Permutation]
 
 def block_reversal_matrix(structure: BlockStructure) -> BinaryMatrix:
     """The involution reversing indices inside each block."""
-    n = structure.n
-    rows = [0] * n
-    for i in range(n):
-        k = structure.block_of(i)
-        j = 2 * structure.starts[k] + structure.sizes[k] - 1 - i
-        rows[i] = 1 << j
-    return BinaryMatrix(n, tuple(rows))
+    rows = [0] * structure.n
+    for start, size in zip(structure.starts, structure.sizes):
+        for i in range(start, start + size):
+            rows[i] = 1 << (2 * start + size - 1 - i)
+    return BinaryMatrix(structure.n, tuple(rows))
 
 
 def is_block_lower_triangular(m: BinaryMatrix, structure: BlockStructure) -> bool:
     """Whether all entries right of each row's diagonal block are zero."""
-    if m.n != structure.n:
-        return False
-    for i, r in enumerate(m.rows):
-        k = structure.block_of(i)
-        end = structure.starts[k] + structure.sizes[k]
-        if r >> end:
-            return False
-    return True
+    return m.n == structure.n and all(
+        r >> start + size == 0
+        for start, size in zip(structure.starts, structure.sizes)
+        for r in m.rows[start : start + size]
+    )
 
 
 def lemma1_decompose(
@@ -329,10 +333,10 @@ def lemma1_decompose(
     # Row-pivoted elimination; pivots are always available inside the current
     # diagonal block because the leading principal block submatrices of an
     # invertible block lower triangular matrix are invertible.
+    ends = [start + size for start, size in zip(structure.starts, structure.sizes)
+            for _ in range(size)]
     for j in range(n):
-        k = structure.block_of(j)
-        end = structure.starts[k] + structure.sizes[k]
-        piv = next((i for i in range(j, end) if rows[i] >> j & 1), None)
+        piv = next((i for i in range(j, ends[j]) if rows[i] >> j & 1), None)
         if piv is None:
             raise ValueError("matrix is singular")
         rows[j], rows[piv] = rows[piv], rows[j]
@@ -403,36 +407,11 @@ def sample_blta(
     return AffineAutomorphism(mat, int(offsets[0]))
 
 
-def _evaluation_row(mask: int, n: int) -> int:
-    """Evaluation of a monomial at all points, as a bitmask over positions.
-
-    Bit j is 1 when every variable of the monomial is set in j.
-    """
-    out = 0
-    for j in range(1 << n):
-        if j & mask == mask:
-            out |= 1 << j
-    return out
-
-
-def _echelon_basis(rows: Iterable[int]) -> list[int]:
-    """Row-reduce to a basis with distinct leading bits, highest first."""
-    basis: list[int] = []
-    for r in rows:
-        for b in basis:
-            if r ^ b < r:
-                r ^= b
-        if r:
-            basis.append(r)
-            basis.sort(reverse=True)
-    return basis
-
-
 def is_code_automorphism(aut: AffineAutomorphism, code: MonomialCode) -> bool:
     """Exact membership test for Aut(C) by exhausting all 2**K codewords.
 
     Guarded at n <= 5 (and K <= 22, where the enumeration stays tractable);
-    each permuted codeword is reduced against the evaluation-row basis.
+    each permuted codeword is cleared by the reduced evaluation rows.
     """
     if code.n > 5:
         raise CapabilityError("exhaustive automorphism check is supported for n <= 5")
@@ -442,7 +421,12 @@ def is_code_automorphism(aut: AffineAutomorphism, code: MonomialCode) -> bool:
         raise ValueError("automorphism size does not match the code")
     n = code.n
     size = 1 << n
-    basis = [_evaluation_row(f.mask, n) for f in sorted(code.info_set)]
+    # A monomial evaluates to 1 at the points holding all its variables.
+    has = _variable_members(n)
+    basis = [
+        functools.reduce(operator.and_, (has[i] for i in f.indices), (1 << size) - 1)
+        for f in code.info_set
+    ]
     # All codewords, by doubling the span; fits in int64 since size <= 32.
     words = np.zeros(1, dtype=np.int64)
     for b in basis:
@@ -451,8 +435,7 @@ def is_code_automorphism(aut: AffineAutomorphism, code: MonomialCode) -> bool:
     permuted = np.zeros_like(words)
     for pos in range(size):
         permuted |= ((words >> np.int64(pos)) & np.int64(1)) << np.int64(table[pos])
-    for b in _echelon_basis(basis):
-        lead = np.int64(b.bit_length() - 1)
-        hit = ((permuted >> lead) & np.int64(1)).astype(bool)
-        permuted[hit] ^= np.int64(b)
+    reduced, _, pivots = _row_reduce(basis)
+    for b, p in zip(reduced, pivots):
+        permuted[(permuted & np.int64(p)) != 0] ^= np.int64(b)
     return not permuted.any()

@@ -357,7 +357,7 @@ class TestRunBler:
         # must all decode alike.
         code = small_code()
         kwargs = dict(master_seed=19, target_errors=None, max_frames=40)
-        for decoder in ("aut-4-sc", "sc", "scl-4"):
+        for decoder in ("aut-4-sc", "aut-4-sc-fixed", "aut-4-sc-lta", "sc", "scl-4"):
             counts = {
                 batch: [
                     (r.frames, r.block_errors)
@@ -443,6 +443,28 @@ class TestRunBler:
         monkeypatch.setattr(channel, "_run_batch", self.no_batch)
         with pytest.raises(ValueError, match="Eb/N0"):
             run_bler(small_code(), "sc", [1.0, bad], master_seed=0, workers=2)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [DecoderSpec("sc", fixed=True), DecoderSpec("viterbi"),
+         DecoderSpec("aut_sc", ensemble_size=0)],
+    )
+    def test_decoder_spec_object_rejected_before_any_batch(self, monkeypatch, spec):
+        # A DecoderSpec built directly skips parse's checks, so run_bler
+        # takes names only; callers holding a spec pass spec.label.
+        monkeypatch.setattr(channel, "_run_batch", self.no_batch)
+        with pytest.raises(TypeError, match="decoder must be a name"):
+            run_bler(small_code(), spec, [1.0], master_seed=0)
+
+    @pytest.mark.parametrize(
+        "option, bad",
+        [("max_frames", 10.5), ("max_frames", True), ("batch_frames", 7.5),
+         ("batch_frames", True)],
+    )
+    def test_non_int_frame_count_rejected_before_any_batch(self, monkeypatch, option, bad):
+        monkeypatch.setattr(channel, "_run_batch", self.no_batch)
+        with pytest.raises(ValueError, match=f"{option} must be an int"):
+            run_bler(small_code(), "sc", [1.0], master_seed=0, **{option: bad})
 
     @staticmethod
     def no_batch(args):

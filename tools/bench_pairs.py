@@ -15,6 +15,11 @@ in how many pairs the change was better, by the metric's `better` direction
 in BENCHMARK.json.  It is rewritten after every pair, so a stopped run keeps
 the pairs it finished.  SIGTERM stops a run as Ctrl-C does: the running
 perfbench child is killed and the exports are removed.
+
+Giving one commit as both --base and --change exports it twice, so the
+run measures the protocol's own offset between two builds of the same
+code: a change-over-base ratio or a win count that such a control reaches
+is no evidence of a gain.
 """
 
 from __future__ import annotations
