@@ -384,9 +384,8 @@ class TestSimulate:
         ) == 0
         assert [r["decoder"] for r in read_csv(str(out))] == ["aut-4-sc", "aut-4-sc-fixed"]
 
-    @pytest.mark.parametrize("target", ["missing/bler.csv", "outdir"])
     def test_missing_out_directory_exits_2_before_any_batch(
-        self, tmp_path, capsys, monkeypatch, target
+        self, tmp_path, capsys, monkeypatch
     ):
         def no_batch(args):
             raise AssertionError("a batch ran before --out was checked")
@@ -394,9 +393,10 @@ class TestSimulate:
         monkeypatch.setattr(channel, "_run_batch", no_batch)
         spec = write_spec(tmp_path, "spec.json", {"kind": "reed_muller", "n": 4, "r": 1})
         (tmp_path / "outdir").mkdir()
-        out = str(tmp_path / target)
-        assert main(["simulate", "sc", "--spec", spec, "--ebn0", "1.0", "--out", out]) == 2
-        assert capsys.readouterr().err.startswith(f"error: cannot write {out}: ")
+        for target in ("missing/bler.csv", "outdir"):
+            out = str(tmp_path / target)
+            assert main(["simulate", "sc", "--spec", spec, "--ebn0", "1.0", "--out", out]) == 2
+            assert capsys.readouterr().err.startswith(f"error: cannot write {out}: ")
         assert not (tmp_path / "missing").exists()
         assert not any((tmp_path / "outdir").iterdir())
 
