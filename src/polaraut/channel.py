@@ -27,7 +27,6 @@ from .automorphisms import (
     sample_blta_batch,
 )
 from .codec import (
-    KERNELS,
     aut_sc_decode_batch,
     encode_batch,
     sc_decode_batch,
@@ -114,26 +113,31 @@ def wilson_interval(errors: int, trials: int) -> tuple[float, float]:
     return lo, hi
 
 
-_SPEC_RE = re.compile(r"^(?:sc|scl-(\d+)|aut-(\d+)-sc(-lta)?(-fixed)?)$")
+_SPEC_RE = re.compile(r"^(?:sc|scl-(\d+)|aut-(\d+)-sc(-lta)?(-fixed)?)(-min-sum)?$")
 
 
 @dataclass(frozen=True)
 class DecoderSpec:
-    """Parsed decoder description: sc, scl-<L> or aut-<M>-sc[-lta][-fixed];
-    -fixed draws one ensemble per run rather than M maps per frame."""
+    """Parsed decoder description: sc, scl-<L> or aut-<M>-sc[-lta][-fixed],
+    then optionally -min-sum.  -fixed draws one ensemble per run rather than
+    M maps per frame; -min-sum picks the min-sum check node (a codec kernel)
+    over the exact boxplus."""
 
     kind: str
     list_size: int = 1
     ensemble_size: int = 1
     lta_only: bool = False
     fixed: bool = False
+    kernel: str = "exact_boxplus"
 
     @property
     def label(self) -> str:
         """The canonical name: parse(spec.label) == spec."""
         if self.kind != "aut_sc":
-            return "sc" if self.kind == "sc" else f"scl-{self.list_size}"
-        return f"aut-{self.ensemble_size}-sc" + "-lta" * self.lta_only + "-fixed" * self.fixed
+            name = "sc" if self.kind == "sc" else f"scl-{self.list_size}"
+        else:
+            name = f"aut-{self.ensemble_size}-sc" + "-lta" * self.lta_only + "-fixed" * self.fixed
+        return name + "-min-sum" * (self.kernel == "min_sum")
 
     @classmethod
     def parse(cls, text: str) -> "DecoderSpec":
@@ -141,17 +145,19 @@ class DecoderSpec:
         if not got:
             raise ValueError(
                 f"invalid decoder spec {text!r}; expected sc, scl-<L> or "
-                "aut-<M>-sc[-lta][-fixed]"
+                "aut-<M>-sc[-lta][-fixed], then optionally -min-sum"
             )
-        list_size, ensemble_size, lta, fixed = got.groups()
+        list_size, ensemble_size, lta, fixed, min_sum = got.groups()
+        kernel = "min_sum" if min_sum else "exact_boxplus"
         if list_size is None and ensemble_size is None:
-            return cls("sc")
+            return cls("sc", kernel=kernel)
         size = int(list_size or ensemble_size)
         if size < 1:
             raise ValueError(f"{'list' if list_size else 'ensemble'} size must be positive")
         if list_size:
-            return cls("scl", list_size=size)
-        return cls("aut_sc", ensemble_size=size, lta_only=bool(lta), fixed=bool(fixed))
+            return cls("scl", list_size=size, kernel=kernel)
+        return cls("aut_sc", ensemble_size=size, lta_only=bool(lta), fixed=bool(fixed),
+                   kernel=kernel)
 
 
 @dataclass(frozen=True)
@@ -265,7 +271,7 @@ def _automorphism_draw(
 def _run_batch(args: tuple) -> tuple[int, int]:
     """Simulate frames [lo, hi) at one SNR; returns (frames, block errors).
     The structure run_bler passes is None unless the spec is Aut-SC."""
-    code, spec, kernel, structure, ebn0_db, master_seed, snr_idx, lo, hi, fixed_tables = args
+    code, spec, structure, ebn0_db, master_seed, snr_idx, lo, hi, fixed_tables = args
     size = code.block_length
     params = ChannelParams(ebn0_db, code.dimension / size)
     batch = hi - lo
@@ -275,9 +281,9 @@ def _run_batch(args: tuple) -> tuple[int, int]:
     llrs = transmit(sent, params, noise)
     del msgs, noise
     if spec.kind == "sc":
-        _, words = sc_decode_batch(code, llrs, kernel)
+        _, words = sc_decode_batch(code, llrs, spec.kernel)
     elif spec.kind == "scl":
-        _, words = scl_decode_batch(code, llrs, spec.list_size, kernel)
+        _, words = scl_decode_batch(code, llrs, spec.list_size, spec.kernel)
     else:
         if fixed_tables is not None:
             tables = fixed_tables
@@ -289,7 +295,7 @@ def _run_batch(args: tuple) -> tuple[int, int]:
             aut_rows, aut_offs = sample_blta_batch(structure, batch * m, draws)
             del draws
             tables = position_tables_batch(aut_rows, aut_offs).reshape(batch, m, size)
-        _, words = aut_sc_decode_batch(code, llrs, tables, kernel)
+        _, words = aut_sc_decode_batch(code, llrs, tables, spec.kernel)
     errors = int((words != sent).any(axis=1).sum())
     return batch, errors
 
@@ -322,7 +328,6 @@ def run_bler(
     max_frames: int = 1_000_000,
     workers: int = 1,
     batch_frames: int = 256,
-    kernel: str = "exact_boxplus",
 ) -> list[SimResult]:
     """Monte Carlo BLER at each SNR; stops at target_errors or max_frames.
 
@@ -335,31 +340,27 @@ def run_bler(
     (master_seed, its index); frame f's messages, noise and automorphism
     integers come from counter blocks fixed by f (see STREAM_VERSION), and
     a batch draws each counter range with one call.  decoder is a name
-    (pass spec.label for a DecoderSpec); anything else raises TypeError,
-    and an unknown kernel, an Eb/N0 that is not finite or a frame count
-    that is not a positive int raises ValueError, all before any batch runs.
+    (pass spec.label for a DecoderSpec), and it alone picks the check-node
+    rule; anything else raises TypeError, and an unknown name, an Eb/N0
+    that is not finite, or a frame count, error target or worker count that
+    is not a positive int raises ValueError, all before any batch runs.
     """
     if not isinstance(decoder, str):
         raise TypeError(f"decoder must be a name, got {type(decoder).__name__}")
     spec = DecoderSpec.parse(decoder)
-    if kernel not in KERNELS:
-        raise ValueError(f"unknown kernel {kernel!r}; pick from {sorted(KERNELS)}")
     ebn0 = [float(e) for e in ebn0_list]
     if not ebn0:
         raise ValueError("ebn0_list must not be empty")
     if not all(math.isfinite(e) for e in ebn0):
         raise ValueError(f"Eb/N0 values must be finite, got {ebn0}")
-    for name, value in (("max_frames", max_frames), ("batch_frames", batch_frames)):
+    counts = {"max_frames": max_frames, "batch_frames": batch_frames, "workers": workers}
+    if target_errors is not None:
+        counts["target_errors"] = target_errors
+    for name, value in counts.items():
         if isinstance(value, bool) or not isinstance(value, int):
             raise ValueError(f"{name} must be an int, got {value!r}")
-    if max_frames < 1:
-        raise ValueError("max_frames must be positive")
-    if target_errors is not None and target_errors < 1:
-        raise ValueError("target_errors must be positive when given")
-    if workers < 1:
-        raise ValueError("workers must be positive")
-    if batch_frames < 1:
-        raise ValueError("batch_frames must be positive")
+        if value < 1:
+            raise ValueError(f"{name} must be positive")
     structure = fixed_tables = None
     if spec.kind == "aut_sc":
         structure = BlockStructure((1,) * code.n) if spec.lta_only else find_block_structure(code)
@@ -393,7 +394,7 @@ def run_bler(
                 return
             lo = submitted[i] * batch_frames
             hi = min(lo + batch_frames, max_frames)
-            args = (code, spec, kernel, structure, ebn0[i], master_seed, i, lo, hi, fixed_tables)
+            args = (code, spec, structure, ebn0[i], master_seed, i, lo, hi, fixed_tables)
             pending.append((i, pool.submit(_run_batch, args)))
             submitted[i] += 1
 

@@ -21,7 +21,6 @@ import numpy as np
 from . import __version__
 from .automorphisms import blta_size, find_block_structure, sample_blta_batch
 from .channel import STREAM_VERSION, DecoderSpec, run_bler
-from .codec import KERNELS
 from .construction import ConstructionSpec, SpecError, bhattacharyya_bec_design
 from .monomials import (
     CapabilityError,
@@ -227,7 +226,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     for dec in decoders:
         results = run_bler(
             code, dec.label, ebn0, master_seed=args.seed, target_errors=args.target_errors,
-            max_frames=args.max_frames, workers=args.workers, kernel=args.kernel,
+            max_frames=args.max_frames, workers=args.workers,
         )
         for r in results:
             lo, hi = r.ci95
@@ -274,14 +273,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_sample)
 
     p = sub.add_parser("simulate", help="Monte Carlo BLER over an SNR grid")
-    p.add_argument("decoders", nargs="+", help="sc, scl-<L>, aut-<M>-sc[-lta][-fixed]")
+    p.add_argument("decoders", nargs="+", help="sc, scl-<L>, aut-<M>-sc[-lta][-fixed]; [-min-sum]")
     p.add_argument("--spec", required=True)
     p.add_argument("--ebn0", required=True, help="comma separated Eb/N0 values in dB")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--workers", type=int, default=1)
-    p.add_argument(
-        "--kernel", choices=sorted(KERNELS), default="exact_boxplus", help="check-node rule"
-    )
     p.add_argument("--max-frames", type=int, default=1_000_000)
     p.add_argument("--target-errors", type=int, default=100)
     p.add_argument("--out", help="output CSV path (default stdout)")

@@ -253,9 +253,11 @@ def _checked(
     code: MonomialCode, llrs: np.ndarray, kernel: str, list_size: int = 1
 ) -> np.ndarray:
     """Decoder input as float64, rejected unless (B, N) and finite, with a
-    known kernel and a positive list size."""
+    known kernel and a positive int list size."""
     if kernel not in KERNELS:
         raise ValueError(f"unknown kernel {kernel!r}; pick from {sorted(KERNELS)}")
+    if isinstance(list_size, bool) or not isinstance(list_size, (int, np.integer)):
+        raise ValueError(f"list size must be an int, got {list_size!r}")
     if list_size < 1:
         raise ValueError("list size must be positive")
     llrs = np.asarray(llrs, dtype=np.float64)

@@ -1,11 +1,13 @@
-"""The summary of tools/bench_pairs.py on made-up run results, and its
-clean-up on SIGTERM."""
+"""The summary of tools/bench_pairs.py on made-up run results, where its
+runs are unpacked, and its clean-up on SIGTERM."""
 
 import importlib.util
+import json
 import os
 import signal
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -68,6 +70,57 @@ def test_single_pair_spread():
     spread = got["metrics"]["items_per_s"]["base"]
     assert spread["median"] == spread["q1"] == spread["q3"] == 4.0
     assert got["metrics"]["items_per_s"]["ratio"] == 2.0
+
+
+def test_every_run_unpacks_its_commit_at_one_path(tmp_path, monkeypatch):
+    # Both sides run from <tmp>/run, unpacked just before each run and
+    # removed after it, so the two sides differ in their commit only.
+    seconds = {"commit-B": 15, "commit-C": 20}
+
+    def git(*args):
+        if args[0] == "rev-parse":
+            return f"commit-{args[1]}\n".encode()
+        assert args[0] == "show"
+        commit, _, name = args[1].partition(":")
+        assert name == "BENCHMARK.json"
+        return json.dumps({"run_seconds": seconds[commit]}).encode()
+
+    def export(commit, dest):
+        assert not dest.exists(), "the previous run's tree was left behind"
+        dest.mkdir()
+        (dest / "COMMIT").write_text(commit)
+        return dest
+
+    runs = []
+
+    def run(checkout, workload, seed, trace):
+        runs.append((checkout, (checkout / "COMMIT").read_text(), workload, seed, trace))
+        return result(100.0 if "B" in runs[-1][1] else 110.0, 1.0)
+
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({
+        "end_to_end": [{"name": n, "better": b} for n, b in BETTER.items()], "per_layer": [],
+    }))
+    (tmp_path / "tmp").mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "tmp"))
+    for name, stub in (("ROOT", tmp_path), ("git", git), ("export", export), ("run", run)):
+        monkeypatch.setattr(bench_pairs, name, stub)
+    assert bench_pairs.main([
+        "--label", "t", "--base", "B", "--change", "C", "--workload", "w1",
+        "--workload", "w2", "--pairs", "2", "--first-seed", "7",
+    ]) == 0
+
+    (checkout,) = {r[0] for r in runs}
+    assert checkout.name == "run" and not checkout.parent.exists()
+    assert [r[1:] for r in runs] == [
+        ("commit-B", "w1", 7, 0), ("commit-C", "w1", 7, 0),
+        ("commit-B", "w2", 7, 0), ("commit-C", "w2", 7, 0),
+        ("commit-C", "w1", 8, 0), ("commit-B", "w1", 8, 0),
+        ("commit-C", "w2", 8, 0), ("commit-B", "w2", 8, 0),
+    ]
+    doc = json.loads((tmp_path / "BENCH_t.json").read_text())
+    assert (doc["base"]["commit"], doc["base"]["seconds"]) == ("commit-B", 15)
+    assert (doc["change"]["commit"], doc["change"]["seconds"]) == ("commit-C", 20)
+    assert doc["workloads"]["w2"]["metrics"]["items_per_s"]["wins"] == 2
 
 
 # Installs the handler, then waits on a sleeper inside a temporary directory,

@@ -68,7 +68,7 @@ class LazyPool:
 
     @staticmethod
     def batch(args):
-        snr_idx, lo = args[0][6:8]
+        snr_idx, lo = args[0][5:7]
         return snr_idx, lo
 
     def submit(self, fn, *args):
@@ -188,17 +188,45 @@ class TestDecoderSpec:
         assert fixed.label == "aut-4-sc-lta-fixed"
         assert not DecoderSpec.parse("aut-4-sc").fixed
 
+    def test_min_sum_suffix(self):
+        spec = DecoderSpec.parse("AUT-04-SC-LTA-FIXED-MIN-SUM")
+        assert (spec.kind, spec.ensemble_size, spec.lta_only, spec.fixed, spec.kernel) == (
+            "aut_sc", 4, True, True, "min_sum"
+        )
+        assert DecoderSpec.parse("scl-4").kernel == "exact_boxplus"
+        assert DecoderSpec.parse("scl-4-min-sum") == DecoderSpec("scl", list_size=4, kernel="min_sum")
+
     @pytest.mark.parametrize(
         "text, label",
         [
             ("sc", "sc"), (" SC ", "sc"), ("scl-8", "scl-8"), ("SCL-08", "scl-8"),
             ("aut-4-sc", "aut-4-sc"), ("aut-04-sc-lta", "aut-4-sc-lta"),
             ("aut-16-sc-fixed", "aut-16-sc-fixed"), ("aut-1-sc-lta-fixed", "aut-1-sc-lta-fixed"),
+            ("sc-min-sum", "sc-min-sum"), ("SCL-08-MIN-SUM", "scl-8-min-sum"),
+            ("aut-4-sc-min-sum", "aut-4-sc-min-sum"),
+            ("aut-04-sc-lta-min-sum", "aut-4-sc-lta-min-sum"),
+            ("aut-4-sc-fixed-min-sum", "aut-4-sc-fixed-min-sum"),
+            ("AUT-04-SC-LTA-FIXED-MIN-SUM", "aut-4-sc-lta-fixed-min-sum"),
         ],
     )
     def test_label_is_canonical_and_round_trips(self, text, label):
         spec = DecoderSpec.parse(text)
         assert spec.label == label
+        assert DecoderSpec.parse(spec.label) == spec
+
+    @given(
+        kind=st.sampled_from(["sc", "scl", "aut_sc"]),
+        size=st.integers(1, 10**6),
+        lta_only=st.booleans(),
+        fixed=st.booleans(),
+        kernel=st.sampled_from(["exact_boxplus", "min_sum"]),
+    )
+    def test_every_valid_spec_round_trips(self, kind, size, lta_only, fixed, kernel):
+        # The valid specs: a size for scl and aut_sc only, the ensemble
+        # flags for aut_sc only, and either kernel for all three.
+        fields = {"scl": {"list_size": size},
+                  "aut_sc": {"ensemble_size": size, "lta_only": lta_only, "fixed": fixed}}
+        spec = DecoderSpec(kind, kernel=kernel, **fields.get(kind, {}))
         assert DecoderSpec.parse(spec.label) == spec
 
     def test_label_is_derived_not_stored(self):
@@ -209,7 +237,8 @@ class TestDecoderSpec:
         [
             "", "scl", "scl-0", "aut-sc", "aut-0-sc", "sc-8", "ml", "scl-2-lta",
             "aut-4-sc-fixed-lta", "sc-fixed", "scl-4-fixed", "aut-0-sc-fixed",
-            "aut-4-sc-fixed-fixed",
+            "aut-4-sc-fixed-fixed", "sc-minsum", "sc-min-sum-lta", "aut-4-sc-min-sum-fixed",
+            "sc-min-sum-min-sum", "sc-exact-boxplus", "sc-min_sum", "min-sum",
         ],
     )
     def test_rejects_malformed(self, text):
@@ -434,9 +463,11 @@ class TestRunBler:
         assert all(type(r.ebn0_db) is float for r in got)
 
     def test_unknown_kernel_rejected_before_any_batch(self, monkeypatch):
+        # The check-node rule is part of the name; a misspelt suffix is an
+        # unknown name.
         monkeypatch.setattr(channel, "_run_batch", self.no_batch)
-        with pytest.raises(ValueError, match="kernel"):
-            run_bler(small_code(), "sc", [1.0], master_seed=0, kernel="minsum")
+        with pytest.raises(ValueError, match="invalid decoder spec 'sc-minsum'"):
+            run_bler(small_code(), "sc-minsum", [1.0], master_seed=0)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_ebn0_rejected_before_any_batch(self, monkeypatch, bad):
@@ -459,7 +490,8 @@ class TestRunBler:
     @pytest.mark.parametrize(
         "option, bad",
         [("max_frames", 10.5), ("max_frames", True), ("batch_frames", 7.5),
-         ("batch_frames", True)],
+         ("batch_frames", True), ("workers", 2.0), ("workers", 1.0), ("workers", True),
+         ("target_errors", 2.5), ("target_errors", True)],
     )
     def test_non_int_frame_count_rejected_before_any_batch(self, monkeypatch, option, bad):
         monkeypatch.setattr(channel, "_run_batch", self.no_batch)
@@ -548,10 +580,20 @@ class TestRunBler:
             results = run_bler(code, name, [1.0, 2.0], **kwargs)
             assert [(r.frames, r.block_errors) for r in results] == [(1024, 502), (1024, 208)]
 
-    def test_min_sum_kernel_accepted(self):
-        results = run_bler(
-            small_code(), "sc", [3.0], master_seed=18, target_errors=10,
-            max_frames=400, kernel="min_sum",
-        )
-        assert results[0].frames >= 1
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_min_sum_counts_are_pinned(self, workers):
+        # The counts of these runs when the check-node rule was the run_bler
+        # keyword kernel="min_sum" on the name without the suffix; the
+        # exact kernel gives (96, 20) at 1 dB for every decoder here.
+        kwargs = dict(master_seed=18, target_errors=20, max_frames=2000, batch_frames=32)
+        pinned = {
+            "sc-min-sum": [(96, 22), (384, 20)],
+            "scl-4-min-sum": [(96, 21), (384, 21)],
+            "aut-4-sc-min-sum": [(96, 22), (384, 20)],
+            "aut-4-sc-fixed-min-sum": [(96, 22), (384, 20)],
+        }
+        for name, counts in pinned.items():
+            results = run_bler(small_code(), name, [1.0, 3.0], workers=workers, **kwargs)
+            assert [r.decoder for r in results] == [name, name]
+            assert [(r.frames, r.block_errors) for r in results] == counts, name
 

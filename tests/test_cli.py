@@ -342,30 +342,35 @@ class TestSimulate:
             texts.append(out.read_text())
         assert texts[0] == texts[1]
 
-    def test_minsum_kernel_accepted(self, tmp_path, capsys):
-        spec = write_spec(tmp_path, "spec.json", {"kind": "reed_muller", "n": 4, "r": 1})
+    def test_min_sum_shares_one_run_with_exact(self, tmp_path, capsys):
+        # Both check-node rules in one run, each labelled by its name; the
+        # sc-min-sum row has the counts the run printed as "sc" when the
+        # rule was the --kernel min_sum option.
+        spec = write_spec(
+            tmp_path, "spec.json", {"kind": "generators", "n": 5, "generators": [7, 19]}
+        )
         assert main(
-            [
-                "simulate", "sc", "--spec", spec, "--ebn0", "2.0",
-                "--seed", "1", "--kernel", "min_sum",
-                "--target-errors", "5", "--max-frames", "100",
-            ]
+            ["simulate", "sc", "SC-MIN-SUM", "--spec", spec, "--ebn0", "2.0",
+             "--seed", "0", "--max-frames", "64"]
         ) == 0
-        capsys.readouterr()
+        rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+        assert [(r["decoder"], r["frames"], r["block_errors"]) for r in rows] == [
+            ("sc", "64", "6"), ("sc-min-sum", "64", "5"),
+        ]
 
     def test_bad_decoder_exits_2(self, tmp_path, capsys):
         # Decoder names are DecoderSpec's grammar only: no bare scl or
-        # aut-sc, no decoder flag beside the name, and kernels go by their
-        # KERNELS names.
+        # aut-sc, no decoder flag beside the name, and the check-node rule
+        # goes by the -min-sum suffix.
         spec = write_spec(tmp_path, "spec.json", {"kind": "reed_muller", "n": 4, "r": 1})
         for extra in (
-            ["viterbi"], ["scl"], ["aut-sc"], ["sc", "--kernel", "minsum"],
+            ["viterbi"], ["scl"], ["aut-sc"], ["sc-minsum"], ["sc", "--kernel", "min_sum"],
             ["scl-4", "--list-size", "4"], ["aut-4-sc", "--ensemble", "4"],
             ["aut-4-sc", "--fixed-ensemble"],
         ):
             try:
                 status = main(["simulate", *extra, "--spec", spec, "--ebn0", "1.0"])
-            except SystemExit as exc:  # argparse rejects unknown flags and kernels
+            except SystemExit as exc:  # argparse rejects unknown flags
                 status = exc.code
             assert status == 2, extra
         capsys.readouterr()

@@ -171,6 +171,11 @@ class TestMessageTypes:
                 decode(kernel="fast")
         with pytest.raises(ValueError, match="list size"):
             scl_decode_batch(code, llrs, 0)
+        for bad in (2.5, 2.0, True):
+            with pytest.raises(ValueError, match="list size must be an int"):
+                scl_decode_batch(code, llrs, bad)
+        # numpy ints are ints.
+        assert scl_decode_batch(code, llrs, np.int64(2))[1].shape == (1, 2)
 
 
 class TestScDecode:

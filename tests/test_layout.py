@@ -96,7 +96,7 @@ def test_run_bler_takes_only_its_options():
         "code", "decoder", "ebn0_list",
     ]
     assert keywords == {
-        "master_seed", "target_errors", "max_frames", "workers", "batch_frames", "kernel",
+        "master_seed", "target_errors", "max_frames", "workers", "batch_frames",
     }
 
 
@@ -106,8 +106,8 @@ def test_simulate_takes_only_its_options():
     actions = commands.choices["simulate"]._actions
     assert {a.dest for a in actions if not a.option_strings} == {"decoders"}
     assert {opt for a in actions for opt in a.option_strings} == {
-        "-h", "--help", "--spec", "--ebn0", "--seed", "--workers", "--kernel",
-        "--max-frames", "--target-errors", "--out",
+        "-h", "--help", "--spec", "--ebn0", "--seed", "--workers", "--max-frames",
+        "--target-errors", "--out",
     }
 
 

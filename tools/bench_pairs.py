@@ -3,29 +3,31 @@
     python3 tools/bench_pairs.py --label census --base HEAD~1 --change HEAD \\
         --workload census-n7 --pairs 10 --first-seed 1 --trace 0
 
-Each revision is exported with `git archive` into a temporary directory, so
-the runs see committed files only, and each run lasts as long as its
-checkout's perfbench sets.  Pair k runs both exports with seed
-first_seed + k, the base first on even k and the change first on odd k, so
-a slow drift of the host's speed falls on both sides alike.  Each run's
+Each run unpacks its revision with `git archive` into one temporary
+directory, <tmp>/run, and removes it when the run ends, so the runs see
+committed files only, both sides run from the same path, and each run
+lasts as long as its revision's BENCHMARK.json sets.  Pair k runs both
+sides with seed first_seed + k, the base first on even k and the change
+first on odd k, so a slow drift of the host's speed falls on both sides
+alike.  Each run's
 result is the last line of its stdout.  BENCH_<label>.json, written at the
 repository root, holds both commits and, per workload and metric, each
 side's median and quartiles, the change-over-base ratio of the medians, and
 in how many pairs the change was better, by the metric's `better` direction
 in BENCHMARK.json.  It is rewritten after every pair, so a stopped run keeps
 the pairs it finished.  SIGTERM stops a run as Ctrl-C does: the running
-perfbench child is killed and the exports are removed.
+perfbench child is killed and the export is removed.
 
-Giving one commit as both --base and --change exports it twice, so the
-run measures the protocol's own offset between two builds of the same
-code: a change-over-base ratio or a win count that such a control reaches
-is no evidence of a gain.
+Giving one commit as both --base and --change measures the protocol's own
+offset between two runs of the same code: a change-over-base ratio or a
+win count that such a control reaches is no evidence of a gain.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import shutil
 import signal
 import statistics
 import subprocess
@@ -89,6 +91,7 @@ def export(commit: str, dest: Path) -> Path:
 
 
 def run(checkout: Path, workload: str, seed: int, trace: int) -> dict:
+    """The result line of one perfbench/run.py in checkout."""
     cmd = [
         sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
         "--trace", str(trace),
@@ -126,17 +129,24 @@ def main(argv: list[str] | None = None) -> int:
     better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
     commits = {s: git("rev-parse", getattr(args, s)).decode().strip() for s in ("base", "change")}
     out_path = ROOT / f"BENCH_{args.label}.json"
+    # The run length each side's run.py uses by default.
+    seconds = {s: json.loads(git("show", f"{c}:BENCHMARK.json"))["run_seconds"]
+               for s, c in commits.items()}
     results: dict[str, list[tuple[dict, dict]]] = {w: [] for w in args.workload}
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
-        dirs = {side: export(c, Path(tmp) / side) for side, c in commits.items()}
-        # The run length each side's run.py uses by default.
-        seconds = {s: json.loads((d / "BENCHMARK.json").read_text())["run_seconds"]
-                   for s, d in dirs.items()}
+        checkout = Path(tmp) / "run"
+
+        def run_side(side: str, workload: str, seed: int) -> dict:
+            try:
+                return run(export(commits[side], checkout), workload, seed, args.trace)
+            finally:
+                shutil.rmtree(checkout, ignore_errors=True)
+
         for k in range(args.pairs):
             seed = args.first_seed + k
             order = ("base", "change") if k % 2 == 0 else ("change", "base")
             for w in args.workload:
-                got = {s: run(dirs[s], w, seed, args.trace) for s in order}
+                got = {s: run_side(s, w, seed) for s in order}
                 results[w].append((got["base"], got["change"]))
                 print(f"pair {k + 1}/{args.pairs} {w} seed {seed}: " + ", ".join(
                     f"{m} {got['base']['metrics'][m]['value']:.4g} -> "
