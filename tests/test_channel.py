@@ -188,14 +188,6 @@ class TestDecoderSpec:
         assert fixed.label == "aut-4-sc-lta-fixed"
         assert not DecoderSpec.parse("aut-4-sc").fixed
 
-    def test_min_sum_suffix(self):
-        spec = DecoderSpec.parse("AUT-04-SC-LTA-FIXED-MIN-SUM")
-        assert (spec.kind, spec.ensemble_size, spec.lta_only, spec.fixed, spec.kernel) == (
-            "aut_sc", 4, True, True, "min_sum"
-        )
-        assert DecoderSpec.parse("scl-4").kernel == "exact_boxplus"
-        assert DecoderSpec.parse("scl-4-min-sum") == DecoderSpec("scl", list_size=4, kernel="min_sum")
-
     @pytest.mark.parametrize(
         "text, label",
         [

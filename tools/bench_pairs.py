@@ -9,14 +9,14 @@ committed files only, both sides run from the same path, and each run
 lasts as long as its revision's BENCHMARK.json sets.  Pair k runs both
 sides with seed first_seed + k, the base first on even k and the change
 first on odd k, so a slow drift of the host's speed falls on both sides
-alike.  Each run's
-result is the last line of its stdout.  BENCH_<label>.json, written at the
-repository root, holds both commits and, per workload and metric, each
-side's median and quartiles, the change-over-base ratio of the medians, and
-in how many pairs the change was better, by the metric's `better` direction
-in BENCHMARK.json.  It is rewritten after every pair, so a stopped run keeps
-the pairs it finished.  SIGTERM stops a run as Ctrl-C does: the running
-perfbench child is killed and the export is removed.
+alike.  Each run's result is the last line of its stdout.
+BENCH_<label>.json, written at the repository root, holds both commits
+and, per workload and metric, each side's median and quartiles, the
+change-over-base ratio of the medians, and in how many pairs the change
+was better, by the metric's `better` direction in BENCHMARK.json.  It is
+rewritten after every pair, so a stopped run keeps the pairs it finished.
+SIGTERM stops a run as Ctrl-C does: the running perfbench child is killed
+and the export is removed.
 
 Giving one commit as both --base and --change measures the protocol's own
 offset between two runs of the same code: a change-over-base ratio or a
