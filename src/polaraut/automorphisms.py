@@ -166,20 +166,21 @@ def sample_blta_batch(
 def position_tables_batch(rows: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     """Position permutation tables for affine maps given as row bitmasks.
 
-    rows is (count, n), offsets is (count,); returns (count, 2**n) indices.
-    Built by doubling: positions j + 2**k, j < 2**k, map to the image of j
-    XOR the image A e_k of the k-th basis vector.  The doubling runs in the
-    narrowest unsigned type that holds a position, widened once at the end.
+    rows is (count, n), offsets is (count,); returns (count, 2**n) indices,
+    the .T view of a width-major array, the layout aut_sc_decode_batch reads
+    fastest.  Built by doubling: positions j + 2**k, j < 2**k, map to the
+    image of j XOR the image A e_k of the k-th basis vector, one contiguous
+    slab per step, in the narrowest unsigned type that holds a position.
     """
     count, n = rows.shape
-    shifts = np.arange(n, dtype=rows.dtype)
-    cols = np.zeros((count, n), dtype=rows.dtype)
+    shifts = np.arange(n, dtype=rows.dtype)[:, None]
+    cols = np.zeros((n, count), dtype=rows.dtype)
     for i in range(n):
-        cols |= ((rows[:, i : i + 1] >> shifts) & 1) << i
+        cols |= ((rows[:, i] >> shifts) & 1) << i
     narrow = np.min_scalar_type((1 << n) - 1)
     cols = cols.astype(narrow)
-    out = np.empty((count, 1 << n), dtype=narrow)
-    out[:, 0] = offsets
+    out = np.empty((1 << n, count), dtype=narrow)
+    out[0] = offsets
     for k in range(n):
-        np.bitwise_xor(out[:, : 1 << k], cols[:, k : k + 1], out=out[:, 1 << k : 2 << k])
-    return out.astype(np.int64)
+        np.bitwise_xor(out[: 1 << k], cols[k], out=out[1 << k : 2 << k])
+    return out.astype(np.int64).T

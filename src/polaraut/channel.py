@@ -4,7 +4,8 @@ Frame streams are counter based: each (master seed, SNR index) keys one
 Philox4x64-10, and a frame's random words are the blocks at fixed counters
 under that key, so they are a pure function of (master seed, SNR index,
 frame index) and one call draws a whole batch.  Results are reproducible
-frame by frame and invariant to batching, scheduling, and worker count.
+frame by frame and invariant to scheduling and worker count, and to batching
+too, except that with target_errors a point stops at a batch boundary.
 """
 
 from __future__ import annotations

@@ -105,8 +105,14 @@ def _f_min_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _g(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Variable-node combine given the left-side word x."""
-    return b + np.where(x.view(bool), -a, a)
+    """Variable-node combine b + (-1)**x a given the left-side word x; the
+    sign-bit flip negates a exactly, so this is b - a or b + a bit for bit."""
+    out = x.astype(np.uint64)
+    out <<= 63
+    out ^= a.view(np.uint64)
+    out = out.view(np.float64)
+    out += b
+    return out
 
 
 KERNELS: dict[str, Callable[[np.ndarray, np.ndarray], np.ndarray]] = {
@@ -271,8 +277,8 @@ def _checked(
 
 
 def _checked_tables(tables: np.ndarray, batch: int, size: int) -> np.ndarray:
-    """Ensemble tables as (B, M, N), rejected unless (M, N) or (B, M, N)
-    integers in [0, N)."""
+    """Ensemble tables as (B, M, N) np.intp, rejected unless (M, N) or
+    (B, M, N) integers in [0, N), which makes the cast exact."""
     tables = np.asarray(tables)
     if (
         tables.ndim not in (2, 3)
@@ -288,32 +294,18 @@ def _checked_tables(tables: np.ndarray, batch: int, size: int) -> np.ndarray:
         raise ValueError("tables must hold integers")
     if tables.size and (tables.min() < 0 or tables.max() >= size):
         raise ValueError(f"table entries must lie in [0, {size})")
+    tables = tables.astype(np.intp, copy=False)
     return np.broadcast_to(tables, (batch,) + tables.shape[-2:])
-
-
-def _branch_llrs(llrs: np.ndarray, tables: np.ndarray) -> np.ndarray:
-    """The ensemble's (N, B*M) walker input from (B, N) llrs and (B, M, N) tables.
-
-    Column b*M + m is frame b read through table m, in transform order: row
-    j holds llrs[b, tables[b, m, N-1-j]].
-    """
-    batch, m_branches, size = tables.shape
-    index = np.empty((size, batch * m_branches), dtype=np.intp)
-    np.add(
-        tables.reshape(batch * m_branches, size).T[::-1],
-        np.repeat(size * np.arange(batch), m_branches),
-        out=index,
-    )
-    return llrs.ravel()[index]
 
 
 def _most_correlated(cands: np.ndarray, llrs: np.ndarray) -> np.ndarray:
     """Per frame, the (B, P, N) candidate that best matches llrs (first on a tie)."""
     # Contiguous rows keep the summation order of the correlations, so
-    # near-tied candidates always rank the same way.
+    # near-tied candidates always rank the same way; negation is exact, so
+    # each term is (1 - 2c) * llr bit for bit.
     cands = np.ascontiguousarray(cands)
-    signs = 1.0 - 2.0 * cands.astype(np.float64)
-    corr = (signs * np.ascontiguousarray(llrs)[:, None, :]).sum(axis=2)
+    chan = np.ascontiguousarray(llrs)[:, None, :]
+    corr = np.where(cands.view(bool), -chan, chan).sum(axis=2)
     return cands[np.arange(len(cands)), corr.argmax(axis=1)]
 
 
@@ -365,19 +357,21 @@ def aut_sc_decode_batch(
     """Automorphism-ensemble SC over a batch.
 
     tables holds position permutations, shape (M, N) shared across the batch
-    or (B, M, N) per frame.  Each branch decodes the permuted frame with SC,
-    the permutation is undone, and the codeword with the highest correlation
-    to the channel wins (lowest branch index on a tie).  Tables of another
-    shape, or with entries outside [0, N), raise ValueError.
+    or (B, M, N) per frame, in any integer dtype and layout.  Each branch
+    decodes the permuted frame with SC, the permutation is undone, and the
+    codeword with the highest correlation to the channel wins (lowest branch
+    index on a tie).  Tables of another shape, or with entries outside
+    [0, N), raise ValueError.  Walker row j of branch column b*M + m reads
+    position tables[b, m, N-1-j]; position_tables_batch's width-major
+    layout, reshaped, makes those rows contiguous, the fast case.
     """
     llrs = _checked(code, llrs_eval, kernel)
     batch, size = llrs.shape
     tables = _checked_tables(tables, batch, size)
     m_branches = tables.shape[1]
-    chan = _branch_llrs(llrs, tables)
-    cands = _tree(chan, frozen_mask(code), kernel, 1)[::-1, :, 0]
-    unperm = np.zeros(batch * m_branches * size, dtype=np.uint8)
-    branch_starts = size * np.arange(batch * m_branches).reshape(batch, m_branches, 1)
-    unperm[(tables + branch_starts).ravel()] = cands.T.ravel()
-    unperm = unperm.reshape(batch, m_branches, size)
+    rows = tables.reshape(batch * m_branches, size).T[::-1]
+    chan = np.take(llrs.ravel(), rows + np.repeat(size * np.arange(batch), m_branches))
+    cands = _tree(chan, frozen_mask(code), kernel, 1)[:, :, 0]
+    unperm = np.zeros((batch, m_branches, size), dtype=np.uint8)
+    unperm.ravel()[rows + size * np.arange(batch * m_branches)] = cands
     return _with_messages(code, _most_correlated(unperm, llrs))

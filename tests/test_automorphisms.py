@@ -488,6 +488,16 @@ class TestAffineAutomorphism:
             aut = AffineAutomorphism(mat, int(offsets[i]))
             assert np.array_equal(tables[i], position_table(aut))
 
+    def test_batch_tables_are_width_major(self):
+        # aut_sc_decode_batch reads the walker's rows straight from this
+        # layout, and _run_batch's reshape of it must stay a view.
+        rng = np.random.default_rng(57)
+        batch, m = 6, 4
+        rows, offsets = sample_blta_batch(BlockStructure((2, 3)), batch * m, rng)
+        tables = position_tables_batch(rows, offsets)
+        assert tables.T.flags.c_contiguous
+        assert np.shares_memory(tables, tables.reshape(batch, m, 32))
+
     def test_batch_tables_match_parity_oracle(self):
         rng = np.random.default_rng(56)
         for n in range(1, 11):

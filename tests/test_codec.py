@@ -25,6 +25,7 @@ from polaraut.codec import (
 from polaraut.construction import ConstructionSpec, bhattacharyya_bec_design
 from polaraut.monomials import Monomial, MonomialCode, decreasing_closure, row_to_monomial
 from polaraut.verify import position_table, sample_blta
+import reference_codec
 from reference_codec import (
     REFERENCE_KERNELS,
     _sc_batch,
@@ -346,6 +347,20 @@ class TestAutScDecode:
         msgs, words = aut_sc_decode_batch(code, llrs, tables)
         assert np.array_equal(encode_batch(code, msgs), words)
 
+    def test_table_dtypes_agree(self):
+        # Any integer dtype works, unsigned included: the decoder casts
+        # range-checked tables to np.intp.
+        rng = np.random.default_rng(76)
+        code = random_decreasing_code(rng, 6)
+        rows, offsets = sample_blta_batch(find_block_structure(code), 4 * 40, rng)
+        tables = position_tables_batch(rows, offsets).reshape(40, 4, -1)
+        _, _, llrs = noisy_llrs(code, rng, 40, sigma=1.2)
+        want = aut_sc_decode_batch(code, llrs, tables)
+        for dtype in (np.int32, np.uint8, np.uint64):
+            got = aut_sc_decode_batch(code, llrs, tables.astype(dtype))
+            assert np.array_equal(got[0], want[0])
+            assert np.array_equal(got[1], want[1])
+
     def test_single_frame_wrapper(self):
         rng = np.random.default_rng(75)
         code = random_decreasing_code(rng, 4)
@@ -462,6 +477,35 @@ class TestKernels:
             kernel(a, b)
             assert a.tolist() == [[1.5, -0.0, 3.0]] and b.tolist() == [[-2.0, 4.0, 0.5]]
 
+    @staticmethod
+    def check_g(a, b, rng):
+        """codec._g against the reference for x all 0, all 1 and random,
+        leaving a, b and x untouched."""
+        for x in (
+            np.zeros(a.shape, dtype=np.uint8),
+            np.ones(a.shape, dtype=np.uint8),
+            rng.integers(0, 2, a.shape, dtype=np.uint8),
+        ):
+            before = [v.copy() for v in (a, b, x)]
+            with np.errstate(over="ignore"):
+                got = codec._g(a, b, x)
+                want = reference_codec._g(a, b, x)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+            for v, old in zip((a, b, x), before):
+                assert np.array_equal(v.view(np.uint8), old.view(np.uint8))
+
+    def test_g_bitwise_on_special_values(self):
+        values = np.array(self.SPECIAL)
+        values = np.concatenate([values, -values])
+        a, b = np.meshgrid(values, values)
+        self.check_g(a, b, np.random.default_rng(83))
+
+    def test_g_bitwise_on_random_values(self):
+        rng = np.random.default_rng(84)
+        x = rng.standard_normal((64, 40, 8)) * 10.0 ** rng.integers(-8, 4, (64, 40, 8))
+        x[rng.random(x.shape) < 0.02] = -0.0
+        self.check_g(x[:32], x[32:], rng)
+
 
 class TestNodeSchedule:
     """SC visits Rate-0, repetition and Rate-1 nodes whole; SCL visits every node."""
@@ -563,14 +607,19 @@ class TestAgainstReference:
         if zeros:
             llrs[rng.random(llrs.shape) < zeros] = 0.0
         rows, offsets = sample_blta_batch(find_block_structure(code), 4 * frames, rng)
-        tables = position_tables_batch(rows, offsets).reshape(frames, 4, -1)
-        pairs = [
-            (sc_decode_batch(code, llrs, kernel), sc_reference(code, llrs, kernel)),
-            (
-                aut_sc_decode_batch(code, llrs, tables, kernel),
-                aut_sc_reference(code, llrs, tables, kernel),
-            ),
-        ]
+        pairs = [(sc_decode_batch(code, llrs, kernel), sc_reference(code, llrs, kernel))]
+        # Aut-SC on every table layout: the width-major view that
+        # position_tables_batch returns, a C-contiguous copy, a read-only
+        # second build of that view and a shared (M, N) ensemble.
+        tables, frozen = (
+            position_tables_batch(rows, offsets).reshape(frames, 4, -1) for _ in range(2)
+        )
+        frozen.setflags(write=False)
+        shared = position_tables_batch(rows[:4], offsets[:4])
+        for layouts in ([tables, np.ascontiguousarray(tables), frozen], [shared]):
+            want = aut_sc_reference(code, llrs, layouts[0], kernel)
+            pairs += [(aut_sc_decode_batch(code, llrs, t, kernel), want) for t in layouts]
+        assert np.array_equal(frozen, tables)
         for size in list_sizes:
             pairs.append(
                 (
