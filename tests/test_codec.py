@@ -347,20 +347,6 @@ class TestAutScDecode:
         msgs, words = aut_sc_decode_batch(code, llrs, tables)
         assert np.array_equal(encode_batch(code, msgs), words)
 
-    def test_table_dtypes_agree(self):
-        # Any integer dtype works, unsigned included: the decoder casts
-        # range-checked tables to np.intp.
-        rng = np.random.default_rng(76)
-        code = random_decreasing_code(rng, 6)
-        rows, offsets = sample_blta_batch(find_block_structure(code), 4 * 40, rng)
-        tables = position_tables_batch(rows, offsets).reshape(40, 4, -1)
-        _, _, llrs = noisy_llrs(code, rng, 40, sigma=1.2)
-        want = aut_sc_decode_batch(code, llrs, tables)
-        for dtype in (np.int32, np.uint8, np.uint64):
-            got = aut_sc_decode_batch(code, llrs, tables.astype(dtype))
-            assert np.array_equal(got[0], want[0])
-            assert np.array_equal(got[1], want[1])
-
     def test_single_frame_wrapper(self):
         rng = np.random.default_rng(75)
         code = random_decreasing_code(rng, 4)
@@ -610,13 +596,16 @@ class TestAgainstReference:
         pairs = [(sc_decode_batch(code, llrs, kernel), sc_reference(code, llrs, kernel))]
         # Aut-SC on every table layout: the width-major view that
         # position_tables_batch returns, a C-contiguous copy, a read-only
-        # second build of that view and a shared (M, N) ensemble.
+        # second build of that view, other integer dtypes (unsigned too)
+        # and a shared (M, N) ensemble.
         tables, frozen = (
             position_tables_batch(rows, offsets).reshape(frames, 4, -1) for _ in range(2)
         )
         frozen.setflags(write=False)
+        per_frame = [tables, np.ascontiguousarray(tables), frozen]
+        per_frame += [tables.astype(t) for t in (np.int32, np.uint8, np.uint64)]
         shared = position_tables_batch(rows[:4], offsets[:4])
-        for layouts in ([tables, np.ascontiguousarray(tables), frozen], [shared]):
+        for layouts in (per_frame, [shared]):
             want = aut_sc_reference(code, llrs, layouts[0], kernel)
             pairs += [(aut_sc_decode_batch(code, llrs, t, kernel), want) for t in layouts]
         assert np.array_equal(frozen, tables)
