@@ -13,12 +13,16 @@ most correlated with the channel.  The walker keeps its arrays width-major,
 (width, B) or (width, B, P), so a node's two halves are contiguous slabs.
 SC skips whole subtrees whose kind the frozen mask fixes: Rate-0 (all
 frozen), repetition (only the last row free) and Rate-1 (none frozen), after
-Alamdar-Yazdi & Kschischang (2011) and Sarkis et al. (2014); every shortcut
-is bit-exact with the generic nodes.  SCL walks generic nodes only.  Its
-paths live on the last axis, and a subtree that forks or prunes hands back
-the parent of each of its paths: the caller gathers only the LLRs and left
-word it still holds by that map (the lazy copy of Tal & Vardy, 2015), by
-flat index into the (width, B * P) view of each array.
+Alamdar-Yazdi & Kschischang (2011) and Sarkis et al. (2014).  A generic node
+whose left half is Rate-0 skips f and decodes its right half from a + b;
+one whose right half is Rate-0 skips g.  A frame below a Rate-1 node's floor
+takes one generic level, and each half is a Rate-1 node again against its
+own depth's floor.  Every shortcut is bit-exact with the generic nodes.
+SCL walks generic nodes only.  Its paths live on the last axis, and a
+subtree that forks or prunes hands back the parent of each of its paths:
+the caller gathers only the LLRs and left word it still holds by that map
+(the lazy copy of Tal & Vardy, 2015), by flat index into the (width, B * P)
+view of each array.
 """
 
 from __future__ import annotations
@@ -160,17 +164,47 @@ def encode_batch(code: MonomialCode, messages: np.ndarray) -> np.ndarray:
     return polar_transform(u.T)[:, ::-1]
 
 
+def _node_kind(frozen_before: list[int], start: int, width: int) -> str:
+    """The kind of the SC node over rows [start, start + width), from the
+    counts of frozen rows before each row (frozen_before[i] counts rows < i).
+
+    "rate0" (all rows frozen), "rate1" (none frozen), "repetition" (only
+    the last row free), "left-rate0" or "right-rate0" (that half all
+    frozen, the node none of the kinds before), else "generic".  A leaf is
+    Rate-0 or Rate-1.
+    """
+    h = width // 2
+    left = frozen_before[start + h] - frozen_before[start]
+    right = frozen_before[start + width] - frozen_before[start + h]
+    if left + right == width:
+        return "rate0"
+    if left + right == 0:
+        return "rate1"
+    last_free = frozen_before[start + width - 1] == frozen_before[start + width]
+    if left + right == width - 1 and last_free:
+        return "repetition"
+    if left == h:
+        return "left-rate0"
+    if right == h:
+        return "right-rate0"
+    return "generic"
+
+
 def _tree(
     llrs: np.ndarray, frozen: np.ndarray, kernel: str, list_size: int
 ) -> np.ndarray:
     """Successive cancellation with up to list_size paths per frame.
 
     llrs are (N, B) in transform order; returns (N, B, P) candidate words in
-    transform order.  With list_size 1 arrays are (width, B) and a node the
-    frozen mask makes Rate-0 returns zeros, a repetition node the sign of
-    its LLRs summed by halves (as its g chain sums them), and a Rate-1 node
-    the hard decision for every frame whose smallest |LLR| there reaches the
-    kernel's floor; the other frames walk that node generically.  Otherwise
+    transform order.  With list_size 1 arrays are (width, B) and each node
+    acts by its _node_kind: a Rate-0 node returns zeros, a repetition node
+    the sign of its LLRs summed by halves (as its g chain sums them), and a
+    Rate-1 node the hard decision for every frame whose smallest |LLR|
+    there reaches the kernel's floor for its depth; the other frames take
+    f and g once and decode each half as a Rate-1 node again.  A node whose
+    left half is Rate-0 calls no f and returns [right, right], its right
+    half decoded from a + b (which is _g with an all-zero word); one whose
+    right half is Rate-0 calls no g and returns [left, 0].  Otherwise
     arrays are (width, B, P) and every node is generic: information leaves
     fork every path, and once more than list_size would live the best
     survive by path metric (stable sort, so tied candidates keep
@@ -209,13 +243,19 @@ def _tree(
         pm = cand[frames, order]
         return (order & 1).astype(np.uint8)[None], order >> 1
 
-    def rate1(llr: np.ndarray, start: int) -> np.ndarray:
+    def rate1(llr: np.ndarray) -> np.ndarray:
         hard = (llr < 0).astype(np.uint8)
         depth = len(llr).bit_length() - 1
         if depth:
             weak = np.flatnonzero(np.abs(llr).min(axis=0) < floors[depth])
             if weak.size:
-                hard[:, weak] = node(llr[:, weak], start, False)[0]
+                # One generic level for the weak frames; each half is a
+                # Rate-1 node again, held against its own depth's floor.
+                h = len(llr) // 2
+                a, b = llr[:h, weak], llr[h:, weak]
+                left = rate1(f_kernel(a, b))
+                right = rate1(_g(a, b, left))
+                hard[:, weak] = np.concatenate([left ^ right, right])
         return hard
 
     def repetition(llr: np.ndarray) -> np.ndarray:
@@ -225,34 +265,38 @@ def _tree(
             total = total[:h] + total[h:]
         return np.repeat((total < 0).astype(np.uint8), len(llr), axis=0)
 
-    def node(
-        llr: np.ndarray, start: int, shortcuts: bool
-    ) -> tuple[np.ndarray, np.ndarray | None]:
+    def node(llr: np.ndarray, start: int) -> tuple[np.ndarray, np.ndarray | None]:
         width = len(llr)
-        if shortcuts:
-            n_frozen = frozen_before[start + width] - frozen_before[start]
-            if n_frozen == width:
-                return np.zeros(llr.shape, dtype=np.uint8), None
-            if n_frozen == 0:
-                return rate1(llr, start), None
-            if n_frozen == width - 1 and not frozen[start + width - 1]:
-                return repetition(llr), None
-        if width == 1:
-            return leaf(llr, start)
         h = width // 2
         a, b = llr[:h], llr[h:]
-        left, parent = node(f_kernel(a, b), start, shortcuts)
+        kind = "generic" if listing else _node_kind(frozen_before, start, width)
+        if kind == "rate0":
+            return np.zeros(llr.shape, dtype=np.uint8), None
+        if kind == "rate1":
+            return rate1(llr), None
+        if kind == "repetition":
+            return repetition(llr), None
+        if kind == "left-rate0":
+            # _g with an all-zero left word is a + b, bit for bit.
+            right = node(a + b, start + h)[0]
+            return np.concatenate([right, right]), None
+        if kind == "right-rate0":
+            left = node(f_kernel(a, b), start)[0]
+            return np.concatenate([left, np.zeros(left.shape, dtype=np.uint8)]), None
+        if width == 1:
+            return leaf(llr, start)
+        left, parent = node(f_kernel(a, b), start)
         if parent is not None:
             a, b = take(a, parent), take(b, parent)
-        right, right_parent = node(_g(a, b, left), start + h, shortcuts)
+        right, right_parent = node(_g(a, b, left), start + h)
         if right_parent is not None:
             left = take(left, right_parent)
             parent = right_parent if parent is None else parent[frames, right_parent]
         return np.concatenate([left ^ right, right]), parent
 
     if listing:
-        return node(llrs[:, :, None], 0, False)[0]
-    return node(llrs, 0, True)[0][:, :, None]
+        return node(llrs[:, :, None], 0)[0]
+    return node(llrs, 0)[0][:, :, None]
 
 
 def _checked(
@@ -360,10 +404,11 @@ def aut_sc_decode_batch(
     or (B, M, N) per frame, in any integer dtype and layout.  Each branch
     decodes the permuted frame with SC, the permutation is undone, and the
     codeword with the highest correlation to the channel wins (lowest branch
-    index on a tie).  Tables of another shape, or with entries outside
-    [0, N), raise ValueError.  Walker row j of branch column b*M + m reads
-    position tables[b, m, N-1-j]; position_tables_batch's width-major
-    layout, reshaped, makes those rows contiguous, the fast case.
+    index on a tie).  Tables of another shape, with entries outside [0, N)
+    or with a row that is not a permutation, raise ValueError.  Walker row
+    j of branch column b*M + m reads position tables[b, m, N-1-j];
+    position_tables_batch's width-major layout, reshaped, makes those rows
+    contiguous, the fast case.
     """
     llrs = _checked(code, llrs_eval, kernel)
     batch, size = llrs.shape
@@ -372,6 +417,10 @@ def aut_sc_decode_batch(
     rows = tables.reshape(batch * m_branches, size).T[::-1]
     chan = np.take(llrs.ravel(), rows + np.repeat(size * np.arange(batch), m_branches))
     cands = _tree(chan, frozen_mask(code), kernel, 1)[:, :, 0]
-    unperm = np.zeros((batch, m_branches, size), dtype=np.uint8)
+    # N writes fill a branch's N slots exactly when its row is a
+    # permutation, so a sentinel left over marks a row that is not.
+    unperm = np.full((batch, m_branches, size), 2, dtype=np.uint8)
     unperm.ravel()[rows + size * np.arange(batch * m_branches)] = cands
+    if (unperm == 2).any():
+        raise ValueError("every table row must be a permutation of range(N)")
     return _with_messages(code, _most_correlated(unperm, llrs))

@@ -72,9 +72,10 @@ def test_single_pair_spread():
     assert got["metrics"]["items_per_s"]["ratio"] == 2.0
 
 
-def test_every_run_unpacks_its_commit_at_one_path(tmp_path, monkeypatch):
-    # Both sides run from <tmp>/run, unpacked just before each run and
-    # removed after it, so the two sides differ in their commit only.
+def stub_runs(tmp_path, monkeypatch):
+    """Stubs git, export and run under tmp_path; returns the list each run
+    appends (checkout, commit, workload, seed, trace) to.  The base commit
+    reads 100 items/s and the change 110."""
     seconds = {"commit-B": 15, "commit-C": 20}
 
     def git(*args):
@@ -104,6 +105,13 @@ def test_every_run_unpacks_its_commit_at_one_path(tmp_path, monkeypatch):
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "tmp"))
     for name, stub in (("ROOT", tmp_path), ("git", git), ("export", export), ("run", run)):
         monkeypatch.setattr(bench_pairs, name, stub)
+    return runs
+
+
+def test_every_run_unpacks_its_commit_at_one_path(tmp_path, monkeypatch):
+    # Both sides run from <tmp>/run, unpacked just before each run and
+    # removed after it, so the two sides differ in their commit only.
+    runs = stub_runs(tmp_path, monkeypatch)
     assert bench_pairs.main([
         "--label", "t", "--base", "B", "--change", "C", "--workload", "w1",
         "--workload", "w2", "--pairs", "2", "--first-seed", "7",
@@ -121,6 +129,38 @@ def test_every_run_unpacks_its_commit_at_one_path(tmp_path, monkeypatch):
     assert (doc["base"]["commit"], doc["base"]["seconds"]) == ("commit-B", 15)
     assert (doc["change"]["commit"], doc["change"]["seconds"]) == ("commit-C", 20)
     assert doc["workloads"]["w2"]["metrics"]["items_per_s"]["wins"] == 2
+    assert doc["seeds"] == [7, 8] and "control" not in doc
+
+
+def test_control_pairs_run_the_base_twice_into_the_same_file(tmp_path, monkeypatch):
+    # Each of the first K pairs is followed by a base/base pair with its
+    # seed and order; their summary sits under "control" next to the pairs.
+    runs = stub_runs(tmp_path, monkeypatch)
+    assert bench_pairs.main([
+        "--label", "t", "--base", "B", "--change", "C", "--workload", "w1",
+        "--workload", "w2", "--pairs", "3", "--first-seed", "7", "--control", "2",
+    ]) == 0
+    assert [r[1:4] for r in runs] == [
+        ("commit-B", "w1", 7), ("commit-C", "w1", 7),
+        ("commit-B", "w2", 7), ("commit-C", "w2", 7),
+        ("commit-B", "w1", 7), ("commit-B", "w1", 7),
+        ("commit-B", "w2", 7), ("commit-B", "w2", 7),
+        ("commit-C", "w1", 8), ("commit-B", "w1", 8),
+        ("commit-C", "w2", 8), ("commit-B", "w2", 8),
+        ("commit-B", "w1", 8), ("commit-B", "w1", 8),
+        ("commit-B", "w2", 8), ("commit-B", "w2", 8),
+        ("commit-B", "w1", 9), ("commit-C", "w1", 9),
+        ("commit-B", "w2", 9), ("commit-C", "w2", 9),
+    ]
+    doc = json.loads((tmp_path / "BENCH_t.json").read_text())
+    assert doc["seeds"] == [7, 8, 9]
+    assert doc["workloads"]["w1"]["metrics"]["items_per_s"]["ratio"] == pytest.approx(1.1)
+    control = doc["control"]
+    assert (control["commit"], control["seeds"]) == ("commit-B", [7, 8])
+    for w in ("w1", "w2"):
+        items = control["workloads"][w]["metrics"]["items_per_s"]
+        assert (items["ratio"], items["wins"], items["pairs"]) == (1.0, 0, 2)
+        assert control["workloads"][w]["operations"]["change"] == {"attempted": 20, "failed": 0}
 
 
 # Installs the handler, then waits on a sleeper inside a temporary directory,

@@ -1,8 +1,12 @@
 """Encoder against the Kronecker-product reference, decoder reductions,
 and the list/ensemble decoders on clean and noisy frames."""
 
+from itertools import accumulate
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import kron_generator_matrix, random_decreasing_code
 from polaraut import codec
@@ -419,6 +423,19 @@ class TestInputChecks:
             with pytest.raises(ValueError, match=r"\[0, 8\)"):
                 aut_sc_decode_batch(code, np.ones((3, 8)), shaped)
 
+    @pytest.mark.parametrize("case", ["all zero", "repeated entry", "one bad shared row"])
+    def test_non_permutation_tables_rejected(self, code, case):
+        tables = np.tile(np.arange(8), (3, 2, 1))
+        if case == "all zero":
+            tables = np.zeros((1, 8), dtype=np.int64)
+        elif case == "repeated entry":
+            tables[2, 1, 4] = tables[2, 1, 5]
+        else:
+            tables = tables[0]
+            tables[1] = [0, 1, 2, 3, 4, 5, 6, 6]
+        with pytest.raises(ValueError, match="permutation"):
+            aut_sc_decode_batch(code, np.ones((3, 8)), tables)
+
     def test_non_integer_tables_rejected(self, code):
         with pytest.raises(ValueError, match="integers"):
             aut_sc_decode_batch(code, np.ones((3, 8)), np.arange(8.0)[None, :])
@@ -493,33 +510,105 @@ class TestKernels:
         self.check_g(x[:32], x[32:], rng)
 
 
-class TestNodeSchedule:
-    """SC visits Rate-0, repetition and Rate-1 nodes whole; SCL visits every node."""
+def sc_f_widths(frozen):
+    """The half-width of every f call SC makes when no frame falls below a
+    Rate-1 floor, in call order, walked with the decoder's node-kind rule."""
+    frozen_before = [0, *accumulate(frozen.tolist())]
 
-    @pytest.mark.parametrize(
-        "n, gens, visited", [(8, [31, 57], 89), (7, [27, 56], 51)]
-    )
-    def test_visited_nodes(self, monkeypatch, n, gens, visited):
-        code = generator_code(n, gens)
+    def walk(start, width):
+        kind = codec._node_kind(frozen_before, start, width)
+        h = width // 2
+        if kind == "left-rate0":
+            return walk(start + h, h)
+        if kind == "right-rate0":
+            return [h] + walk(start, h)
+        if kind == "generic":
+            return [h] + walk(start, h) + walk(start + h, h)
+        return []
+
+    return walk(0, len(frozen))
+
+
+class TestNodeSchedule:
+    """SC visits Rate-0, repetition and Rate-1 nodes whole and skips f or g
+    for a half that is all frozen; SCL visits every node."""
+
+    @staticmethod
+    def counting_f(monkeypatch, kernel):
+        """f widths as the walker calls them, for the named kernel."""
         shapes = []
-        kernel = KERNELS["exact_boxplus"]
+        f_kernel = KERNELS[kernel]
 
         def counting(a, b):
             shapes.append(a.shape)
-            return kernel(a, b)
+            return f_kernel(a, b)
 
-        monkeypatch.setitem(KERNELS, "exact_boxplus", counting)
+        monkeypatch.setitem(KERNELS, kernel, counting)
+        return shapes
+
+    @pytest.mark.parametrize(
+        "n, gens, f_calls, f_elements", [(8, [31, 57], 44, 636), (7, [27, 56], 21, 236)]
+    )
+    def test_f_calls_follow_node_kinds(self, monkeypatch, n, gens, f_calls, f_elements):
+        code = generator_code(n, gens)
+        shapes = self.counting_f(monkeypatch, "exact_boxplus")
         rng = np.random.default_rng(79)
         # Clean frames keep every node's LLRs above its Rate-1 floor, so no
-        # frame walks a Rate-1 node generically: each generic node calls f
-        # once and has two children, and the visited nodes form a full
-        # binary tree.
+        # frame walks a Rate-1 node generically and the frozen mask alone
+        # fixes the f calls.
         _, _, llrs = noisy_llrs(code, rng, 4, sigma=0.2)
         sc_decode_batch(code, llrs)
-        assert 2 * len(shapes) + 1 == visited
+        widths = sc_f_widths(frozen_mask(code))
+        assert shapes == [(w, 4) for w in widths]
+        assert (len(widths), sum(widths)) == (f_calls, f_elements)
         shapes.clear()
         scl_decode_batch(code, llrs, 2)
         assert len(shapes) == code.block_length - 1
+
+    @pytest.mark.parametrize("kernel", ["exact_boxplus", "min_sum"])
+    def test_weak_frame_in_rate1_node_costs_its_depth(self, monkeypatch, kernel):
+        # One zero LLR in one frame of a width-64 Rate-1 node: that frame
+        # alone takes one generic level per depth, and only the half holding
+        # the zero stays below its floor, so f runs once per depth on one
+        # column, not 63 times.
+        depth = 6
+        width = 1 << depth
+        frozen = np.zeros(width, dtype=bool)
+        rng = np.random.default_rng(85)
+        llrs = 20.0 * rng.choice([-1.0, 1.0], size=(width, 50))
+        llrs[37, 11] = 0.0
+        shapes = self.counting_f(monkeypatch, kernel)
+        got = codec._tree(llrs, frozen, kernel, 1)[:, :, 0]
+        assert shapes == [(width >> d, 1) for d in range(1, depth + 1)]
+        _, want = _sc_batch(llrs.T, frozen, REFERENCE_KERNELS[kernel])
+        assert np.array_equal(got.T, want)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        frozen=st.integers(1, 7).flatmap(
+            lambda d: st.lists(st.booleans(), min_size=1 << d, max_size=1 << d)
+        ),
+        kernel=st.sampled_from(["exact_boxplus", "min_sum"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_sc_walker_matches_reference(self, frozen, kernel, seed):
+        # Any frozen mask, with each frame's magnitudes at 0.5-2x one
+        # depth's exact-boxplus floor (tiny and subnormal ones for min-sum's
+        # ulp floor among them) and exact zeros of both signs, so Rate-1
+        # nodes at every depth send frames back through their halves.
+        frozen = np.array(frozen)
+        width, frames = len(frozen), 16
+        rng = np.random.default_rng(seed)
+        floors = np.array(codec._RATE1_FLOORS["exact_boxplus"])
+        depth = rng.integers(1, width.bit_length(), frames)
+        scale = np.where(rng.random(frames) < 0.2, 5e-324, floors[depth])
+        llrs = scale * rng.uniform(0.5, 2.0, (width, frames))
+        llrs *= rng.choice([-1.0, 1.0], (width, frames))
+        llrs[rng.random(llrs.shape) < 0.05] = 0.0
+        llrs[rng.random(llrs.shape) < 0.05] = -0.0
+        _, want = _sc_batch(llrs.T, frozen, REFERENCE_KERNELS[kernel])
+        got = codec._tree(llrs, frozen, kernel, 1)[:, :, 0]
+        assert np.array_equal(got.T, want)
 
     @pytest.mark.parametrize("kernel", ["exact_boxplus", "min_sum"])
     def test_rate1_floor_is_safe(self, kernel):

@@ -21,6 +21,10 @@ and the export is removed.
 Giving one commit as both --base and --change measures the protocol's own
 offset between two runs of the same code: a change-over-base ratio or a
 win count that such a control reaches is no evidence of a gain.
+--control K runs that control alongside: the first K pairs are each
+followed by a base-against-base pair with the same seed and order, and
+the file holds their summary under "control", so each ratio sits next to
+the offset measured in the same session.
 """
 
 from __future__ import annotations
@@ -122,6 +126,8 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--first-seed", type=int, default=1)
     p.add_argument("--trace", type=int, choices=(0, 1), default=0)
+    p.add_argument("--control", type=int, default=0,
+                   help="base-against-base pairs per workload, written under 'control'")
     args = p.parse_args(argv)
     stop_on_sigterm()
 
@@ -132,36 +138,51 @@ def main(argv: list[str] | None = None) -> int:
     # The run length each side's run.py uses by default.
     seconds = {s: json.loads(git("show", f"{c}:BENCHMARK.json"))["run_seconds"]
                for s, c in commits.items()}
-    results: dict[str, list[tuple[dict, dict]]] = {w: [] for w in args.workload}
+    # The commit each side of a pair runs: the control runs the base twice.
+    runs = {"pairs": commits, "control": {"base": commits["base"], "change": commits["base"]}}
+    counts = {"pairs": args.pairs, "control": args.control}
+    results: dict[str, dict[str, list[tuple[dict, dict]]]] = {
+        kind: {w: [] for w in args.workload} for kind in runs
+    }
+
+    def summary(kind: str) -> dict:
+        done = len(results[kind][args.workload[0]])
+        return {
+            "seeds": list(range(args.first_seed, args.first_seed + done)),
+            "workloads": {w: summarize(r, better) for w, r in results[kind].items() if r},
+        }
+
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
         checkout = Path(tmp) / "run"
 
-        def run_side(side: str, workload: str, seed: int) -> dict:
+        def run_side(commit: str, workload: str, seed: int) -> dict:
             try:
-                return run(export(commits[side], checkout), workload, seed, args.trace)
+                return run(export(commit, checkout), workload, seed, args.trace)
             finally:
                 shutil.rmtree(checkout, ignore_errors=True)
 
-        for k in range(args.pairs):
+        for k in range(max(counts.values())):
             seed = args.first_seed + k
             order = ("base", "change") if k % 2 == 0 else ("change", "base")
-            for w in args.workload:
-                got = {s: run_side(s, w, seed) for s in order}
-                results[w].append((got["base"], got["change"]))
-                print(f"pair {k + 1}/{args.pairs} {w} seed {seed}: " + ", ".join(
-                    f"{m} {got['base']['metrics'][m]['value']:.4g} -> "
-                    f"{got['change']['metrics'][m]['value']:.4g}"
-                    for m in got["base"]["metrics"]
-                ), flush=True)
+            for kind in (kind for kind in runs if k < counts[kind]):
+                for w in args.workload:
+                    got = {s: run_side(runs[kind][s], w, seed) for s in order}
+                    results[kind][w].append((got["base"], got["change"]))
+                    print(f"{kind} {k + 1}/{counts[kind]} {w} seed {seed}: " + ", ".join(
+                        f"{m} {got['base']['metrics'][m]['value']:.4g} -> "
+                        f"{got['change']['metrics'][m]['value']:.4g}"
+                        for m in got["base"]["metrics"]
+                    ), flush=True)
             doc = {
                 "label": args.label,
                 **{s: {"rev": getattr(args, s), "commit": commits[s], "seconds": seconds[s]}
                    for s in ("base", "change")},
-                "seeds": list(range(args.first_seed, seed + 1)),
                 "trace": args.trace,
                 "order": "base first on even pairs, change first on odd pairs",
-                "workloads": {w: summarize(r, better) for w, r in results.items()},
+                **summary("pairs"),
             }
+            if args.control:
+                doc["control"] = {"commit": commits["base"], **summary("control")}
             out_path.write_text(json.dumps(doc, indent=2) + "\n")
     print(f"wrote {out_path}")
     return 0
