@@ -554,7 +554,7 @@ class TestNodeSchedule:
         shapes = self.counting_f(monkeypatch, "exact_boxplus")
         rng = np.random.default_rng(79)
         # Clean frames keep every node's LLRs above its Rate-1 floor, so no
-        # frame walks a Rate-1 node generically and the frozen mask alone
+        # frame falls back inside a Rate-1 node and the frozen mask alone
         # fixes the f calls.
         _, _, llrs = noisy_llrs(code, rng, 4, sigma=0.2)
         sc_decode_batch(code, llrs)
@@ -668,7 +668,8 @@ class TestAgainstReference:
     @pytest.mark.parametrize("rounded", [False, True])
     def test_bit_exact_on_weak_llrs(self, kernel, rounded):
         # Tiny LLRs and exact zeros fall below the Rate-1 floors of both
-        # kernels, so SC and Aut-SC walk those nodes generically.
+        # kernels, so SC and Aut-SC send those frames through the halves of
+        # those nodes.
         code = generator_code(7, [27, 56])
         self.check(code, kernel, rounded, scale=1e-3, zeros=0.05, list_sizes=(4,))
 
