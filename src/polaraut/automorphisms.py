@@ -1,14 +1,15 @@
 """Automorphisms of decreasing monomial codes, as the decoders use them.
 
-The stabilizer's block structure (a greedy transposition scan of the
-information set), exact BLTA group sizes, uniform batch sampling and position
-tables, all on arrays of row bitmasks.  Single maps and the exhaustive checks
-of the theory live in `verify`.
+The stabilizer's block structure (a scan of the n-1 adjacent transpositions
+of the variables), exact BLTA group sizes, uniform batch sampling and
+position tables, all on arrays of row bitmasks.  Single maps and the
+exhaustive checks of the theory live in `verify`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -51,25 +52,31 @@ class BlockStructure:
 def find_block_structure(code: MonomialCode) -> BlockStructure:
     """Block sizes of the stabilizer of a decreasing code.
 
-    Greedy scan: starting from the lowest unassigned index i, take the largest
-    j such that swapping i and j fixes the information set; then [i, j] spans
-    a block and every permutation inside it stabilizes.
+    Adjacent scan: a block ends at i exactly when swapping x_i and x_{i+1}
+    moves the information set.  This is exact because the stabilizer of a
+    decreasing code is the product of the symmetric groups on consecutive
+    blocks of indices: such a product holds (i, i+1) exactly when i and i+1
+    share a block, and the adjacent transpositions inside a block generate
+    its whole symmetric group.  n-1 swap tests decide the blocks.
     """
     if not is_decreasing(code):
         raise ValueError("block structure is defined for decreasing codes only")
     n, members = code.n, code.members
     sizes = []
-    i = 0
-    while i < n:
-        j = n - 1
-        while j > i and _swap_variables(members, n, i, j) != members:
-            j -= 1
-        sizes.append(j - i + 1)
-        i = j + 1
+    size = 1
+    for i in range(n - 1):
+        if _swap_variables(members, n, i, i + 1) == members:
+            size += 1
+        else:
+            sizes.append(size)
+            size = 1
+    sizes.append(size)
     return BlockStructure(tuple(sizes))
 
 
+@lru_cache(maxsize=None)
 def _gl2_order(m: int) -> int:
+    """Order of GL(m, 2), one table entry per block size met so far."""
     out = 1
     q = 1 << m
     for i in range(m):
@@ -80,15 +87,17 @@ def _gl2_order(m: int) -> int:
 def blta_size(structure: BlockStructure) -> int:
     """Order of the block lower triangular affine group, exact.
 
-    GL factors per diagonal block, times the free bits below the diagonal,
-    times the 2**n offsets.
+    GL factors per diagonal block, times the free bits below the diagonal
+    (start bits in each of a block's rows), times the 2**n offsets.
     """
     out = 1
     below = 0
-    for s, start in zip(structure.sizes, structure.starts):
+    start = 0
+    for s in structure.sizes:
         out *= _gl2_order(s)
         below += start * s
-    return out << (below + structure.n)
+        start += s
+    return out << (below + start)
 
 
 def blta_bounds(structure: BlockStructure) -> np.ndarray:

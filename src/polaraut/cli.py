@@ -27,7 +27,6 @@ from .monomials import (
     MonomialCode,
     enumerate_decreasing_codes,
     minimal_generators,
-    monomial_to_row,
 )
 
 __all__ = ["main", "analysis_report", "default_code_id", "generator_rows", "sci3"]
@@ -45,7 +44,8 @@ def sci3(value: int | Decimal) -> str:
 def generator_rows(code: MonomialCode) -> list[int]:
     """Transform rows of the code's minimal generators, ascending: the
     `i_min` column, and the generator part of `default_code_id`."""
-    return sorted(monomial_to_row(f, code.n) for f in minimal_generators(code))
+    full = (1 << code.n) - 1
+    return sorted(full ^ f.mask for f in minimal_generators(code))
 
 
 def default_code_id(code: MonomialCode) -> str:

@@ -177,15 +177,30 @@ def is_decreasing(code: "MonomialCode") -> bool:
     return not _down_images(code.members, code.n) & ~code.members
 
 
+@lru_cache(maxsize=None)
+def _monomials(n: int) -> tuple[Monomial, ...]:
+    """Every monomial on n variables, indexed by its mask: a lookup here is
+    cheaper than building the frozen dataclass once per generator."""
+    return tuple(map(Monomial, range(1 << n)))
+
+
 def minimal_generators(code: "MonomialCode") -> frozenset[Monomial]:
     """Maximal monomials of a decreasing code; its unique minimal generator set.
 
-    A member is maximal when no member reaches it by one down move.
+    A member is maximal when no member reaches it by one down move.  The
+    few maximal members are read off their set bits, lowest first.
     """
     below = _down_images(code.members, code.n)
     if below & ~code.members:
         raise ValueError("minimal generators are defined for decreasing codes only")
-    return frozenset(map(Monomial, _member_masks(code.members & ~below)))
+    top = code.members & ~below
+    every = _monomials(code.n)
+    out = []
+    while top:
+        low = top & -top
+        out.append(every[low.bit_length() - 1])
+        top ^= low
+    return frozenset(out)
 
 
 @dataclass(frozen=True, init=False, repr=False)

@@ -1,11 +1,12 @@
 """Theory verification and exhaustive oracles, kept off the decode path.
 
 Checks the paper's two results by construction: BLTA maps are automorphisms
-(`is_code_automorphism`, over every codeword), and an invertible block lower
-triangular matrix factors as P1 L1 P2 L2 P3 (`lemma1_decompose`).  Around
-them: GF(2) matrices, one int per row with bit j of rows[i] the entry (i, j)
-(at n <= MAX_VARS plain ints beat any packed array) with one row reduction,
-variable permutations with the exhaustive stabilizer, and single affine maps.
+(`is_code_automorphism`, on a basis of the code), and an invertible block
+lower triangular matrix factors as P1 L1 P2 L2 P3 (`lemma1_decompose`).
+Around them: GF(2) matrices, one int per row with bit j of rows[i] the entry
+(i, j) (at n <= MAX_VARS plain ints beat any packed array) with one row
+reduction, variable permutations with the exhaustive stabilizer, and single
+affine maps.
 """
 
 from __future__ import annotations
@@ -408,15 +409,14 @@ def sample_blta(
 
 
 def is_code_automorphism(aut: AffineAutomorphism, code: MonomialCode) -> bool:
-    """Exact membership test for Aut(C) by exhausting all 2**K codewords.
+    """Exact membership test for Aut(C), on a basis of the code.
 
-    Guarded at n <= 5 (and K <= 22, where the enumeration stays tractable);
-    each permuted codeword is cleared by the reduced evaluation rows.
+    A linear code maps into itself exactly when a basis does, so only the K
+    evaluation rows are permuted, and each image is cleared by the reduced
+    evaluation rows.  Guarded at n <= 5, where a word fits in an int64.
     """
     if code.n > 5:
         raise CapabilityError("exhaustive automorphism check is supported for n <= 5")
-    if code.dimension > 22:
-        raise CapabilityError("codeword enumeration is supported for K <= 22")
     if aut.n != code.n:
         raise ValueError("automorphism size does not match the code")
     n = code.n
@@ -427,10 +427,7 @@ def is_code_automorphism(aut: AffineAutomorphism, code: MonomialCode) -> bool:
         functools.reduce(operator.and_, (has[i] for i in f.indices), (1 << size) - 1)
         for f in code.info_set
     ]
-    # All codewords, by doubling the span; fits in int64 since size <= 32.
-    words = np.zeros(1, dtype=np.int64)
-    for b in basis:
-        words = np.concatenate([words, words ^ np.int64(b)])
+    words = np.array(basis, dtype=np.int64)
     table = position_table(aut)
     permuted = np.zeros_like(words)
     for pos in range(size):

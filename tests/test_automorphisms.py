@@ -1,8 +1,10 @@
 """Stabilizer blocks, affine group sizing and sampling, and the
 permutation-triangular factorization of block lower triangular matrices."""
 
+import functools
 import itertools
 import math
+import operator
 import time
 import tracemalloc
 
@@ -10,6 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import block_group, gl_full_rank_mask, random_decreasing_code, stabilizer_size
+from reference_blocks import greedy_block_structure
 from polaraut import channel
 from polaraut.automorphisms import (
     BlockStructure,
@@ -42,6 +45,7 @@ from polaraut.monomials import (
     Monomial,
     MonomialCode,
     _swap_variables,
+    _variable_members,
     decreasing_closure,
     enumerate_decreasing_codes,
 )
@@ -76,6 +80,24 @@ def parity_position_tables(rows, offsets):
         masked = j & rows[:, i : i + 1].astype(np.uint32)
         out ^= parity[masked].astype(np.uint32) << np.uint32(i)
     return out.astype(np.int64)
+
+
+def is_code_automorphism_by_codewords(aut, code):
+    """Aut(C) membership over all 2**K codewords: the oracle."""
+    size = 1 << code.n
+    has = _variable_members(code.n)
+    basis = [
+        functools.reduce(operator.and_, (has[i] for i in f.indices), (1 << size) - 1)
+        for f in code.info_set
+    ]
+    words = np.zeros(1, dtype=np.int64)
+    for b in basis:
+        words = np.concatenate([words, words ^ np.int64(b)])
+    table = position_table(aut)
+    permuted = np.zeros_like(words)
+    for pos in range(size):
+        permuted |= ((words >> np.int64(pos)) & np.int64(1)) << np.int64(table[pos])
+    return set(permuted.tolist()) == set(words.tolist())
 
 
 def chi_square(keys, cells):
@@ -231,12 +253,30 @@ class TestFindBlockStructure:
         assert find_block_structure(code_from_generator_rows(7, [27, 56])).sizes == (3, 4)
 
     def test_matches_brute_force_stabilizer(self):
-        rng = np.random.default_rng(43)
-        for _ in range(30):
-            n = int(rng.integers(3, 6))
-            code = random_decreasing_code(rng, n)
+        codes = [
+            code
+            for n in range(1, 6)
+            for k in range(1, (1 << n) + 1)
+            for code in enumerate_decreasing_codes(n, k)
+        ]
+        assert len(codes) == 159
+        for code in codes:
             structure = find_block_structure(code)
-            assert brute_force_stabilizer(code) == block_group(structure)
+            assert brute_force_stabilizer(code) == block_group(structure), code
+
+    def test_matches_greedy_scan_on_every_code_up_to_n6(self):
+        checked = 0
+        for n in range(1, 7):
+            for k in range(1, (1 << n) + 1):
+                for code in enumerate_decreasing_codes(n, k):
+                    assert find_block_structure(code) == greedy_block_structure(code), code
+                    checked += 1
+        assert checked == 1331
+
+    @pytest.mark.parametrize("k", [32, 64, 96])
+    def test_matches_greedy_scan_on_the_n7_census(self, k):
+        for code in enumerate_decreasing_codes(7, k):
+            assert find_block_structure(code) == greedy_block_structure(code), code
 
     def test_blocks_partition_the_variables(self):
         rng = np.random.default_rng(44)
@@ -658,13 +698,37 @@ class TestIsCodeAutomorphism:
             aut = AffineAutomorphism(identity(4), offset)
             assert is_code_automorphism(aut, code)
 
+    def test_matches_codeword_enumeration(self):
+        # The decreasing codes at n = 2..5 with K <= 12: the oracle walks all
+        # 2**K codewords.
+        codes = [
+            code
+            for n in range(2, 6)
+            for k in range(1, min(12, 1 << n) + 1)
+            for code in enumerate_decreasing_codes(n, k)
+        ]
+        rng = np.random.default_rng(58)
+        answers = []
+        for i in rng.integers(len(codes), size=200):
+            code = codes[i]
+            # The code's own group gives automorphisms; the full affine group
+            # mostly gives maps that are not, unless the code has one block.
+            for structure in (find_block_structure(code), BlockStructure((code.n,))):
+                aut = sample_blta(structure, rng)
+                answer = is_code_automorphism(aut, code)
+                assert answer == is_code_automorphism_by_codewords(aut, code), (code, aut)
+                answers.append(answer)
+        assert 100 < sum(answers) < 300, sum(answers)
+
     def test_guards(self):
         big_n = rm_code(1, 6)
         with pytest.raises(CapabilityError):
             is_code_automorphism(AffineAutomorphism(identity(6), 0), big_n)
-        big_k = rm_code(3, 5)  # K = 26
-        with pytest.raises(CapabilityError):
-            is_code_automorphism(AffineAutomorphism(identity(5), 0), big_k)
+        big_k = code_from_generator_rows(5, [5])
+        assert big_k.dimension == 25 and find_block_structure(big_k).sizes == (2, 3)
+        assert is_code_automorphism(AffineAutomorphism(identity(5), 0), big_k)
+        swap = Permutation.transposition(5, 1, 2).to_matrix()
+        assert not is_code_automorphism(AffineAutomorphism(swap, 0), big_k)
         with pytest.raises(ValueError):
             is_code_automorphism(
                 AffineAutomorphism(identity(3), 0), rm_code(1, 4)

@@ -123,12 +123,17 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--base", required=True, help="git revision of the base side")
     p.add_argument("--change", required=True, help="git revision of the change side")
     p.add_argument("--workload", action="append", required=True, help="repeatable")
-    p.add_argument("--pairs", type=int, default=10)
+    p.add_argument("--pairs", type=int, default=10, help="at least 1")
     p.add_argument("--first-seed", type=int, default=1)
     p.add_argument("--trace", type=int, choices=(0, 1), default=0)
     p.add_argument("--control", type=int, default=0,
-                   help="base-against-base pairs per workload, written under 'control'")
+                   help="base-against-base pairs per workload, written under 'control'; "
+                   "0 to --pairs")
     args = p.parse_args(argv)
+    if args.pairs < 1:
+        p.error(f"--pairs must be at least 1, got {args.pairs}")
+    if not 0 <= args.control <= args.pairs:
+        p.error(f"--control must lie in 0..{args.pairs}, got {args.control}")
     stop_on_sigterm()
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
