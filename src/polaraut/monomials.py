@@ -178,10 +178,10 @@ def is_decreasing(code: "MonomialCode") -> bool:
 
 
 @lru_cache(maxsize=None)
-def _monomials(n: int) -> tuple[Monomial, ...]:
-    """Every monomial on n variables, indexed by its mask: a lookup here is
-    cheaper than building the frozen dataclass once per generator."""
-    return tuple(map(Monomial, range(1 << n)))
+def _monomial(mask: int) -> Monomial:
+    """The Monomial of a mask, built once: a cache hit is cheaper than
+    building the frozen dataclass once per generator."""
+    return Monomial(mask)
 
 
 def minimal_generators(code: "MonomialCode") -> frozenset[Monomial]:
@@ -194,11 +194,10 @@ def minimal_generators(code: "MonomialCode") -> frozenset[Monomial]:
     if below & ~code.members:
         raise ValueError("minimal generators are defined for decreasing codes only")
     top = code.members & ~below
-    every = _monomials(code.n)
     out = []
     while top:
         low = top & -top
-        out.append(every[low.bit_length() - 1])
+        out.append(_monomial(low.bit_length() - 1))
         top ^= low
     return frozenset(out)
 

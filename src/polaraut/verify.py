@@ -416,7 +416,7 @@ def is_code_automorphism(aut: AffineAutomorphism, code: MonomialCode) -> bool:
     evaluation rows.  Guarded at n <= 5, where a word fits in an int64.
     """
     if code.n > 5:
-        raise CapabilityError("exhaustive automorphism check is supported for n <= 5")
+        raise CapabilityError("the automorphism check is supported for n <= 5")
     if aut.n != code.n:
         raise ValueError("automorphism size does not match the code")
     n = code.n

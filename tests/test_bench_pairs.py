@@ -217,7 +217,6 @@ def test_sigterm_kills_the_child_and_removes_the_exports(tmp_path):
     ["--pairs", "0"], ["--pairs", "-2"], ["--control", "-1"], ["--pairs", "2", "--control", "3"],
 ])
 def test_bad_pair_counts_exit_2_before_any_run(tmp_path, monkeypatch, capsys, counts):
-    # --pairs 0 used to print "wrote BENCH_t.json" with nothing written.
     runs = stub_runs(tmp_path, monkeypatch)
     with pytest.raises(SystemExit) as exit_:
         bench_pairs.main(["--label", "t", "--base", "B", "--change", "C", "--workload", "w1",
