@@ -119,8 +119,8 @@ _SPEC_RE = re.compile(r"^(?:sc|scl-(\d+)|aut-(\d+)-sc(-lta)?(-fixed)?)(-min-sum)
 
 @dataclass(frozen=True)
 class DecoderSpec:
-    """Parsed decoder description: sc, scl-<L> or aut-<M>-sc[-lta][-fixed],
-    then optionally -min-sum.  -fixed draws one ensemble per run rather than
+    """Parsed decoder description: sc, scl-<L> (L >= 2) or
+    aut-<M>-sc[-lta][-fixed], then optionally -min-sum.  -fixed draws one ensemble per run rather than
     M maps per frame; -min-sum picks the min-sum check node (a codec kernel)
     over the exact boxplus."""
 
@@ -145,7 +145,7 @@ class DecoderSpec:
         got = _SPEC_RE.match(text.strip().lower())
         if not got:
             raise ValueError(
-                f"invalid decoder spec {text!r}; expected sc, scl-<L> or "
+                f"invalid decoder spec {text!r}; expected sc, scl-<L> (L >= 2) or "
                 "aut-<M>-sc[-lta][-fixed], then optionally -min-sum"
             )
         list_size, ensemble_size, lta, fixed, min_sum = got.groups()
@@ -156,6 +156,8 @@ class DecoderSpec:
         if size < 1:
             raise ValueError(f"{'list' if list_size else 'ensemble'} size must be positive")
         if list_size:
+            if size == 1:
+                raise ValueError("scl-1 decodes as sc; name it sc, or give scl a list of 2 or more")
             return cls("scl", list_size=size, kernel=kernel)
         return cls("aut_sc", ensemble_size=size, lta_only=bool(lta), fixed=bool(fixed),
                    kernel=kernel)

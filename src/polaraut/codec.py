@@ -12,12 +12,13 @@ automorphism ensemble runs SC on permuted frames.  Each keeps the candidate
 most correlated with the channel.  The walker keeps its arrays width-major,
 (width, B) or (width, B, P), so a node's two halves are contiguous slabs.
 SC skips whole subtrees whose kind the frozen mask fixes: Rate-0 (all
-frozen), repetition (only the last row free) and Rate-1 (none frozen), after
-Alamdar-Yazdi & Kschischang (2011) and Sarkis et al. (2014).  A generic node
-whose left half is Rate-0 skips f and decodes its right half from a + b;
-one whose right half is Rate-0 skips g.  A frame below a Rate-1 node's floor
-takes one generic level, and each half is a Rate-1 node again against its
-own depth's floor.  Every shortcut is bit-exact with the generic nodes.
+frozen) and Rate-1 (none frozen), after Alamdar-Yazdi & Kschischang (2011)
+and Sarkis et al. (2014).  A node whose left half is Rate-0 skips f and
+decodes its right half from a + b, so a repetition node (only the last row
+free) sums its LLRs by halves down to one free leaf.  A frame below a Rate-1
+node's floor takes one generic level, and each half is a Rate-1 node again
+against its own depth's floor.  Every shortcut is bit-exact with the generic
+nodes.
 SCL walks generic nodes only.  Its paths live on the last axis, and a
 subtree that forks or prunes hands back the parent of each of its paths:
 the caller gathers only the LLRs and left word it still holds by that map
@@ -168,25 +169,20 @@ def _node_kind(frozen_before: list[int], start: int, width: int) -> str:
     """The kind of the SC node over rows [start, start + width), from the
     counts of frozen rows before each row (frozen_before[i] counts rows < i).
 
-    "rate0" (all rows frozen), "rate1" (none frozen), "repetition" (only
-    the last row free), "left-rate0" or "right-rate0" (that half all
-    frozen, the node none of the kinds before), else "generic".  A leaf is
-    Rate-0 or Rate-1.
+    "rate0" (all rows frozen), "rate1" (none frozen), "left-rate0" (the left
+    half all frozen, the right half not), else "generic".  A leaf is Rate-0
+    or Rate-1.  No right-Rate-0 kind: in a decreasing code each right-half
+    row's monomial divides its left partner's, so a node whose right half is
+    all frozen is all frozen, and on any other mask the generic node returns
+    the same word.
     """
-    h = width // 2
-    left = frozen_before[start + h] - frozen_before[start]
-    right = frozen_before[start + width] - frozen_before[start + h]
-    if left + right == width:
+    frozen = frozen_before[start + width] - frozen_before[start]
+    if frozen == width:
         return "rate0"
-    if left + right == 0:
+    if frozen == 0:
         return "rate1"
-    last_free = frozen_before[start + width - 1] == frozen_before[start + width]
-    if left + right == width - 1 and last_free:
-        return "repetition"
-    if left == h:
+    if frozen_before[start + width // 2] - frozen_before[start] == width // 2:
         return "left-rate0"
-    if right == h:
-        return "right-rate0"
     return "generic"
 
 
@@ -197,20 +193,18 @@ def _tree(
 
     llrs are (N, B) in transform order; returns (N, B, P) candidate words in
     transform order.  With list_size 1 arrays are (width, B) and each node
-    acts by its _node_kind: a Rate-0 node returns zeros, a repetition node
-    the sign of its LLRs summed by halves (as its g chain sums them), and a
-    Rate-1 node the hard decision for every frame whose smallest |LLR|
-    there reaches the kernel's floor for its depth; the other frames take
-    f and g once and decode each half as a Rate-1 node again.  A node whose
-    left half is Rate-0 calls no f and returns [right, right], its right
-    half decoded from a + b (which is _g with an all-zero word); one whose
-    right half is Rate-0 calls no g and returns [left, 0].  Otherwise
-    arrays are (width, B, P) and every node is generic: information leaves
-    fork every path, and once more than list_size would live the best
-    survive by path metric (stable sort, so tied candidates keep
-    parent-then-0-bit priority).  A subtree returns its word and, when it
-    forked or pruned, the parent of each of its paths among the paths it was
-    given; its caller gathers only what it still holds by that map.
+    acts by its _node_kind: a Rate-0 node returns zeros, and a Rate-1 node
+    the hard decision for every frame whose smallest |LLR| there reaches the
+    kernel's floor for its depth; the other frames take f and g once and
+    decode each half as a Rate-1 node again.  A node whose left half is
+    Rate-0 calls no f and returns [right, right], its right half decoded
+    from a + b (which is _g with an all-zero word).  Otherwise arrays are
+    (width, B, P) and every node is generic: information leaves fork every
+    path, and once more than list_size would live the best survive by path
+    metric (stable sort, so tied candidates keep parent-then-0-bit
+    priority).  A subtree returns its word and, when it forked or pruned,
+    the parent of each of its paths among the paths it was given; its caller
+    gathers only what it still holds by that map.
     """
     f_kernel = KERNELS[kernel]
     floors = _RATE1_FLOORS[kernel]
@@ -229,11 +223,8 @@ def _tree(
     def leaf(llr: np.ndarray, index: int) -> tuple[np.ndarray, np.ndarray | None]:
         nonlocal pm
         if frozen[index]:
-            if listing:
-                pm = pm + np.maximum(-llr[0], 0.0)
+            pm = pm + np.maximum(-llr[0], 0.0)
             return np.zeros(llr.shape, dtype=np.uint8), None
-        if not listing:
-            return (llr < 0).astype(np.uint8), None
         pen0, pen1 = np.maximum(-llr[0], 0.0), np.maximum(llr[0], 0.0)
         cand = np.stack([pm + pen0, pm + pen1], axis=2).reshape(batch, -1)
         if cand.shape[1] <= list_size:
@@ -258,13 +249,6 @@ def _tree(
                 hard[:, weak] = np.concatenate([left ^ right, right])
         return hard
 
-    def repetition(llr: np.ndarray) -> np.ndarray:
-        total = llr
-        while len(total) > 1:
-            h = len(total) // 2
-            total = total[:h] + total[h:]
-        return np.repeat((total < 0).astype(np.uint8), len(llr), axis=0)
-
     def node(llr: np.ndarray, start: int) -> tuple[np.ndarray, np.ndarray | None]:
         width = len(llr)
         h = width // 2
@@ -274,16 +258,11 @@ def _tree(
             return np.zeros(llr.shape, dtype=np.uint8), None
         if kind == "rate1":
             return rate1(llr), None
-        if kind == "repetition":
-            return repetition(llr), None
         if kind == "left-rate0":
             # _g with an all-zero left word is a + b, bit for bit.
             right = node(a + b, start + h)[0]
             return np.concatenate([right, right]), None
-        if kind == "right-rate0":
-            left = node(f_kernel(a, b), start)[0]
-            return np.concatenate([left, np.zeros(left.shape, dtype=np.uint8)]), None
-        if width == 1:
+        if width == 1:  # only SCL: an SC leaf is Rate-0 or Rate-1
             return leaf(llr, start)
         left, parent = node(f_kernel(a, b), start)
         if parent is not None:

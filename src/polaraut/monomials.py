@@ -174,7 +174,7 @@ def _member_masks(members: int) -> list[int]:
 
 def is_decreasing(code: "MonomialCode") -> bool:
     """Whether the information set is downward closed for the monomial order."""
-    return not _down_images(code.members, code.n) & ~code.members
+    return not code.down_images & ~code.members
 
 
 @lru_cache(maxsize=None)
@@ -190,7 +190,7 @@ def minimal_generators(code: "MonomialCode") -> frozenset[Monomial]:
     A member is maximal when no member reaches it by one down move.  The
     few maximal members are read off their set bits, lowest first.
     """
-    below = _down_images(code.members, code.n)
+    below = code.down_images
     if below & ~code.members:
         raise ValueError("minimal generators are defined for decreasing codes only")
     top = code.members & ~below
@@ -262,6 +262,12 @@ class MonomialCode:
         """Information row indices, ascending (mask complements, descending)."""
         full = (1 << self.n) - 1
         return tuple(full ^ m for m in reversed(_member_masks(self.members)))
+
+    @cached_property
+    def down_images(self) -> int:
+        """Membership integer of the members' images under the generating
+        down moves, which the decreasing check and the generators share."""
+        return _down_images(self.members, self.n)
 
     @classmethod
     def from_rows(cls, n: int, rows: Iterable[int]) -> "MonomialCode":

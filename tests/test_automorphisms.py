@@ -248,6 +248,10 @@ class TestFindBlockStructure:
         for n, r in ((4, 2), (5, 1), (7, 3)):
             assert find_block_structure(rm_code(r, n)).sizes == (n,)
 
+    def test_rejects_non_decreasing_codes(self):
+        with pytest.raises(ValueError, match="decreasing"):
+            find_block_structure(MonomialCode(3, {Monomial(0b10)}))
+
     def test_known_designs(self):
         assert find_block_structure(code_from_generator_rows(8, [31, 99])).sizes == (5, 3)
         assert find_block_structure(code_from_generator_rows(7, [27, 56])).sizes == (3, 4)
@@ -591,6 +595,12 @@ class TestSampling:
         for bad in (-1, highs):
             with pytest.raises(ValueError):
                 sample_blta_batch(structure, 3, good + bad)
+
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_count_must_be_positive(self, count):
+        for rng in (np.random.default_rng(8), np.zeros((0, 4), dtype=np.int64)):
+            with pytest.raises(ValueError, match="count"):
+                sample_blta_batch(BlockStructure((2, 1)), count, rng)
 
     def test_uniform_over_gl_3_2(self):
         rows, _ = sample_blta_batch(

@@ -26,6 +26,18 @@ from polaraut.construction import ConstructionSpec, bhattacharyya_bec_design
 from polaraut.monomials import Monomial, decreasing_closure
 
 
+RUN_BATCH = channel._run_batch
+
+
+def failing_batch(args):
+    """channel._run_batch, except that a batch from frame 64 on raises; at
+    module level, so a pool can ship it to its workers."""
+    lo = args[6]
+    if lo >= 64:
+        raise RuntimeError(f"batch from frame {lo} failed")
+    return RUN_BATCH(args)
+
+
 def small_code():
     return decreasing_closure(
         [Monomial.from_indices([0, 3]), Monomial.from_indices([1, 2])], 5
@@ -214,9 +226,10 @@ class TestDecoderSpec:
         kernel=st.sampled_from(["exact_boxplus", "min_sum"]),
     )
     def test_every_valid_spec_round_trips(self, kind, size, lta_only, fixed, kernel):
-        # The valid specs: a size for scl and aut_sc only, the ensemble
-        # flags for aut_sc only, and either kernel for all three.
-        fields = {"scl": {"list_size": size},
+        # The valid specs: a size for scl and aut_sc only (scl from 2, since
+        # a list of one is sc), the ensemble flags for aut_sc only, and
+        # either kernel for all three.
+        fields = {"scl": {"list_size": size + 1},
                   "aut_sc": {"ensemble_size": size, "lta_only": lta_only, "fixed": fixed}}
         spec = DecoderSpec(kind, kernel=kernel, **fields.get(kind, {}))
         assert DecoderSpec.parse(spec.label) == spec
@@ -227,7 +240,7 @@ class TestDecoderSpec:
     @pytest.mark.parametrize(
         "text",
         [
-            "", "scl", "scl-0", "aut-sc", "aut-0-sc", "sc-8", "ml", "scl-2-lta",
+            "", "scl", "scl-0", "scl-1", "scl-01-min-sum", "aut-sc", "aut-0-sc", "sc-8", "ml", "scl-2-lta",
             "aut-4-sc-fixed-lta", "sc-fixed", "scl-4-fixed", "aut-0-sc-fixed",
             "aut-4-sc-fixed-fixed", "sc-minsum", "sc-min-sum-lta", "aut-4-sc-min-sum-fixed",
             "sc-min-sum-min-sum", "sc-exact-boxplus", "sc-min_sum", "min-sum",
@@ -340,6 +353,18 @@ class TestRunBler:
         assert all(r.frames < 100_000 for r in results)
         assert multiprocessing.active_children() == []
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_batch_error_propagates_and_leaves_no_worker(self, monkeypatch, workers):
+        # Point 0's third batch raises while later batches are queued:
+        # run_bler re-raises it, cancels what is queued, and shuts the pool.
+        monkeypatch.setattr(channel, "_run_batch", failing_batch)
+        with pytest.raises(RuntimeError, match="batch from frame 64 failed"):
+            run_bler(
+                small_code(), "sc", [1.0, 2.0], master_seed=7, max_frames=10_000,
+                batch_frames=32, workers=workers,
+            )
+        assert multiprocessing.active_children() == []
+
     @pytest.mark.parametrize("decoder", ["scl-4", "aut-4-sc", "aut-4-sc-fixed"])
     def test_worker_count_does_not_change_stopped_sweeps(self, decoder):
         code = small_code()
@@ -405,14 +430,14 @@ class TestRunBler:
 
     def test_pickled_code_carries_its_identity_only(self):
         # A pool task ships the code; a designed code has its information
-        # set filled in, which the pickle must leave behind.
+        # set and down images filled in, which the pickle must leave behind.
         code = bhattacharyya_bec_design(0.3, 40, 7)
-        assert "info_set" in code.__dict__
+        assert {"info_set", "down_images"} <= set(code.__dict__)
         payload = pickle.dumps(code)
         copy = pickle.loads(payload)
         assert copy == code and hash(copy) == hash(code)
         assert copy.rows == code.rows
-        assert b"info_set" not in payload
+        assert b"info_set" not in payload and b"down_images" not in payload
 
     def test_seed_changes_the_outcome(self):
         code = small_code()

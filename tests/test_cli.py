@@ -112,6 +112,13 @@ class TestAnalyze:
         assert main(["analyze", "--spec", str(path)]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("name", ["missing.json", "."])
+    def test_spec_that_cannot_be_read_exits_2(self, tmp_path, capsys, name):
+        # A missing file, or a directory in place of the file.
+        path = str(tmp_path / name)
+        assert main(["analyze", "--spec", path]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot read spec file {path}: ")
+
     @pytest.mark.parametrize("target", ["missing/report.json", "."])
     def test_unwritable_out_exits_2(self, tmp_path, capsys, target):
         # A missing directory, or a directory in place of the file.
@@ -216,6 +223,14 @@ class TestEnumerate:
             hashlib.sha256(path.read_bytes()).hexdigest()[:16] for path in (out, summary)
         )
         assert digests == self.CENSUS_N7[k]
+
+    def test_without_out_prints_both_csvs(self, tmp_path, capsys):
+        out = tmp_path / "codes.csv"
+        summary = tmp_path / "summary.csv"
+        args = ["enumerate", "--n", "4", "--K", "8"]
+        assert main(args + ["--out", str(out), "--summary-out", str(summary)]) == 0
+        assert main(args) == 0
+        assert capsys.readouterr().out == (out.read_bytes() + summary.read_bytes()).decode()
 
     def test_capability_exit_3(self, capsys):
         assert main(["enumerate", "--n", "8", "--K", "128"]) == 3
@@ -409,3 +424,9 @@ class TestSimulate:
         spec = write_spec(tmp_path, "spec.json", {"kind": "reed_muller", "n": 4, "r": 1})
         assert main(["simulate", "sc", "--spec", spec, "--ebn0", "two"]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("ebn0", [",", " , ", ""])
+    def test_empty_ebn0_list_exits_2(self, tmp_path, capsys, ebn0):
+        spec = write_spec(tmp_path, "spec.json", {"kind": "reed_muller", "n": 4, "r": 1})
+        assert main(["simulate", "sc", "--spec", spec, "--ebn0", ebn0]) == 2
+        assert capsys.readouterr().err == "error: --ebn0 needs at least one value\n"

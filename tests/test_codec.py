@@ -27,7 +27,13 @@ from polaraut.codec import (
     scl_decode_batch,
 )
 from polaraut.construction import ConstructionSpec, bhattacharyya_bec_design
-from polaraut.monomials import Monomial, MonomialCode, decreasing_closure, row_to_monomial
+from polaraut.monomials import (
+    Monomial,
+    MonomialCode,
+    decreasing_closure,
+    enumerate_decreasing_codes,
+    row_to_monomial,
+)
 from polaraut.verify import position_table, sample_blta
 import reference_codec
 from reference_codec import (
@@ -520,8 +526,6 @@ def sc_f_widths(frozen):
         h = width // 2
         if kind == "left-rate0":
             return walk(start + h, h)
-        if kind == "right-rate0":
-            return [h] + walk(start, h)
         if kind == "generic":
             return [h] + walk(start, h) + walk(start + h, h)
         return []
@@ -530,8 +534,9 @@ def sc_f_widths(frozen):
 
 
 class TestNodeSchedule:
-    """SC visits Rate-0, repetition and Rate-1 nodes whole and skips f or g
-    for a half that is all frozen; SCL visits every node."""
+    """SC visits Rate-0 and Rate-1 nodes whole and skips f for a left half
+    that is all frozen, so a repetition node costs one a + b per level; SCL
+    visits every node."""
 
     @staticmethod
     def counting_f(monkeypatch, kernel):
@@ -564,6 +569,21 @@ class TestNodeSchedule:
         shapes.clear()
         scl_decode_batch(code, llrs, 2)
         assert len(shapes) == code.block_length - 1
+
+    def test_no_decreasing_code_has_a_lone_right_rate0_half(self):
+        # A right-half row's monomial divides its left partner's, so in a
+        # decreasing code a node whose right half is all frozen is all
+        # frozen, and SC needs no rule for a Rate-0 right half.
+        checked = 0
+        for n in range(1, 7):
+            for k in range(1, (1 << n) + 1):
+                for code in enumerate_decreasing_codes(n, k):
+                    frozen = frozen_mask(code)
+                    for depth in range(1, n + 1):
+                        halves = frozen.reshape(-1, 2, 1 << depth - 1).all(axis=2)
+                        assert not (halves[:, 1] & ~halves[:, 0]).any(), (code, depth)
+                    checked += 1
+        assert checked == 1331
 
     @pytest.mark.parametrize("kernel", ["exact_boxplus", "min_sum"])
     def test_weak_frame_in_rate1_node_costs_its_depth(self, monkeypatch, kernel):

@@ -234,6 +234,21 @@ class TestConstructionSpec:
         with pytest.raises(SpecError, match=message):
             ConstructionSpec(n=4, **fields)
 
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            ([{"kind": "reed_muller", "n": 4, "r": 1}], "JSON object"),
+            ("reed_muller", "JSON object"),
+            ({"kind": "generators", "n": 4, "generators": 3}, "'generators' must be a list"),
+            ({"kind": "generators", "n": 4, "generators": {"3": 1}}, "'generators' must be a list"),
+        ],
+    )
+    def test_from_dict_checks_shapes(self, data, message):
+        with pytest.raises(SpecError, match=message):
+            ConstructionSpec.from_dict(data)
+        with pytest.raises(SpecError, match=message):
+            ConstructionSpec.from_json(json.dumps(data))
+
     def test_invalid_json_text(self):
         with pytest.raises(SpecError):
             ConstructionSpec.from_json("{not json")

@@ -1,7 +1,7 @@
 """Module boundaries: the theory-verification code stays in `polaraut.verify`,
 off the modules the decoders and the census run, and the command line in
 `polaraut.cli` sits above every other module.  The BLER entry points take a
-pinned set of options."""
+pinned set of options, and SC a pinned set of node kinds."""
 
 import argparse
 import ast
@@ -85,6 +85,19 @@ def test_automorphisms_holds_only_the_hot_path():
         "BlockStructure", "find_block_structure", "_gl2_order", "blta_size",
         "blta_bounds", "sample_blta_batch", "position_tables_batch",
     }
+
+
+def test_sc_node_kinds_are_pinned():
+    # A new SC node rule (an SPC kind, say) needs a deliberate edit here,
+    # and in the tests that walk the kinds.
+    tree = ast.parse((PACKAGE / "codec.py").read_text())
+    (func,) = [
+        node for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "_node_kind"
+    ]
+    returns = [node for node in ast.walk(func) if isinstance(node, ast.Return)]
+    kinds = {ast.literal_eval(node.value) for node in returns}
+    assert kinds == {"rate0", "rate1", "left-rate0", "generic"}
 
 
 def test_run_bler_takes_only_its_options():

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_decreasing_code, random_monomial
+from polaraut import monomials
 from polaraut.monomials import (
     MAX_VARS,
     CapabilityError,
@@ -336,6 +337,20 @@ class TestMonomialCode:
                 assert (Monomial(m) in twin) == (Monomial(m) in code.info_set), m
             assert Monomial(1 << n) not in twin
             assert MonomialCode(n, twin.info_set) == twin
+
+    def test_down_images_are_computed_once(self, monkeypatch):
+        # The decreasing check and the generators share one pass of the
+        # down moves over a code.
+        gens = {Monomial.from_indices([0, 2]), Monomial.from_indices([3])}
+        code = decreasing_closure(gens, 5)
+        calls = []
+        down_images = monomials._down_images
+        monkeypatch.setattr(
+            monomials, "_down_images", lambda m, n: calls.append(m) or down_images(m, n)
+        )
+        assert is_decreasing(code)
+        assert minimal_generators(code) == gens
+        assert calls == [code.members]
 
     def test_codes_differ_by_members_or_n(self):
         a = MonomialCode.from_members(3, 0b111)
