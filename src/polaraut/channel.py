@@ -344,9 +344,9 @@ def run_bler(
     integers come from counter blocks fixed by f (see STREAM_VERSION), and
     a batch draws each counter range with one call.  decoder is a name
     (pass spec.label for a DecoderSpec), and it alone picks the check-node
-    rule; anything else raises TypeError, and an unknown name, an Eb/N0
-    that is not finite, or a frame count, error target or worker count that
-    is not a positive int raises ValueError, all before any batch runs.
+    rule; anything else raises TypeError.  Before any batch runs, an unknown
+    name, a non-finite Eb/N0, a master_seed not an int >= 0, or a frame
+    count, error target or worker count not a positive int raises ValueError.
     """
     if not isinstance(decoder, str):
         raise TypeError(f"decoder must be a name, got {type(decoder).__name__}")
@@ -356,6 +356,8 @@ def run_bler(
         raise ValueError("ebn0_list must not be empty")
     if not all(math.isfinite(e) for e in ebn0):
         raise ValueError(f"Eb/N0 values must be finite, got {ebn0}")
+    if isinstance(master_seed, bool) or not isinstance(master_seed, int) or master_seed < 0:
+        raise ValueError(f"master_seed must be a non-negative int, got {master_seed!r}")
     counts = {"max_frames": max_frames, "batch_frames": batch_frames, "workers": workers}
     if target_errors is not None:
         counts["target_errors"] = target_errors

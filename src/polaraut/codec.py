@@ -155,10 +155,11 @@ _RATE1_FLOORS: dict[str, tuple[float, ...]] = {
 
 def encode_batch(code: MonomialCode, messages: np.ndarray) -> np.ndarray:
     """Encode (B, K) message bits into (B, N) codewords in evaluation order."""
-    messages = np.asarray(messages, dtype=np.uint8)
+    messages = np.asarray(messages)
     if messages.ndim != 2 or messages.shape[1] != code.dimension:
         raise ValueError("messages must have shape (batch, K)")
-    if messages.max(initial=0) > 1:
+    unsigned = messages.dtype.kind in "bu"  # bool or unsigned: the maximum decides
+    if not (messages.max(initial=0) <= 1 if unsigned else np.isin(messages, (0, 1)).all()):
         raise ValueError("message bits must be 0 or 1")
     u = np.zeros((code.block_length, messages.shape[0]), dtype=np.uint8)
     u[list(code.rows)] = messages.T

@@ -1,11 +1,11 @@
 """Theory verification and exhaustive oracles, kept off the decode path.
 
 Checks the paper's two results by construction: BLTA maps are automorphisms
-(`is_code_automorphism`, on a basis of the code), and an invertible block
-lower triangular matrix factors as P1 L1 P2 L2 P3 (`lemma1_decompose`).
-Around them: GF(2) matrices, one int per row with bit j of rows[i] the entry
-(i, j) (at n <= MAX_VARS plain ints beat any packed array) with one row
-reduction, variable permutations with the exhaustive stabilizer, and single
+(`is_code_automorphism`, by putting the map into each member monomial), and
+an invertible block lower triangular matrix factors as P1 L1 P2 L2 P3
+(`lemma1_decompose`).  Around them: GF(2) matrices, one int per row with bit
+j of rows[i] the entry (i, j) (at n <= MAX_VARS plain ints beat any packed
+array), variable permutations with the exhaustive stabilizer, and single
 affine maps.
 """
 
@@ -409,30 +409,27 @@ def sample_blta(
 
 
 def is_code_automorphism(aut: AffineAutomorphism, code: MonomialCode) -> bool:
-    """Exact membership test for Aut(C), on a basis of the code.
+    """Exact membership test for Aut(C): put the map into each member monomial.
 
-    A linear code maps into itself exactly when a basis does, so only the K
-    evaluation rows are permuted, and each image is cleared by the reduced
-    evaluation rows.  Guarded at n <= 5, where a word fits in an int64.
+    pi: x -> A x + b turns x_i into the form <row_i, x> + b_i and a member f
+    into f o pi, whose word (the AND of its variables' form words) holds
+    f(pi(x)) at x: f's word moved by pi^-1.  Its algebraic normal form, the
+    word's Moebius transform, must lie in the information set.  So pi^-1(C)
+    lies in C, hence equals it, and pi^-1 is in the group Aut(C) iff pi is.
     """
-    if code.n > 5:
-        raise CapabilityError("the automorphism check is supported for n <= 5")
     if aut.n != code.n:
         raise ValueError("automorphism size does not match the code")
-    n = code.n
-    size = 1 << n
-    # A monomial evaluates to 1 at the points holding all its variables.
-    has = _variable_members(n)
-    basis = [
-        functools.reduce(operator.and_, (has[i] for i in f.indices), (1 << size) - 1)
-        for f in code.info_set
+    has = _variable_members(code.n)
+    full = (1 << (1 << code.n)) - 1
+    forms = [
+        functools.reduce(operator.xor, (has[j] for j in range(code.n) if row >> j & 1), 0)
+        ^ full * (aut.offset >> i & 1)
+        for i, row in enumerate(aut.matrix.rows)
     ]
-    words = np.array(basis, dtype=np.int64)
-    table = position_table(aut)
-    permuted = np.zeros_like(words)
-    for pos in range(size):
-        permuted |= ((words >> np.int64(pos)) & np.int64(1)) << np.int64(table[pos])
-    reduced, _, pivots = _row_reduce(basis)
-    for b, p in zip(reduced, pivots):
-        permuted[(permuted & np.int64(p)) != 0] ^= np.int64(b)
-    return not permuted.any()
+    for f in code.info_set:
+        w = functools.reduce(operator.and_, (forms[i] for i in f.indices), full)
+        for i in range(code.n):
+            w ^= (w & ~has[i]) << (1 << i)
+        if w & ~code.members:
+            return False
+    return True

@@ -27,6 +27,7 @@ from polaraut.verify import (
     AffineAutomorphism,
     BinaryMatrix,
     Permutation,
+    _row_reduce,
     block_reversal_matrix,
     brute_force_stabilizer,
     from_lists,
@@ -100,6 +101,55 @@ def is_code_automorphism_by_codewords(aut, code):
     return set(permuted.tolist()) == set(words.tolist())
 
 
+def is_code_automorphism_by_basis(aut, code):
+    """Aut(C) membership on a basis, in Python ints at any n: the oracle.
+
+    A permutation maps a linear code into itself exactly when it maps a
+    basis into it, so the K evaluation words are moved through the position
+    table and each image must reduce to zero against the reduced basis.
+    """
+    has = _variable_members(code.n)
+    full = (1 << (1 << code.n)) - 1
+    basis = [functools.reduce(operator.and_, (has[i] for i in f.indices), full)
+             for f in code.info_set]
+    table = position_table(aut).tolist()
+    reduced, _, pivots = _row_reduce(basis)
+    for word in basis:
+        image = sum(1 << table[pos] for pos in range(1 << code.n) if word >> pos & 1)
+        for b, p in zip(reduced, pivots):
+            if image & p:
+                image ^= b
+        if image:
+            return False
+    return True
+
+
+def coset_key(matrix):
+    """The right coset A LT of A, LT the unit lower triangular group: each
+    column of A reduced modulo the span of the columns after it (column j of
+    A L is column j of A plus a combination of the later columns)."""
+    cols = matrix.transpose().rows
+    key = []
+    for j, col in enumerate(cols):
+        reduced, _, pivots = _row_reduce(cols[j + 1 :])
+        for b, p in zip(reduced, pivots):
+            if col & p:
+                col ^= b
+        key.append(col)
+    return tuple(key)
+
+
+@functools.lru_cache(maxsize=None)
+def coset_representatives(n):
+    """One invertible n x n matrix per right coset A LT, picked by coset_key."""
+    picked = {}
+    for rows in itertools.product(range(1 << n), repeat=n):
+        m = BinaryMatrix(n, rows)
+        if m.is_invertible():
+            picked.setdefault(coset_key(m), m)
+    return tuple(picked.values())
+
+
 def chi_square(keys, cells):
     """Chi-square statistic of the observed keys against uniform over cells."""
     counts = {}
@@ -138,6 +188,17 @@ class TestPermutation:
     def test_validation(self):
         with pytest.raises(ValueError):
             Permutation((0, 0, 1))
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: Permutation.identity(2) * Permutation.identity(3), "size mismatch"),
+        (lambda: stabilizes(Permutation.identity(3), rm_code(1, 4)), "permutation size"),
+        (lambda: lemma1_decompose(identity(3), BlockStructure((2, 2))), "structure size"),
+        (lambda: AffineAutomorphism(identity(2), 4), "offset out of range"),
+        (lambda: AffineAutomorphism(identity(2), -1), "offset out of range"),
+    ])
+    def test_size_and_range_errors(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call()
 
     def test_composition_is_self_after_other(self):
         rng = np.random.default_rng(40)
@@ -730,10 +791,29 @@ class TestIsCodeAutomorphism:
                 answers.append(answer)
         assert 100 < sum(answers) < 300, sum(answers)
 
+    def test_non_decreasing_codes_match_codeword_enumeration(self):
+        # Translations preserve every decreasing code, not these, so here the
+        # offset counts.
+        rng = np.random.default_rng(59)
+        answers = []
+        for _ in range(150):
+            code = random_info_set(rng, int(rng.integers(2, 5)))
+            affine = sample_blta(BlockStructure((code.n,)), rng)
+            for aut in (affine, AffineAutomorphism(identity(code.n), affine.offset)):
+                answer = is_code_automorphism(aut, code)
+                assert answer == is_code_automorphism_by_codewords(aut, code), (code, aut)
+                answers.append(answer)
+        assert 10 < sum(answers) < 290, sum(answers)
+        x0x1 = MonomialCode(2, [Monomial(0b11)])
+        assert not is_code_automorphism(AffineAutomorphism(identity(2), 1), x0x1)
+
     def test_guards(self):
+        # No size guard: n = 6 gets an answer.  RM(1, 6) is one block, so
+        # every affine map is in its group.
         big_n = rm_code(1, 6)
-        with pytest.raises(CapabilityError):
-            is_code_automorphism(AffineAutomorphism(identity(6), 0), big_n)
+        assert is_code_automorphism(AffineAutomorphism(identity(6), 0), big_n)
+        full_affine = sample_blta(BlockStructure((6,)), np.random.default_rng(5))
+        assert is_code_automorphism(full_affine, big_n)
         big_k = code_from_generator_rows(5, [5])
         assert big_k.dimension == 25 and find_block_structure(big_k).sizes == (2, 3)
         assert is_code_automorphism(AffineAutomorphism(identity(5), 0), big_k)
@@ -743,3 +823,65 @@ class TestIsCodeAutomorphism:
             is_code_automorphism(
                 AffineAutomorphism(identity(3), 0), rm_code(1, 4)
             )
+
+    def test_matches_basis_oracle_past_n5(self):
+        rng = np.random.default_rng(60)
+        answers = []
+        for n in (6, 7, 8):
+            for _ in range(4):
+                code = random_decreasing_code(rng, n)
+                for structure in (find_block_structure(code), BlockStructure((n,))):
+                    aut = sample_blta(structure, rng)
+                    answer = is_code_automorphism(aut, code)
+                    assert answer == is_code_automorphism_by_basis(aut, code), (code, aut)
+                    answers.append(answer)
+        assert 12 <= sum(answers) < 24, sum(answers)
+
+    @pytest.mark.parametrize("n, generators, sizes", [(8, [31, 57], (3, 5)), (7, [27, 56], (3, 4))])
+    def test_decoder_codes(self, n, generators, sizes):
+        # The codes the decoders and the benchmark run: their BLTA maps are
+        # automorphisms, and the swap x2 <-> x3 across the first block
+        # boundary is not.
+        code = code_from_generator_rows(n, generators)
+        structure = find_block_structure(code)
+        assert structure.sizes == sizes
+        rng = np.random.default_rng(n)
+        for _ in range(5):
+            aut = sample_blta(structure, rng)
+            assert is_code_automorphism(aut, code) and is_code_automorphism_by_basis(aut, code)
+        swap = Permutation.transposition(n, 2, 3).to_matrix()
+        assert not is_code_automorphism(AffineAutomorphism(swap, 0), code)
+        assert not is_code_automorphism_by_basis(AffineAutomorphism(swap, 0), code)
+
+
+class TestAffineAutomorphismGroup:
+    """BLTA is the whole affine part of Aut(C) for a decreasing code (Li et
+    al., GLOBECOM 2021), checked exhaustively at n <= 4.
+
+    Translations are automorphisms, so only the linear part A is tested, one
+    A per right coset A LT: LT lies in BLTA, inside Aut(C), so a coset is in
+    Aut(C) whole or not at all.
+    """
+
+    @pytest.mark.parametrize("n, cosets", [(1, 1), (2, 3), (3, 21), (4, 315)])
+    def test_coset_key_splits_gl(self, n, cosets):
+        # |GL(n, 2)| / |LT|, with |LT| = 2**(n(n-1)/2)
+        assert len(coset_representatives(n)) == cosets
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_counts_every_affine_automorphism(self, n):
+        lt_order = 1 << n * (n - 1) // 2
+        for k in range(1, (1 << n) + 1):
+            for code in enumerate_decreasing_codes(n, k):
+                structure = find_block_structure(code)
+                count = sum(
+                    is_code_automorphism(AffineAutomorphism(m, 0), code)
+                    for m in coset_representatives(n)
+                )
+                assert count * lt_order == blta_size(structure) >> n, code
+                # The count tells the blocks apart: splitting the first one
+                # or merging the first two gives a different group order.
+                if n > 1:
+                    s = structure.sizes
+                    wrong = (1, s[0] - 1, *s[1:]) if s[0] > 1 else (1 + s[1], *s[2:])
+                    assert count * lt_order != blta_size(BlockStructure(wrong)) >> n, code

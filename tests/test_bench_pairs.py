@@ -215,6 +215,7 @@ def test_sigterm_kills_the_child_and_removes_the_exports(tmp_path):
 
 @pytest.mark.parametrize("counts", [
     ["--pairs", "0"], ["--pairs", "-2"], ["--control", "-1"], ["--pairs", "2", "--control", "3"],
+    ["--first-seed", "-1"],
 ])
 def test_bad_pair_counts_exit_2_before_any_run(tmp_path, monkeypatch, capsys, counts):
     runs = stub_runs(tmp_path, monkeypatch)

@@ -515,6 +515,15 @@ class TestRunBler:
         with pytest.raises(ValueError, match=f"{option} must be an int"):
             run_bler(small_code(), "sc", [1.0], master_seed=0, **{option: bad})
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("bad", [1.5, -1, True, None, "3"])
+    def test_bad_master_seed_rejected_before_any_batch(self, monkeypatch, bad, workers):
+        # Unchecked, 1.5 and -1 failed in numpy at the first batch, and True
+        # ran as seed 1.
+        monkeypatch.setattr(channel, "_run_batch", self.no_batch)
+        with pytest.raises(ValueError, match="master_seed must be a non-negative int"):
+            run_bler(small_code(), "sc", [1.0], master_seed=bad, workers=workers)
+
     @staticmethod
     def no_batch(args):
         raise AssertionError("a batch ran before the arguments were checked")

@@ -164,6 +164,24 @@ class TestMessageTypes:
         with pytest.raises(ValueError):
             encode_batch(code, np.array([[2]], dtype=np.uint8))
 
+    @pytest.mark.parametrize("bad", [0.7, 1.9, -1, 2, np.nan])
+    def test_message_values_other_than_0_or_1_rejected(self, bad):
+        # Cast to uint8, 0.7 would encode as 0 and 1.9 as 1.
+        code = MonomialCode.from_rows(2, [2, 3])
+        with pytest.raises(ValueError, match="must be 0 or 1"):
+            encode_batch(code, np.array([[1, bad]]))
+
+    def test_any_dtype_of_zeros_and_ones_encodes_alike(self, monkeypatch):
+        code = MonomialCode.from_rows(2, [1, 2, 3])
+        msgs = np.array([[1, 0, 1], [0, 1, 1]], dtype=np.uint8)
+        want = encode_batch(code, msgs)
+        for dtype in (np.int64, np.float64, np.int8):
+            assert np.array_equal(encode_batch(code, msgs.astype(dtype)), want)
+        # uint8, which the harness passes, and bool take no extra pass.
+        monkeypatch.setattr(np, "isin", None)
+        assert np.array_equal(encode_batch(code, msgs.astype(bool)), want)
+        assert np.array_equal(encode_batch(code, msgs), want)
+
     def test_llr_frame_rejects_non_finite(self):
         code = MonomialCode.from_rows(1, [1])
         with pytest.raises(ValueError):

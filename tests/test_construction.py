@@ -16,6 +16,7 @@ from polaraut.construction import (
 )
 from polaraut.monomials import (
     Monomial,
+    is_decreasing,
     minimal_generators,
     monomial_to_row,
     partial_order_leq,
@@ -110,6 +111,18 @@ class TestDesign:
         code = bhattacharyya_bec_design(eps, k, n)
         threshold = sorted(z)[k - 1]
         assert all(z[row] <= threshold for row in code.rows)
+
+    def test_boundary_tie_is_logged(self, caplog):
+        # At epsilon 0 every row has z = 0, so the K-th and (K+1)-th tie; the
+        # tie break still picks a decreasing set.
+        with caplog.at_level("WARNING", logger="polaraut.construction"):
+            code = bhattacharyya_bec_design(0.0, 3, 3)
+        assert "selection boundary tie at z=0 (n=3, K=3, eps=0)" in caplog.text
+        assert code.dimension == 3 and is_decreasing(code)
+        caplog.clear()
+        with caplog.at_level("WARNING", logger="polaraut.construction"):
+            bhattacharyya_bec_design(0.0, 8, 3)
+        assert caplog.text == ""
 
     def test_bad_dimension(self):
         with pytest.raises(ValueError):

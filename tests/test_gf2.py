@@ -159,3 +159,15 @@ def test_row_width_validated():
         BinaryMatrix(2, (0b100, 0b01))
     with pytest.raises(ValueError):
         BinaryMatrix(2, (0b11,))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: BinaryMatrix(0, ()), "size must be positive"),
+    (lambda: identity(2) @ identity(3), "size mismatch"),
+    (lambda: identity(2).apply(4), "vector out of range"),
+    (lambda: identity(2).apply(-1), "vector out of range"),
+    (lambda: from_lists([[1, 0], [1]]), "must be square"),
+])
+def test_size_and_range_errors(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

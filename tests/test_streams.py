@@ -182,6 +182,14 @@ class TestDistributions:
         assert counts == {(1 << 64) // bound}
         assert int((~accepted[:, 0]).sum()) == (1 << 64) % bound
 
+    def test_lemire_rejects_bounds_above_2_32(self):
+        # The high product word is built from 32-bit halves of the bound.
+        words = np.array([1, ONES], dtype=np.uint64)
+        values, accepted = channel._lemire(words, [1 << 32])
+        assert values.tolist() == [0, (1 << 32) - 1] and accepted.all()
+        with pytest.raises(ValueError, match="above 2"):
+            channel._lemire(words, [(1 << 32) + 1])
+
     def test_rejected_integers_are_redrawn_from_the_spare_ranges(self, monkeypatch):
         # Word 0 is rejected under every bound that is not a power of two.
         # Range 1 is all zeros and range 2 zero in its first column, so

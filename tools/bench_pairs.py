@@ -124,7 +124,7 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--change", required=True, help="git revision of the change side")
     p.add_argument("--workload", action="append", required=True, help="repeatable")
     p.add_argument("--pairs", type=int, default=10, help="at least 1")
-    p.add_argument("--first-seed", type=int, default=1)
+    p.add_argument("--first-seed", type=int, default=1, help="at least 0")
     p.add_argument("--trace", type=int, choices=(0, 1), default=0)
     p.add_argument("--control", type=int, default=0,
                    help="base-against-base pairs per workload, written under 'control'; "
@@ -134,6 +134,8 @@ def main(argv: list[str] | None = None) -> int:
         p.error(f"--pairs must be at least 1, got {args.pairs}")
     if not 0 <= args.control <= args.pairs:
         p.error(f"--control must lie in 0..{args.pairs}, got {args.control}")
+    if args.first_seed < 0:
+        p.error(f"--first-seed must be at least 0, got {args.first_seed}")
     stop_on_sigterm()
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
