@@ -183,7 +183,7 @@ class TestDistributions:
         assert int((~accepted[:, 0]).sum()) == (1 << 64) % bound
 
     def test_lemire_rejects_bounds_above_2_32(self):
-        # The high product word is built from 32-bit halves of the bound.
+        # (x >> 32) * h fits in 64 bits only while h <= 2**32.
         words = np.array([1, ONES], dtype=np.uint64)
         values, accepted = channel._lemire(words, [1 << 32])
         assert values.tolist() == [0, (1 << 32) - 1] and accepted.all()
