@@ -13,7 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .monomials import MonomialCode, _swap_variables, is_decreasing
+from .monomials import MonomialCode, _adjacent_up, is_decreasing
 
 __all__ = [
     "BlockStructure",
@@ -58,14 +58,20 @@ def find_block_structure(code: MonomialCode) -> BlockStructure:
     blocks of indices: such a product holds (i, i+1) exactly when i and i+1
     share a block, and the adjacent transpositions inside a block generate
     its whole symmetric group.  n-1 swap tests decide the blocks.
+
+    Each test is one masked shift-compare: the swap moves the members
+    holding x_i but not x_{i+1} up by 2**i, and, being an involution, it
+    fixes the set exactly when that moved part lands on the members already
+    in its image.
     """
     if not is_decreasing(code):
         raise ValueError("block structure is defined for decreasing codes only")
-    n, members = code.n, code.members
+    members = code.members
     sizes = []
     size = 1
-    for i in range(n - 1):
-        if _swap_variables(members, n, i, i + 1) == members:
+    for i, up in enumerate(_adjacent_up(code.n)):
+        d = 1 << i
+        if (members & up) << d == members & up << d:
             size += 1
         else:
             sizes.append(size)

@@ -28,6 +28,7 @@ from .automorphisms import (
     sample_blta_batch,
 )
 from .codec import (
+    _plain_int,
     aut_sc_decode_batch,
     encode_batch,
     sc_decode_batch,
@@ -82,14 +83,18 @@ class ChannelParams:
 
 
 def transmit(bits: np.ndarray, params: ChannelParams, noise: np.ndarray) -> np.ndarray:
-    """BPSK over AWGN: modulate, add sigma times the standard-normal noise
-    (same shape as bits), and return LLRs (2y / sigma^2)."""
+    """BPSK over AWGN: modulate, add sigma times the float64 standard-normal
+    noise (same shape as bits, left as it is), and return LLRs (2y / sigma^2).
+    The LLRs are built in the one array that scales the noise."""
     bits = np.asarray(bits)
     if np.shape(noise) != bits.shape:
         raise ValueError("noise must have the shape of bits")
     sigma2 = params.noise_variance
-    y = (1.0 - 2.0 * bits) + math.sqrt(sigma2) * noise
-    return 2.0 * y / sigma2
+    y = math.sqrt(sigma2) * noise
+    y += 1.0 - 2.0 * bits
+    y *= 2.0
+    y /= sigma2
+    return y
 
 
 def wilson_interval(errors: int, trials: int) -> tuple[float, float]:
@@ -272,13 +277,13 @@ def _automorphism_draw(
 
 
 def _run_batch(args: tuple) -> tuple[int, int]:
-    """Simulate frames [lo, hi) at one SNR; returns (frames, block errors).
-    The structure run_bler passes is None unless the spec is Aut-SC."""
-    code, spec, structure, ebn0_db, master_seed, snr_idx, lo, hi, fixed_tables = args
+    """Simulate frames [lo, hi) at one SNR, whose frames `key` keys (see
+    _frame_key); returns (frames, block errors).  The structure run_bler
+    passes is None unless the spec is Aut-SC."""
+    code, spec, structure, ebn0_db, key, lo, hi, fixed_tables = args
     size = code.block_length
     params = ChannelParams(ebn0_db, code.dimension / size)
     batch = hi - lo
-    key = _frame_key(master_seed, snr_idx)
     msgs, noise = _channel_draw(key, lo, hi, code.dimension, size)
     sent = encode_batch(code, msgs)
     llrs = transmit(sent, params, noise)
@@ -346,7 +351,8 @@ def run_bler(
     (pass spec.label for a DecoderSpec), and it alone picks the check-node
     rule; anything else raises TypeError.  Before any batch runs, an unknown
     name, a non-finite Eb/N0, a master_seed not an int >= 0, or a frame
-    count, error target or worker count not a positive int raises ValueError.
+    count, error target or worker count not a positive int raises ValueError
+    (numpy integers are ints, bools are not).
     """
     if not isinstance(decoder, str):
         raise TypeError(f"decoder must be a name, got {type(decoder).__name__}")
@@ -356,21 +362,28 @@ def run_bler(
         raise ValueError("ebn0_list must not be empty")
     if not all(math.isfinite(e) for e in ebn0):
         raise ValueError(f"Eb/N0 values must be finite, got {ebn0}")
-    if isinstance(master_seed, bool) or not isinstance(master_seed, int) or master_seed < 0:
+    seed = _plain_int(master_seed)
+    if seed is None or seed < 0:
         raise ValueError(f"master_seed must be a non-negative int, got {master_seed!r}")
-    counts = {"max_frames": max_frames, "batch_frames": batch_frames, "workers": workers}
-    if target_errors is not None:
-        counts["target_errors"] = target_errors
-    for name, value in counts.items():
-        if isinstance(value, bool) or not isinstance(value, int):
+
+    def positive(name: str, value: object) -> int:
+        got = _plain_int(value)
+        if got is None:
             raise ValueError(f"{name} must be an int, got {value!r}")
-        if value < 1:
+        if got < 1:
             raise ValueError(f"{name} must be positive")
+        return got
+
+    max_frames = positive("max_frames", max_frames)
+    batch_frames = positive("batch_frames", batch_frames)
+    workers = positive("workers", workers)
+    if target_errors is not None:
+        target_errors = positive("target_errors", target_errors)
     structure = fixed_tables = None
     if spec.kind == "aut_sc":
         structure = BlockStructure((1,) * code.n) if spec.lta_only else find_block_structure(code)
         if spec.fixed:
-            seq = np.random.SeedSequence(master_seed, spawn_key=(_ENSEMBLE_TAG,))
+            seq = np.random.SeedSequence(seed, spawn_key=(_ENSEMBLE_TAG,))
             rng = np.random.Generator(np.random.Philox(seq))
             r, o = sample_blta_batch(structure, spec.ensemble_size, rng)
             fixed_tables = position_tables_batch(r, o)
@@ -378,6 +391,9 @@ def run_bler(
     batches = -(-max_frames // batch_frames)
     results: list[SimResult | None] = [None] * len(ebn0)
     frames, errors, read, submitted = ([0] * len(ebn0) for _ in range(4))
+    # Keyed here, before the pool starts, so no worker derives a key (nor
+    # loads numpy.random to do so).
+    keys = [_frame_key(seed, i) for i in range(len(ebn0))]
     pending: deque[tuple[int, Future]] = deque()
 
     def need(i: int) -> int:
@@ -399,7 +415,7 @@ def run_bler(
                 return
             lo = submitted[i] * batch_frames
             hi = min(lo + batch_frames, max_frames)
-            args = (code, spec, structure, ebn0[i], master_seed, i, lo, hi, fixed_tables)
+            args = (code, spec, structure, ebn0[i], keys[i], lo, hi, fixed_tables)
             pending.append((i, pool.submit(_run_batch, args)))
             submitted[i] += 1
 

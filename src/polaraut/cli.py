@@ -161,16 +161,19 @@ def _csv_text(rows: list[list[str]]) -> str:
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     per_code = [["i_min", "s", "aut_size", "aut_size_sci"]]
     groups: dict[int, list[int]] = {}
+    # Per block structure: the group size and the three columns drawn from
+    # the structure alone, computed once in this call.
+    columns: dict[tuple[int, ...], tuple[int, str, str, str]] = {}
     for code in enumerate_decreasing_codes(args.n, args.K):
-        sizes, size, size_sci, gens = _analysis(code)
-        per_code.append(
-            [
-                _space_joined(gens),
-                _space_joined(sizes),
-                str(size),
-                size_sci,
-            ]
-        )
+        structure = find_block_structure(code)
+        known = columns.get(structure.sizes)
+        if known is None:
+            size = blta_size(structure)
+            known = size, _space_joined(structure.sizes), str(size), sci3(size)
+            columns[structure.sizes] = known
+        size, *texts = known
+        gens = generator_rows(code)
+        per_code.append([_space_joined(gens), *texts])
         groups.setdefault(len(gens), []).append(size)
     summary = [["i_min_size", "count", "aut_min", "aut_avg_sci", "aut_max"]]
     for k in sorted(groups):

@@ -29,6 +29,7 @@ view of each array.
 from __future__ import annotations
 
 import math
+import operator
 from itertools import accumulate
 from typing import Callable
 
@@ -279,16 +280,29 @@ def _tree(
     return node(llrs, 0)[0][:, :, None]
 
 
+def _plain_int(value: object) -> int | None:
+    """value as a plain int when it is an integer, a numpy one included
+    (operator.index); None for anything else, a bool or np.bool_ too."""
+    if isinstance(value, (bool, np.bool_)):
+        return None
+    try:
+        return operator.index(value)
+    except TypeError:
+        return None
+
+
 def _checked(
     code: MonomialCode, llrs: np.ndarray, kernel: str, list_size: int = 1
-) -> np.ndarray:
-    """Decoder input as float64, rejected unless (B, N) and finite, with a
-    known kernel and a positive int list size."""
+) -> tuple[np.ndarray, int]:
+    """Decoder input as float64 and the list size as a plain int, rejected
+    unless (B, N) and finite, with a known kernel and a positive int list
+    size."""
     if kernel not in KERNELS:
         raise ValueError(f"unknown kernel {kernel!r}; pick from {sorted(KERNELS)}")
-    if isinstance(list_size, bool) or not isinstance(list_size, (int, np.integer)):
+    size = _plain_int(list_size)
+    if size is None:
         raise ValueError(f"list size must be an int, got {list_size!r}")
-    if list_size < 1:
+    if size < 1:
         raise ValueError("list size must be positive")
     llrs = np.asarray(llrs, dtype=np.float64)
     if llrs.ndim != 2 or llrs.shape[1] != code.block_length:
@@ -297,7 +311,7 @@ def _checked(
         )
     if not np.isfinite(llrs).all():
         raise ValueError("llrs must be finite")
-    return llrs
+    return llrs, size
 
 
 def _checked_tables(tables: np.ndarray, batch: int, size: int) -> np.ndarray:
@@ -343,7 +357,7 @@ def _with_messages(
 def _list_decode(
     code: MonomialCode, llrs_eval: np.ndarray, list_size: int, kernel: str
 ) -> tuple[np.ndarray, np.ndarray]:
-    llrs = _checked(code, llrs_eval, kernel, list_size)
+    llrs, list_size = _checked(code, llrs_eval, kernel, list_size)
     chan = np.ascontiguousarray(llrs.T[::-1])
     cands = _tree(chan, frozen_mask(code), kernel, list_size)
     if cands.shape[2] == 1:
@@ -390,7 +404,7 @@ def aut_sc_decode_batch(
     position_tables_batch's width-major layout, reshaped, makes those rows
     contiguous, the fast case.
     """
-    llrs = _checked(code, llrs_eval, kernel)
+    llrs, _ = _checked(code, llrs_eval, kernel)
     batch, size = llrs.shape
     tables = _checked_tables(tables, batch, size)
     m_branches = tables.shape[1]

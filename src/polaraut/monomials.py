@@ -149,6 +149,23 @@ def _swap_variables(members: int, n: int, i: int, j: int) -> int:
     return members & ~(up | up << d) | (members & up) << d | members >> d & up
 
 
+@lru_cache(maxsize=None)
+def _adjacent_up(n: int) -> tuple[int, ...]:
+    """Per i < n-1, the membership integer of the masks holding x_i but not
+    x_{i+1}: the members that swapping x_i and x_{i+1} moves up by 2**i."""
+    has = _variable_members(n)
+    return tuple(has[i] & ~has[i + 1] for i in range(n - 1))
+
+
+@lru_cache(maxsize=None)
+def _down_moves(n: int) -> tuple[tuple[int, int], ...]:
+    """The generating down moves as (mask, shift) pairs: the members inside
+    mask move down by shift.  Dropping x_0 comes first, then x_i to x_{i-1}
+    for i = 1..n-1 on the masks holding x_i but not x_{i-1}."""
+    has = _variable_members(n)
+    return ((has[0], 1),) + tuple((has[i] & ~has[i - 1], 1 << i - 1) for i in range(1, n))
+
+
 def _down_images(members: int, n: int) -> int:
     """Union of the members' images under the generating down moves.
 
@@ -160,10 +177,9 @@ def _down_images(members: int, n: int) -> int:
     and in a down-set a member one step below another member is also one of
     these moves below some member.
     """
-    has = _variable_members(n)
-    out = (members & has[0]) >> 1
-    for i in range(1, n):
-        out |= (members & has[i] & ~has[i - 1]) >> (1 << i - 1)
+    out = 0
+    for mask, shift in _down_moves(n):
+        out |= (members & mask) >> shift
     return out
 
 

@@ -10,6 +10,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import block_group, gl_full_rank_mask, random_decreasing_code, stabilizer_size
 from reference_blocks import greedy_block_structure
@@ -45,6 +47,7 @@ from polaraut.monomials import (
     CapabilityError,
     Monomial,
     MonomialCode,
+    _adjacent_up,
     _swap_variables,
     _variable_members,
     decreasing_closure,
@@ -342,6 +345,17 @@ class TestFindBlockStructure:
     def test_matches_greedy_scan_on_the_n7_census(self, k):
         for code in enumerate_decreasing_codes(7, k):
             assert find_block_structure(code) == greedy_block_structure(code), code
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_adjacent_compare_is_the_swap_test(self, data):
+        # find_block_structure's shift-compare against the swap itself, on
+        # any membership integer, decreasing or not.
+        n = data.draw(st.integers(2, 7))
+        members = data.draw(st.integers(0, (1 << (1 << n)) - 1))
+        for i, up in enumerate(_adjacent_up(n)):
+            shifted = (members & up) << (1 << i) == members & up << (1 << i)
+            assert shifted == (_swap_variables(members, n, i, i + 1) == members), (n, i)
 
     def test_blocks_partition_the_variables(self):
         rng = np.random.default_rng(44)

@@ -65,6 +65,34 @@ def test_ties_are_not_wins_and_failures_are_summed():
     }
 
 
+def test_claim_rule_needs_nine_tenths_of_wins_and_a_gain_beyond_the_base_iqr():
+    # Base items_per_s 100..109 (IQR 4.5) and solve_s 1.00..1.09 (IQR 0.045).
+    base = [result(100.0 + k, 1.0 + k / 100) for k in range(10)]
+
+    def rule(change):
+        got = bench_pairs.summarize(list(zip(base, change)), BETTER)
+        return {name: m["claim_rule_met"] for name, m in got["metrics"].items()}
+
+    # Each change side beats its pair by 6 (items) and 0.06 s (solve): 10/10
+    # wins, medians 6 and 0.06 apart, beyond both IQRs.
+    assert rule([result(106.0 + k, 0.94 + k / 100) for k in range(10)]) == {
+        "items_per_s": True, "solve_s": True,
+    }
+    # The same gains in 9 of 10 pairs still meet the rule; in 8 they do not.
+    nine = [result(106.0 + k, 0.94 + k / 100) for k in range(9)] + [result(90.0, 2.0)]
+    assert rule(nine) == {"items_per_s": True, "solve_s": True}
+    eight = nine[:8] + [result(90.0, 2.0)] * 2
+    assert rule(eight) == {"items_per_s": False, "solve_s": False}
+    # 10/10 wins whose medians differ by less than the base's IQR do not.
+    assert rule([result(104.0 + k, 0.97 + k / 100) for k in range(10)]) == {
+        "items_per_s": False, "solve_s": False,
+    }
+    # A gain in the wrong direction never meets it: lower is better for solve_s.
+    assert rule([result(94.0 + k, 1.06 + k / 100) for k in range(10)]) == {
+        "items_per_s": False, "solve_s": False,
+    }
+
+
 def test_single_pair_spread():
     got = bench_pairs.summarize([(result(4.0, 2.0), result(8.0, 1.0))], BETTER)
     spread = got["metrics"]["items_per_s"]["base"]
@@ -108,7 +136,7 @@ def stub_runs(tmp_path, monkeypatch):
     return runs
 
 
-def test_every_run_unpacks_its_commit_at_one_path(tmp_path, monkeypatch):
+def test_every_run_unpacks_its_commit_at_one_path(tmp_path, monkeypatch, capsys):
     # Both sides run from <tmp>/run, unpacked just before each run and
     # removed after it, so the two sides differ in their commit only.
     runs = stub_runs(tmp_path, monkeypatch)
@@ -130,6 +158,10 @@ def test_every_run_unpacks_its_commit_at_one_path(tmp_path, monkeypatch):
     assert (doc["change"]["commit"], doc["change"]["seconds"]) == ("commit-C", 20)
     assert doc["workloads"]["w2"]["metrics"]["items_per_s"]["wins"] == 2
     assert doc["seeds"] == [7, 8] and "control" not in doc
+    assert doc["workloads"]["w2"]["metrics"]["items_per_s"]["claim_rule_met"] is True
+    printed = capsys.readouterr().out
+    assert "w2 items_per_s: wins 2/2, claim rule met: True" in printed
+    assert "w2 solve_s: wins 0/2, claim rule met: False" in printed
 
 
 def test_control_pairs_run_the_base_twice_into_the_same_file(tmp_path, monkeypatch):

@@ -32,7 +32,7 @@ RUN_BATCH = channel._run_batch
 def failing_batch(args):
     """channel._run_batch, except that a batch from frame 64 on raises; at
     module level, so a pool can ship it to its workers."""
-    lo = args[6]
+    lo = args[5]
     if lo >= 64:
         raise RuntimeError(f"batch from frame {lo} failed")
     return RUN_BATCH(args)
@@ -61,8 +61,8 @@ class LazyFuture(Future):
 class LazyPool:
     """A stand-in pool whose batches run only when their result is read, so
     every batch left unread when a point stops is still unstarted.  It
-    records each submission and read as (event, SNR index, first frame),
-    and the most futures pending at once."""
+    records each submission and read as (event, Eb/N0, first frame), and
+    the most futures pending at once."""
 
     def __init__(self):
         self.made = []
@@ -80,8 +80,8 @@ class LazyPool:
 
     @staticmethod
     def batch(args):
-        snr_idx, lo = args[0][5:7]
-        return snr_idx, lo
+        ebn0, _, lo = args[0][3:6]
+        return ebn0, lo
 
     def submit(self, fn, *args):
         self.events.append(("submit", *self.batch(args)))
@@ -139,6 +139,28 @@ class TestTransmit:
         params = ChannelParams(ebn0_db=3.0, rate=0.5)
         with pytest.raises(ValueError):
             transmit(np.zeros(4, dtype=np.uint8), params, np.zeros(3))
+
+    @staticmethod
+    def one_line(bits, params, noise):
+        """transmit as one expression, before it worked in place: the oracle."""
+        sigma2 = params.noise_variance
+        y = (1.0 - 2.0 * bits) + math.sqrt(sigma2) * noise
+        return 2.0 * y / sigma2
+
+    @pytest.mark.parametrize("ebn0_db, rate", [(2.5, 0.5), (-3.0, 0.25), (40.0, 0.75)])
+    def test_in_place_llrs_match_the_one_line_form(self, ebn0_db, rate):
+        params = ChannelParams(ebn0_db, rate)
+        rng = np.random.default_rng(13)
+        bits = rng.integers(0, 2, size=(32, 128), dtype=np.uint8)
+        noise = rng.standard_normal(bits.shape)
+        tiny = np.finfo(np.float64).tiny
+        noise[0, :8] = [0.0, -0.0, 5e-324, -5e-324, tiny, -tiny / 3, 1e-310, -1e300]
+        kept = noise.copy()
+        got = transmit(bits, params, noise)
+        want = self.one_line(bits, params, noise)
+        assert got.dtype == want.dtype == np.float64
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert np.array_equal(noise.view(np.uint64), kept.view(np.uint64))
 
 
 class TestWilsonInterval:
@@ -315,8 +337,10 @@ class TestRunBler:
             max_frames=6000, batch_frames=64, workers=2,
         )
         assert results[0].frames == 64
-        stop = pool.events.index(("read", 0, 0))
-        assert pool.events[:stop] == [("submit", 0, 0), ("submit", 1, 0), ("submit", 2, 0)]
+        stop = pool.events.index(("read", 0.0, 0))
+        assert pool.events[:stop] == [
+            ("submit", 0.0, 0), ("submit", 1.0, 0), ("submit", 2.0, 0),
+        ]
 
     @pytest.mark.parametrize("workers", [2, 3])
     def test_pending_batches_never_exceed_the_window(self, monkeypatch, workers):
@@ -506,9 +530,10 @@ class TestRunBler:
 
     @pytest.mark.parametrize(
         "option, bad",
-        [("max_frames", 10.5), ("max_frames", True), ("batch_frames", 7.5),
-         ("batch_frames", True), ("workers", 2.0), ("workers", 1.0), ("workers", True),
-         ("target_errors", 2.5), ("target_errors", True)],
+        [("max_frames", 10.5), ("max_frames", True), ("max_frames", np.bool_(True)),
+         ("batch_frames", 7.5), ("batch_frames", True), ("batch_frames", None),
+         ("workers", 2.0), ("workers", 1.0), ("workers", True), ("workers", "3"),
+         ("target_errors", 2.5), ("target_errors", True), ("target_errors", np.float64(3.0))],
     )
     def test_non_int_frame_count_rejected_before_any_batch(self, monkeypatch, option, bad):
         monkeypatch.setattr(channel, "_run_batch", self.no_batch)
@@ -516,13 +541,29 @@ class TestRunBler:
             run_bler(small_code(), "sc", [1.0], master_seed=0, **{option: bad})
 
     @pytest.mark.parametrize("workers", [1, 2])
-    @pytest.mark.parametrize("bad", [1.5, -1, True, None, "3"])
+    @pytest.mark.parametrize("bad", [1.5, -1, True, np.bool_(True), None, "3"])
     def test_bad_master_seed_rejected_before_any_batch(self, monkeypatch, bad, workers):
         # Unchecked, 1.5 and -1 failed in numpy at the first batch, and True
         # ran as seed 1.
         monkeypatch.setattr(channel, "_run_batch", self.no_batch)
         with pytest.raises(ValueError, match="master_seed must be a non-negative int"):
             run_bler(small_code(), "sc", [1.0], master_seed=bad, workers=workers)
+
+    @pytest.mark.parametrize(
+        "option, value",
+        [("max_frames", 40), ("batch_frames", 16), ("workers", 2), ("target_errors", 5),
+         ("master_seed", 3)],
+    )
+    def test_numpy_ints_are_ints(self, option, value):
+        # Each count takes a numpy integer as the plain int it equals, and
+        # the results carry plain ints.
+        kwargs = dict(master_seed=3, max_frames=40, batch_frames=16, target_errors=5)
+        plain, numpy = (
+            run_bler(small_code(), "sc", [1.0, 2.0], **{**kwargs, option: v})
+            for v in (value, np.int64(value))
+        )
+        assert numpy == plain
+        assert all(type(r.frames) is type(r.block_errors) is int for r in numpy)
 
     @staticmethod
     def no_batch(args):

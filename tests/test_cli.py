@@ -7,7 +7,7 @@ from decimal import Decimal
 
 import pytest
 
-from polaraut import __version__, channel
+from polaraut import __version__, channel, cli
 from polaraut.automorphisms import BlockStructure, blta_size, find_block_structure
 from polaraut.channel import wilson_interval
 from polaraut.cli import analysis_report, default_code_id, main, sci3
@@ -223,6 +223,19 @@ class TestEnumerate:
             hashlib.sha256(path.read_bytes()).hexdigest()[:16] for path in (out, summary)
         )
         assert digests == self.CENSUS_N7[k]
+
+    def test_group_size_once_per_structure_in_each_call(self, tmp_path, monkeypatch):
+        # The size columns are memoised per call, not per process: a second
+        # call sizes every structure again, so a span on blta_size sees calls.
+        calls = []
+        monkeypatch.setattr(cli, "blta_size", lambda s: calls.append(s.sizes) or blta_size(s))
+        out = tmp_path / "codes.csv"
+        for _ in range(2):
+            calls.clear()
+            assert main(["enumerate", "--n", "6", "--K", "24", "--out", str(out)]) == 0
+            structures = {tuple(int(x) for x in row["s"].split()) for row in read_csv(str(out))}
+            assert len(structures) > 1
+            assert sorted(calls) == sorted(structures)
 
     def test_without_out_prints_both_csvs(self, tmp_path, capsys):
         out = tmp_path / "codes.csv"

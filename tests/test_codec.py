@@ -200,11 +200,14 @@ class TestMessageTypes:
                 decode(kernel="fast")
         with pytest.raises(ValueError, match="list size"):
             scl_decode_batch(code, llrs, 0)
-        for bad in (2.5, 2.0, True):
+        for bad in (2.5, 2.0, True, np.bool_(True), np.float64(2.0), None, "3"):
             with pytest.raises(ValueError, match="list size must be an int"):
                 scl_decode_batch(code, llrs, bad)
+        with pytest.raises(ValueError, match="list size must be positive"):
+            scl_decode_batch(code, llrs, np.int64(-1))
         # numpy ints are ints.
-        assert scl_decode_batch(code, llrs, np.int64(2))[1].shape == (1, 2)
+        for size in (np.int64(2), np.int32(2), np.uint8(2)):
+            assert scl_decode_batch(code, llrs, size)[1].shape == (1, 2)
 
 
 class TestScDecode:

@@ -338,6 +338,18 @@ class TestMonomialCode:
             assert Monomial(1 << n) not in twin
             assert MonomialCode(n, twin.info_set) == twin
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_down_images_match_the_per_move_formula(self, data):
+        # The formula the cached (mask, shift) moves replaced, mask by mask.
+        n = data.draw(st.integers(1, 7))
+        members = data.draw(st.integers(0, (1 << (1 << n)) - 1))
+        has = monomials._variable_members(n)
+        want = (members & has[0]) >> 1
+        for i in range(1, n):
+            want |= (members & has[i] & ~has[i - 1]) >> (1 << i - 1)
+        assert monomials._down_images(members, n) == want
+
     def test_down_images_are_computed_once(self, monkeypatch):
         # The decreasing check and the generators share one pass of the
         # down moves over a code.

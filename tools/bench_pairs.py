@@ -13,8 +13,12 @@ alike.  Each run's result is the last line of its stdout.
 BENCH_<label>.json, written at the repository root, holds both commits
 and, per workload and metric, each side's median and quartiles, the
 change-over-base ratio of the medians, and in how many pairs the change
-was better, by the metric's `better` direction in BENCHMARK.json.  It is
-rewritten after every pair, so a stopped run keeps the pairs it finished.
+was better, by the metric's `better` direction in BENCHMARK.json, and
+whether the claim rule is met: the change wins at least ceil(0.9 * pairs)
+pairs and its median is better than the base's by more than the base's
+interquartile range.  It is rewritten after every pair, so a stopped run
+keeps the pairs it finished; at the end each metric's wins and claim rule
+are printed.
 SIGTERM stops a run as Ctrl-C does: the running perfbench child is killed
 and the export is removed.
 
@@ -31,6 +35,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import shutil
 import signal
 import statistics
@@ -52,8 +57,8 @@ def spread(values: list[float]) -> dict:
 
 
 def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str]) -> dict:
-    """One workload: per metric both sides' spreads, ratio and wins, and
-    each side's operation counts.
+    """One workload: per metric both sides' spreads, ratio, wins and
+    whether the claim rule is met, and each side's operation counts.
 
     pairs holds (base, change) results as run.py prints them, and better
     maps each metric name to "higher" or "lower".
@@ -63,15 +68,19 @@ def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str]) -> dict:
         base = [b["metrics"][name]["value"] for b, _ in pairs]
         change = [c["metrics"][name]["value"] for _, c in pairs]
         sign = 1 if better[name] == "higher" else -1
-        b_med, c_med = statistics.median(base), statistics.median(change)
+        b_spread, c_spread = spread(base), spread(change)
+        b_med, c_med = b_spread["median"], c_spread["median"]
+        wins = sum(sign * (c - b) > 0 for b, c in zip(base, change))
         metrics[name] = {
             "unit": pairs[0][0]["metrics"][name]["unit"],
             "better": better[name],
-            "base": spread(base),
-            "change": spread(change),
+            "base": b_spread,
+            "change": c_spread,
             "ratio": c_med / b_med if b_med else None,
-            "wins": sum(sign * (c - b) > 0 for b, c in zip(base, change)),
+            "wins": wins,
             "pairs": len(pairs),
+            "claim_rule_met": wins >= math.ceil(0.9 * len(pairs))
+            and sign * (c_med - b_med) > b_spread["q3"] - b_spread["q1"],
         }
     operations = {
         side: {
@@ -191,6 +200,10 @@ def main(argv: list[str] | None = None) -> int:
             if args.control:
                 doc["control"] = {"commit": commits["base"], **summary("control")}
             out_path.write_text(json.dumps(doc, indent=2) + "\n")
+    for w, got in doc["workloads"].items():
+        for name, m in got["metrics"].items():
+            print(f"{w} {name}: wins {m['wins']}/{m['pairs']}, "
+                  f"claim rule met: {m['claim_rule_met']}")
     print(f"wrote {out_path}")
     return 0
 
