@@ -83,14 +83,14 @@ class ChannelParams:
 
 
 def transmit(bits: np.ndarray, params: ChannelParams, noise: np.ndarray) -> np.ndarray:
-    """BPSK over AWGN: modulate, add sigma times the float64 standard-normal
-    noise (same shape as bits, left as it is), and return LLRs (2y / sigma^2).
-    The LLRs are built in the one array that scales the noise."""
+    """BPSK over AWGN: modulate, add sigma times the standard-normal noise
+    (same shape as bits, left as it is), and return float64 LLRs
+    (2y / sigma^2), built in the one array that scales the noise."""
     bits = np.asarray(bits)
     if np.shape(noise) != bits.shape:
         raise ValueError("noise must have the shape of bits")
     sigma2 = params.noise_variance
-    y = math.sqrt(sigma2) * noise
+    y = (math.sqrt(sigma2) * noise).astype(np.float64, copy=False)
     y += 1.0 - 2.0 * bits
     y *= 2.0
     y /= sigma2

@@ -161,6 +161,12 @@ class TestTransmit:
         assert got.dtype == want.dtype == np.float64
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
         assert np.array_equal(noise.view(np.uint64), kept.view(np.uint64))
+        # Narrower noise still gives the float64 LLRs of the one-line form
+        # (row 0's -1e300 is beyond float32).
+        single, bits = noise[1:].astype(np.float32), bits[1:]
+        got, want = transmit(bits, params, single), self.one_line(bits, params, single)
+        assert got.dtype == want.dtype == np.float64
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 class TestWilsonInterval:
