@@ -10,10 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 
-from .monomials import MonomialCode, _adjacent_up, is_decreasing
+from .monomials import MonomialCode, _adjacent_up, _positive_int, is_decreasing
 
 __all__ = [
     "BlockStructure",
@@ -32,8 +33,9 @@ class BlockStructure:
     sizes: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not self.sizes or any(s < 1 for s in self.sizes):
-            raise ValueError(f"block sizes must be positive: {self.sizes}")
+        if not self.sizes:
+            raise ValueError("a block structure needs at least one block")
+        object.__setattr__(self, "sizes", tuple(_positive_int("block size", s) for s in self.sizes))
 
     @property
     def n(self) -> int:
@@ -41,12 +43,7 @@ class BlockStructure:
 
     @property
     def starts(self) -> tuple[int, ...]:
-        out = []
-        acc = 0
-        for s in self.sizes:
-            out.append(acc)
-            acc += s
-        return tuple(out)
+        return tuple(accumulate(self.sizes[:-1], initial=0))
 
 
 def find_block_structure(code: MonomialCode) -> BlockStructure:
@@ -138,8 +135,7 @@ def sample_blta_batch(
     tuple of integers, so uniform integers give an exactly uniform map, and
     a block costs O(s**2) vector operations.
     """
-    if count < 1:
-        raise ValueError("count must be positive")
+    count = _positive_int("count", count)
     n = structure.n
     highs = blta_bounds(structure)
     if isinstance(rng, np.random.Generator):

@@ -4,8 +4,8 @@ Frame streams are counter based: each (master seed, SNR index) keys one
 Philox4x64-10, and a frame's random words are the blocks at fixed counters
 under that key, so they are a pure function of (master seed, SNR index,
 frame index) and one call draws a whole batch.  Results are reproducible
-frame by frame and invariant to scheduling and worker count, and to batching
-too, except that with target_errors a point stops at a batch boundary.
+frame by frame: a count depends only on the master seed and the frame index,
+never on scheduling or worker count.
 """
 
 from __future__ import annotations
@@ -28,13 +28,12 @@ from .automorphisms import (
     sample_blta_batch,
 )
 from .codec import (
-    _plain_int,
     aut_sc_decode_batch,
     encode_batch,
     sc_decode_batch,
     scl_decode_batch,
 )
-from .monomials import MonomialCode
+from .monomials import MonomialCode, _plain_int, _positive_int
 
 __all__ = [
     "STREAM_VERSION",
@@ -55,8 +54,11 @@ Z95 = 1.959963984540054
 # count four-word blocks; frame f owns blocks [f*b, (f+1)*b) of each range.
 # Range 0 holds a frame's message words, then its Box-Muller words; range 1
 # its automorphism words, n+1 per map, made bounded integers by Lemire's
-# method; ranges 2, 3, ... redraw the integers that method rejects.
+# method; ranges 2, 3, ... redraw the integers that method rejects.  Under
+# target_errors=k a point stops at the end of the block [256 j, 256 (j+1))
+# holding its k-th error, so a new block size is a new version too.
 STREAM_VERSION = 3
+_BATCH_FRAMES = 256
 
 # Spawn key tags.  The shared-ensemble stream is SeedSequence(master_seed,
 # spawn_key=(_ENSEMBLE_TAG,)); frame keys come from the 2-tuple
@@ -335,19 +337,17 @@ def run_bler(
     target_errors: int | None = 100,
     max_frames: int = 1_000_000,
     workers: int = 1,
-    batch_frames: int = 256,
 ) -> list[SimResult]:
-    """Monte Carlo BLER at each SNR; stops at target_errors or max_frames.
+    """Monte Carlo BLER at each SNR; stops at the end of the 256-frame block
+    that holds the target_errors-th error, or at max_frames.
 
-    Each point consumes its frames in fixed-size batches in index order, so
-    counts depend on neither the worker count nor the schedule.  One pool
+    Each point consumes its frames in those blocks in index order, so a
+    count depends only on master_seed and the frame index.  One pool
     serves the whole sweep: while fewer than 2 * workers batches are
     pending, the lowest point that has fewer batches in flight than its
     expected need submits its next one, and results are read first in,
-    first out.  Each SNR point keys one Philox from
-    (master_seed, its index); frame f's messages, noise and automorphism
-    integers come from counter blocks fixed by f (see STREAM_VERSION), and
-    a batch draws each counter range with one call.  decoder is a name
+    first out.  Frame f's messages, noise and automorphism integers come
+    from counter blocks fixed by f (see STREAM_VERSION).  decoder is a name
     (pass spec.label for a DecoderSpec), and it alone picks the check-node
     rule; anything else raises TypeError.  Before any batch runs, an unknown
     name, a non-finite Eb/N0, a master_seed not an int >= 0, or a frame
@@ -365,20 +365,10 @@ def run_bler(
     seed = _plain_int(master_seed)
     if seed is None or seed < 0:
         raise ValueError(f"master_seed must be a non-negative int, got {master_seed!r}")
-
-    def positive(name: str, value: object) -> int:
-        got = _plain_int(value)
-        if got is None:
-            raise ValueError(f"{name} must be an int, got {value!r}")
-        if got < 1:
-            raise ValueError(f"{name} must be positive")
-        return got
-
-    max_frames = positive("max_frames", max_frames)
-    batch_frames = positive("batch_frames", batch_frames)
-    workers = positive("workers", workers)
+    max_frames = _positive_int("max_frames", max_frames)
+    workers = _positive_int("workers", workers)
     if target_errors is not None:
-        target_errors = positive("target_errors", target_errors)
+        target_errors = _positive_int("target_errors", target_errors)
     structure = fixed_tables = None
     if spec.kind == "aut_sc":
         structure = BlockStructure((1,) * code.n) if spec.lta_only else find_block_structure(code)
@@ -388,7 +378,7 @@ def run_bler(
             r, o = sample_blta_batch(structure, spec.ensemble_size, rng)
             fixed_tables = position_tables_batch(r, o)
 
-    batches = -(-max_frames // batch_frames)
+    batches = -(-max_frames // _BATCH_FRAMES)
     results: list[SimResult | None] = [None] * len(ebn0)
     frames, errors, read, submitted = ([0] * len(ebn0) for _ in range(4))
     # Keyed here, before the pool starts, so no worker derives a key (nor
@@ -404,7 +394,7 @@ def run_bler(
         elif errors[i] == 0:
             want = read[i]
         else:
-            want = -(-(target_errors - errors[i]) * frames[i] // (errors[i] * batch_frames))
+            want = -(-(target_errors - errors[i]) * frames[i] // (errors[i] * _BATCH_FRAMES))
         return max(1, min(want, batches - read[i]))
 
     def fill(pool) -> None:
@@ -413,8 +403,8 @@ def run_bler(
             i = next((i for i in open_points if submitted[i] - read[i] < need(i)), None)
             if i is None:
                 return
-            lo = submitted[i] * batch_frames
-            hi = min(lo + batch_frames, max_frames)
+            lo = submitted[i] * _BATCH_FRAMES
+            hi = min(lo + _BATCH_FRAMES, max_frames)
             args = (code, spec, structure, ebn0[i], keys[i], lo, hi, fixed_tables)
             pending.append((i, pool.submit(_run_batch, args)))
             submitted[i] += 1
@@ -430,9 +420,7 @@ def run_bler(
                 frames[i] += got_frames
                 errors[i] += got_errors
                 read[i] += 1
-                if read[i] == batches or (
-                    target_errors is not None and errors[i] >= target_errors
-                ):
+                if read[i] == batches or errors[i] >= (target_errors or math.inf):
                     results[i] = SimResult(spec.label, ebn0[i], frames[i], errors[i])
                     # Batches the pool has not yet handed to a process are
                     # dropped; the others finish and are ignored.

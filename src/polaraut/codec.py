@@ -29,13 +29,12 @@ view of each array.
 from __future__ import annotations
 
 import math
-import operator
 from itertools import accumulate
 from typing import Callable
 
 import numpy as np
 
-from .monomials import MAX_VARS, MonomialCode
+from .monomials import MAX_VARS, MonomialCode, _positive_int
 
 __all__ = [
     "KERNELS",
@@ -280,17 +279,6 @@ def _tree(
     return node(llrs, 0)[0][:, :, None]
 
 
-def _plain_int(value: object) -> int | None:
-    """value as a plain int when it is an integer, a numpy one included
-    (operator.index); None for anything else, a bool or np.bool_ too."""
-    if isinstance(value, (bool, np.bool_)):
-        return None
-    try:
-        return operator.index(value)
-    except TypeError:
-        return None
-
-
 def _checked(
     code: MonomialCode, llrs: np.ndarray, kernel: str, list_size: int = 1
 ) -> tuple[np.ndarray, int]:
@@ -299,11 +287,7 @@ def _checked(
     size."""
     if kernel not in KERNELS:
         raise ValueError(f"unknown kernel {kernel!r}; pick from {sorted(KERNELS)}")
-    size = _plain_int(list_size)
-    if size is None:
-        raise ValueError(f"list size must be an int, got {list_size!r}")
-    if size < 1:
-        raise ValueError("list size must be positive")
+    size = _positive_int("list size", list_size)
     llrs = np.asarray(llrs, dtype=np.float64)
     if llrs.ndim != 2 or llrs.shape[1] != code.block_length:
         raise ValueError(

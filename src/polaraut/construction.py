@@ -15,6 +15,8 @@ from .monomials import (
     MAX_VARS,
     Monomial,
     MonomialCode,
+    _check_n,
+    _plain_int,
     decreasing_closure,
     is_decreasing,
     row_to_monomial,
@@ -35,11 +37,6 @@ class SpecError(ValueError):
     """Raised for malformed or inconsistent construction specs."""
 
 
-def _is_int(x: Any) -> bool:
-    """An integer that is not a bool (JSON true and false load as bools)."""
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 def bec_bhattacharyya(n: int, epsilon: float) -> np.ndarray:
     """Bhattacharyya parameters of the 2**n synthetic channels of a BEC.
 
@@ -47,8 +44,7 @@ def bec_bhattacharyya(n: int, epsilon: float) -> np.ndarray:
     channel with parameter z into the pair (2z - z^2, z^2), the degraded copy
     landing on the even row.
     """
-    if not 1 <= n <= MAX_VARS:
-        raise ValueError(f"variable count must be in 1..{MAX_VARS}, got {n}")
+    n = _check_n(n)
     if not 0.0 <= epsilon <= 1.0:
         raise ValueError(f"erasure probability must be in [0, 1], got {epsilon}")
     z = np.array([epsilon], dtype=np.float64)
@@ -67,10 +63,12 @@ def bhattacharyya_bec_design(epsilon: float, dimension: int, n: int) -> Monomial
     (degree, then index sum, then row index) so a tied boundary still yields
     a decreasing set; a tie crossing the selection boundary is logged.
     """
+    n = _check_n(n)
     z = bec_bhattacharyya(n, epsilon)
     total = 1 << n
-    if not 1 <= dimension <= total:
-        raise ValueError(f"dimension must be in 1..{total}, got {dimension}")
+    dimension = _plain_int(dimension)
+    if dimension is None or not 1 <= dimension <= total:
+        raise ValueError(f"dimension must be an int in 1..{total}")
 
     def key(row: int) -> tuple[float, int, int, int]:
         f = row_to_monomial(row, n)
@@ -97,8 +95,9 @@ def bhattacharyya_bec_design(epsilon: float, dimension: int, n: int) -> Monomial
 
 def rm_code(r: int, n: int) -> MonomialCode:
     """Reed-Muller code of order r: all monomials of degree at most r."""
-    if not 0 <= r <= n:
-        raise ValueError(f"order must be in 0..{n}, got {r}")
+    n, r = _check_n(n), _plain_int(r)
+    if r is None or not 0 <= r <= n:
+        raise ValueError(f"order must be an int in 0..{n}")
     return decreasing_closure([Monomial.from_indices(range(n - r, n))], n)
 
 
@@ -125,15 +124,19 @@ class ConstructionSpec:
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
             raise SpecError(f"unknown construction kind: {self.kind!r}")
-        if not _is_int(self.n) or not 1 <= self.n <= MAX_VARS:
+        # Each count is kept as the plain int it equals, numpy ints too.
+        n = _plain_int(self.n)
+        if n is None or not 1 <= n <= MAX_VARS:
             raise SpecError(f"n must be an integer in 1..{MAX_VARS}, got {self.n!r}")
+        object.__setattr__(self, "n", n)
         eps = self.epsilon
         if eps is not None and (isinstance(eps, bool) or not isinstance(eps, (int, float))):
             raise SpecError("'epsilon' must be a number")
-        if self.dimension is not None and not _is_int(self.dimension):
-            raise SpecError("'K' must be an integer")
-        if self.r is not None and not _is_int(self.r):
-            raise SpecError("'r' must be an integer")
+        for field, name in (("dimension", "K"), ("r", "r")):
+            value = getattr(self, field)
+            if value is not None and _plain_int(value) is None:
+                raise SpecError(f"'{name}' must be an integer")
+            object.__setattr__(self, field, value if value is None else _plain_int(value))
         if self.kind == "bhattacharyya_bec":
             if self.epsilon is None or self.dimension is None:
                 raise SpecError("bhattacharyya_bec needs 'epsilon' and 'K'")
@@ -144,9 +147,11 @@ class ConstructionSpec:
         elif self.kind == "generators":
             if not self.generators:
                 raise SpecError("generators kind needs a non-empty 'generators' list")
-            for row in self.generators:
-                if not _is_int(row) or not 0 <= row < 1 << self.n:
-                    raise SpecError(f"generators must be integers below {1 << self.n}: {row!r}")
+            rows = tuple(map(_plain_int, self.generators))
+            if any(row is None or not 0 <= row < 1 << self.n for row in rows):
+                raise SpecError(f"generators must be integers below {1 << self.n}: "
+                                f"{self.generators!r}")
+            object.__setattr__(self, "generators", rows)
         else:
             if self.r is None or not 0 <= self.r <= self.n:
                 raise SpecError(f"reed_muller needs 'r' in 0..{self.n}")

@@ -9,9 +9,12 @@ is a member, so that set checks run as a few shifts and masks on that integer.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable, Iterator
+
+import numpy as np
 
 MAX_VARS = 16
 
@@ -77,7 +80,7 @@ def monomial_to_row(f: Monomial, n: int) -> int:
     The row is the integer whose zero bits (below n) sit exactly at the
     variable indices of f.
     """
-    _check_n(n)
+    n = _check_n(n)
     if f.mask >> n:
         raise ValueError(f"monomial {f} uses variables beyond x{n - 1}")
     return (1 << n) - 1 ^ f.mask
@@ -85,15 +88,37 @@ def monomial_to_row(f: Monomial, n: int) -> int:
 
 def row_to_monomial(row: int, n: int) -> Monomial:
     """Inverse of monomial_to_row."""
-    _check_n(n)
+    n = _check_n(n)
     if not 0 <= row < 1 << n:
         raise ValueError(f"row index out of range for n={n}: {row}")
     return Monomial((1 << n) - 1 ^ row)
 
 
-def _check_n(n: int) -> None:
-    if not 1 <= n <= MAX_VARS:
-        raise ValueError(f"variable count must be in 1..{MAX_VARS}, got {n}")
+def _plain_int(value: object) -> int | None:
+    """value as a plain int when it is an integer, a numpy one included
+    (operator.index); None for anything else, a bool or np.bool_ too."""
+    if isinstance(value, (bool, np.bool_)):
+        return None
+    try:
+        return operator.index(value)
+    except TypeError:
+        return None
+
+
+def _positive_int(name: str, value: object) -> int:
+    got = _plain_int(value)
+    if got is None:
+        raise ValueError(f"{name} must be an int, got {value!r}")
+    if got < 1:
+        raise ValueError(f"{name} must be positive")
+    return got
+
+
+def _check_n(n: object) -> int:
+    got = _plain_int(n)
+    if got is None or not 1 <= got <= MAX_VARS:
+        raise ValueError(f"variable count must be an int in 1..{MAX_VARS}, got {n!r}")
+    return got
 
 
 def partial_order_leq(f: Monomial, g: Monomial) -> bool:
@@ -228,7 +253,7 @@ class MonomialCode:
     members: int
 
     def __init__(self, n: int, info_set: Iterable[Monomial]) -> None:
-        _check_n(n)
+        n = _check_n(n)
         info_set = frozenset(info_set)
         if not info_set:
             raise ValueError("information set is empty")
@@ -248,7 +273,7 @@ class MonomialCode:
     @classmethod
     def from_members(cls, n: int, members: int) -> "MonomialCode":
         """The code whose information set is the masks set in `members`."""
-        _check_n(n)
+        n = _check_n(n)
         if members <= 0 or members >> (1 << n):
             raise ValueError(f"members must be a nonzero subset of the {1 << n} masks")
         code = cls.__new__(cls)
@@ -313,7 +338,7 @@ def enumerate_decreasing_codes(n: int, dimension: int) -> Iterator[MonomialCode]
 
     Exhaustive search; guarded at n <= 7 where the census is tractable.
     """
-    _check_n(n)
+    n = _check_n(n)
     if n > 7:
         raise CapabilityError(f"exhaustive census is supported for n <= 7, got n={n}")
     total = 1 << n

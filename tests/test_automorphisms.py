@@ -305,6 +305,13 @@ class TestBlockStructure:
             BlockStructure(())
         with pytest.raises(ValueError):
             BlockStructure((2, 0))
+        # (2.5, 1) gave n == 3.5; a bool is no block size either.
+        for sizes in ((2.5, 1), (True, 2), (np.bool_(True),)):
+            with pytest.raises(ValueError, match="block size must be an int"):
+                BlockStructure(sizes)
+        plain = BlockStructure((np.int64(2), np.int32(1)))
+        assert plain == BlockStructure((2, 1))
+        assert all(type(s) is int for s in plain.sizes + (plain.n,))
 
 
 class TestFindBlockStructure:
@@ -671,7 +678,7 @@ class TestSampling:
             with pytest.raises(ValueError):
                 sample_blta_batch(structure, 3, good + bad)
 
-    @pytest.mark.parametrize("count", [0, -1])
+    @pytest.mark.parametrize("count", [0, -1, True, 2.0])
     def test_count_must_be_positive(self, count):
         for rng in (np.random.default_rng(8), np.zeros((0, 4), dtype=np.int64)):
             with pytest.raises(ValueError, match="count"):

@@ -93,6 +93,26 @@ def test_claim_rule_needs_nine_tenths_of_wins_and_a_gain_beyond_the_base_iqr():
     }
 
 
+def test_within_bound_is_the_no_regression_rule():
+    # Base medians 100 items/s and 1.0 s; a bound of 0.25 lets the change
+    # fall to 75 items/s and rise to 1.25 s, and no further.
+    base = [result(100.0, 1.0)] * 3
+
+    def within(items, solve, bounds=None):
+        got = bench_pairs.summarize(
+            list(zip(base, [result(items, solve)] * 3)), BETTER,
+            {"items_per_s": 0.25, "solve_s": 0.25} if bounds is None else bounds,
+        )
+        return {name: m.get("within_bound") for name, m in got["metrics"].items()}
+
+    assert within(75.0, 1.25) == {"items_per_s": True, "solve_s": True}
+    assert within(74.9, 1.26) == {"items_per_s": False, "solve_s": False}
+    # Gains are always within it, whatever the claim rule says.
+    assert within(200.0, 0.5) == {"items_per_s": True, "solve_s": True}
+    # Only metrics with a bound get the field (per-layer metrics have none).
+    assert within(74.9, 1.26, {"solve_s": 0.5}) == {"items_per_s": None, "solve_s": True}
+
+
 def test_single_pair_spread():
     got = bench_pairs.summarize([(result(4.0, 2.0), result(8.0, 1.0))], BETTER)
     spread = got["metrics"]["items_per_s"]["base"]
@@ -127,7 +147,8 @@ def stub_runs(tmp_path, monkeypatch):
         return result(100.0 if "B" in runs[-1][1] else 110.0, 1.0)
 
     (tmp_path / "BENCHMARK.json").write_text(json.dumps({
-        "end_to_end": [{"name": n, "better": b} for n, b in BETTER.items()], "per_layer": [],
+        "end_to_end": [{"name": n, "better": b, "bound": 0.25} for n, b in BETTER.items()],
+        "per_layer": [],
     }))
     (tmp_path / "tmp").mkdir()
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "tmp"))
@@ -160,8 +181,8 @@ def test_every_run_unpacks_its_commit_at_one_path(tmp_path, monkeypatch, capsys)
     assert doc["seeds"] == [7, 8] and "control" not in doc
     assert doc["workloads"]["w2"]["metrics"]["items_per_s"]["claim_rule_met"] is True
     printed = capsys.readouterr().out
-    assert "w2 items_per_s: wins 2/2, claim rule met: True" in printed
-    assert "w2 solve_s: wins 0/2, claim rule met: False" in printed
+    assert "w2 items_per_s: wins 2/2, claim rule met: True, within bound: True" in printed
+    assert "w2 solve_s: wins 0/2, claim rule met: False, within bound: True" in printed
 
 
 def test_control_pairs_run_the_base_twice_into_the_same_file(tmp_path, monkeypatch):

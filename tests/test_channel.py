@@ -6,6 +6,7 @@ import math
 import multiprocessing
 import pickle
 from concurrent.futures import Future
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -321,10 +322,11 @@ class TestRunBler:
         pool = LazyPool()
         made = pool.made
         monkeypatch.setattr(channel, "ProcessPoolExecutor", pool)
+        monkeypatch.setattr(channel, "_BATCH_FRAMES", 16)
         code = small_code()
-        kwargs = dict(master_seed=12, target_errors=20, max_frames=6000, batch_frames=16)
+        kwargs = dict(master_seed=12, target_errors=20, max_frames=6000)
         duo = run_bler(code, "sc", [1.0, 2.0], workers=2, **kwargs)
-        monkeypatch.undo()
+        # One worker runs its batches inline, without the patched pool.
         solo = run_bler(code, "sc", [1.0, 2.0], workers=1, **kwargs)
         assert [(r.frames, r.block_errors) for r in duo] == [
             (r.frames, r.block_errors) for r in solo
@@ -338,9 +340,10 @@ class TestRunBler:
         # after one batch; the other points' first batches are already in.
         pool = LazyPool()
         monkeypatch.setattr(channel, "ProcessPoolExecutor", pool)
+        monkeypatch.setattr(channel, "_BATCH_FRAMES", 64)
         results = run_bler(
             small_code(), "sc", [0.0, 1.0, 2.0], master_seed=5, target_errors=5,
-            max_frames=6000, batch_frames=64, workers=2,
+            max_frames=6000, workers=2,
         )
         assert results[0].frames == 64
         stop = pool.events.index(("read", 0.0, 0))
@@ -352,9 +355,10 @@ class TestRunBler:
     def test_pending_batches_never_exceed_the_window(self, monkeypatch, workers):
         pool = LazyPool()
         monkeypatch.setattr(channel, "ProcessPoolExecutor", pool)
+        monkeypatch.setattr(channel, "_BATCH_FRAMES", 16)
         run_bler(
             small_code(), "sc", [1.0, 2.0, 3.0, 4.0], master_seed=6, target_errors=30,
-            max_frames=20_000, batch_frames=16, workers=workers,
+            max_frames=20_000, workers=workers,
         )
         assert pool.peak == 2 * workers
 
@@ -375,10 +379,11 @@ class TestRunBler:
         assert max(extra) <= len(ebn0)
         assert extra == [0, 1, 0, 1, 0, 0, 1, 1, 1, 0]
 
-    def test_no_worker_left_running(self):
+    def test_no_worker_left_running(self, monkeypatch):
+        monkeypatch.setattr(channel, "_BATCH_FRAMES", 8)
         results = run_bler(
             small_code(), "sc", [1.0, 2.0], master_seed=7, target_errors=10,
-            max_frames=100_000, batch_frames=8, workers=2,
+            max_frames=100_000, workers=2,
         )
         assert all(r.frames < 100_000 for r in results)
         assert multiprocessing.active_children() == []
@@ -388,17 +393,19 @@ class TestRunBler:
         # Point 0's third batch raises while later batches are queued:
         # run_bler re-raises it, cancels what is queued, and shuts the pool.
         monkeypatch.setattr(channel, "_run_batch", failing_batch)
+        monkeypatch.setattr(channel, "_BATCH_FRAMES", 32)
         with pytest.raises(RuntimeError, match="batch from frame 64 failed"):
             run_bler(
                 small_code(), "sc", [1.0, 2.0], master_seed=7, max_frames=10_000,
-                batch_frames=32, workers=workers,
+                workers=workers,
             )
         assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("decoder", ["scl-4", "aut-4-sc", "aut-4-sc-fixed"])
-    def test_worker_count_does_not_change_stopped_sweeps(self, decoder):
+    def test_worker_count_does_not_change_stopped_sweeps(self, monkeypatch, decoder):
+        monkeypatch.setattr(channel, "_BATCH_FRAMES", 8)
         code = small_code()
-        kwargs = dict(master_seed=21, target_errors=12, max_frames=2000, batch_frames=8)
+        kwargs = dict(master_seed=21, target_errors=12, max_frames=2000)
         solo, duo = (
             [(r.frames, r.block_errors) for r in run_bler(
                 code, decoder, [0.5, 1.5, 2.5], workers=workers, **kwargs,
@@ -410,45 +417,80 @@ class TestRunBler:
     @settings(max_examples=12, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
-        batch_frames=st.sampled_from([1, 7, 64, 256]),
+        batch=st.sampled_from([1, 7, 64, 256]),
         target=st.integers(1, 20),
         max_frames=st.integers(1, 300),
         ebn0=st.lists(st.sampled_from([0.0, 1.0, 2.0, 3.0, 4.0]), min_size=1, max_size=4),
     )
     def test_worker_count_never_changes_sc_counts(
-        self, seed, batch_frames, target, max_frames, ebn0
+        self, seed, batch, target, max_frames, ebn0
     ):
-        solo, duo = (
-            [(r.frames, r.block_errors) for r in run_bler(
-                small_code(), "sc", ebn0, master_seed=seed, target_errors=target,
-                max_frames=max_frames, batch_frames=batch_frames, workers=workers,
-            )]
-            for workers in (1, 2)
-        )
+        with mock.patch.object(channel, "_BATCH_FRAMES", batch):
+            solo, duo = (
+                [(r.frames, r.block_errors) for r in run_bler(
+                    small_code(), "sc", ebn0, master_seed=seed, target_errors=target,
+                    max_frames=max_frames, workers=workers,
+                )]
+                for workers in (1, 2)
+            )
         assert solo == duo
 
-    def test_batch_size_does_not_change_fixed_work_counts(self):
+    def test_batch_size_does_not_change_fixed_work_counts(self, monkeypatch):
         # SCL gathers its paths by an index over the frames of each batch,
         # so a batch of one frame, a ragged last batch and one whole batch
         # must all decode alike.
         code = small_code()
         kwargs = dict(master_seed=19, target_errors=None, max_frames=40)
         for decoder in ("aut-4-sc", "aut-4-sc-fixed", "aut-4-sc-lta", "sc", "scl-4"):
-            counts = {
-                batch: [
-                    (r.frames, r.block_errors)
-                    for r in run_bler(code, decoder, [1.0], batch_frames=batch, **kwargs)
+            counts = {}
+            for batch in (1, 7, 256):
+                monkeypatch.setattr(channel, "_BATCH_FRAMES", batch)
+                counts[batch] = [
+                    (r.frames, r.block_errors) for r in run_bler(code, decoder, [1.0], **kwargs)
                 ]
-                for batch in (1, 7, 256)
-            }
             assert counts[1] == counts[7] == counts[256]
             assert counts[1][0][1] > 0
 
-    def test_worker_count_does_not_change_fixed_work_counts(self):
+    @settings(max_examples=20, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        target=st.integers(1, 80),
+        max_frames=st.integers(1, 800),
+        ebn0=st.lists(st.sampled_from([0.0, 1.0, 2.0, 3.0]), min_size=1, max_size=2),
+        decoder=st.sampled_from(["sc", "aut-4-sc"]),
+    )
+    def test_a_point_stops_at_the_end_of_the_block_holding_its_target_error(
+        self, seed, target, max_frames, ebn0, decoder
+    ):
+        # With one-frame blocks a point stops at the frame f of its k-th
+        # error (or at max_frames); on the fixed grid it stops at the end of
+        # the 256-frame block holding f, and counts what a fixed-work run of
+        # the same sweep counts at that point up to that frame.
+        code = small_code()
+        kwargs = dict(master_seed=seed, max_frames=max_frames)
+        with mock.patch.object(channel, "_BATCH_FRAMES", 1):
+            exact = run_bler(code, decoder, ebn0, target_errors=target, **kwargs)
+        grid = run_bler(code, decoder, ebn0, target_errors=target, **kwargs)
+        for i, (point, f) in enumerate(zip(grid, (r.frames for r in exact))):
+            assert point.frames == min(max_frames, 256 * -(-f // 256))
+            fixed = run_bler(
+                code, decoder, ebn0, master_seed=seed, target_errors=None,
+                max_frames=point.frames,
+            )[i]
+            assert point.block_errors == fixed.block_errors
+
+    def test_batch_frames_is_gone(self):
+        # Blocks are 256 frames for every call; the keyword that set them
+        # made counts under target_errors depend on it.
+        with pytest.raises(TypeError, match="batch_frames"):
+            run_bler(small_code(), "sc", [1.0], master_seed=0, batch_frames=7)
+
+    def test_worker_count_does_not_change_fixed_work_counts(self, monkeypatch):
         # The Aut-SC runs ship a block structure built in the parent, and
         # the fixed ensemble its tables too.
+        monkeypatch.setattr(channel, "_BATCH_FRAMES", 7)
         code = small_code()
-        kwargs = dict(master_seed=19, target_errors=None, max_frames=40, batch_frames=7)
+        kwargs = dict(master_seed=19, target_errors=None, max_frames=40)
         for decoder in ("aut-4-sc", "aut-4-sc-lta", "aut-4-sc-fixed", "sc", "scl-4"):
             solo, duo = (
                 [(r.frames, r.block_errors) for r in run_bler(
@@ -537,7 +579,6 @@ class TestRunBler:
     @pytest.mark.parametrize(
         "option, bad",
         [("max_frames", 10.5), ("max_frames", True), ("max_frames", np.bool_(True)),
-         ("batch_frames", 7.5), ("batch_frames", True), ("batch_frames", None),
          ("workers", 2.0), ("workers", 1.0), ("workers", True), ("workers", "3"),
          ("target_errors", 2.5), ("target_errors", True), ("target_errors", np.float64(3.0))],
     )
@@ -557,13 +598,13 @@ class TestRunBler:
 
     @pytest.mark.parametrize(
         "option, value",
-        [("max_frames", 40), ("batch_frames", 16), ("workers", 2), ("target_errors", 5),
-         ("master_seed", 3)],
+        [("max_frames", 40), ("workers", 2), ("target_errors", 5), ("master_seed", 3)],
     )
-    def test_numpy_ints_are_ints(self, option, value):
+    def test_numpy_ints_are_ints(self, monkeypatch, option, value):
         # Each count takes a numpy integer as the plain int it equals, and
         # the results carry plain ints.
-        kwargs = dict(master_seed=3, max_frames=40, batch_frames=16, target_errors=5)
+        monkeypatch.setattr(channel, "_BATCH_FRAMES", 16)
+        kwargs = dict(master_seed=3, max_frames=40, target_errors=5)
         plain, numpy = (
             run_bler(small_code(), "sc", [1.0, 2.0], **{**kwargs, option: v})
             for v in (value, np.int64(value))
@@ -624,13 +665,14 @@ class TestRunBler:
             "aut-4-sc-fixed", 512, 51
         )
 
-    def test_fixed_and_per_frame_ensembles_differ(self):
+    def test_fixed_and_per_frame_ensembles_differ(self, monkeypatch):
         # On a code with a nontrivial block structure the two ensemble forms
         # draw different maps, so one seed gives them different counts.
+        monkeypatch.setattr(channel, "_BATCH_FRAMES", 32)
         code = ConstructionSpec.from_dict(
             {"kind": "generators", "n": 6, "generators": [7, 25]}
         ).build()
-        kwargs = dict(master_seed=29, target_errors=40, max_frames=3000, batch_frames=32)
+        kwargs = dict(master_seed=29, target_errors=40, max_frames=3000)
         counts = {
             name: [(r.frames, r.block_errors) for r in run_bler(code, name, [1.0, 2.5], **kwargs)]
             for name in ("aut-4-sc", "aut-4-sc-fixed")
@@ -654,11 +696,13 @@ class TestRunBler:
             assert [(r.frames, r.block_errors) for r in results] == [(1024, 502), (1024, 208)]
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_min_sum_counts_are_pinned(self, workers):
+    def test_min_sum_counts_are_pinned(self, monkeypatch, workers):
         # The counts of these runs when the check-node rule was the run_bler
         # keyword kernel="min_sum" on the name without the suffix; the
-        # exact kernel gives (96, 20) at 1 dB for every decoder here.
-        kwargs = dict(master_seed=18, target_errors=20, max_frames=2000, batch_frames=32)
+        # exact kernel gives (96, 20) at 1 dB for every decoder here, in
+        # 32-frame blocks.
+        monkeypatch.setattr(channel, "_BATCH_FRAMES", 32)
+        kwargs = dict(master_seed=18, target_errors=20, max_frames=2000)
         pinned = {
             "sc-min-sum": [(96, 22), (384, 20)],
             "scl-4-min-sum": [(96, 21), (384, 21)],

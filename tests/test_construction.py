@@ -129,6 +129,15 @@ class TestDesign:
             bhattacharyya_bec_design(0.3, 0, 4)
         with pytest.raises(ValueError):
             bhattacharyya_bec_design(0.3, 17, 4)
+        # True built a K = 1 code, and 2.0 a K = 2 one.
+        for bad in (True, np.bool_(True), 2.0):
+            with pytest.raises(ValueError, match="dimension must be an int"):
+                bhattacharyya_bec_design(0.3, bad, 3)
+        with pytest.raises(ValueError, match="variable count"):
+            bhattacharyya_bec_design(0.3, 2, True)
+        assert bhattacharyya_bec_design(0.3, np.int64(2), np.int64(3)) == (
+            bhattacharyya_bec_design(0.3, 2, 3)
+        )
 
 
 class TestReedMuller:
@@ -155,6 +164,13 @@ class TestReedMuller:
             rm_code(4, 3)
         with pytest.raises(ValueError):
             rm_code(-1, 3)
+        # True returned RM(1, 3).
+        for bad in (True, np.bool_(False), 1.0):
+            with pytest.raises(ValueError, match="order must be an int"):
+                rm_code(bad, 3)
+        with pytest.raises(ValueError, match="variable count"):
+            rm_code(1, True)
+        assert rm_code(np.int64(1), np.int64(3)) == rm_code(1, 3)
 
 
 class TestConstructionSpec:
@@ -246,6 +262,29 @@ class TestConstructionSpec:
         # from_dict meets the same SpecError, not a TypeError or a code.
         with pytest.raises(SpecError, match=message):
             ConstructionSpec(n=4, **fields)
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"kind": "reed_muller", "r": 1},
+            {"kind": "bhattacharyya_bec", "epsilon": 0.3, "dimension": 5},
+            {"kind": "generators", "generators": [3, 12]},
+        ],
+    )
+    def test_numpy_ints_are_ints(self, fields):
+        # run_bler takes numpy ints as the ints they equal; so does a spec,
+        # which keeps the plain ints (its n raised SpecError before).
+        def as_numpy(key, value):
+            if key == "generators":
+                return [np.int64(row) for row in value]
+            return np.int64(value) if key in ("r", "dimension") else value
+
+        plain = ConstructionSpec(n=4, **fields)
+        numpy = ConstructionSpec(n=np.int64(4), **{k: as_numpy(k, v) for k, v in fields.items()})
+        assert numpy == plain and numpy.build() == plain.build()
+        for name in ("n", "r", "dimension"):
+            assert type(getattr(numpy, name)) is type(getattr(plain, name))
+        assert all(type(row) is int for row in numpy.generators or ())
 
     @pytest.mark.parametrize(
         "data, message",

@@ -108,9 +108,7 @@ def test_run_bler_takes_only_its_options():
     assert [p.name for p in params if p.kind is not inspect.Parameter.KEYWORD_ONLY] == [
         "code", "decoder", "ebn0_list",
     ]
-    assert keywords == {
-        "master_seed", "target_errors", "max_frames", "workers", "batch_frames",
-    }
+    assert keywords == {"master_seed", "target_errors", "max_frames", "workers"}
 
 
 def test_simulate_takes_only_its_options():

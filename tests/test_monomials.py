@@ -381,9 +381,13 @@ class TestMonomialCode:
         with pytest.raises(ValueError):
             MonomialCode.from_members(3, 1 | 1 << 9)
         MonomialCode.from_members(3, (1 << 8) - 1)
-        for n in (0, MAX_VARS + 1):
+        # A bool or a float is no variable count: True built a code whose n
+        # was True, and 7.0 failed in a shift with TypeError.
+        for n in (0, MAX_VARS + 1, True, np.bool_(True), 7.0, "3"):
             with pytest.raises(ValueError, match="variable count"):
                 MonomialCode.from_members(n, 1)
+        code = MonomialCode.from_members(np.int64(3), 1)
+        assert type(code.n) is int and code == MonomialCode.from_members(3, 1)
 
     def test_repr_of_a_large_code(self):
         # A decimal str of the 2**16-bit integer would exceed int's digit limit.

@@ -16,9 +16,11 @@ change-over-base ratio of the medians, and in how many pairs the change
 was better, by the metric's `better` direction in BENCHMARK.json, and
 whether the claim rule is met: the change wins at least ceil(0.9 * pairs)
 pairs and its median is better than the base's by more than the base's
-interquartile range.  It is rewritten after every pair, so a stopped run
-keeps the pairs it finished; at the end each metric's wins and claim rule
-are printed.
+interquartile range.  Each end-to-end metric with a `bound` also records
+whether it is within that bound: the change's median is no worse than the
+base's by more than that fraction of the base's median.  The file is
+rewritten after every pair, so a stopped run keeps the pairs it finished;
+at the end each metric's wins, claim rule and bound check are printed.
 SIGTERM stops a run as Ctrl-C does: the running perfbench child is killed
 and the export is removed.
 
@@ -56,13 +58,17 @@ def spread(values: list[float]) -> dict:
     return {"median": med, "q1": q1, "q3": q3, "values": values}
 
 
-def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str]) -> dict:
+def summarize(
+    pairs: list[tuple[dict, dict]], better: dict[str, str], bounds: dict[str, float] | None = None
+) -> dict:
     """One workload: per metric both sides' spreads, ratio, wins and
     whether the claim rule is met, and each side's operation counts.
 
-    pairs holds (base, change) results as run.py prints them, and better
-    maps each metric name to "higher" or "lower".
+    pairs holds (base, change) results as run.py prints them, better maps
+    each metric name to "higher" or "lower", and bounds maps the end-to-end
+    metrics to their no-regression bound, a fraction of the base's median.
     """
+    bounds = bounds or {}
     metrics = {}
     for name in pairs[0][0]["metrics"]:
         base = [b["metrics"][name]["value"] for b, _ in pairs]
@@ -82,6 +88,8 @@ def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str]) -> dict:
             "claim_rule_met": wins >= math.ceil(0.9 * len(pairs))
             and sign * (c_med - b_med) > b_spread["q3"] - b_spread["q1"],
         }
+        if name in bounds:
+            metrics[name]["within_bound"] = sign * (c_med - b_med) >= -bounds[name] * abs(b_med)
     operations = {
         side: {
             "attempted": sum(p[k]["attempted"] for p in pairs),
@@ -149,6 +157,7 @@ def main(argv: list[str] | None = None) -> int:
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"] if "bound" in m}
     commits = {s: git("rev-parse", getattr(args, s)).decode().strip() for s in ("base", "change")}
     out_path = ROOT / f"BENCH_{args.label}.json"
     # The run length each side's run.py uses by default.
@@ -165,7 +174,7 @@ def main(argv: list[str] | None = None) -> int:
         done = len(results[kind][args.workload[0]])
         return {
             "seeds": list(range(args.first_seed, args.first_seed + done)),
-            "workloads": {w: summarize(r, better) for w, r in results[kind].items() if r},
+            "workloads": {w: summarize(r, better, bounds) for w, r in results[kind].items() if r},
         }
 
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
@@ -202,8 +211,9 @@ def main(argv: list[str] | None = None) -> int:
             out_path.write_text(json.dumps(doc, indent=2) + "\n")
     for w, got in doc["workloads"].items():
         for name, m in got["metrics"].items():
+            bound = f", within bound: {m['within_bound']}" if "within_bound" in m else ""
             print(f"{w} {name}: wins {m['wins']}/{m['pairs']}, "
-                  f"claim rule met: {m['claim_rule_met']}")
+                  f"claim rule met: {m['claim_rule_met']}{bound}")
     print(f"wrote {out_path}")
     return 0
 
