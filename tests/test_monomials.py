@@ -464,3 +464,10 @@ class TestEnumerate:
             next(enumerate_decreasing_codes(3, 0))
         with pytest.raises(ValueError):
             next(enumerate_decreasing_codes(3, 9))
+        # True ran the K = 1 census, and 2.0 the K = 2 one.
+        for bad in (True, np.bool_(True), 2.0):
+            with pytest.raises(ValueError, match="dimension must be an int"):
+                next(enumerate_decreasing_codes(3, bad))
+        assert list(enumerate_decreasing_codes(np.int64(3), np.int64(4))) == list(
+            enumerate_decreasing_codes(3, 4)
+        )
