@@ -33,9 +33,18 @@ class BlockStructure:
     sizes: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not self.sizes:
+        sizes = self.sizes
+        # A tuple of plain positive ints, as find_block_structure builds it,
+        # passes in one loop; anything else is checked and copied.
+        if type(sizes) is tuple and sizes:
+            for s in sizes:
+                if type(s) is not int or s < 1:
+                    break
+            else:
+                return
+        if not sizes:
             raise ValueError("a block structure needs at least one block")
-        object.__setattr__(self, "sizes", tuple(_positive_int("block size", s) for s in self.sizes))
+        object.__setattr__(self, "sizes", tuple(_positive_int("block size", s) for s in sizes))
 
     @property
     def n(self) -> int:

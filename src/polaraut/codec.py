@@ -125,6 +125,26 @@ KERNELS: dict[str, Callable[[np.ndarray, np.ndarray], np.ndarray]] = {
     "min_sum": _f_min_sum,
 }
 
+# Elements per operand in one kernel call: 256 KB of float64, so both
+# operands, the result and the kernel's temporaries fit a 2 MB L2 cache.
+_F_BLOCK = 1 << 15
+
+
+def _check_node(
+    f_kernel: Callable[[np.ndarray, np.ndarray], np.ndarray], a: np.ndarray, b: np.ndarray
+) -> np.ndarray:
+    """f_kernel(a, b) on slabs of whole leading-axis rows, each of at most
+    _F_BLOCK elements (one row where a row holds more), written into one
+    output; a call within the budget goes straight to the kernel.  The
+    kernels act elementwise, so the result is bit for bit one call's."""
+    if a.size <= _F_BLOCK:
+        return f_kernel(a, b)
+    rows = max(1, _F_BLOCK * len(a) // a.size)
+    out = np.empty(a.shape)
+    for i in range(0, len(a), rows):
+        out[i : i + rows] = f_kernel(a[i : i + rows], b[i : i + rows])
+    return out
+
 
 def _boxplus_floors() -> tuple[float, ...]:
     """Per depth d = log2(width), the |LLR| from which exact-boxplus SC on a
@@ -245,7 +265,7 @@ def _tree(
                 # Rate-1 node again, held against its own depth's floor.
                 h = len(llr) // 2
                 a, b = llr[:h, weak], llr[h:, weak]
-                left = rate1(f_kernel(a, b))
+                left = rate1(_check_node(f_kernel, a, b))
                 right = rate1(_g(a, b, left))
                 hard[:, weak] = np.concatenate([left ^ right, right])
         return hard
@@ -265,7 +285,7 @@ def _tree(
             return np.concatenate([right, right]), None
         if width == 1:  # only SCL: an SC leaf is Rate-0 or Rate-1
             return leaf(llr, start)
-        left, parent = node(f_kernel(a, b), start)
+        left, parent = node(_check_node(f_kernel, a, b), start)
         if parent is not None:
             a, b = take(a, parent), take(b, parent)
         right, right_parent = node(_g(a, b, left), start + h)

@@ -44,8 +44,13 @@ class Monomial:
     mask: int
 
     def __post_init__(self) -> None:
-        if self.mask < 0 or self.mask >= 1 << MAX_VARS:
-            raise ValueError(f"monomial mask out of range: {self.mask}")
+        mask = _plain_int(self.mask)
+        if mask is None:
+            raise ValueError(f"monomial mask must be an int, got {self.mask!r}")
+        if not 0 <= mask < 1 << MAX_VARS:
+            raise ValueError(f"monomial mask out of range: {mask}")
+        if mask is not self.mask:
+            object.__setattr__(self, "mask", mask)
 
     @classmethod
     def from_indices(cls, indices: Iterable[int]) -> "Monomial":
@@ -277,6 +282,10 @@ class MonomialCode:
     def from_members(cls, n: int, members: int) -> "MonomialCode":
         """The code whose information set is the masks set in `members`."""
         n = _check_n(n)
+        got = _plain_int(members)
+        if got is None:
+            raise ValueError(f"members must be an int, got {members!r}")
+        members = got
         if members <= 0 or members >> (1 << n):
             raise ValueError(f"members must be a nonzero subset of the {1 << n} masks")
         code = cls.__new__(cls)

@@ -313,6 +313,20 @@ class TestBlockStructure:
         assert plain == BlockStructure((2, 1))
         assert all(type(s) is int for s in plain.sizes + (plain.n,))
 
+    def test_checks_fail_the_same_after_a_plain_prefix(self):
+        # Plain positive ints pass in one loop; a size after them that is
+        # not one still fails with the checked path's message, and a list
+        # becomes a tuple.
+        for sizes, match in (((2, 0), "positive"), ((3, -1), "positive"), ((1, 2, 2.0), "an int"),
+                             ((1, True), "an int"), ([0], "positive")):
+            with pytest.raises(ValueError, match=f"block size must be {match}"):
+                BlockStructure(sizes)
+        with pytest.raises(ValueError, match="at least one block"):
+            BlockStructure([])
+        listed = BlockStructure([2, np.int64(1)])
+        assert listed.sizes == (2, 1) and type(listed.sizes) is tuple
+        assert all(type(s) is int for s in listed.sizes)
+
 
 class TestFindBlockStructure:
     def test_reed_muller_is_one_block(self):

@@ -63,6 +63,23 @@ def test_ties_are_not_wins_and_failures_are_summed():
         "base": {"attempted": 20, "failed": 1},
         "change": {"attempted": 20, "failed": 2},
     }
+    assert got["failed_share_not_worse"] is False
+
+
+def test_failed_share_compares_failed_over_attempted():
+    def not_worse(base_failed, change_failed, change_attempted=10):
+        change = result(5.0, 1.0, failed=change_failed)
+        change["attempted"] = change_attempted
+        got = bench_pairs.summarize([(result(5.0, 1.0, failed=base_failed), change)], BETTER)
+        return got["failed_share_not_worse"]
+
+    assert not_worse(0, 0) and not_worse(2, 2) and not_worse(3, 1)
+    assert not not_worse(0, 1) and not not_worse(2, 3)
+    # Shares, not counts: 3 of 20 attempted is below the base's 2 of 10.
+    assert not_worse(2, 3, change_attempted=20)
+    assert not not_worse(1, 1, change_attempted=5)
+    # A side that attempted nothing failed nothing.
+    assert not_worse(0, 0, change_attempted=0)
 
 
 def test_claim_rule_needs_nine_tenths_of_wins_and_a_gain_beyond_the_base_iqr():
@@ -183,6 +200,10 @@ def test_every_run_unpacks_its_commit_at_one_path(tmp_path, monkeypatch, capsys)
     printed = capsys.readouterr().out
     assert "w2 items_per_s: wins 2/2, claim rule met: True, within bound: True" in printed
     assert "w2 solve_s: wins 0/2, claim rule met: False, within bound: True" in printed
+    assert doc["workloads"]["w2"]["failed_share_not_worse"] is True
+    for w in ("w1", "w2"):
+        assert (f"{w} failed operations: base 0/20, change 0/20, "
+                "failed share not worse: True") in printed
 
 
 def test_control_pairs_run_the_base_twice_into_the_same_file(tmp_path, monkeypatch):
@@ -214,6 +235,7 @@ def test_control_pairs_run_the_base_twice_into_the_same_file(tmp_path, monkeypat
         items = control["workloads"][w]["metrics"]["items_per_s"]
         assert (items["ratio"], items["wins"], items["pairs"]) == (1.0, 0, 2)
         assert control["workloads"][w]["operations"]["change"] == {"attempted": 20, "failed": 0}
+        assert control["workloads"][w]["failed_share_not_worse"] is True
 
 
 # Installs the handler, then waits on a sleeper inside a temporary directory,

@@ -537,6 +537,74 @@ class TestKernels:
         self.check_g(x[:32], x[32:], rng)
 
 
+class TestCheckNodeSlabs:
+    """codec._check_node runs a kernel on row slabs of at most _F_BLOCK
+    elements and returns, bit for bit, what one call on the whole operands
+    returns; the budget is patched small here so that small arrays cross it."""
+
+    @staticmethod
+    def spy(kernel):
+        """The named kernel and the list of the operand shapes it is called on."""
+        shapes = []
+        f_kernel = KERNELS[kernel]
+
+        def counting(a, b):
+            shapes.append(a.shape)
+            return f_kernel(a, b)
+
+        return counting, shapes
+
+    def check(self, monkeypatch, kernel, a, b, budget):
+        monkeypatch.setattr(codec, "_F_BLOCK", budget)
+        before = [a.copy(), b.copy()]
+        f_kernel, shapes = self.spy(kernel)
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = codec._check_node(f_kernel, a, b)
+            want = REFERENCE_KERNELS[kernel](a, b)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        for x, old in zip((a, b), before):
+            assert np.array_equal(x.view(np.uint64), old.view(np.uint64))
+        return shapes
+
+    @pytest.mark.parametrize("kernel", ["exact_boxplus", "min_sum"])
+    def test_special_values_in_slabs(self, monkeypatch, kernel):
+        values = np.array(TestKernels.SPECIAL)
+        values = np.concatenate([values, -values])
+        a, b = np.meshgrid(values, values)
+        shapes = self.check(monkeypatch, kernel, a, b, budget=3 * len(values))
+        assert shapes == [(3, len(values))] * 9 + [(1, len(values))]
+
+    @pytest.mark.parametrize("kernel", ["exact_boxplus", "min_sum"])
+    @pytest.mark.parametrize(
+        "shape, budget, slabs",
+        [
+            ((32, 40), 80, [2] * 16),  # SC and Aut-SC: (width, columns)
+            ((10, 7), 21, [3, 3, 3, 1]),  # a short last slab
+            ((16, 5, 4), 50, [2] * 8),  # SCL: (width, frames, paths)
+            ((13, 3, 8), 100, [4, 4, 4, 1]),
+            ((4, 100), 30, [1] * 4),  # a row wider than the budget
+            ((1, 2, 9), 5, [1]),
+            ((8, 9), 72, [8]),  # within the budget: one call
+        ],
+    )
+    def test_slabs_cover_every_row_once(self, monkeypatch, kernel, shape, budget, slabs):
+        rng = np.random.default_rng(87)
+        x = rng.standard_normal((2,) + shape) * 10.0 ** rng.integers(-8, 4, (2,) + shape)
+        x[rng.random(x.shape) < 0.05] = -0.0
+        x[rng.random(x.shape) < 0.05] = 0.0
+        shapes = self.check(monkeypatch, kernel, x[0], x[1], budget)
+        assert shapes == [(rows,) + shape[1:] for rows in slabs]
+
+    def test_within_the_budget_the_kernel_result_is_returned(self):
+        a, b = np.ones((4, 8)), -np.ones((4, 8))
+        out = np.empty((4, 8))
+        assert codec._check_node(lambda x, y: out, a, b) is out
+
+    def test_budget_is_256_kb_of_float64_per_operand(self):
+        assert codec._F_BLOCK == 32768 == 256 * 1024 // 8
+
+
 def sc_f_widths(frozen):
     """The half-width of every f call SC makes when no frame falls below a
     Rate-1 floor, in call order, walked with the decoder's node-kind rule."""
@@ -713,6 +781,37 @@ class TestAgainstReference:
         # those nodes.
         code = generator_code(7, [27, 56])
         self.check(code, kernel, rounded, scale=1e-3, zeros=0.05, list_sizes=(4,))
+
+    @pytest.mark.parametrize("kernel", ["exact_boxplus", "min_sum"])
+    def test_bit_exact_across_the_f_block(self, monkeypatch, kernel):
+        # 128 frames of 8 Aut-SC branches or 8 SCL paths at N = 256: Aut-SC's
+        # top f call holds 128 rows of 1,024 columns, and SCL's widest, once
+        # 8 paths live, 64 rows of 1,024, so the walker runs both in slabs.
+        code = generator_code(8, [31, 57])
+        rng = np.random.default_rng(86)
+        frames = 128
+        _, _, llrs = noisy_llrs(code, rng, frames, sigma=0.9)
+        rows, offsets = sample_blta_batch(find_block_structure(code), 8 * frames, rng)
+        tables = position_tables_batch(rows, offsets).reshape(frames, 8, -1)
+        sizes = []
+        check_node = codec._check_node
+
+        def spy(f_kernel, a, b):
+            sizes.append(a.size)
+            return check_node(f_kernel, a, b)
+
+        monkeypatch.setattr(codec, "_check_node", spy)
+        for decode, reference in (
+            (aut_sc_decode_batch, aut_sc_reference),
+            (scl_decode_batch, scl_reference),
+        ):
+            arg = tables if decode is aut_sc_decode_batch else 8
+            sizes.clear()
+            got = decode(code, llrs, arg, kernel)
+            assert max(sizes) > codec._F_BLOCK
+            want = reference(code, llrs, arg, kernel)
+            assert np.array_equal(got[0], want[0])
+            assert np.array_equal(got[1], want[1])
 
     def check(self, code, kernel, rounded, scale, zeros, list_sizes):
         rng = np.random.default_rng(77)

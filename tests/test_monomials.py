@@ -131,6 +131,17 @@ class TestMonomial:
         with pytest.raises(ValueError):
             Monomial.from_indices([MAX_VARS])
 
+    def test_mask_is_an_int(self):
+        # True built x0, and 2.0 built a monomial whose str() raised
+        # AttributeError.
+        for mask in (True, np.bool_(False), 2.0, "3", None):
+            with pytest.raises(ValueError, match="monomial mask must be an int"):
+                Monomial(mask)
+        f = Monomial(np.int64(5))
+        assert type(f.mask) is int and f == Monomial(5) and str(f) == "x0x2"
+        with pytest.raises(ValueError, match="out of range"):
+            Monomial(np.int64(-1))
+
     def test_ordering_is_by_mask(self):
         assert Monomial(3) < Monomial(4)
         assert sorted([Monomial(5), Monomial(2)])[0] == Monomial(2)
@@ -388,6 +399,14 @@ class TestMonomialCode:
                 MonomialCode.from_members(n, 1)
         code = MonomialCode.from_members(np.int64(3), 1)
         assert type(code.n) is int and code == MonomialCode.from_members(3, 1)
+        # True kept a bool membership integer, whose repr read members=0x1.
+        for members in (True, np.bool_(True), 1.0, "1", None):
+            with pytest.raises(ValueError, match="members must be an int"):
+                MonomialCode.from_members(3, members)
+        code = MonomialCode.from_members(3, np.int64(0b111))
+        assert type(code.members) is int and code == MonomialCode.from_members(3, 0b111)
+        with pytest.raises(ValueError, match="nonzero subset"):
+            MonomialCode.from_members(3, np.uint16(1 << 8))
 
     def test_repr_of_a_large_code(self):
         # A decimal str of the 2**16-bit integer would exceed int's digit limit.

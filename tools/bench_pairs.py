@@ -18,9 +18,12 @@ whether the claim rule is met: the change wins at least ceil(0.9 * pairs)
 pairs and its median is better than the base's by more than the base's
 interquartile range.  Each end-to-end metric with a `bound` also records
 whether it is within that bound: the change's median is no worse than the
-base's by more than that fraction of the base's median.  The file is
-rewritten after every pair, so a stopped run keeps the pairs it finished;
-at the end each metric's wins, claim rule and bound check are printed.
+base's by more than that fraction of the base's median.  Per workload it
+holds each side's failed and attempted operations, summed over the pairs,
+and whether the change's failed share is no larger than the base's.  The
+file is rewritten after every pair, so a stopped run keeps the pairs it
+finished; at the end each metric's wins, claim rule and bound check are
+printed, and per workload each side's failed/attempted operations.
 SIGTERM stops a run as Ctrl-C does: the running perfbench child is killed
 and the export is removed.
 
@@ -97,7 +100,10 @@ def summarize(
         }
         for k, side in enumerate(("base", "change"))
     }
-    return {"metrics": metrics, "operations": operations}
+    share = {side: ops["failed"] / ops["attempted"] if ops["attempted"] else 0.0
+             for side, ops in operations.items()}
+    return {"metrics": metrics, "operations": operations,
+            "failed_share_not_worse": share["change"] <= share["base"]}
 
 
 def git(*args: str) -> bytes:
@@ -214,6 +220,9 @@ def main(argv: list[str] | None = None) -> int:
             bound = f", within bound: {m['within_bound']}" if "within_bound" in m else ""
             print(f"{w} {name}: wins {m['wins']}/{m['pairs']}, "
                   f"claim rule met: {m['claim_rule_met']}{bound}")
+        print(f"{w} failed operations: " + ", ".join(
+            f"{side} {ops['failed']}/{ops['attempted']}" for side, ops in got["operations"].items()
+        ) + f", failed share not worse: {got['failed_share_not_worse']}")
     print(f"wrote {out_path}")
     return 0
 
