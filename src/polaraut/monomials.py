@@ -285,11 +285,10 @@ class MonomialCode:
         got = _plain_int(members)
         if got is None:
             raise ValueError(f"members must be an int, got {members!r}")
-        members = got
-        if members <= 0 or members >> (1 << n):
+        if got <= 0 or got >> (1 << n):
             raise ValueError(f"members must be a nonzero subset of the {1 << n} masks")
         code = cls.__new__(cls)
-        code.__dict__.update(n=n, members=members)
+        code.__dict__.update(n=n, members=got)
         return code
 
     def __reduce__(self) -> tuple:  # a pickle carries the identity, not derived fields

@@ -543,23 +543,14 @@ class TestCheckNodeSlabs:
     returns; the budget is patched small here so that small arrays cross it."""
 
     @staticmethod
-    def spy(kernel):
-        """The named kernel and the list of the operand shapes it is called on."""
-        shapes = []
-        f_kernel = KERNELS[kernel]
-
-        def counting(a, b):
-            shapes.append(a.shape)
-            return f_kernel(a, b)
-
-        return counting, shapes
-
-    def check(self, monkeypatch, kernel, a, b, budget):
+    def check(monkeypatch, kernel, a, b, budget):
+        """_check_node against the reference kernel; returns the operand
+        shapes the kernel was called on."""
         monkeypatch.setattr(codec, "_F_BLOCK", budget)
         before = [a.copy(), b.copy()]
-        f_kernel, shapes = self.spy(kernel)
+        shapes = TestNodeSchedule.counting_f(monkeypatch, kernel)
         with np.errstate(over="ignore", invalid="ignore"):
-            got = codec._check_node(f_kernel, a, b)
+            got = codec._check_node(KERNELS[kernel], a, b)
             want = REFERENCE_KERNELS[kernel](a, b)
         assert got.shape == want.shape and got.dtype == want.dtype
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
@@ -600,9 +591,6 @@ class TestCheckNodeSlabs:
         a, b = np.ones((4, 8)), -np.ones((4, 8))
         out = np.empty((4, 8))
         assert codec._check_node(lambda x, y: out, a, b) is out
-
-    def test_budget_is_256_kb_of_float64_per_operand(self):
-        assert codec._F_BLOCK == 32768 == 256 * 1024 // 8
 
 
 def sc_f_widths(frozen):
