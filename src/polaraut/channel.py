@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import itertools
 import math
+import multiprocessing
 import re
 from collections import deque
-from concurrent.futures import Future, ProcessPoolExecutor
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Sequence
+from numbers import Real
 
 import numpy as np
 
@@ -28,6 +29,7 @@ from .automorphisms import (
     sample_blta_batch,
 )
 from .codec import (
+    _check_bits,
     aut_sc_decode_batch,
     encode_batch,
     sc_decode_batch,
@@ -76,6 +78,8 @@ class ChannelParams:
     rate: float
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.ebn0_db):
+            raise ValueError(f"Eb/N0 must be finite, got {self.ebn0_db}")
         if not 0.0 < self.rate <= 1.0:
             raise ValueError(f"rate must be in (0, 1], got {self.rate}")
 
@@ -87,10 +91,12 @@ class ChannelParams:
 def transmit(bits: np.ndarray, params: ChannelParams, noise: np.ndarray) -> np.ndarray:
     """BPSK over AWGN: modulate, add sigma times the standard-normal noise
     (same shape as bits, left as it is), and return float64 LLRs
-    (2y / sigma^2), built in the one array that scales the noise."""
+    (2y / sigma^2), built in the one array that scales the noise.  Bits
+    other than 0 and 1 raise ValueError."""
     bits = np.asarray(bits)
     if np.shape(noise) != bits.shape:
         raise ValueError("noise must have the shape of bits")
+    _check_bits(bits, "code bits")
     sigma2 = params.noise_variance
     y = (math.sqrt(sigma2) * noise).astype(np.float64, copy=False)
     y += 1.0 - 2.0 * bits
@@ -99,11 +105,20 @@ def transmit(bits: np.ndarray, params: ChannelParams, noise: np.ndarray) -> np.n
     return y
 
 
+def _count(name: str, value: object) -> int:
+    """value as a plain int (see monomials._plain_int), ValueError unless
+    one >= 0."""
+    got = _plain_int(value)
+    if got is None or got < 0:
+        raise ValueError(f"{name} must be a non-negative int, got {value!r}")
+    return got
+
+
 def wilson_interval(errors: int, trials: int) -> tuple[float, float]:
-    """Wilson 95% score interval for a binomial proportion."""
-    if trials <= 0:
-        raise ValueError("trials must be positive")
-    if not 0 <= errors <= trials:
+    """Wilson 95% score interval for a binomial proportion; both counts
+    are ints (numpy integers too, bools not)."""
+    errors, trials = _count("errors", errors), _positive_int("trials", trials)
+    if errors > trials:
         raise ValueError("errors must be in 0..trials")
     p = errors / trials
     z2 = Z95 * Z95
@@ -180,7 +195,9 @@ class SimResult:
     block_errors: int
 
     def __post_init__(self) -> None:
-        if not 0 <= self.block_errors <= self.frames:
+        for name in ("frames", "block_errors"):
+            object.__setattr__(self, name, _count(name, getattr(self, name)))
+        if self.block_errors > self.frames:
             raise ValueError("block_errors must be in 0..frames")
 
     @property
@@ -310,22 +327,185 @@ def _run_batch(args: tuple) -> tuple[int, int]:
     return batch, errors
 
 
-class _Inline:
-    """The executor of one worker: a batch runs when it is submitted."""
+def _outcome(call: tuple) -> tuple[bool, object]:
+    """Run call = (fn, args): (True, result), or (False, error) if it raised."""
+    fn, args = call
+    try:
+        return True, fn(*args)
+    except Exception as exc:
+        return False, exc
 
-    def __init__(self, max_workers: int) -> None:
-        pass
 
-    def __enter__(self) -> "_Inline":
+def _serve(conn) -> None:
+    """A worker process: run each call received on conn and send back its
+    _outcome, until it receives None."""
+    while (call := conn.recv()) is not None:
+        outcome = _outcome(call)
+        try:
+            conn.send(outcome)
+        except Exception:  # an error that does not pickle
+            conn.send((False, RuntimeError(repr(outcome[1]))))
+
+
+class _Batch:
+    """A batch submitted to _Workers: queued, sent to a process, or done,
+    when `outcome` is (True, result) or (False, error)."""
+
+    def __init__(self, workers: "_Workers", fn, args: tuple) -> None:
+        self.workers = workers
+        self.call = (fn, args)
+        self.process: _Process | None = None
+        self.outcome: tuple[bool, object] | None = None
+
+    def run(self) -> None:
+        """Run the batch in this process."""
+        self.outcome = _outcome(self.call)
+
+    def result(self):
+        """The batch's result, or its error raised; see _Workers.wait_for."""
+        self.workers.wait_for(self)
+        ok, value = self.outcome
+        if not ok:
+            raise value
+        return value
+
+    def cancel(self) -> bool:
+        """Drop the batch if it is still queued; whether it was."""
+        queued = self.workers.queued
+        if self not in queued:
+            return False
+        queued.remove(self)
+        return True
+
+
+_EXITED = "a worker process exited before returning its batches"
+
+
+class _Process:
+    """A worker process and the batches sent to it, oldest first, whose
+    outcomes have not come back."""
+
+    def __init__(self) -> None:
+        self.conn, child = multiprocessing.Pipe()
+        self.proc = multiprocessing.Process(target=_serve, args=(child,), daemon=True)
+        self.proc.start()
+        child.close()
+        self.batches: deque[_Batch] = deque()
+
+    def send(self, batch: _Batch) -> None:
+        try:
+            self.conn.send(batch.call)
+        except OSError:
+            raise RuntimeError(_EXITED) from None
+        batch.process = self
+        self.batches.append(batch)
+
+    def receive(self) -> None:
+        """Wait for the oldest batch's outcome."""
+        try:
+            outcome = self.conn.recv()
+        except EOFError:
+            raise RuntimeError(_EXITED) from None
+        self.batches.popleft().outcome = outcome
+
+    def poll(self) -> None:
+        """Take every outcome that has come back."""
+        while self.batches and self.conn.poll():
+            self.receive()
+
+    def close(self) -> None:
+        """Stop the process: an idle one when it reads None, and one that
+        still holds batches, which no one will read, at once."""
+        if self.batches:
+            self.proc.kill()
+        else:
+            try:
+                self.conn.send(None)
+            except OSError:  # it has exited already
+                pass
+        self.proc.join()
+        self.conn.close()
+
+
+class _Workers:
+    """run_bler's executor: the calling process and `processes` worker
+    processes.
+
+    submit queues a batch, and each submit sends queued batches, oldest
+    first, to any process that holds none.  The caller runs the batch it
+    reads if that one is still queued; while the batch it reads is in a
+    process, it runs the oldest queued one, and it waits only when none is
+    queued.  Before the caller runs a batch, every process is sent queued
+    batches until it holds two (one running, one waiting), so the processes
+    work while the caller does.  The processes start at the first batch
+    sent, so with none, none starts.  No thread runs beside the caller:
+    batches go out and outcomes come in only while it is in submit or result.
+    """
+
+    def __init__(self, processes: int) -> None:
+        self.processes = processes
+        self.started: list[_Process] = []
+        self.queued: deque[_Batch] = deque()
+
+    def __enter__(self) -> "_Workers":
         return self
 
     def __exit__(self, *exc) -> bool:
+        for process in self.started:
+            process.close()
         return False
 
-    def submit(self, fn, *args) -> Future:
-        fut: Future = Future()
-        fut.set_result(fn(*args))
-        return fut
+    def submit(self, fn, *args) -> _Batch:
+        batch = _Batch(self, fn, args)
+        self.queued.append(batch)
+        self.send(1)
+        return batch
+
+    def send(self, each: int) -> None:
+        """Send queued batches, oldest first, to every process holding
+        fewer than `each`."""
+        if not self.processes or not self.queued:
+            return
+        while len(self.started) < self.processes:
+            self.started.append(_Process())
+        for process in self.started:
+            process.poll()
+            while self.queued and len(process.batches) < each:
+                process.send(self.queued.popleft())
+
+    def wait_for(self, batch: _Batch) -> None:
+        """Work until the batch is done: run it if it is queued, else run
+        the oldest queued batch or, with none, wait for its process."""
+        while batch.outcome is None:
+            if batch.process is None:
+                self.run(batch)
+            elif self.queued:
+                batch.process.poll()
+                if batch.outcome is None:
+                    self.run(self.queued[0])
+            else:
+                batch.process.receive()
+
+    def run(self, batch: _Batch) -> None:
+        """Run a queued batch in the caller, once the processes are topped up."""
+        self.queued.remove(batch)
+        self.send(2)
+        batch.run()
+
+
+def _ebn0_grid(values: object) -> list[float]:
+    """run_bler's Eb/N0 list as plain floats: a non-empty sequence or 1-D
+    array of finite real numbers (numpy's too, bools not), else ValueError."""
+    if isinstance(values, (str, bytes)) or not (
+        isinstance(values, Sequence) or isinstance(values, np.ndarray) and values.ndim == 1
+    ):
+        raise ValueError(f"ebn0_list must be a sequence of numbers, got {values!r}")
+    if not len(values):
+        raise ValueError("ebn0_list must not be empty")
+    for e in values:
+        if isinstance(e, (bool, np.bool_)) or not isinstance(e, Real) or not math.isfinite(e):
+            raise ValueError(f"Eb/N0 values must be finite real numbers, got {e!r}")
+    return [float(e) for e in values]
 
 
 def run_bler(
@@ -342,11 +522,14 @@ def run_bler(
     that holds the target_errors-th error, or at max_frames.
 
     Each point consumes its frames in those blocks in index order, so a
-    count depends only on master_seed and the frame index.  One pool
-    serves the whole sweep: while fewer than 2 * workers batches are
-    pending, the lowest point that has fewer batches in flight than its
-    expected need submits its next one, and results are read first in,
-    first out.  Frame f's messages, noise and automorphism integers come
+    count depends only on master_seed and the frame index.  The calling
+    process is one of the workers: it starts workers - 1 processes (none
+    for one worker) and runs a share of the batches itself, whichever are still
+    queued when it would otherwise wait for a process (see _Workers).  One
+    schedule serves the whole sweep: while fewer than 2 * workers batches
+    are pending (one for one worker), the lowest point that has fewer
+    batches in flight than its expected need submits its next one, and
+    results are read first in, first out.  Frame f's messages, noise and automorphism integers come
     from counter blocks fixed by f (see STREAM_VERSION).  decoder is a name
     (pass spec.label for a DecoderSpec), and it alone picks the check-node
     rule; anything else raises TypeError.  Before any batch runs, an unknown
@@ -357,14 +540,8 @@ def run_bler(
     if not isinstance(decoder, str):
         raise TypeError(f"decoder must be a name, got {type(decoder).__name__}")
     spec = DecoderSpec.parse(decoder)
-    ebn0 = [float(e) for e in ebn0_list]
-    if not ebn0:
-        raise ValueError("ebn0_list must not be empty")
-    if not all(math.isfinite(e) for e in ebn0):
-        raise ValueError(f"Eb/N0 values must be finite, got {ebn0}")
-    seed = _plain_int(master_seed)
-    if seed is None or seed < 0:
-        raise ValueError(f"master_seed must be a non-negative int, got {master_seed!r}")
+    ebn0 = _ebn0_grid(ebn0_list)
+    seed = _count("master_seed", master_seed)
     max_frames = _positive_int("max_frames", max_frames)
     workers = _positive_int("workers", workers)
     if target_errors is not None:
@@ -381,10 +558,10 @@ def run_bler(
     batches = -(-max_frames // _BATCH_FRAMES)
     results: list[SimResult | None] = [None] * len(ebn0)
     frames, errors, read, submitted = ([0] * len(ebn0) for _ in range(4))
-    # Keyed here, before the pool starts, so no worker derives a key (nor
-    # loads numpy.random to do so).
+    # Keyed here, before any process starts, so no worker derives a key
+    # (nor loads numpy.random to do so).
     keys = [_frame_key(seed, i) for i in range(len(ebn0))]
-    pending: deque[tuple[int, Future]] = deque()
+    pending: deque[tuple[int, _Batch]] = deque()
 
     def need(i: int) -> int:
         """Batches point i should have in flight: its expected remaining need,
@@ -397,7 +574,7 @@ def run_bler(
             want = -(-(target_errors - errors[i]) * frames[i] // (errors[i] * _BATCH_FRAMES))
         return max(1, min(want, batches - read[i]))
 
-    def fill(pool) -> None:
+    def fill(executor: _Workers) -> None:
         while len(pending) < window:
             open_points = (i for i, r in enumerate(results) if r is None)
             i = next((i for i in open_points if submitted[i] - read[i] < need(i)), None)
@@ -406,31 +583,24 @@ def run_bler(
             lo = submitted[i] * _BATCH_FRAMES
             hi = min(lo + _BATCH_FRAMES, max_frames)
             args = (code, spec, structure, ebn0[i], keys[i], lo, hi, fixed_tables)
-            pending.append((i, pool.submit(_run_batch, args)))
+            pending.append((i, executor.submit(_run_batch, args)))
             submitted[i] += 1
 
-    # One worker runs each batch as it is submitted, so it never speculates.
-    executor, window = (_Inline, 1) if workers == 1 else (ProcessPoolExecutor, 2 * workers)
-    with executor(max_workers=workers) as pool:
-        try:
-            fill(pool)
-            while pending:
-                i, fut = pending.popleft()
-                got_frames, got_errors = fut.result()
-                frames[i] += got_frames
-                errors[i] += got_errors
-                read[i] += 1
-                if read[i] == batches or errors[i] >= (target_errors or math.inf):
-                    results[i] = SimResult(spec.label, ebn0[i], frames[i], errors[i])
-                    # Batches the pool has not yet handed to a process are
-                    # dropped; the others finish and are ignored.
-                    for stale in [p for p in pending if p[0] == i]:
-                        stale[1].cancel()
-                        pending.remove(stale)
-                fill(pool)
-        finally:
-            # After an error, leave the pool no queued batch to wait for.
-            for _, fut in pending:
-                fut.cancel()
+    # With one worker the window is one batch, so it never speculates.
+    window = 1 if workers == 1 else 2 * workers
+    with _Workers(workers - 1) as executor:
+        fill(executor)
+        while pending:
+            i, batch = pending.popleft()
+            got_frames, got_errors = batch.result()
+            frames[i] += got_frames
+            errors[i] += got_errors
+            read[i] += 1
+            if read[i] == batches or errors[i] >= (target_errors or math.inf):
+                results[i] = SimResult(spec.label, ebn0[i], frames[i], errors[i])
+                # Its queued batches are dropped; the others are not read.
+                for stale in [p for p in pending if p[0] == i]:
+                    stale[1].cancel()
+                    pending.remove(stale)
+            fill(executor)
     return results
-

@@ -4,8 +4,10 @@ Monte Carlo harness: determinism, stop rules, worker invariance."""
 import dataclasses
 import math
 import multiprocessing
+import os
 import pickle
-from concurrent.futures import Future
+from collections import deque
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -45,50 +47,122 @@ def small_code():
     )
 
 
-class LazyFuture(Future):
-    def __init__(self, pool, fn, args):
-        super().__init__()
-        self.pool = pool
-        self.call = (fn, args)
-
-    def result(self, timeout=None):
-        if not self.done():
-            fn, args = self.call
-            self.pool.events.append(("read", *self.pool.batch(args)))
-            self.set_result(fn(*args))
-        return super().result(timeout)
+PARENT = os.getpid()  # forked workers inherit it
 
 
-class LazyPool:
-    """A stand-in pool whose batches run only when their result is read, so
-    every batch left unread when a point stops is still unstarted.  It
-    records each submission and read as (event, Eb/N0, first frame), and
-    the most futures pending at once."""
+def failing_in_caller(args):
+    """channel._run_batch, except that a batch run in the calling process raises."""
+    if os.getpid() == PARENT:
+        raise RuntimeError("batch failed in the caller")
+    return RUN_BATCH(args)
 
-    def __init__(self):
-        self.made = []
+
+def failing_in_process(args):
+    """channel._run_batch, except that a batch run in a worker process raises."""
+    if os.getpid() != PARENT:
+        raise RuntimeError("batch failed in a process")
+    return RUN_BATCH(args)
+
+
+class Unpicklable(Exception):
+    def __reduce__(self):
+        raise TypeError("this error does not pickle")
+
+
+def failing_unpicklably(args):
+    """channel._run_batch, except that a process raises an error that does
+    not pickle."""
+    if os.getpid() != PARENT:
+        raise Unpicklable("batch failed in a process")
+    return RUN_BATCH(args)
+
+
+def exiting_in_process(args):
+    """channel._run_batch, except that a worker process exits instead."""
+    if os.getpid() != PARENT:
+        os._exit(3)
+    return RUN_BATCH(args)
+
+
+CALLER_RUNS = []
+
+
+def counted_batch(args):
+    """channel._run_batch, noting for each batch the caller runs how many
+    worker processes are alive then."""
+    if os.getpid() == PARENT:
+        CALLER_RUNS.append(len(multiprocessing.active_children()))
+    return RUN_BATCH(args)
+
+
+class Recorder:
+    """Stand-ins for channel._Batch and channel._Process that log what the
+    executor does, each event as (event, Eb/N0, first frame): "submit",
+    "send" (to a process), "run" (in either), "read", and "cancel" (a
+    queued batch dropped) or "drop" (a started one left unread).  A
+    stand-in process runs its batches only when the caller waits for one,
+    so a batch sent to it and never read is never started."""
+
+    def __init__(self, monkeypatch):
         self.events = []
-        self.peak = 0
+        self.processes = []
+        log = self.log
 
-    def __call__(self, max_workers):
-        return self
+        class Batch(channel._Batch):
+            def __init__(self, workers, fn, args):
+                super().__init__(workers, fn, args)
+                log("submit", self)
 
-    def __enter__(self):
-        return self
+            def run(self):
+                log("run", self)
+                super().run()
 
-    def __exit__(self, *exc):
-        return False
+            def result(self):
+                out = super().result()
+                log("read", self)
+                return out
 
-    @staticmethod
-    def batch(args):
-        ebn0, _, lo = args[0][3:6]
-        return ebn0, lo
+            def cancel(self):
+                dropped = super().cancel()
+                log("cancel" if dropped else "drop", self)
+                return dropped
 
-    def submit(self, fn, *args):
-        self.events.append(("submit", *self.batch(args)))
-        self.made.append(LazyFuture(self, fn, args))
-        self.peak = max(self.peak, sum(not f.done() for f in self.made))
-        return self.made[-1]
+        class LazyProcess:
+            def __init__(inner):
+                self.processes.append(inner)
+                inner.batches = deque()
+
+            def send(inner, batch):
+                log("send", batch)
+                batch.process = inner
+                inner.batches.append(batch)
+
+            def poll(inner):
+                pass
+
+            def receive(inner):
+                inner.batches.popleft().run()
+
+            def close(inner):
+                pass
+
+        monkeypatch.setattr(channel, "_Batch", Batch)
+        monkeypatch.setattr(channel, "_Process", LazyProcess)
+
+    def log(self, event, batch):
+        ebn0, _, lo = batch.call[1][0][3:6]
+        self.events.append((event, ebn0, lo))
+
+    def count(self, event):
+        return sum(e[0] == event for e in self.events)
+
+    def peak_pending(self):
+        """The most batches submitted and not yet read or dropped."""
+        pending = peak = 0
+        for event, *_ in self.events:
+            pending += {"submit": 1, "read": -1, "cancel": -1, "drop": -1}.get(event, 0)
+            peak = max(peak, pending)
+        return peak
 
 
 class TestChannelParams:
@@ -106,6 +180,12 @@ class TestChannelParams:
             ChannelParams(ebn0_db=1.0, rate=0.0)
         with pytest.raises(ValueError):
             ChannelParams(ebn0_db=1.0, rate=1.5)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_ebn0_rejected(self, bad):
+        # NaN built a channel whose noise variance is NaN.
+        with pytest.raises(ValueError, match="Eb/N0 must be finite"):
+            ChannelParams(bad, 0.5)
 
 
 class TestTransmit:
@@ -140,6 +220,25 @@ class TestTransmit:
         params = ChannelParams(ebn0_db=3.0, rate=0.5)
         with pytest.raises(ValueError):
             transmit(np.zeros(4, dtype=np.uint8), params, np.zeros(3))
+
+    @pytest.mark.parametrize(
+        "bits",
+        [np.array([[0, 2]]), np.array([[0, 2]], dtype=np.uint8), np.array([1, -1], dtype=np.int8),
+         np.array([0.0, 0.5])],
+    )
+    def test_bits_other_than_0_and_1_rejected(self, bits):
+        # [[0, 2]] modulated the 2 to -3.
+        params = ChannelParams(ebn0_db=3.0, rate=0.5)
+        with pytest.raises(ValueError, match="code bits must be 0 or 1"):
+            transmit(bits, params, np.zeros(bits.shape))
+
+    @pytest.mark.parametrize("dtype", [bool, np.uint8, np.int64, np.float64])
+    def test_bits_of_any_dtype_modulate_alike(self, dtype):
+        params = ChannelParams(ebn0_db=3.0, rate=0.5)
+        bits = np.array([[0, 1, 1, 0]])
+        noise = np.random.default_rng(5).standard_normal(bits.shape)
+        want = transmit(bits.astype(np.uint8), params, noise)
+        assert np.array_equal(transmit(bits.astype(dtype), params, noise), want)
 
     @staticmethod
     def one_line(bits, params, noise):
@@ -206,6 +305,17 @@ class TestWilsonInterval:
             wilson_interval(1, 0)
         with pytest.raises(ValueError):
             wilson_interval(5, 4)
+
+    @pytest.mark.parametrize(
+        "errors, trials", [(True, 2), (1.5, 4), (1, 4.0), (np.bool_(True), 2), ("1", 4), (1, None)]
+    )
+    def test_counts_must_be_ints(self, errors, trials):
+        # (True, 2) and (1.5, 4) returned intervals.
+        with pytest.raises(ValueError, match="must be an int|non-negative int"):
+            wilson_interval(errors, trials)
+
+    def test_numpy_ints_are_ints(self):
+        assert wilson_interval(np.int64(5), np.uint16(100)) == wilson_interval(5, 100)
 
 
 class TestDecoderSpec:
@@ -290,6 +400,19 @@ class TestSimResult:
         with pytest.raises(ValueError):
             SimResult("sc", 1.0, frames=10, block_errors=11)
 
+    @pytest.mark.parametrize(
+        "frames, block_errors", [(2.5, 1), (10, 1.0), (True, 0), (10, np.bool_(False)), (-1, 0)]
+    )
+    def test_counts_must_be_ints(self, frames, block_errors):
+        # SimResult("sc", 1.0, 2.5, 1) built.
+        with pytest.raises(ValueError, match="must be a non-negative int"):
+            SimResult("sc", 1.0, frames, block_errors)
+
+    def test_numpy_ints_become_ints(self):
+        r = SimResult("sc", 1.0, np.int64(200), np.int32(10))
+        assert r == SimResult("sc", 1.0, 200, 10)
+        assert type(r.frames) is type(r.block_errors) is int
+
 
 def test_default_code_id():
     code = decreasing_closure([Monomial.from_indices([0, 1, 2])], 4)
@@ -319,48 +442,56 @@ class TestRunBler:
         )
 
     def test_unstarted_batches_cancelled_when_a_point_stops(self, monkeypatch):
-        pool = LazyPool()
-        made = pool.made
-        monkeypatch.setattr(channel, "ProcessPoolExecutor", pool)
+        rec = Recorder(monkeypatch)
         monkeypatch.setattr(channel, "_BATCH_FRAMES", 16)
         code = small_code()
-        kwargs = dict(master_seed=12, target_errors=20, max_frames=6000)
+        kwargs = dict(master_seed=10, target_errors=20, max_frames=6000)
         duo = run_bler(code, "sc", [1.0, 2.0], workers=2, **kwargs)
-        # One worker runs its batches inline, without the patched pool.
         solo = run_bler(code, "sc", [1.0, 2.0], workers=1, **kwargs)
         assert [(r.frames, r.block_errors) for r in duo] == [
             (r.frames, r.block_errors) for r in solo
         ]
-        read = sum(r.frames for r in duo) // 16
-        assert sum(f.done() and not f.cancelled() for f in made) == read
-        assert sum(f.cancelled() for f in made) == len(made) - read > 0
+        duo_events = rec.events[: rec.events.index(("submit", 1.0, 0), 1)]
+        reads = [e[1:] for e in duo_events if e[0] == "read"]
+        assert len(reads) == sum(r.frames for r in duo) // 16
+        # A batch not yet run when its point stops (or the call ends) is
+        # never run nor read: queued, it is cancelled; sent, it is dropped.
+        unstarted = [
+            batch for k, (event, *batch) in enumerate(duo_events)
+            if event in ("cancel", "drop") and ("run", *batch) not in duo_events[:k]
+        ]
+        assert unstarted == [[2.0, 192], [2.0, 208]]
+        assert ("drop", 2.0, 192) in duo_events and ("cancel", 2.0, 208) in duo_events
+        for batch in unstarted:
+            assert ("run", *batch) not in duo_events and ("read", *batch) not in duo_events
 
     def test_next_point_starts_before_the_lowest_stops(self, monkeypatch):
         # At 0 dB the first 64 frames hold the 5 errors, so point 0 stops
         # after one batch; the other points' first batches are already in.
-        pool = LazyPool()
-        monkeypatch.setattr(channel, "ProcessPoolExecutor", pool)
+        rec = Recorder(monkeypatch)
         monkeypatch.setattr(channel, "_BATCH_FRAMES", 64)
         results = run_bler(
             small_code(), "sc", [0.0, 1.0, 2.0], master_seed=5, target_errors=5,
             max_frames=6000, workers=2,
         )
         assert results[0].frames == 64
-        stop = pool.events.index(("read", 0.0, 0))
-        assert pool.events[:stop] == [
-            ("submit", 0.0, 0), ("submit", 1.0, 0), ("submit", 2.0, 0),
+        # Point 0's batch goes to the process, point 1's runs in the caller
+        # while it waits, and point 2's is sent when the caller starts.
+        stop = rec.events.index(("read", 0.0, 0))
+        assert rec.events[:stop] == [
+            ("submit", 0.0, 0), ("send", 0.0, 0), ("submit", 1.0, 0), ("submit", 2.0, 0),
+            ("send", 2.0, 0), ("run", 1.0, 0), ("run", 0.0, 0),
         ]
 
     @pytest.mark.parametrize("workers", [2, 3])
     def test_pending_batches_never_exceed_the_window(self, monkeypatch, workers):
-        pool = LazyPool()
-        monkeypatch.setattr(channel, "ProcessPoolExecutor", pool)
+        rec = Recorder(monkeypatch)
         monkeypatch.setattr(channel, "_BATCH_FRAMES", 16)
         run_bler(
             small_code(), "sc", [1.0, 2.0, 3.0, 4.0], master_seed=6, target_errors=30,
             max_frames=20_000, workers=workers,
         )
-        assert pool.peak == 2 * workers
+        assert rec.peak_pending() == 2 * workers
 
     def test_speculation_on_the_benchmark_sweep(self, monkeypatch):
         # perfbench's sc-sweep-n128 jobs at --seed 1: master seeds 10000 on.
@@ -368,16 +499,19 @@ class TestRunBler:
             {"kind": "generators", "n": 7, "generators": [27, 56]}
         ).build()
         ebn0 = [1.0, 1.5, 2.0, 2.5, 3.0]
-        extra = []
+        submitted, ran = [], []
         for seed in range(10_000, 10_010):
-            pool = LazyPool()
-            monkeypatch.setattr(channel, "ProcessPoolExecutor", pool)
+            rec = Recorder(monkeypatch)
             results = run_bler(code, "sc", ebn0, master_seed=seed, target_errors=100, workers=2)
             read = sum(-(-r.frames // 256) for r in results)
-            assert read == sum(f.done() and not f.cancelled() for f in pool.made)
-            extra.append(len(pool.made) - read)
-        assert max(extra) <= len(ebn0)
-        assert extra == [0, 1, 0, 1, 0, 0, 1, 1, 1, 0]
+            assert read == rec.count("read")
+            submitted.append(rec.count("submit") - read)
+            ran.append(rec.count("run") - read)
+        # The schedule submits what it did with a pool of two processes; of
+        # those extra batches the caller runs the three it reaches.
+        assert submitted == [0, 1, 0, 1, 0, 0, 1, 1, 1, 0]
+        assert ran == [0, 0, 0, 0, 0, 0, 1, 1, 1, 0]
+        assert max(ran) <= len(ebn0) and sum(ran) <= 5
 
     def test_no_worker_left_running(self, monkeypatch):
         monkeypatch.setattr(channel, "_BATCH_FRAMES", 8)
@@ -400,6 +534,68 @@ class TestRunBler:
                 workers=workers,
             )
         assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_workers_fork_one_process_fewer(self, monkeypatch, workers):
+        rec = Recorder(monkeypatch)
+        run_bler(
+            small_code(), "sc", [1.0, 2.0], master_seed=7, target_errors=10,
+            max_frames=2000, workers=workers,
+        )
+        assert len(rec.processes) == workers - 1
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_the_caller_decodes_a_share(self, monkeypatch, workers):
+        # No target, so every batch is read: the processes run the first,
+        # the caller some of the others, with workers - 1 processes alive.
+        monkeypatch.setattr(channel, "_run_batch", counted_batch)
+        monkeypatch.setattr(channel, "_BATCH_FRAMES", 16)
+        CALLER_RUNS.clear()
+        results = run_bler(
+            small_code(), "sc", [1.0, 2.0], master_seed=7, target_errors=None,
+            max_frames=800, workers=workers,
+        )
+        read = sum(r.frames for r in results) // 16
+        assert set(CALLER_RUNS) == {workers - 1}
+        if workers == 1:
+            assert len(CALLER_RUNS) == read
+        else:
+            assert 0 < len(CALLER_RUNS) < read
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize(
+        "fails, workers, error",
+        [
+            (failing_in_caller, 1, "batch failed in the caller"),
+            (failing_in_caller, 2, "batch failed in the caller"),
+            (failing_in_caller, 3, "batch failed in the caller"),
+            (failing_in_process, 2, "batch failed in a process"),
+            (failing_in_process, 3, "batch failed in a process"),
+            (failing_unpicklably, 2, r"Unpicklable\('batch failed in a process'\)"),
+            (exiting_in_process, 2, "a worker process exited before returning its batches"),
+        ],
+    )
+    def test_an_error_on_either_side_propagates(self, monkeypatch, fails, workers, error):
+        monkeypatch.setattr(channel, "_run_batch", fails)
+        monkeypatch.setattr(channel, "_BATCH_FRAMES", 32)
+        with pytest.raises(RuntimeError, match=error):
+            run_bler(
+                small_code(), "sc", [1.0, 2.0], master_seed=7, max_frames=10_000,
+                workers=workers,
+            )
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("decoder", ["sc", "scl-4", "aut-4-sc"])
+    def test_counts_are_equal_at_one_two_and_three_workers(self, monkeypatch, decoder):
+        monkeypatch.setattr(channel, "_BATCH_FRAMES", 8)
+        kwargs = dict(master_seed=23, target_errors=12, max_frames=2000)
+        solo, duo, trio = (
+            [(r.frames, r.block_errors) for r in run_bler(
+                small_code(), decoder, [0.5, 1.5, 2.5], workers=workers, **kwargs,
+            )]
+            for workers in (1, 2, 3)
+        )
+        assert solo == duo == trio
 
     @pytest.mark.parametrize("decoder", ["scl-4", "aut-4-sc", "aut-4-sc-fixed"])
     def test_worker_count_does_not_change_stopped_sweeps(self, monkeypatch, decoder):
@@ -557,6 +753,24 @@ class TestRunBler:
         monkeypatch.setattr(channel, "_run_batch", self.no_batch)
         with pytest.raises(ValueError, match="invalid decoder spec 'sc-minsum'"):
             run_bler(small_code(), "sc-minsum", [1.0], master_seed=0)
+
+    @pytest.mark.parametrize(
+        "bad", [["2.5"], [True], [np.bool_(False)], [None], [1.0, "3"], "2.5", 2.5, b"12",
+                np.array(2.5), np.array([[1.0, 2.0]])],
+    )
+    def test_ebn0_list_checked_before_any_batch(self, monkeypatch, bad):
+        # ["2.5"] ran at 2.5 dB, [True] at 1 dB, and "2.5" failed in float.
+        monkeypatch.setattr(channel, "_run_batch", self.no_batch)
+        with pytest.raises(ValueError, match="ebn0_list must be a sequence|Eb/N0 values"):
+            run_bler(small_code(), "sc", bad, master_seed=0)
+
+    def test_numpy_and_fraction_ebn0_accepted(self):
+        code = small_code()
+        kwargs = dict(master_seed=3, target_errors=None, max_frames=30)
+        grid = [np.float32(1.5), np.int64(2), Fraction(5, 2)]
+        got = run_bler(code, "sc", grid, **kwargs)
+        assert got == run_bler(code, "sc", (1.5, 2.0, 2.5), **kwargs)
+        assert all(type(r.ebn0_db) is float for r in got)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_ebn0_rejected_before_any_batch(self, monkeypatch, bad):
