@@ -524,18 +524,20 @@ def run_bler(
     Each point consumes its frames in those blocks in index order, so a
     count depends only on master_seed and the frame index.  The calling
     process is one of the workers: it starts workers - 1 processes (none
-    for one worker) and runs a share of the batches itself, whichever are still
+    for one worker) and runs a share of the batches itself, those still
     queued when it would otherwise wait for a process (see _Workers).  One
     schedule serves the whole sweep: while fewer than 2 * workers batches
     are pending (one for one worker), the lowest point that has fewer
     batches in flight than its expected need submits its next one, and
-    results are read first in, first out.  Frame f's messages, noise and automorphism integers come
-    from counter blocks fixed by f (see STREAM_VERSION).  decoder is a name
-    (pass spec.label for a DecoderSpec), and it alone picks the check-node
-    rule; anything else raises TypeError.  Before any batch runs, an unknown
-    name, a non-finite Eb/N0, a master_seed not an int >= 0, or a frame
-    count, error target or worker count not a positive int raises ValueError
-    (numpy integers are ints, bools are not).
+    results are read first in, first out.  Frame f's messages, noise and
+    automorphism integers come from counter blocks fixed by f (see
+    STREAM_VERSION).  decoder is a name (pass spec.label for a
+    DecoderSpec), and it alone picks the check-node rule; anything else
+    raises TypeError.  Before any batch runs, an unknown name, an Eb/N0
+    list that is not a sequence or 1-D array of finite real numbers (a
+    string, a bool or a bare number included), a master_seed not an
+    int >= 0, or a frame count, error target or worker count not a positive
+    int raises ValueError (numpy integers are ints, bools are not).
     """
     if not isinstance(decoder, str):
         raise TypeError(f"decoder must be a name, got {type(decoder).__name__}")

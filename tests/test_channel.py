@@ -128,22 +128,22 @@ class Recorder:
                 return dropped
 
         class LazyProcess:
-            def __init__(inner):
-                self.processes.append(inner)
-                inner.batches = deque()
+            def __init__(stand_in):
+                self.processes.append(stand_in)
+                stand_in.batches = deque()
 
-            def send(inner, batch):
+            def send(stand_in, batch):
                 log("send", batch)
-                batch.process = inner
-                inner.batches.append(batch)
+                batch.process = stand_in
+                stand_in.batches.append(batch)
 
-            def poll(inner):
+            def poll(stand_in):
                 pass
 
-            def receive(inner):
-                inner.batches.popleft().run()
+            def receive(stand_in):
+                stand_in.batches.popleft().run()
 
-            def close(inner):
+            def close(stand_in):
                 pass
 
         monkeypatch.setattr(channel, "_Batch", Batch)
@@ -507,8 +507,9 @@ class TestRunBler:
             assert read == rec.count("read")
             submitted.append(rec.count("submit") - read)
             ran.append(rec.count("run") - read)
-        # The schedule submits what it did with a pool of two processes; of
-        # those extra batches the caller runs the three it reaches.
+        # The schedule submits one extra batch on five of the ten seeds;
+        # three of them run, in the caller while it waits, and a batch a
+        # stand-in process holds runs only when it is read.
         assert submitted == [0, 1, 0, 1, 0, 0, 1, 1, 1, 0]
         assert ran == [0, 0, 0, 0, 0, 0, 1, 1, 1, 0]
         assert max(ran) <= len(ebn0) and sum(ran) <= 5
@@ -536,7 +537,7 @@ class TestRunBler:
         assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
-    def test_workers_fork_one_process_fewer(self, monkeypatch, workers):
+    def test_workers_start_one_process_fewer(self, monkeypatch, workers):
         rec = Recorder(monkeypatch)
         run_bler(
             small_code(), "sc", [1.0, 2.0], master_seed=7, target_errors=10,
