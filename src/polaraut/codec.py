@@ -25,11 +25,19 @@ At N = 256, 256 frames of 8 branches or paths make one operand of a wide
 call 1-2 MB, and with the kernel's temporaries that spills a 2 MB L2 cache;
 a 256 KB slab does not.  The kernels act elementwise, so the words are bit
 for bit those of one call.
-SCL walks generic nodes only.  Its paths live on the last axis, and a
-subtree that forks or prunes hands back the parent of each of its paths:
-the caller gathers only the LLRs and left word it still holds by that map
-(the lazy copy of Tal & Vardy, 2015), by flat index into the (width, B * P)
-view of each array.
+SCL's paths live on the last axis, and a subtree that forks or prunes
+hands back the parent of each of its paths: the caller gathers the LLRs and
+left word it still holds by that map, once each (the lazy copy of Tal &
+Vardy, 2015), by flat index into the (width, B * P) view of each array.
+SCL takes a Rate-0 subtree as one rule too: it adds the frozen leaves'
+penalties to the path metrics in leaf order, through f on each left half
+and a + b on each right half, and returns zeros.  A node whose left half
+is Rate-0 adds that half's penalties and decodes its right half from a + b.
+Every f call of the generic tree stays, in its order, and Rate-1 nodes stay
+generic, since their leaves fork.  Pruning sorts each frame's candidate
+metrics with numpy's default argsort and keeps that order where every
+frame's sorted metrics rise strictly, so that order is the only one; a tie
+or a NaN re-sorts the batch stably.
 """
 
 from __future__ import annotations
@@ -231,12 +239,17 @@ def _tree(
     decode each half as a Rate-1 node again.  A node whose left half is
     Rate-0 calls no f and returns [right, right], its right half decoded
     from a + b (which is _g with an all-zero word).  Otherwise arrays are
-    (width, B, P) and every node is generic: information leaves fork every
-    path, and once more than list_size would live the best survive by path
-    metric (stable sort, so tied candidates keep parent-then-0-bit
-    priority).  A subtree returns its word and, when it forked or pruned,
-    the parent of each of its paths among the paths it was given; its caller
-    gathers only what it still holds by that map.
+    (width, B, P): a Rate-0 node adds its frozen leaves' penalties in leaf
+    order, through f and a + b, and returns zeros, a node whose left half is
+    Rate-0 does that for its left half and returns [right, right], and every
+    other node is generic.  Information leaves fork every path, and once
+    more than list_size would live the best survive by path metric, in the
+    order of the stable sort, so tied candidates keep parent-then-0-bit
+    priority: the default argsort's order stands where every frame's sorted
+    metrics rise strictly, and a tie or a NaN re-sorts the batch stably.  A
+    subtree returns its word and, when it forked or pruned, the parent of
+    each of its paths among the paths it was given; its caller gathers what
+    it still holds by that map, the LLRs in one take.
     """
     f_kernel = KERNELS[kernel]
     floors = _RATE1_FLOORS[kernel]
@@ -252,18 +265,40 @@ def _tree(
         flat = (parent + x.shape[2] * frames).ravel()
         return np.take(x.reshape(len(x), -1), flat, axis=1).reshape(len(x), batch, -1)
 
-    def leaf(llr: np.ndarray, index: int) -> tuple[np.ndarray, np.ndarray | None]:
+    def penalize(llr: np.ndarray) -> None:
+        # A Rate-0 subtree's frozen leaves, in leaf order; its right halves
+        # take _g with an all-zero word, which is a + b bit for bit.
         nonlocal pm
-        if frozen[index]:
-            pm = pm + np.maximum(-llr[0], 0.0)
-            return np.zeros(llr.shape, dtype=np.uint8), None
-        pen0, pen1 = np.maximum(-llr[0], 0.0), np.maximum(llr[0], 0.0)
-        cand = np.stack([pm + pen0, pm + pen1], axis=2).reshape(batch, -1)
+        if len(llr) == 1:
+            pm += np.maximum(-llr[0], 0.0)
+            return
+        h = len(llr) // 2
+        a, b = llr[:h], llr[h:]
+        penalize(_check_node(f_kernel, a, b))
+        penalize(a + b)
+
+    def leaf(llr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        nonlocal pm
+        x = llr[0]
+        cand = np.empty((batch, x.shape[1], 2))
+        np.maximum(-x, 0.0, out=cand[:, :, 0])
+        np.maximum(x, 0.0, out=cand[:, :, 1])
+        cand += pm[:, :, None]
+        cand = cand.reshape(batch, -1)
         if cand.shape[1] <= list_size:
             order = np.broadcast_to(np.arange(cand.shape[1]), cand.shape)
+            pm = cand
         else:
-            order = np.argsort(cand, axis=1, kind="stable")[:, :list_size]
-        pm = cand[frames, order]
+            # Rows that rise strictly have one sorted order, the stable one;
+            # a tie or a NaN anywhere sends the batch to the stable sort.
+            rows = cand.shape[1] * frames
+            order = np.argsort(cand, axis=1)
+            ranked = np.take(cand, order + rows)
+            if not (ranked[:, 1:] > ranked[:, :-1]).all():
+                order = np.argsort(cand, axis=1, kind="stable")
+                ranked = np.take(cand, order + rows)
+            order = order[:, :list_size]
+            pm = ranked[:, :list_size]
         return (order & 1).astype(np.uint8)[None], order >> 1
 
     def rate1(llr: np.ndarray) -> np.ndarray:
@@ -285,20 +320,25 @@ def _tree(
         width = len(llr)
         h = width // 2
         a, b = llr[:h], llr[h:]
-        kind = "generic" if listing else _node_kind(frozen_before, start, width)
+        kind = _node_kind(frozen_before, start, width)
         if kind == "rate0":
+            if listing:
+                penalize(llr)
             return np.zeros(llr.shape, dtype=np.uint8), None
-        if kind == "rate1":
+        if kind == "rate1" and not listing:
             return rate1(llr), None
         if kind == "left-rate0":
+            if listing:
+                penalize(_check_node(f_kernel, a, b))
             # _g with an all-zero left word is a + b, bit for bit.
-            right = node(a + b, start + h)[0]
-            return np.concatenate([right, right]), None
+            right, parent = node(a + b, start + h)
+            return np.concatenate([right, right]), parent
         if width == 1:  # only SCL: an SC leaf is Rate-0 or Rate-1
-            return leaf(llr, start)
+            return leaf(llr)
         left, parent = node(_check_node(f_kernel, a, b), start)
         if parent is not None:
-            a, b = take(a, parent), take(b, parent)
+            llr = take(llr, parent)
+            a, b = llr[:h], llr[h:]
         right, right_parent = node(_g(a, b, left), start + h)
         if right_parent is not None:
             left = take(left, right_parent)
@@ -351,15 +391,20 @@ def _checked_tables(tables: np.ndarray, batch: int, size: int) -> np.ndarray:
     return np.broadcast_to(tables, (batch,) + tables.shape[-2:])
 
 
+def _correlations(cands: np.ndarray, llrs: np.ndarray) -> np.ndarray:
+    """(B, P) sums of (1 - 2c) * llr over each (B, P, N) candidate c."""
+    # As in _g, a bit of 1 flips the sign bit of its llr, so each term is
+    # (1 - 2c) * llr bit for bit.  Contiguous rows keep the summation order,
+    # so near-tied candidates always rank the same way.
+    terms = np.asarray(cands).astype(np.uint64, order="C")
+    terms <<= 63
+    terms ^= np.ascontiguousarray(llrs).view(np.uint64)[:, None, :]
+    return terms.view(np.float64).sum(axis=2)
+
+
 def _most_correlated(cands: np.ndarray, llrs: np.ndarray) -> np.ndarray:
     """Per frame, the (B, P, N) candidate that best matches llrs (first on a tie)."""
-    # Contiguous rows keep the summation order of the correlations, so
-    # near-tied candidates always rank the same way; negation is exact, so
-    # each term is (1 - 2c) * llr bit for bit.
-    cands = np.ascontiguousarray(cands)
-    chan = np.ascontiguousarray(llrs)[:, None, :]
-    corr = np.where(cands.view(bool), -chan, chan).sum(axis=2)
-    return cands[np.arange(len(cands)), corr.argmax(axis=1)]
+    return cands[np.arange(len(cands)), _correlations(cands, llrs).argmax(axis=1)]
 
 
 def _with_messages(

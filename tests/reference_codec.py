@@ -9,7 +9,9 @@ penalty to a large path metric rounds to the same float).  The polar
 transform staged on the last axis is kept too, as the oracle for the
 width-major staging in `polaraut.codec.polar_transform`, and so are the
 check-node kernels as first written, which the reference decoders use in
-place of the codec's own.
+place of the codec's own, and the correlation that negated the channel
+with `np.where`, the oracle for the sign-bit flip in
+`polaraut.codec._correlations`.
 """
 
 from __future__ import annotations
@@ -50,6 +52,14 @@ def polar_transform_reference(bits: np.ndarray) -> np.ndarray:
 
 def _g(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.where(x.astype(bool), b - a, b + a)
+
+
+def correlations_reference(cands: np.ndarray, llrs: np.ndarray) -> np.ndarray:
+    """(B, P) correlations of (B, P, N) candidates with llrs, each term
+    picked from llr and its negation, summed over contiguous rows."""
+    cands = np.ascontiguousarray(cands)
+    chan = np.ascontiguousarray(llrs)[:, None, :]
+    return np.where(cands.view(bool), -chan, chan).sum(axis=2)
 
 
 def _sc_batch(

@@ -288,6 +288,32 @@ def test_sigterm_kills_the_child_and_removes_the_exports(tmp_path):
             os.kill(sleeper, signal.SIGKILL)
 
 
+@pytest.mark.parametrize("fails", [False, True])
+def test_main_puts_the_sigterm_handler_back(tmp_path, monkeypatch, fails):
+    # The handler raises SystemExit; left installed, it would stay with the
+    # calling process and every process that process forks.
+    stub_runs(tmp_path, monkeypatch)
+    stubbed_run = bench_pairs.run
+    before = signal.getsignal(signal.SIGTERM)
+    during = []
+
+    def run(checkout, workload, seed, trace):
+        during.append(signal.getsignal(signal.SIGTERM))
+        if fails:
+            raise SystemExit("perfbench failed")
+        return stubbed_run(checkout, workload, seed, trace)
+
+    monkeypatch.setattr(bench_pairs, "run", run)
+    argv = ["--label", "t", "--base", "B", "--change", "C", "--workload", "w1", "--pairs", "2"]
+    if fails:
+        with pytest.raises(SystemExit, match="perfbench failed"):
+            bench_pairs.main(argv)
+    else:
+        assert bench_pairs.main(argv) == 0
+    assert during and all(h is not before for h in during)
+    assert signal.getsignal(signal.SIGTERM) is before
+
+
 @pytest.mark.parametrize("counts", [
     ["--pairs", "0"], ["--pairs", "-2"], ["--control", "-1"], ["--pairs", "2", "--control", "3"],
     ["--first-seed", "-1"],

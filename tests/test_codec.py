@@ -40,6 +40,7 @@ from reference_codec import (
     REFERENCE_KERNELS,
     _sc_batch,
     aut_sc_reference,
+    correlations_reference,
     polar_transform_reference,
     sc_reference,
     scl_reference,
@@ -537,6 +538,56 @@ class TestKernels:
         self.check_g(x[:32], x[32:], rng)
 
 
+class TestCorrelation:
+    """codec._correlations flips each llr's sign bit where a candidate holds
+    a 1; the np.where form it replaced is the oracle, bit for bit."""
+
+    # TestKernels' values, the smallest normal and 1e308, whose sums
+    # overflow to inf and, with both signs, to NaN.
+    VALUES = TestKernels.SPECIAL + [float(np.finfo(np.float64).tiny), 1e308]
+
+    @staticmethod
+    def check(cands, llrs):
+        before = [cands.copy(), llrs.copy()]
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = codec._correlations(cands, llrs)
+            want = correlations_reference(cands, llrs)
+            best = codec._most_correlated(cands, llrs)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert np.array_equal(best, cands[np.arange(len(cands)), want.argmax(axis=1)])
+        for x, old in zip((cands, llrs), before):
+            assert x.tobytes() == old.tobytes()
+
+    def test_each_term_bitwise_on_special_values(self):
+        # One position per frame: the correlations are the terms themselves,
+        # llr and -llr, signed zeros and subnormals included.
+        values = np.array(self.VALUES)
+        llrs = np.concatenate([values, -values])[:, None]
+        cands = np.broadcast_to(np.array([[0], [1]], dtype=np.uint8), (len(llrs), 2, 1))
+        self.check(np.array(cands), llrs)
+
+    def test_sums_bitwise_on_special_values(self):
+        rng = np.random.default_rng(88)
+        values = np.array(self.VALUES)
+        llrs = rng.choice(np.concatenate([values, -values]), size=(64, 32))
+        cands = rng.integers(0, 2, (64, 6, 32), dtype=np.uint8)
+        self.check(cands, llrs)
+
+    def test_sums_bitwise_on_random_values(self):
+        rng = np.random.default_rng(89)
+        llrs = rng.standard_normal((40, 256)) * 10.0 ** rng.integers(-8, 4, (40, 256))
+        llrs[rng.random(llrs.shape) < 0.02] = -0.0
+        cands = rng.integers(0, 2, (40, 8, 256), dtype=np.uint8)
+        self.check(cands, llrs)
+        # The layouts SCL passes: a transposed view of the walker's
+        # (N, B, P) words and of its (N, B) channel.
+        self.check(
+            np.ascontiguousarray(cands.transpose(2, 0, 1)).transpose(1, 2, 0),
+            np.ascontiguousarray(llrs.T).T,
+        )
+
+
 class TestCheckNodeSlabs:
     """codec._check_node runs a kernel on row slabs of at most _F_BLOCK
     elements and returns, bit for bit, what one call on the whole operands
@@ -610,10 +661,20 @@ def sc_f_widths(frozen):
     return walk(0, len(frozen))
 
 
+def generic_f_widths(size):
+    """The half-width of every f call of the generic tree over size rows, in
+    call order: one per internal node, in preorder."""
+    if size == 1:
+        return []
+    h = size // 2
+    return [h] + generic_f_widths(h) + generic_f_widths(h)
+
+
 class TestNodeSchedule:
     """SC visits Rate-0 and Rate-1 nodes whole and skips f for a left half
     that is all frozen, so a repetition node costs one a + b per level; SCL
-    visits every node."""
+    keeps every f call of the generic tree, in its order, since a frozen
+    leaf's penalty needs its LLR."""
 
     @staticmethod
     def counting_f(monkeypatch, kernel):
@@ -643,9 +704,23 @@ class TestNodeSchedule:
         widths = sc_f_widths(frozen_mask(code))
         assert shapes == [(w, 4) for w in widths]
         assert (len(widths), sum(widths)) == (f_calls, f_elements)
-        shapes.clear()
-        scl_decode_batch(code, llrs, 2)
-        assert len(shapes) == code.block_length - 1
+        # SCL's Rate-0 rules drop g, XOR and concatenation, not f: one
+        # _check_node call per internal node, with the generic tree's widths.
+        calls = []
+        check_node = codec._check_node
+
+        def spy(f_kernel, a, b):
+            calls.append(a.shape)
+            return check_node(f_kernel, a, b)
+
+        monkeypatch.setattr(codec, "_check_node", spy)
+        for list_size in (2, 8):
+            calls.clear()
+            shapes.clear()
+            scl_decode_batch(code, llrs, list_size)
+            assert len(calls) == code.block_length - 1
+            assert [c[:2] for c in calls] == [(w, 4) for w in generic_f_widths(code.block_length)]
+            assert shapes == calls
 
     def test_no_decreasing_code_has_a_lone_right_rate0_half(self):
         # A right-half row's monomial divides its left partner's, so in a
@@ -769,6 +844,49 @@ class TestAgainstReference:
         # those nodes.
         code = generator_code(7, [27, 56])
         self.check(code, kernel, rounded, scale=1e-3, zeros=0.05, list_sizes=(4,))
+
+    @pytest.mark.parametrize("kernel", ["exact_boxplus", "min_sum"])
+    def test_scl_bit_exact_on_huge_llrs(self, kernel):
+        # +-1e308 LLRs overflow g to inf and then to NaN, so path metrics
+        # hold infs and NaNs: the pruning sort must rank them as the stable
+        # sort does, NaN last.
+        code = generator_code(6, [11, 22])
+        rng = np.random.default_rng(90)
+        llrs = 1e308 * rng.choice([-1.0, 1.0], (200, code.block_length))
+        for size in (2, 4, 8, 32):
+            with np.errstate(over="ignore", invalid="ignore"):
+                got = scl_decode_batch(code, llrs, size, kernel)
+                want = scl_reference(code, llrs, size, kernel)
+            assert np.array_equal(got[0], want[0])
+            assert np.array_equal(got[1], want[1])
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n=st.integers(1, 6),
+        list_size=st.sampled_from([2, 3, 4, 8, 32]),
+        kernel=st.sampled_from(["exact_boxplus", "min_sum"]),
+        llr_kind=st.sampled_from(["gaussian", "rounded", "zeros", "huge"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_scl_matches_reference_on_random_codes(self, n, list_size, kernel, llr_kind, seed):
+        # Integer-rounded LLRs tie candidate metrics, exact zeros (of both
+        # signs) tie a leaf's two candidates, and +-1e308 ones make
+        # infinite and NaN metrics.
+        rng = np.random.default_rng(seed)
+        code = random_decreasing_code(rng, n)
+        _, _, llrs = noisy_llrs(code, rng, 24, sigma=rng.uniform(0.5, 1.5))
+        if llr_kind != "gaussian":
+            llrs = np.round(llrs)
+        if llr_kind == "zeros":
+            llrs[rng.random(llrs.shape) < 0.3] = 0.0
+            llrs[rng.random(llrs.shape) < 0.1] = -0.0
+        elif llr_kind == "huge":
+            llrs = np.where(rng.random(llrs.shape) < 0.5, np.copysign(1e308, llrs), llrs)
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = scl_decode_batch(code, llrs, list_size, kernel)
+            want = scl_reference(code, llrs, list_size, kernel)
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
 
     @pytest.mark.parametrize("kernel", ["exact_boxplus", "min_sum"])
     def test_bit_exact_across_the_f_block(self, monkeypatch, kernel):

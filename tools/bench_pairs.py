@@ -25,7 +25,8 @@ file is rewritten after every pair, so a stopped run keeps the pairs it
 finished; at the end each metric's wins, claim rule and bound check are
 printed, and per workload each side's failed/attempted operations.
 SIGTERM stops a run as Ctrl-C does: the running perfbench child is killed
-and the export is removed.
+and the export is removed.  main() puts the SIGTERM handler it replaced
+back when it returns or raises.
 
 Giving one commit as both --base and --change measures the protocol's own
 offset between two runs of the same code: a change-over-base ratio or a
@@ -130,14 +131,15 @@ def run(checkout: Path, workload: str, seed: int, trace: int) -> dict:
     return json.loads(done.stdout.strip().splitlines()[-1])
 
 
-def stop_on_sigterm() -> None:
+def stop_on_sigterm():
     """Make SIGTERM raise SystemExit, so the run unwinds: subprocess.run
-    kills the child it waits on, and TemporaryDirectory removes its tree."""
+    kills the child it waits on, and TemporaryDirectory removes its tree.
+    Returns the handler it replaced."""
 
     def stop(signum, frame):
         raise SystemExit(128 + signum)
 
-    signal.signal(signal.SIGTERM, stop)
+    return signal.signal(signal.SIGTERM, stop)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -159,8 +161,17 @@ def main(argv: list[str] | None = None) -> int:
         p.error(f"--control must lie in 0..{args.pairs}, got {args.control}")
     if args.first_seed < 0:
         p.error(f"--first-seed must be at least 0, got {args.first_seed}")
-    stop_on_sigterm()
+    previous = stop_on_sigterm()
+    try:
+        return run_pairs(args)
+    finally:
+        if previous is not None:  # None: a handler not set from Python
+            signal.signal(signal.SIGTERM, previous)
 
+
+def run_pairs(args: argparse.Namespace) -> int:
+    """The pairs main() parsed, each printed as it ends, and their summary
+    written to BENCH_<label>.json."""
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
     bounds = {m["name"]: m["bound"] for m in spec["end_to_end"] if "bound" in m}
