@@ -396,7 +396,7 @@ def _correlations(cands: np.ndarray, llrs: np.ndarray) -> np.ndarray:
     # As in _g, a bit of 1 flips the sign bit of its llr, so each term is
     # (1 - 2c) * llr bit for bit.  Contiguous rows keep the summation order,
     # so near-tied candidates always rank the same way.
-    terms = np.asarray(cands).astype(np.uint64, order="C")
+    terms = cands.astype(np.uint64, order="C")
     terms <<= 63
     terms ^= np.ascontiguousarray(llrs).view(np.uint64)[:, None, :]
     return terms.view(np.float64).sum(axis=2)

@@ -49,6 +49,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from typing import Callable
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -131,7 +132,7 @@ def run(checkout: Path, workload: str, seed: int, trace: int) -> dict:
     return json.loads(done.stdout.strip().splitlines()[-1])
 
 
-def stop_on_sigterm():
+def stop_on_sigterm() -> signal.Handlers | Callable | None:
     """Make SIGTERM raise SystemExit, so the run unwinds: subprocess.run
     kills the child it waits on, and TemporaryDirectory removes its tree.
     Returns the handler it replaced."""
@@ -165,8 +166,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return run_pairs(args)
     finally:
-        if previous is not None:  # None: a handler not set from Python
-            signal.signal(signal.SIGTERM, previous)
+        signal.signal(signal.SIGTERM, previous)
 
 
 def run_pairs(args: argparse.Namespace) -> int:
