@@ -186,11 +186,12 @@ def sample_blta_batch(
 def position_tables_batch(rows: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     """Position permutation tables for affine maps given as row bitmasks.
 
-    rows is (count, n), offsets is (count,); returns (count, 2**n) indices,
-    the .T view of a width-major array, the layout aut_sc_decode_batch reads
+    rows is (count, n), offsets is (count,); returns (count, 2**n) positions
+    in the narrowest unsigned type that holds one (uint8 up to n = 8), the
+    .T view of a width-major array, the layout aut_sc_decode_batch reads
     fastest.  Built by doubling: positions j + 2**k, j < 2**k, map to the
     image of j XOR the image A e_k of the k-th basis vector, one contiguous
-    slab per step, in the narrowest unsigned type that holds a position.
+    slab per step.
     """
     count, n = rows.shape
     shifts = np.arange(n, dtype=rows.dtype)[:, None]
@@ -203,4 +204,4 @@ def position_tables_batch(rows: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     out[0] = offsets
     for k in range(n):
         np.bitwise_xor(out[: 1 << k], cols[k], out=out[1 << k : 2 << k])
-    return out.astype(np.int64).T
+    return out.T

@@ -38,6 +38,12 @@ generic, since their leaves fork.  Pruning sorts each frame's candidate
 metrics with numpy's default argsort and keeps that order where every
 frame's sorted metrics rise strictly, so that order is the only one; a tie
 or a NaN re-sorts the batch stably.
+The ensemble reads its tables in their own dtype (uint8 from
+position_tables_batch at N <= 256): it gathers the walker's input and
+scatters each branch's word back through flat indices built a few walker
+rows at a time, so no index the size of the walker's input is ever made,
+and it correlates each frame's distinct words once, at their first
+occurrence, which picks the branch the full correlation would.
 """
 
 from __future__ import annotations
@@ -370,8 +376,8 @@ def _checked(
 
 
 def _checked_tables(tables: np.ndarray, batch: int, size: int) -> np.ndarray:
-    """Ensemble tables as (B, M, N) np.intp, rejected unless (M, N) or
-    (B, M, N) integers in [0, N), which makes the cast exact."""
+    """Ensemble tables as a (B, M, N) view in their own integer dtype,
+    rejected unless (M, N) or (B, M, N) integers in [0, N)."""
     tables = np.asarray(tables)
     if (
         tables.ndim not in (2, 3)
@@ -385,9 +391,9 @@ def _checked_tables(tables: np.ndarray, batch: int, size: int) -> np.ndarray:
         )
     if not np.issubdtype(tables.dtype, np.integer):
         raise ValueError("tables must hold integers")
-    if tables.size and (tables.min() < 0 or tables.max() >= size):
+    signed = tables.dtype.kind == "i"
+    if tables.max() >= size or signed and tables.min() < 0:
         raise ValueError(f"table entries must lie in [0, {size})")
-    tables = tables.astype(np.intp, copy=False)
     return np.broadcast_to(tables, (batch,) + tables.shape[-2:])
 
 
@@ -405,6 +411,26 @@ def _correlations(cands: np.ndarray, llrs: np.ndarray) -> np.ndarray:
 def _most_correlated(cands: np.ndarray, llrs: np.ndarray) -> np.ndarray:
     """Per frame, the (B, P, N) candidate that best matches llrs (first on a tie)."""
     return cands[np.arange(len(cands)), _correlations(cands, llrs).argmax(axis=1)]
+
+
+def _distinct_correlations(words: np.ndarray, llrs: np.ndarray) -> np.ndarray:
+    """(B, M) correlations of (B, M, N) words, as _correlations gives them,
+    at each frame's first occurrence of each distinct word; a repeat of an
+    earlier word of its frame gets -inf.
+
+    A repeat's correlation is its earlier twin's, bit for bit, so argmax
+    picks the same index as over every word: the first NaN if there is one,
+    else the first maximum, both first occurrences.
+    """
+    batch, count, _ = words.shape
+    keys = np.packbits(words, axis=2)
+    repeat = np.zeros((batch, count), dtype=bool)
+    for m in range(1, count):
+        repeat[:, m] = (keys[:, :m] == keys[:, m, None]).all(axis=2).any(axis=1)
+    first = ~repeat
+    out = np.full((batch, count), -np.inf)
+    out[first] = _correlations(words[first][:, None], llrs[first.nonzero()[0]])[:, 0]
+    return out
 
 
 def _with_messages(
@@ -455,26 +481,44 @@ def aut_sc_decode_batch(
     """Automorphism-ensemble SC over a batch.
 
     tables holds position permutations, shape (M, N) shared across the batch
-    or (B, M, N) per frame, in any integer dtype and layout.  Each branch
-    decodes the permuted frame with SC, the permutation is undone, and the
-    codeword with the highest correlation to the channel wins (lowest branch
-    index on a tie).  Tables of another shape, with entries outside [0, N)
-    or with a row that is not a permutation, raise ValueError.  Walker row
-    j of branch column b*M + m reads position tables[b, m, N-1-j];
-    position_tables_batch's width-major layout, reshaped, makes those rows
-    contiguous, the fast case.
+    or (B, M, N) per frame, in any integer dtype and layout, used as given:
+    no int64 copy is made.  Each branch decodes the permuted frame with SC,
+    the permutation is undone, and the codeword with the highest
+    correlation to the channel wins (lowest branch index on a tie); a word
+    that an earlier branch of its frame also gave is not correlated again.
+    Tables of another shape, with entries outside [0, N) or with a row that
+    is not a permutation, raise ValueError.  Walker row j of branch column
+    b*M + m reads position tables[b, m, N-1-j]; position_tables_batch's
+    width-major layout, reshaped, makes those rows contiguous, the fast
+    case.
     """
     llrs, _ = _checked(code, llrs_eval, kernel)
     batch, size = llrs.shape
     tables = _checked_tables(tables, batch, size)
     m_branches = tables.shape[1]
-    rows = tables.reshape(batch * m_branches, size).T[::-1]
-    chan = np.take(llrs.ravel(), rows + np.repeat(size * np.arange(batch), m_branches))
+    columns = batch * m_branches
+    rows = tables.reshape(columns, size).T[::-1]
+    # Flat positions are made one slab of at most _F_BLOCK at a time, a few
+    # walker rows each, so no index as large as the walker's input exists.
+    step = max(1, _F_BLOCK // columns)
+    slabs = [slice(j, j + step) for j in range(0, size, step)]
+    frame_base = size * np.repeat(np.arange(batch), m_branches)
+    chan = np.empty((size, columns))
+    for s in slabs:
+        # Every index is in range, so "clip" clips nothing; unlike "raise",
+        # it lets take write into chan without a buffer.  The sum is intp
+        # whatever the tables' dtype (uint64 and int64 would make float64).
+        index = np.add(rows[s], frame_base, dtype=np.intp)
+        np.take(llrs.ravel(), index, out=chan[s], mode="clip")
     cands = _tree(chan, frozen_mask(code), kernel, 1)[:, :, 0]
     # N writes fill a branch's N slots exactly when its row is a
     # permutation, so a sentinel left over marks a row that is not.
-    unperm = np.full((batch, m_branches, size), 2, dtype=np.uint8)
-    unperm.ravel()[rows + size * np.arange(batch * m_branches)] = cands
+    unperm = np.full((columns, size), 2, dtype=np.uint8)
+    branch_base = size * np.arange(columns)
+    for s in slabs:
+        unperm.ravel()[np.add(rows[s], branch_base, dtype=np.intp)] = cands[s]
     if (unperm == 2).any():
         raise ValueError("every table row must be a permutation of range(N)")
-    return _with_messages(code, _most_correlated(unperm, llrs))
+    words = unperm.reshape(batch, m_branches, size)
+    best = _distinct_correlations(words, llrs).argmax(axis=1)
+    return _with_messages(code, words[np.arange(batch), best])

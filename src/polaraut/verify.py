@@ -393,7 +393,8 @@ def position_action(aut: AffineAutomorphism, j: int) -> int:
 
 
 def position_table(aut: AffineAutomorphism) -> np.ndarray:
-    """position_action at every position, as an int array of length 2**n."""
+    """position_action at every position, as an array of length 2**n in
+    position_tables_batch's unsigned dtype."""
     rows = np.array([aut.matrix.rows], dtype=np.uint32)
     offsets = np.array([aut.offset], dtype=np.uint32)
     return position_tables_batch(rows, offsets)[0]
