@@ -354,6 +354,7 @@ def _keep_heap() -> None:
     except (AttributeError, OSError):
         return
     mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
     mallopt(_M_MMAP_THRESHOLD, _MMAP_BYTES)
     mallopt(_M_TRIM_THRESHOLD, _TRIM_BYTES)
 

@@ -150,23 +150,29 @@ def test_minor_faults_per_job_are_summarised_but_not_gated():
     assert set(faults) == {"base", "change", "ratio"}
 
 
-# A stand-in for perfbench/run.py: four jobs that together write 16 MiB.
+# A stand-in for perfbench/run.py: {jobs} jobs that together write 16 MiB.
 _FAKE_RUN = """
 import json
-print("perfbench w seed=1 trace=0 jobs=4")
+print("perfbench w seed=1 trace=0 jobs={jobs}")
 blob = bytes(range(256)) * (1 << 16)
-print(json.dumps({"correct": True, "attempted": 4, "failed": 0, "metrics": {}}))
+print(json.dumps({{"correct": True, "attempted": 4, "failed": 0, "metrics": {{}}}}))
 """
 
 
 def test_run_counts_the_child_minor_faults_per_job(tmp_path):
-    (tmp_path / "perfbench").mkdir()
-    (tmp_path / "perfbench" / "run.py").write_text(_FAKE_RUN)
-    got = bench_pairs.run(tmp_path, "w", 1, 0)
-    assert (got["correct"], got["attempted"], got["metrics"]) == (True, 4, {})
-    # 16 MiB is 4,096 pages written once each, shared by 4 jobs; the
-    # interpreter's own start-up faults come on top.
-    assert got["minflt_per_job"] >= 4096 / 4
+    per_job = {}
+    for jobs in (1, 4):
+        checkout = tmp_path / f"jobs{jobs}"
+        (checkout / "perfbench").mkdir(parents=True)
+        (checkout / "perfbench" / "run.py").write_text(_FAKE_RUN.format(jobs=jobs))
+        got = bench_pairs.run(checkout, "w", 1, 0)
+        assert (got["correct"], got["attempted"], got["metrics"]) == (True, 4, {})
+        per_job[jobs] = got["minflt_per_job"]
+    # 16 MiB is 4,096 pages written once each, and the interpreter's own
+    # start-up faults come on top; the same run split into 4 jobs reads
+    # about a quarter of that per job.
+    assert per_job[1] >= 4096
+    assert 3 < per_job[1] / per_job[4] < 5
 
 
 def stub_runs(tmp_path, monkeypatch):

@@ -1,13 +1,17 @@
 """Channel model, interval estimates, decoder spec parsing, and the
 Monte Carlo harness: determinism, stop rules, worker invariance."""
 
+import ctypes
 import dataclasses
 import math
 import multiprocessing
 import os
 import pickle
+import subprocess
+import sys
 from collections import deque
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -929,3 +933,44 @@ class TestRunBler:
             assert [r.decoder for r in results] == [name, name]
             assert [(r.frames, r.block_errors) for r in results] == counts, name
 
+
+
+def has_mallopt():
+    try:
+        ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError):
+        return False
+    return True
+
+
+# Runs in a fresh interpreter: glibc's dynamic thresholds rise once a large
+# mapped block is freed, so in a process that has run other work a batch
+# can keep its heap even without run_bler's setting.
+_WARM_BATCH_FAULTS = """
+import resource, sys
+sys.path.insert(0, sys.argv[1])
+from polaraut import channel
+from polaraut.construction import ConstructionSpec
+code = ConstructionSpec.from_dict({"kind": "generators", "n": 8, "generators": [31, 57]}).build()
+channel.run_bler(code, "aut-8-sc", [2.5], master_seed=0, target_errors=None, max_frames=1)
+spec = channel.DecoderSpec.parse("aut-8-sc")
+structure = channel.find_block_structure(code)
+key = channel._frame_key(3, 0)
+for k in range(3):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    channel._run_batch((code, spec, structure, 2.5, key, 256 * k, 256 * (k + 1), None))
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(not has_mallopt(), reason="the C library has no mallopt")
+def test_a_warm_aut_sc_batch_keeps_its_heap():
+    # Once run_bler has fixed the malloc thresholds, a batch reuses the
+    # heap the batches before it freed: a 256-frame Aut-8-SC batch at
+    # (256,128) took ~2,000-2,800 minor faults under glibc's dynamic
+    # thresholds, and takes a handful once they are fixed.  A fault count
+    # needs no timing.
+    package_root = str(Path(channel.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", _WARM_BATCH_FAULTS, package_root],
+                          capture_output=True, text=True, check=True, timeout=120)
+    assert int(done.stdout) < 200

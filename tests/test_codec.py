@@ -390,6 +390,33 @@ class TestAutScDecode:
         assert np.array_equal(encode_batch(code, msgs), words)
 
 
+    def test_table_dtypes_and_layouts_give_the_same_words(self):
+        # position_tables_batch's uint8 width-major view, other integer
+        # dtypes, read-only, non-contiguous and shared (M, N) tables: one
+        # word per frame, whatever the tables' dtype or layout.
+        code = generator_code(8, [31, 57])
+        rng = np.random.default_rng(76)
+        frames = 24
+        _, _, llrs = noisy_llrs(code, rng, frames, sigma=0.9)
+        rows, offsets = sample_blta_batch(find_block_structure(code), 8 * frames, rng)
+        wide = position_tables_batch(rows, offsets).reshape(frames, 8, -1)
+        assert wide.dtype == np.uint8
+        tables = wide[:, ::2]
+        assert not tables.flags.c_contiguous and not tables.T.flags.c_contiguous
+        frozen = tables.copy()
+        frozen.setflags(write=False)
+        shared = position_tables_batch(rows[:4], offsets[:4])
+        for given, plain in ((tables, tables.astype(np.int64)), (shared, shared.astype(np.int64))):
+            want = aut_sc_decode_batch(code, llrs, np.ascontiguousarray(plain))
+            ref = aut_sc_reference(code, llrs, plain)
+            assert np.array_equal(want[1], ref[1])
+            layouts = [given] + [given.astype(t) for t in (np.uint16, np.int32, np.int64)]
+            layouts += [frozen] if given is tables else [np.broadcast_to(given, (frames, 4, 256))]
+            for t in layouts:
+                got = aut_sc_decode_batch(code, llrs, t)
+                assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
 class TestLtaInvariance:
     def test_lta_permuted_frames_decode_identically(self):
         # Permuting the channel output by a lower-triangular affine map, SC
@@ -450,6 +477,22 @@ class TestInputChecks:
         for shaped in (tables, tables[1]):
             with pytest.raises(ValueError, match=r"\[0, 8\)"):
                 aut_sc_decode_batch(code, np.ones((3, 8)), shaped)
+
+    @pytest.mark.parametrize("dtype, bad", [(np.uint16, 256), (np.int64, -1), (np.int32, 256)])
+    def test_table_entries_out_of_range_rejected_at_n256(self, dtype, bad):
+        code = generator_code(8, [31, 57])
+        tables = np.tile(np.arange(256, dtype=dtype), (2, 1))
+        tables[1, 7] = bad
+        with pytest.raises(ValueError, match=r"\[0, 256\)"):
+            aut_sc_decode_batch(code, np.ones((3, 256)), tables)
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.int32])
+    def test_narrow_non_permutations_rejected(self, dtype):
+        code = generator_code(8, [31, 57])
+        tables = np.tile(np.arange(256, dtype=dtype), (3, 2, 1))
+        tables[2, 1, 9] = tables[2, 1, 200]
+        with pytest.raises(ValueError, match="permutation"):
+            aut_sc_decode_batch(code, np.ones((3, 256)), tables)
 
     @pytest.mark.parametrize("case", ["all zero", "repeated entry", "one bad shared row"])
     def test_non_permutation_tables_rejected(self, code, case):
@@ -586,6 +629,58 @@ class TestCorrelation:
             np.ascontiguousarray(cands.transpose(2, 0, 1)).transpose(1, 2, 0),
             np.ascontiguousarray(llrs.T).T,
         )
+
+
+class TestDistinctCorrelation:
+    """codec._distinct_correlations gives each frame's first occurrence of
+    each distinct word its correlation, bit for bit as correlations_reference,
+    and every repeat -inf, so argmax picks the word the full correlation
+    picks."""
+
+    @staticmethod
+    def check(words, llrs):
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = codec._distinct_correlations(words, llrs)
+            want = correlations_reference(words, llrs)
+        first = np.array([[all((w != earlier).any() for earlier in frame[:m])
+                           for m, w in enumerate(frame)] for frame in words])
+        assert got.shape == want.shape == first.shape
+        assert np.array_equal(got[first].view(np.uint64), want[first].view(np.uint64))
+        assert (got[~first] == -np.inf).all()
+        assert np.array_equal(got.argmax(axis=1), want.argmax(axis=1))
+        return want, first
+
+    def test_frames_of_one_word(self):
+        rng = np.random.default_rng(90)
+        words = np.repeat(rng.integers(0, 2, (30, 1, 64), dtype=np.uint8), 8, axis=1)
+        _, first = self.check(words, rng.standard_normal((30, 64)))
+        assert first.sum() == 30
+
+    def test_exact_ties_between_distinct_words(self):
+        # Integer LLRs on 8 positions and words drawn from 4 per frame: many
+        # distinct words tie exactly, and the lowest branch must win.
+        rng = np.random.default_rng(91)
+        pool = rng.integers(0, 2, (200, 4, 8), dtype=np.uint8)
+        words = np.take_along_axis(pool, rng.integers(0, 4, (200, 8, 1)), axis=1)
+        want, first = self.check(words, rng.integers(-2, 3, (200, 8)).astype(float))
+        best = want.max(axis=1, keepdims=True)
+        tied = [len({w.tobytes() for w in frame[row == top]}) > 1
+                for frame, row, top in zip(words, want, best)]
+        assert sum(tied) > 10 and (~first).sum() > 100
+
+    def test_nan_and_infinite_correlations(self):
+        rng = np.random.default_rng(92)
+        words = rng.integers(0, 2, (100, 4, 16), dtype=np.uint8)
+        words[:, 2] = words[:, 0]
+        llrs = rng.choice([1e308, -1e308, 1.0], size=(100, 16))
+        want, _ = self.check(words, llrs)
+        assert np.isnan(want).any() and np.isposinf(want).any() and np.isneginf(want).any()
+
+    def test_one_branch(self):
+        rng = np.random.default_rng(93)
+        words = rng.integers(0, 2, (20, 1, 32), dtype=np.uint8)
+        _, first = self.check(words, rng.standard_normal((20, 32)))
+        assert first.all()
 
 
 class TestCheckNodeSlabs:
