@@ -15,6 +15,7 @@ import functools
 import itertools
 import math
 import multiprocessing
+import os
 import re
 from collections import deque
 from collections.abc import Sequence
@@ -330,11 +331,24 @@ def _run_batch(args: tuple) -> tuple[int, int]:
 
 
 # glibc's mallopt parameters M_TRIM_THRESHOLD and M_MMAP_THRESHOLD, and the
-# values run_bler fixes them at.
+# values run_bler fixes them at: the mmap threshold at glibc's 32 MiB
+# ceiling for its dynamic one, the trim threshold at twice that, as glibc
+# sets it when its dynamic threshold rises.  A batch's freed heap grows
+# with N: a trim threshold of 8, 16 or 32 MiB let a warm 256-frame
+# Aut-8-SC batch's faults back at N = 256, 512 or 1024, and 64 MiB kept
+# them out of all three with the same peak RSS.
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
 _TRIM_BYTES = 64 << 20
 _MMAP_BYTES = 32 << 20
+
+
+def _glibc() -> bool:
+    """Whether this process runs on glibc, whose mallopt _keep_heap calls."""
+    try:
+        return (os.confstr("CS_GNU_LIBC_VERSION") or "").startswith("glibc")
+    except (AttributeError, ValueError, OSError):  # no confstr, or no such name
+        return False
 
 
 @functools.cache
@@ -346,13 +360,12 @@ def _keep_heap() -> None:
     kernel, so each batch faults its megabyte arrays back in, page by page.
     Fixed thresholds of 32 MiB (mmap) and 64 MiB (trim) keep a batch's
     arrays on a heap that stays mapped from batch to batch; the price is up
-    to 64 MiB of freed heap held until the process ends.  A no-op where
-    the C library has no mallopt.
+    to 64 MiB of freed heap held until the process ends.  A no-op on any
+    other C library.
     """
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (AttributeError, OSError):
+    if not _glibc():
         return
+    mallopt = ctypes.CDLL(None).mallopt
     mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
     mallopt.restype = ctypes.c_int
     mallopt(_M_MMAP_THRESHOLD, _MMAP_BYTES)

@@ -81,7 +81,7 @@ def polar_transform(bits: np.ndarray) -> np.ndarray:
     out = np.moveaxis(bits, -1, 0).copy()
     h = size // 2
     while h:
-        shaped = out.reshape((-1, 2 * h) + out.shape[1:])
+        shaped = out.reshape((size // (2 * h), 2 * h) + out.shape[1:])
         shaped[:, :h] ^= shaped[:, h:]
         h //= 2
     return np.moveaxis(out, 0, -1)
@@ -269,7 +269,7 @@ def _tree(
         # Path p of frame f is column f * P + p of the (width, B * P) view;
         # np.take returns it C-contiguous, unlike a fancy index.
         flat = (parent + x.shape[2] * frames).ravel()
-        return np.take(x.reshape(len(x), -1), flat, axis=1).reshape(len(x), batch, -1)
+        return np.take(x.reshape(len(x), -1), flat, axis=1).reshape((len(x),) + parent.shape)
 
     def penalize(llr: np.ndarray) -> None:
         # A Rate-0 subtree's frozen leaves, in leaf order; its right halves
@@ -290,7 +290,7 @@ def _tree(
         np.maximum(-x, 0.0, out=cand[:, :, 0])
         np.maximum(x, 0.0, out=cand[:, :, 1])
         cand += pm[:, :, None]
-        cand = cand.reshape(batch, -1)
+        cand = cand.reshape(batch, 2 * x.shape[1])
         if cand.shape[1] <= list_size:
             order = np.broadcast_to(np.arange(cand.shape[1]), cand.shape)
             pm = cand
@@ -392,7 +392,7 @@ def _checked_tables(tables: np.ndarray, batch: int, size: int) -> np.ndarray:
     if not np.issubdtype(tables.dtype, np.integer):
         raise ValueError("tables must hold integers")
     signed = tables.dtype.kind == "i"
-    if tables.max() >= size or signed and tables.min() < 0:
+    if tables.size and (tables.max() >= size or signed and tables.min() < 0):
         raise ValueError(f"table entries must lie in [0, {size})")
     return np.broadcast_to(tables, (batch,) + tables.shape[-2:])
 
@@ -500,7 +500,7 @@ def aut_sc_decode_batch(
     rows = tables.reshape(columns, size).T[::-1]
     # Flat positions are made one slab of at most _F_BLOCK at a time, a few
     # walker rows each, so no index as large as the walker's input exists.
-    step = max(1, _F_BLOCK // columns)
+    step = max(1, _F_BLOCK // max(columns, 1))
     slabs = [slice(j, j + step) for j in range(0, size, step)]
     frame_base = size * np.repeat(np.arange(batch), m_branches)
     chan = np.empty((size, columns))

@@ -137,44 +137,6 @@ def test_single_pair_spread():
     assert got["metrics"]["items_per_s"]["ratio"] == 2.0
 
 
-def test_minor_faults_per_job_are_summarised_but_not_gated():
-    pairs = [(result(5.0, 1.0), result(5.0, 1.0)) for _ in range(3)]
-    assert "minflt_per_job" not in bench_pairs.summarize(pairs, BETTER)
-    for k, (base, change) in enumerate(pairs):
-        base["minflt_per_job"] = 4000.0 + k
-        change["minflt_per_job"] = 1000.0 + 2 * k
-    faults = bench_pairs.summarize(pairs, BETTER)["minflt_per_job"]
-    assert faults["base"]["values"] == [4000.0, 4001.0, 4002.0]
-    assert (faults["change"]["median"], faults["change"]["q1"]) == (1002.0, 1001.0)
-    assert faults["ratio"] == pytest.approx(1002.0 / 4001.0)
-    assert set(faults) == {"base", "change", "ratio"}
-
-
-# A stand-in for perfbench/run.py: {jobs} jobs that together write 16 MiB.
-_FAKE_RUN = """
-import json
-print("perfbench w seed=1 trace=0 jobs={jobs}")
-blob = bytes(range(256)) * (1 << 16)
-print(json.dumps({{"correct": True, "attempted": 4, "failed": 0, "metrics": {{}}}}))
-"""
-
-
-def test_run_counts_the_child_minor_faults_per_job(tmp_path):
-    per_job = {}
-    for jobs in (1, 4):
-        checkout = tmp_path / f"jobs{jobs}"
-        (checkout / "perfbench").mkdir(parents=True)
-        (checkout / "perfbench" / "run.py").write_text(_FAKE_RUN.format(jobs=jobs))
-        got = bench_pairs.run(checkout, "w", 1, 0)
-        assert (got["correct"], got["attempted"], got["metrics"]) == (True, 4, {})
-        per_job[jobs] = got["minflt_per_job"]
-    # 16 MiB is 4,096 pages written once each, and the interpreter's own
-    # start-up faults come on top; the same run split into 4 jobs reads
-    # about a quarter of that per job.
-    assert per_job[1] >= 4096
-    assert 3 < per_job[1] / per_job[4] < 5
-
-
 def stub_runs(tmp_path, monkeypatch):
     """Stubs git, export and run under tmp_path; returns the list each run
     appends (checkout, commit, workload, seed, trace) to.  The base commit

@@ -1,7 +1,6 @@
 """Channel model, interval estimates, decoder spec parsing, and the
 Monte Carlo harness: determinism, stop rules, worker invariance."""
 
-import ctypes
 import dataclasses
 import math
 import multiprocessing
@@ -935,14 +934,6 @@ class TestRunBler:
 
 
 
-def has_mallopt():
-    try:
-        ctypes.CDLL(None).mallopt
-    except (AttributeError, OSError):
-        return False
-    return True
-
-
 # Runs in a fresh interpreter: glibc's dynamic thresholds rise once a large
 # mapped block is freed, so in a process that has run other work a batch
 # can keep its heap even without run_bler's setting.
@@ -963,7 +954,7 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 """
 
 
-@pytest.mark.skipif(not has_mallopt(), reason="the C library has no mallopt")
+@pytest.mark.skipif(not channel._glibc(), reason="the heap setting is glibc's")
 def test_a_warm_aut_sc_batch_keeps_its_heap():
     # Once run_bler has fixed the malloc thresholds, a batch reuses the
     # heap the batches before it freed: a 256-frame Aut-8-SC batch at
@@ -974,3 +965,16 @@ def test_a_warm_aut_sc_batch_keeps_its_heap():
     done = subprocess.run([sys.executable, "-c", _WARM_BATCH_FAULTS, package_root],
                           capture_output=True, text=True, check=True, timeout=120)
     assert int(done.stdout) < 200
+
+
+@pytest.mark.parametrize("confstr", [
+    mock.Mock(side_effect=AttributeError),  # no os.confstr (Windows)
+    mock.Mock(side_effect=ValueError),  # no CS_GNU_LIBC_VERSION (musl)
+    mock.Mock(return_value=None),
+])
+def test_the_heap_setting_is_a_no_op_off_glibc(confstr):
+    with mock.patch.object(channel.os, "confstr", confstr), \
+            mock.patch.object(channel.ctypes, "CDLL") as cdll:
+        assert not channel._glibc()
+        channel._keep_heap.__wrapped__()
+    cdll.assert_not_called()

@@ -511,6 +511,12 @@ class TestInputChecks:
         with pytest.raises(ValueError, match="integers"):
             aut_sc_decode_batch(code, np.ones((3, 8)), np.arange(8.0)[None, :])
 
+    def test_empty_batch_gives_empty_outputs(self, code):
+        tables = np.zeros((0, 2, 8), dtype=np.uint8)
+        for decode in [*self.decoders(code), lambda llrs: aut_sc_decode_batch(code, llrs, tables)]:
+            msgs, words = decode(np.ones((0, 8)))
+            assert msgs.shape == (0, code.dimension) and words.shape == (0, 8)
+
 
 def generator_code(n, gens):
     return ConstructionSpec.from_dict({"kind": "generators", "n": n, "generators": gens}).build()

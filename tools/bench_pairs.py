@@ -20,10 +20,7 @@ interquartile range.  Each end-to-end metric with a `bound` also records
 whether it is within that bound: the change's median is no worse than the
 base's by more than that fraction of the base's median.  Per workload it
 holds each side's failed and attempted operations, summed over the pairs,
-and whether the change's failed share is no larger than the base's, and
-each side's minor page faults per perfbench job (the ru_minflt that run
-and its children add to RUSAGE_CHILDREN, over the jobs= count on its first
-stdout line) as a median, quartiles and ratio, recorded but not gated.  The
+and whether the change's failed share is no larger than the base's.  The
 file is rewritten after every pair, so a stopped run keeps the pairs it
 finished; at the end each metric's wins, claim rule and bound check are
 printed, and per workload each side's failed/attempted operations.
@@ -45,8 +42,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import re
-import resource
 import shutil
 import signal
 import statistics
@@ -72,8 +67,7 @@ def summarize(
     pairs: list[tuple[dict, dict]], better: dict[str, str], bounds: dict[str, float] | None = None
 ) -> dict:
     """One workload: per metric both sides' spreads, ratio, wins and
-    whether the claim rule is met, each side's operation counts and, when
-    every run carries them, its minor faults per job.
+    whether the claim rule is met, and each side's operation counts.
 
     pairs holds (base, change) results as run.py prints them, better maps
     each metric name to "higher" or "lower", and bounds maps the end-to-end
@@ -110,15 +104,8 @@ def summarize(
     }
     share = {side: ops["failed"] / ops["attempted"] if ops["attempted"] else 0.0
              for side, ops in operations.items()}
-    out = {"metrics": metrics, "operations": operations,
-           "failed_share_not_worse": share["change"] <= share["base"]}
-    if all("minflt_per_job" in r for pair in pairs for r in pair):
-        faults = {side: spread([p[k]["minflt_per_job"] for p in pairs])
-                  for k, side in enumerate(("base", "change"))}
-        b_med = faults["base"]["median"]
-        faults["ratio"] = faults["change"]["median"] / b_med if b_med else None
-        out["minflt_per_job"] = faults
-    return out
+    return {"metrics": metrics, "operations": operations,
+            "failed_share_not_worse": share["change"] <= share["base"]}
 
 
 def git(*args: str) -> bytes:
@@ -132,27 +119,17 @@ def export(commit: str, dest: Path) -> Path:
     return dest
 
 
-def minor_faults() -> int:
-    """Minor page faults of every child this process has waited for."""
-    return resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
-
-
 def run(checkout: Path, workload: str, seed: int, trace: int) -> dict:
-    """The result line of one perfbench/run.py in checkout, with the run's
-    minor page faults per job under "minflt_per_job"."""
+    """The result line of one perfbench/run.py in checkout."""
     cmd = [
         sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
         "--trace", str(trace),
     ]
-    before = minor_faults()
     done = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
-    faults = minor_faults() - before
     if done.returncode != 0:
         sys.stderr.write(done.stderr[-2000:])
         raise SystemExit(f"{workload} seed {seed} in {checkout}: exit {done.returncode}")
-    lines = done.stdout.strip().splitlines()
-    jobs = int(re.search(r"\bjobs=(\d+)", lines[0]).group(1))
-    return {**json.loads(lines[-1]), "minflt_per_job": faults / jobs}
+    return json.loads(done.stdout.strip().splitlines()[-1])
 
 
 def stop_on_sigterm() -> signal.Handlers | Callable | None:
@@ -257,10 +234,6 @@ def run_pairs(args: argparse.Namespace) -> int:
         print(f"{w} failed operations: " + ", ".join(
             f"{side} {ops['failed']}/{ops['attempted']}" for side, ops in got["operations"].items()
         ) + f", failed share not worse: {got['failed_share_not_worse']}")
-        if "minflt_per_job" in got:
-            faults = got["minflt_per_job"]
-            print(f"{w} minor faults per job: base {faults['base']['median']:.0f}, "
-                  f"change {faults['change']['median']:.0f}")
     print(f"wrote {out_path}")
     return 0
 
