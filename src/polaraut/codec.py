@@ -41,9 +41,7 @@ or a NaN re-sorts the batch stably.
 The ensemble reads its tables in their own dtype (uint8 from
 position_tables_batch at N <= 256): it gathers the walker's input and
 scatters each branch's word back through flat indices built a few walker
-rows at a time, so no index the size of the walker's input is ever made,
-and it correlates each frame's distinct words once, at their first
-occurrence, which picks the branch the full correlation would.
+rows at a time, so no index the size of the walker's input is ever made.
 """
 
 from __future__ import annotations
@@ -413,26 +411,6 @@ def _most_correlated(cands: np.ndarray, llrs: np.ndarray) -> np.ndarray:
     return cands[np.arange(len(cands)), _correlations(cands, llrs).argmax(axis=1)]
 
 
-def _distinct_correlations(words: np.ndarray, llrs: np.ndarray) -> np.ndarray:
-    """(B, M) correlations of (B, M, N) words, as _correlations gives them,
-    at each frame's first occurrence of each distinct word; a repeat of an
-    earlier word of its frame gets -inf.
-
-    A repeat's correlation is its earlier twin's, bit for bit, so argmax
-    picks the same index as over every word: the first NaN if there is one,
-    else the first maximum, both first occurrences.
-    """
-    batch, count, _ = words.shape
-    keys = np.packbits(words, axis=2)
-    repeat = np.zeros((batch, count), dtype=bool)
-    for m in range(1, count):
-        repeat[:, m] = (keys[:, :m] == keys[:, m, None]).all(axis=2).any(axis=1)
-    first = ~repeat
-    out = np.full((batch, count), -np.inf)
-    out[first] = _correlations(words[first][:, None], llrs[first.nonzero()[0]])[:, 0]
-    return out
-
-
 def _with_messages(
     code: MonomialCode, words: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -484,9 +462,7 @@ def aut_sc_decode_batch(
     or (B, M, N) per frame, in any integer dtype and layout, used as given:
     no int64 copy is made.  Each branch decodes the permuted frame with SC,
     the permutation is undone, and the codeword with the highest
-    correlation to the channel wins (lowest branch index on a tie); a word
-    that an earlier branch of its frame also gave is not correlated again.
-    Tables of another shape, with entries outside [0, N) or with a row that
+    correlation to the channel wins (lowest branch index on a tie).  Tables of another shape, with entries outside [0, N) or with a row that
     is not a permutation, raise ValueError.  Walker row j of branch column
     b*M + m reads position tables[b, m, N-1-j]; position_tables_batch's
     width-major layout, reshaped, makes those rows contiguous, the fast
@@ -519,6 +495,4 @@ def aut_sc_decode_batch(
         unperm.ravel()[np.add(rows[s], branch_base, dtype=np.intp)] = cands[s]
     if (unperm == 2).any():
         raise ValueError("every table row must be a permutation of range(N)")
-    words = unperm.reshape(batch, m_branches, size)
-    best = _distinct_correlations(words, llrs).argmax(axis=1)
-    return _with_messages(code, words[np.arange(batch), best])
+    return _with_messages(code, _most_correlated(unperm.reshape(batch, m_branches, size), llrs))

@@ -636,57 +636,22 @@ class TestCorrelation:
             np.ascontiguousarray(llrs.T).T,
         )
 
-
-class TestDistinctCorrelation:
-    """codec._distinct_correlations gives each frame's first occurrence of
-    each distinct word its correlation, bit for bit as correlations_reference,
-    and every repeat -inf, so argmax picks the word the full correlation
-    picks."""
-
-    @staticmethod
-    def check(words, llrs):
-        with np.errstate(over="ignore", invalid="ignore"):
-            got = codec._distinct_correlations(words, llrs)
-            want = correlations_reference(words, llrs)
-        first = np.array([[all((w != earlier).any() for earlier in frame[:m])
-                           for m, w in enumerate(frame)] for frame in words])
-        assert got.shape == want.shape == first.shape
-        assert np.array_equal(got[first].view(np.uint64), want[first].view(np.uint64))
-        assert (got[~first] == -np.inf).all()
-        assert np.array_equal(got.argmax(axis=1), want.argmax(axis=1))
-        return want, first
-
-    def test_frames_of_one_word(self):
+    def test_pick_on_repeated_and_tied_words(self):
         rng = np.random.default_rng(90)
+        # Frames whose 8 words are one word, and frames of one branch.
         words = np.repeat(rng.integers(0, 2, (30, 1, 64), dtype=np.uint8), 8, axis=1)
-        _, first = self.check(words, rng.standard_normal((30, 64)))
-        assert first.sum() == 30
-
-    def test_exact_ties_between_distinct_words(self):
+        self.check(words, rng.standard_normal((30, 64)))
+        self.check(rng.integers(0, 2, (20, 1, 32), dtype=np.uint8), rng.standard_normal((20, 32)))
         # Integer LLRs on 8 positions and words drawn from 4 per frame: many
         # distinct words tie exactly, and the lowest branch must win.
-        rng = np.random.default_rng(91)
         pool = rng.integers(0, 2, (200, 4, 8), dtype=np.uint8)
         words = np.take_along_axis(pool, rng.integers(0, 4, (200, 8, 1)), axis=1)
-        want, first = self.check(words, rng.integers(-2, 3, (200, 8)).astype(float))
-        best = want.max(axis=1, keepdims=True)
-        tied = [len({w.tobytes() for w in frame[row == top]}) > 1
-                for frame, row, top in zip(words, want, best)]
-        assert sum(tied) > 10 and (~first).sum() > 100
-
-    def test_nan_and_infinite_correlations(self):
-        rng = np.random.default_rng(92)
-        words = rng.integers(0, 2, (100, 4, 16), dtype=np.uint8)
-        words[:, 2] = words[:, 0]
-        llrs = rng.choice([1e308, -1e308, 1.0], size=(100, 16))
-        want, _ = self.check(words, llrs)
-        assert np.isnan(want).any() and np.isposinf(want).any() and np.isneginf(want).any()
-
-    def test_one_branch(self):
-        rng = np.random.default_rng(93)
-        words = rng.integers(0, 2, (20, 1, 32), dtype=np.uint8)
-        _, first = self.check(words, rng.standard_normal((20, 32)))
-        assert first.all()
+        llrs = rng.integers(-2, 3, (200, 8)).astype(float)
+        self.check(words, llrs)
+        want = correlations_reference(words, llrs)
+        tied = [len({w.tobytes() for w in frame[row == row.max()]}) > 1
+                for frame, row in zip(words, want)]
+        assert sum(tied) > 10
 
 
 class TestCheckNodeSlabs:
