@@ -936,7 +936,9 @@ class TestRunBler:
 
 # Runs in a fresh interpreter: glibc's dynamic thresholds rise once a large
 # mapped block is freed, so in a process that has run other work a batch
-# can keep its heap even without run_bler's setting.
+# can keep its heap even without run_bler's setting.  Prints the minor
+# faults of each of 8 batches; the first grows the heap from run_bler's
+# one-frame batch.
 _WARM_BATCH_FAULTS = """
 import resource, sys
 sys.path.insert(0, sys.argv[1])
@@ -947,10 +949,10 @@ channel.run_bler(code, "aut-8-sc", [2.5], master_seed=0, target_errors=None, max
 spec = channel.DecoderSpec.parse("aut-8-sc")
 structure = channel.find_block_structure(code)
 key = channel._frame_key(3, 0)
-for k in range(3):
+for k in range(8):
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     channel._run_batch((code, spec, structure, 2.5, key, 256 * k, 256 * (k + 1), None))
-print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 """
 
 
@@ -959,12 +961,15 @@ def test_a_warm_aut_sc_batch_keeps_its_heap():
     # Once run_bler has fixed the malloc thresholds, a batch reuses the
     # heap the batches before it freed: a 256-frame Aut-8-SC batch at
     # (256,128) took ~2,000-2,800 minor faults under glibc's dynamic
-    # thresholds, and takes a handful once they are fixed.  A fault count
-    # needs no timing.
+    # thresholds, and takes a handful once they are fixed.  Now and then a
+    # warm batch still grows the heap once, by ~580 faults, depending on
+    # where earlier blocks landed, so the median of the warm batches is
+    # held.  A fault count needs no timing.
     package_root = str(Path(channel.__file__).resolve().parents[1])
     done = subprocess.run([sys.executable, "-c", _WARM_BATCH_FAULTS, package_root],
                           capture_output=True, text=True, check=True, timeout=120)
-    assert int(done.stdout) < 200
+    faults = [int(line) for line in done.stdout.split()]
+    assert len(faults) == 8 and np.median(faults[1:]) < 200
 
 
 @pytest.mark.parametrize("confstr", [
