@@ -462,11 +462,11 @@ def aut_sc_decode_batch(
     or (B, M, N) per frame, in any integer dtype and layout, used as given:
     no int64 copy is made.  Each branch decodes the permuted frame with SC,
     the permutation is undone, and the codeword with the highest
-    correlation to the channel wins (lowest branch index on a tie).  Tables of another shape, with entries outside [0, N) or with a row that
-    is not a permutation, raise ValueError.  Walker row j of branch column
-    b*M + m reads position tables[b, m, N-1-j]; position_tables_batch's
-    width-major layout, reshaped, makes those rows contiguous, the fast
-    case.
+    correlation to the channel wins (lowest branch index on a tie).  Tables
+    of another shape, with entries outside [0, N) or with a row that is not
+    a permutation, raise ValueError.  Walker row j of branch column b*M + m
+    reads position tables[b, m, N-1-j]; position_tables_batch's width-major
+    layout, reshaped, makes those rows contiguous, the fast case.
     """
     llrs, _ = _checked(code, llrs_eval, kernel)
     batch, size = llrs.shape
