@@ -334,9 +334,9 @@ def _run_batch(args: tuple) -> tuple[int, int]:
 # values run_bler fixes them at: the mmap threshold at glibc's 32 MiB
 # ceiling for its dynamic one, the trim threshold at twice that, as glibc
 # sets it when its dynamic threshold rises.  A batch's freed heap grows
-# with N: a trim threshold of 8, 16 or 32 MiB let a warm 256-frame
-# Aut-8-SC batch's faults back at N = 256, 512 or 1024, and 64 MiB kept
-# them out of all three with the same peak RSS.
+# with N: a trim threshold of 8, 16 or 32 MiB let the faults of warm
+# 256-frame Aut-8-SC jobs back at N = 256, 512 or 1024, and 64 MiB cut
+# them by three quarters or more at all three, with the same peak RSS.
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
 _TRIM_BYTES = 64 << 20
