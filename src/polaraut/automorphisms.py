@@ -55,6 +55,12 @@ class BlockStructure:
         return tuple(accumulate(self.sizes[:-1], initial=0))
 
 
+# One frozen BlockStructure per size tuple, shared by every code that has it:
+# a census meets few structures many times.  Fewer than 2**16 size tuples
+# exist up to n = 16.
+_STRUCTURES: dict[tuple[int, ...], BlockStructure] = {}
+
+
 def find_block_structure(code: MonomialCode) -> BlockStructure:
     """Block sizes of the stabilizer of a decreasing code.
 
@@ -68,7 +74,7 @@ def find_block_structure(code: MonomialCode) -> BlockStructure:
     Each test is one masked shift-compare: the swap moves the members
     holding x_i but not x_{i+1} up by 2**i, and, being an involution, it
     fixes the set exactly when that moved part lands on the members already
-    in its image.
+    in its image.  Codes with one block structure share one BlockStructure.
     """
     if not is_decreasing(code):
         raise ValueError("block structure is defined for decreasing codes only")
@@ -83,7 +89,11 @@ def find_block_structure(code: MonomialCode) -> BlockStructure:
             sizes.append(size)
             size = 1
     sizes.append(size)
-    return BlockStructure(tuple(sizes))
+    sizes = tuple(sizes)
+    structure = _STRUCTURES.get(sizes)
+    if structure is None:
+        structure = _STRUCTURES[sizes] = BlockStructure(sizes)
+    return structure
 
 
 @lru_cache(maxsize=None)

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -45,7 +46,7 @@ def generator_rows(code: MonomialCode) -> list[int]:
     """Transform rows of the code's minimal generators, ascending: the
     `i_min` column, and the generator part of `default_code_id`."""
     full = (1 << code.n) - 1
-    return sorted(full ^ f.mask for f in minimal_generators(code))
+    return sorted([full ^ f.mask for f in minimal_generators(code)])
 
 
 def default_code_id(code: MonomialCode) -> str:
@@ -110,7 +111,7 @@ def _load_spec(path: str) -> ConstructionSpec:
 
 
 def _space_joined(values) -> str:
-    return " ".join(str(v) for v in values)
+    return " ".join(map(str, values))
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
@@ -241,7 +242,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process: parsing leaves it unchanged, and
+    building it costs more than a small census call."""
     parser = argparse.ArgumentParser(
         prog="polaraut",
         description="Decreasing monomial code analysis, sampling, and simulation.",

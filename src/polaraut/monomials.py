@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -237,18 +237,40 @@ def minimal_generators(code: "MonomialCode") -> frozenset[Monomial]:
     """Maximal monomials of a decreasing code; its unique minimal generator set.
 
     A member is maximal when no member reaches it by one down move.  The
-    few maximal members are read off their set bits, lowest first.
+    few maximal members are read off their set bits, highest first, which
+    takes no negated copy of the integer per bit.
     """
+    members = code.members
     below = code.down_images
-    if below & ~code.members:
+    if below & ~members:
         raise ValueError("minimal generators are defined for decreasing codes only")
-    top = code.members & ~below
+    top = members & ~below
     out = []
     while top:
-        low = top & -top
-        out.append(_monomial(low.bit_length() - 1))
-        top ^= low
+        m = top.bit_length() - 1
+        out.append(_monomial(m))
+        top ^= 1 << m
     return frozenset(out)
+
+
+class _derived:
+    """A field computed from its instance on first read and stored in the
+    instance's __dict__ under its own name, where later reads find it first
+    (a non-data descriptor).  functools.cached_property does the same, but
+    on Python 3.11 it takes a class-wide lock on every first read."""
+
+    def __init__(self, func) -> None:
+        self.func = func
+        self.__doc__ = func.__doc__
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
 
 
 @dataclass(frozen=True, init=False, repr=False)
@@ -287,8 +309,15 @@ class MonomialCode:
             raise ValueError(f"members must be an int, got {members!r}")
         if got <= 0 or got >> (1 << n):
             raise ValueError(f"members must be a nonzero subset of the {1 << n} masks")
+        return cls._unchecked(n, got)
+
+    @classmethod
+    def _unchecked(cls, n: int, members: int) -> "MonomialCode":
+        """The code of a plain int n in 1..MAX_VARS and a plain int nonzero
+        subset `members` of its 2**n masks, taken as given: for callers that
+        make both themselves, as the census search does."""
         code = cls.__new__(cls)
-        code.__dict__.update(n=n, members=got)
+        code.__dict__.update(n=n, members=members)
         return code
 
     def __reduce__(self) -> tuple:  # a pickle carries the identity, not derived fields
@@ -301,21 +330,21 @@ class MonomialCode:
     def block_length(self) -> int:
         return 1 << self.n
 
-    @cached_property
+    @_derived
     def info_set(self) -> frozenset[Monomial]:
         return frozenset(map(Monomial, _member_masks(self.members)))
 
-    @cached_property
+    @_derived
     def dimension(self) -> int:
         return self.members.bit_count()
 
-    @cached_property
+    @_derived
     def rows(self) -> tuple[int, ...]:
         """Information row indices, ascending (mask complements, descending)."""
         full = (1 << self.n) - 1
         return tuple(full ^ m for m in reversed(_member_masks(self.members)))
 
-    @cached_property
+    @_derived
     def down_images(self) -> int:
         """Membership integer of the members' images under the generating
         down moves, which the decreasing check and the generators share."""
@@ -363,16 +392,19 @@ def enumerate_decreasing_codes(n: int, dimension: int) -> Iterator[MonomialCode]
     # before i is included or blocked, so the unblocked masks left are the
     # includable suffix.  It completes to a down-set of every size up to its
     # count, so the bound below is exact.
+    # n and dimension are checked above, and every yielded set is a nonzero
+    # subset of the 2**n masks, so the codes skip from_members' checks.
+    code = MonomialCode._unchecked
     stack = [(0, 0, 0, 0)]
     while stack:
         i, included, blocked, count = stack.pop()
         if count == dimension:
-            yield MonomialCode.from_members(n, included)
+            yield code(n, included)
             continue
         free = full ^ (included | blocked)
         room = count + free.bit_count()
         if room == dimension:
-            yield MonomialCode.from_members(n, included | free)
+            yield code(n, included | free)
         if room <= dimension:
             continue
         while blocked >> order[i] & 1:

@@ -378,6 +378,18 @@ class TestFindBlockStructure:
             shifted = (members & up) << (1 << i) == members & up << (1 << i)
             assert shifted == (_swap_variables(members, n, i, i + 1) == members), (n, i)
 
+    def test_codes_with_one_structure_share_it(self):
+        # The codes of a census share one frozen BlockStructure per size
+        # tuple, equal to a freshly built one.
+        seen = {}
+        for code in enumerate_decreasing_codes(6, 24):
+            structure = find_block_structure(code)
+            assert structure == BlockStructure(structure.sizes)
+            assert seen.setdefault(structure.sizes, structure) is structure
+        assert len(seen) > 1
+        twin = MonomialCode.from_members(6, next(enumerate_decreasing_codes(6, 24)).members)
+        assert find_block_structure(twin) is seen[find_block_structure(twin).sizes]
+
     def test_blocks_partition_the_variables(self):
         rng = np.random.default_rng(44)
         for _ in range(20):

@@ -261,6 +261,16 @@ def alive(pid):
     return True
 
 
+def waiting_for_a_child(pid):
+    """Whether the process sleeps in the kernel's wait for a child, as one
+    inside subprocess.run's waitpid does: its /proc wchan reads do_wait."""
+    try:
+        return Path(f"/proc/{pid}/wchan").read_text() == "do_wait"
+    except OSError:
+        return False
+
+
+@pytest.mark.skipif(not Path("/proc/self/wchan").exists(), reason="needs Linux's /proc wchan")
 def test_sigterm_kills_the_child_and_removes_the_exports(tmp_path):
     waiter = subprocess.Popen(
         [sys.executable, "-c", _WAITER, str(_PATH), str(tmp_path)],
@@ -274,6 +284,13 @@ def test_sigterm_kills_the_child_and_removes_the_exports(tmp_path):
             assert time.monotonic() < deadline, "the sleeper did not start"
             time.sleep(0.05)
         sleeper = int((tmp / "pid").read_text())
+        # The sleeper writes its pid before the waiter blocks in waitpid.  A
+        # SIGTERM inside Popen.__init__ leaves the sleeper running, and one
+        # before subprocess.run's `try` makes Popen.__exit__ wait out the
+        # sleep, so the signal goes only once the waiter waits.
+        while not waiting_for_a_child(waiter.pid):
+            assert time.monotonic() < deadline, "the waiter did not wait for the sleeper"
+            time.sleep(0.01)
         waiter.send_signal(signal.SIGTERM)
         assert waiter.wait(timeout=20) == 128 + signal.SIGTERM
         assert not tmp.exists()

@@ -443,3 +443,54 @@ class TestSimulate:
         spec = write_spec(tmp_path, "spec.json", {"kind": "reed_muller", "n": 4, "r": 1})
         assert main(["simulate", "sc", "--spec", spec, "--ebn0", ebn0]) == 2
         assert capsys.readouterr().err == "error: --ebn0 needs at least one value\n"
+
+
+class TestParserReuse:
+    @staticmethod
+    def run_calls(tmp_path, capsys, fresh):
+        """Per call of `enumerate --summary-out`, `enumerate` with both CSVs
+        on stdout, `analyze` and a bad argument, in one process: the exit
+        status, stdout, stderr and every file written so far, manifests
+        without their timestamp.  With fresh, the parser is rebuilt for
+        each call."""
+        spec = write_spec(
+            tmp_path, "spec.json", {"kind": "generators", "n": 7, "generators": [23, 112]}
+        )
+        out, summary = tmp_path / "codes.csv", tmp_path / "summary.csv"
+        calls = [
+            ["enumerate", "--n", "6", "--K", "24", "--out", str(out), "--summary-out", str(summary)],
+            ["enumerate", "--n", "6", "--K", "24"],
+            ["analyze", "--spec", spec],
+            ["enumerate", "--n", "six", "--K", "24"],
+        ]
+        got = []
+        for argv in calls:
+            if fresh:
+                cli._build_parser.cache_clear()
+            try:
+                status = main(argv)
+            except SystemExit as exc:
+                status = exc.code
+            std = capsys.readouterr()
+            files = {}
+            for path in sorted(tmp_path.iterdir()):
+                if path.name.endswith(".manifest.json"):
+                    manifest = json.loads(path.read_text())
+                    del manifest["created_utc"]
+                    files[path.name] = manifest
+                else:
+                    files[path.name] = path.read_bytes()
+            got.append((status, std.out, std.err, files))
+        return got
+
+    def test_one_parser_serves_every_call(self, tmp_path, capsys):
+        cli._build_parser.cache_clear()
+        kept = self.run_calls(tmp_path, capsys, fresh=False)
+        info = cli._build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 3)
+        assert self.run_calls(tmp_path, capsys, fresh=True) == kept
+        assert [status for status, *_ in kept] == [0, 0, 0, 2]
+        codes, summary = kept[0][3]["codes.csv"], kept[0][3]["summary.csv"]
+        assert kept[1][1] == (codes + summary).decode()
+        assert json.loads(kept[2][1])["s"] == [4, 3]
+        assert "invalid int value: 'six'" in kept[3][2] and not kept[3][1]

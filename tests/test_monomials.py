@@ -1,6 +1,7 @@
 """Monomial arithmetic, the reliability partial order, and down-set codes."""
 
 import itertools
+import pickle
 from functools import lru_cache
 
 import numpy as np
@@ -375,6 +376,46 @@ class TestMonomialCode:
         assert minimal_generators(code) == gens
         assert calls == [code.members]
 
+    def test_derived_fields_are_computed_once_per_code(self, monkeypatch):
+        # info_set and rows each read the member masks once, down_images runs
+        # the down moves once, and two codes with equal members share none
+        # of it: each computes its own on its first read.
+        members = decreasing_closure({Monomial.from_indices([0, 2]), Monomial(0b1000)}, 5).members
+        masks_calls, down_calls = [], []
+        member_masks, down_images = monomials._member_masks, monomials._down_images
+        monkeypatch.setattr(
+            monomials, "_member_masks", lambda m: masks_calls.append(m) or member_masks(m)
+        )
+        monkeypatch.setattr(
+            monomials, "_down_images", lambda m, n: down_calls.append(m) or down_images(m, n)
+        )
+        fields = ("info_set", "dimension", "rows", "down_images")
+
+        def read_all(code):
+            return tuple(getattr(code, name) for name in fields)
+
+        a, b = MonomialCode.from_members(5, members), MonomialCode.from_members(5, members)
+        assert a == b and set(a.__dict__) == set(b.__dict__) == {"n", "members"}
+        first = read_all(a)
+        assert masks_calls == [members] * 2 and down_calls == [members]
+        assert read_all(a) == first and masks_calls == [members] * 2
+        assert set(a.__dict__) == {"n", "members", *fields}
+        assert set(b.__dict__) == {"n", "members"}
+        assert read_all(b) == first
+        assert masks_calls == [members] * 4 and down_calls == [members] * 2
+        assert a.info_set is not b.info_set
+        assert first == (
+            frozenset(map(Monomial, member_masks(members))), members.bit_count(),
+            tuple(sorted(31 ^ m for m in member_masks(members))), down_images(members, 5),
+        )
+        # An unpickled code carries its identity only and derives again.
+        copy = pickle.loads(pickle.dumps(a))
+        assert copy == a and set(copy.__dict__) == {"n", "members"}
+        assert read_all(copy) == first
+        assert masks_calls == [members] * 6 and down_calls == [members] * 3
+        # The class attribute is the descriptor, documented as its function.
+        assert MonomialCode.down_images.__doc__.startswith("Membership integer")
+
     def test_codes_differ_by_members_or_n(self):
         a = MonomialCode.from_members(3, 0b111)
         assert a != MonomialCode.from_members(3, 0b1011)
@@ -446,6 +487,18 @@ class TestEnumerate:
             for code in enumerate_decreasing_codes(4, k):
                 assert code.dimension == k
                 assert is_decreasing(code)
+
+    def test_codes_match_checked_codes(self):
+        # The search builds its codes unchecked; each is the code
+        # from_members builds from the same integer, and a decreasing one.
+        for n in range(1, 6):
+            for k in range(1, (1 << n) + 1):
+                for code in enumerate_decreasing_codes(n, k):
+                    twin = MonomialCode.from_members(n, code.members)
+                    assert code == twin and hash(code) == hash(twin)
+                    assert repr(code) == repr(twin)
+                    assert type(code.n) is int and type(code.members) is int
+                    assert is_decreasing(code) and code.dimension == k
 
     def test_order_matches_reference(self):
         for n in range(1, 7):

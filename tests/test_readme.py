@@ -3,16 +3,22 @@
 The `## Library` Python block runs in a temporary directory, and every
 line whose comment states a value is checked against it: an expression
 against its value, an assignment against the name it binds, and an array
-against its shape, with N the example code's length.
+against its shape, with N the example code's length.  The census command
+runs through `cli.main` as written, in a temporary directory too.
 """
 
 import ast
+import csv
+import json
 import re
+import shlex
 from pathlib import Path
 
 import numpy as np
 
+from polaraut import cli
 from polaraut.automorphisms import BlockStructure
+from polaraut.channel import STREAM_VERSION
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -56,3 +62,37 @@ def test_library_example_runs_and_its_comments_hold(tmp_path, monkeypatch):
         assert value == want, code
     assert [r.ebn0_db for r in names["results"]] == [2.0, 2.5]
     assert all(r.decoder == "aut-8-sc" and r.block_errors >= 100 for r in names["results"])
+
+
+def shell_commands(program: str) -> list[list[str]]:
+    """The arguments of each `<program> ...` line in README's ```sh blocks,
+    backslash continuations joined."""
+    out = []
+    for block in re.findall(r"```sh\n(.*?)```", README.read_text(), re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            words = shlex.split(line)
+            if words and words[0] == program:
+                out.append(words[1:])
+    return out
+
+
+def test_census_command_runs_as_written(tmp_path, monkeypatch):
+    (argv,) = [words for words in shell_commands("polaraut") if words[0] == "enumerate"]
+    assert argv == ["enumerate", "--n", "7", "--K", "64",
+                    "--out", "codes.csv", "--summary-out", "summary.csv"]
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(argv) == 0
+    with open("codes.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    # README: "the 1007-code census at (7, 64)".
+    assert len(rows) == 1007
+    with open("summary.csv", newline="") as fh:
+        assert sum(int(row["count"]) for row in csv.DictReader(fh)) == 1007
+    # README: each manifest records the command, the configuration and
+    # the stream version.
+    for name, command in (("codes.csv", "enumerate"), ("summary.csv", "enumerate-summary")):
+        manifest = json.loads(Path(name + ".manifest.json").read_text())
+        assert manifest["command"] == command
+        assert manifest["config"] == {"command": "enumerate", "n": 7, "K": 64,
+                                      "out": "codes.csv", "summary_out": "summary.csv"}
+        assert manifest["stream_version"] == STREAM_VERSION
