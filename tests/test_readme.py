@@ -64,20 +64,20 @@ def test_library_example_runs_and_its_comments_hold(tmp_path, monkeypatch):
     assert all(r.decoder == "aut-8-sc" and r.block_errors >= 100 for r in names["results"])
 
 
-def shell_commands(program: str) -> list[list[str]]:
-    """The arguments of each `<program> ...` line in README's ```sh blocks,
+def polaraut_commands() -> list[list[str]]:
+    """The arguments of each `polaraut ...` line in README's ```sh blocks,
     backslash continuations joined."""
     out = []
     for block in re.findall(r"```sh\n(.*?)```", README.read_text(), re.S):
         for line in block.replace("\\\n", " ").splitlines():
             words = shlex.split(line)
-            if words and words[0] == program:
+            if words and words[0] == "polaraut":
                 out.append(words[1:])
     return out
 
 
 def test_census_command_runs_as_written(tmp_path, monkeypatch):
-    (argv,) = [words for words in shell_commands("polaraut") if words[0] == "enumerate"]
+    (argv,) = [words for words in polaraut_commands() if words[0] == "enumerate"]
     assert argv == ["enumerate", "--n", "7", "--K", "64",
                     "--out", "codes.csv", "--summary-out", "summary.csv"]
     monkeypatch.chdir(tmp_path)
