@@ -394,11 +394,12 @@ def _serve(conn) -> None:
 
 
 class _Batch:
-    """A batch submitted to _Workers: queued, sent to a process, or done,
-    when `outcome` is (True, result) or (False, error)."""
+    """A batch submitted to _Workers for `point`, a key the executor does
+    not read: queued, sent to a process, or done, when `outcome` is
+    (True, result) or (False, error)."""
 
-    def __init__(self, workers: "_Workers", fn, args: tuple) -> None:
-        self.workers = workers
+    def __init__(self, point, fn, args: tuple) -> None:
+        self.point = point
         self.call = (fn, args)
         self.process: _Process | None = None
         self.outcome: tuple[bool, object] | None = None
@@ -406,22 +407,6 @@ class _Batch:
     def run(self) -> None:
         """Run the batch in this process."""
         self.outcome = _outcome(self.call)
-
-    def result(self):
-        """The batch's result, or its error raised; see _Workers.wait_for."""
-        self.workers.wait_for(self)
-        ok, value = self.outcome
-        if not ok:
-            raise value
-        return value
-
-    def cancel(self) -> bool:
-        """Drop the batch if it is still queued; whether it was."""
-        queued = self.workers.queued
-        if self not in queued:
-            return False
-        queued.remove(self)
-        return True
 
 
 _EXITED = "a worker process exited before returning its batches"
@@ -474,23 +459,26 @@ class _Process:
 
 
 class _Workers:
-    """run_bler's executor: the calling process and `processes` worker
-    processes.
+    """run_bler's executor: the calling process, `processes` worker
+    processes, and the pending batches, first in, first out.
 
     submit queues a batch, and each submit sends queued batches, oldest
-    first, to any process that holds none.  The caller runs the batch it
-    reads if that one is still queued; while the batch it reads is in a
-    process, it runs the oldest queued one, and it waits only when none is
-    queued.  Before the caller runs a batch, every process is sent queued
-    batches until it holds two (one running, one waiting), so the processes
-    work while the caller does.  The processes start at the first batch
-    sent, so with none, none starts.  No thread runs beside the caller:
-    batches go out and outcomes come in only while it is in submit or result.
+    first, to any process that holds none.  read returns the oldest pending
+    batch's point and result: the caller runs that batch if it is still
+    queued; while it is in a process, the caller runs the oldest queued one,
+    and it waits only when none is queued.  Before the caller runs a batch,
+    every process is sent queued batches until it holds two (one running,
+    one waiting), so the processes work while the caller does.  drop
+    forgets a point's pending batches.  The processes start at the first
+    batch sent, so with none, none starts and a batch runs only when it is
+    read.  No thread runs beside the caller: batches go out and outcomes
+    come in only while it is in submit or read.
     """
 
     def __init__(self, processes: int) -> None:
         self.processes = processes
         self.started: list[_Process] = []
+        self.pending: deque[_Batch] = deque()
         self.queued: deque[_Batch] = deque()
 
     def __enter__(self) -> "_Workers":
@@ -501,11 +489,11 @@ class _Workers:
             process.close()
         return False
 
-    def submit(self, fn, *args) -> _Batch:
-        batch = _Batch(self, fn, args)
+    def submit(self, point, fn, *args) -> None:
+        batch = _Batch(point, fn, args)
+        self.pending.append(batch)
         self.queued.append(batch)
         self.send(1)
-        return batch
 
     def send(self, each: int) -> None:
         """Send queued batches, oldest first, to every process holding
@@ -519,9 +507,11 @@ class _Workers:
             while self.queued and len(process.batches) < each:
                 process.send(self.queued.popleft())
 
-    def wait_for(self, batch: _Batch) -> None:
-        """Work until the batch is done: run it if it is queued, else run
-        the oldest queued batch or, with none, wait for its process."""
+    def read(self) -> tuple[object, object]:
+        """The oldest pending batch's (point, result), or its error raised.
+        Until it is done the caller runs it if it is queued, else runs the
+        oldest queued batch or, with none, waits for its process."""
+        batch = self.pending.popleft()
         while batch.outcome is None:
             if batch.process is None:
                 self.run(batch)
@@ -531,6 +521,16 @@ class _Workers:
                     self.run(self.queued[0])
             else:
                 batch.process.receive()
+        ok, value = batch.outcome
+        if not ok:
+            raise value
+        return batch.point, value
+
+    def drop(self, point) -> None:
+        """Forget point's pending batches: a queued one never runs, and one
+        in a process goes unread."""
+        self.pending = deque(b for b in self.pending if b.point != point)
+        self.queued = deque(b for b in self.queued if b.point != point)
 
     def run(self, batch: _Batch) -> None:
         """Run a queued batch in the caller, once the processes are topped up."""
@@ -573,9 +573,10 @@ def run_bler(
     for one worker) and runs a share of the batches itself, those still
     queued when it would otherwise wait for a process (see _Workers).  One
     schedule serves the whole sweep: while fewer than 2 * workers batches
-    are pending (one for one worker), the lowest point that has fewer
-    batches in flight than its expected need submits its next one, and
-    results are read first in, first out.  Frame f's messages, noise and
+    are pending, the lowest point that has fewer batches in flight than its
+    expected need submits its next one; results are read first in, first
+    out, and a point that stops drops its pending batches, so with one
+    worker only the batches read run.  Frame f's messages, noise and
     automorphism integers come from counter blocks fixed by f (see
     STREAM_VERSION).  decoder is a name (pass spec.label for a
     DecoderSpec), and it alone picks the check-node rule; anything else
@@ -613,7 +614,6 @@ def run_bler(
     # Keyed here, before any process starts, so no worker derives a key
     # (nor loads numpy.random to do so).
     keys = [_frame_key(seed, i) for i in range(len(ebn0))]
-    pending: deque[tuple[int, _Batch]] = deque()
 
     def need(i: int) -> int:
         """Batches point i should have in flight: its expected remaining need,
@@ -627,7 +627,7 @@ def run_bler(
         return max(1, min(want, batches - read[i]))
 
     def fill(executor: _Workers) -> None:
-        while len(pending) < window:
+        while len(executor.pending) < 2 * workers:
             open_points = (i for i, r in enumerate(results) if r is None)
             i = next((i for i in open_points if submitted[i] - read[i] < need(i)), None)
             if i is None:
@@ -635,24 +635,18 @@ def run_bler(
             lo = submitted[i] * _BATCH_FRAMES
             hi = min(lo + _BATCH_FRAMES, max_frames)
             args = (code, spec, structure, ebn0[i], keys[i], lo, hi, fixed_tables)
-            pending.append((i, executor.submit(_run_batch, args)))
+            executor.submit(i, _run_batch, args)
             submitted[i] += 1
 
-    # With one worker the window is one batch, so it never speculates.
-    window = 1 if workers == 1 else 2 * workers
     with _Workers(workers - 1) as executor:
         fill(executor)
-        while pending:
-            i, batch = pending.popleft()
-            got_frames, got_errors = batch.result()
+        while executor.pending:
+            i, (got_frames, got_errors) = executor.read()
             frames[i] += got_frames
             errors[i] += got_errors
             read[i] += 1
             if read[i] == batches or errors[i] >= (target_errors or math.inf):
                 results[i] = SimResult(spec.label, ebn0[i], frames[i], errors[i])
-                # Its queued batches are dropped; the others are not read.
-                for stale in [p for p in pending if p[0] == i]:
-                    stale[1].cancel()
-                    pending.remove(stale)
+                executor.drop(i)
             fill(executor)
     return results

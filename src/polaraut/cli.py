@@ -161,7 +161,8 @@ def _csv_text(rows: list[list[str]]) -> str:
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     per_code = [["i_min", "s", "aut_size", "aut_size_sci"]]
-    groups: dict[int, list[int]] = {}
+    # Group sizes per generator count, for the summary; --out alone writes none.
+    groups: dict[int, list[int]] | None = {} if args.summary_out or not args.out else None
     # Per block structure: the group size and the three columns drawn from
     # the structure alone, computed once in this call.
     columns: dict[tuple[int, ...], tuple[int, str, str, str]] = {}
@@ -175,7 +176,11 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         size, *texts = known
         gens = generator_rows(code)
         per_code.append([_space_joined(gens), *texts])
-        groups.setdefault(len(gens), []).append(size)
+        if groups is not None:
+            groups.setdefault(len(gens), []).append(size)
+    _emit(_csv_text(per_code), args.out, "enumerate", args)
+    if groups is None:
+        return 0
     summary = [["i_min_size", "count", "aut_min", "aut_avg_sci", "aut_max"]]
     for k in sorted(groups):
         sizes = groups[k]
@@ -183,10 +188,9 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         summary.append(
             [str(k), str(len(sizes)), str(min(sizes)), sci3(avg), str(max(sizes))]
         )
-    _emit(_csv_text(per_code), args.out, "enumerate", args)
     if args.summary_out:
         _emit(_csv_text(summary), args.summary_out, "enumerate-summary", args)
-    elif not args.out:
+    else:
         sys.stdout.write(_csv_text(summary))
     return 0
 

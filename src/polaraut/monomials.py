@@ -102,8 +102,6 @@ def row_to_monomial(row: int, n: int) -> Monomial:
 def _plain_int(value: object) -> int | None:
     """value as a plain int when it is an integer, a numpy one included
     (operator.index); None for anything else, a bool or np.bool_ too."""
-    if type(value) is int:  # the common case, at a fifth of the cost
-        return value
     if isinstance(value, (bool, np.bool_)):
         return None
     try:

@@ -314,9 +314,8 @@ class TestBlockStructure:
         assert all(type(s) is int for s in plain.sizes + (plain.n,))
 
     def test_checks_fail_the_same_after_a_plain_prefix(self):
-        # Plain positive ints pass in one loop; a size after them that is
-        # not one still fails with the checked path's message, and a list
-        # becomes a tuple.
+        # A size after plain positive ints that is not one fails with the
+        # same message as a first size, and a list becomes a tuple.
         for sizes, match in (((2, 0), "positive"), ((3, -1), "positive"), ((1, 2, 2.0), "an int"),
                              ((1, True), "an int"), ([0], "positive")):
             with pytest.raises(ValueError, match=f"block size must be {match}"):

@@ -99,11 +99,11 @@ def counted_batch(args):
 
 
 class Recorder:
-    """Stand-ins for channel._Batch and channel._Process that log what the
-    executor does, each event as (event, Eb/N0, first frame): "submit",
-    "send" (to a process), "run" (in either), "read", and "cancel" (a
-    queued batch dropped) or "drop" (a started one left unread).  A
-    stand-in process runs its batches only when the caller waits for one,
+    """Stand-ins for channel._Batch, channel._Workers and channel._Process
+    that log what the executor does, each event as (event, Eb/N0, first
+    frame): "submit", "send" (to a process), "run" (in either), "read", and
+    "cancel" (a queued batch dropped) or "drop" (a started one left unread).
+    A stand-in process runs its batches only when the caller waits for one,
     so a batch sent to it and never read is never started."""
 
     def __init__(self, monkeypatch):
@@ -112,23 +112,26 @@ class Recorder:
         log = self.log
 
         class Batch(channel._Batch):
-            def __init__(self, workers, fn, args):
-                super().__init__(workers, fn, args)
+            def __init__(self, point, fn, args):
+                super().__init__(point, fn, args)
                 log("submit", self)
 
             def run(self):
                 log("run", self)
                 super().run()
 
-            def result(self):
-                out = super().result()
-                log("read", self)
+        class Workers(channel._Workers):
+            def read(self):
+                batch = self.pending[0]
+                out = super().read()
+                log("read", batch)
                 return out
 
-            def cancel(self):
-                dropped = super().cancel()
-                log("cancel" if dropped else "drop", self)
-                return dropped
+            def drop(self, point):
+                for batch in self.pending:
+                    if batch.point == point:
+                        log("cancel" if batch in self.queued else "drop", batch)
+                super().drop(point)
 
         class LazyProcess:
             def __init__(stand_in):
@@ -150,6 +153,7 @@ class Recorder:
                 pass
 
         monkeypatch.setattr(channel, "_Batch", Batch)
+        monkeypatch.setattr(channel, "_Workers", Workers)
         monkeypatch.setattr(channel, "_Process", LazyProcess)
 
     def log(self, event, batch):
@@ -486,7 +490,7 @@ class TestRunBler:
             ("send", 2.0, 0), ("run", 1.0, 0), ("run", 0.0, 0),
         ]
 
-    @pytest.mark.parametrize("workers", [2, 3])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_pending_batches_never_exceed_the_window(self, monkeypatch, workers):
         rec = Recorder(monkeypatch)
         monkeypatch.setattr(channel, "_BATCH_FRAMES", 16)
@@ -495,6 +499,23 @@ class TestRunBler:
             max_frames=20_000, workers=workers,
         )
         assert rec.peak_pending() == 2 * workers
+
+    def test_one_worker_runs_only_what_it_reads(self, monkeypatch):
+        # With no process a batch runs only when it is read, so the window
+        # of two wastes no work: a batch a stopped point drops never ran.
+        rec = Recorder(monkeypatch)
+        monkeypatch.setattr(channel, "_BATCH_FRAMES", 16)
+        run_bler(
+            small_code(), "sc", [1.0, 2.0, 3.0, 4.0], master_seed=6, target_errors=30,
+            max_frames=20_000, workers=1,
+        )
+        ran, read, dropped = (
+            [batch for event, *batch in rec.events if event in names]
+            for names in (("run",), ("read",), ("cancel", "drop"))
+        )
+        assert ran == read
+        assert dropped and not any(batch in ran for batch in dropped)
+        assert rec.count("send") == rec.count("drop") == 0
 
     def test_speculation_on_the_benchmark_sweep(self, monkeypatch):
         # perfbench's sc-sweep-n128 jobs at --seed 1: master seeds 10000 on.

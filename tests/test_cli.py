@@ -245,6 +245,22 @@ class TestEnumerate:
         assert main(args) == 0
         assert capsys.readouterr().out == (out.read_bytes() + summary.read_bytes()).decode()
 
+    def test_out_alone_builds_no_summary(self, tmp_path, capsys, monkeypatch):
+        # The summary's averages are the only Decimals sci3 formats, so
+        # they show whether the summary was built.
+        averaged = []
+        monkeypatch.setattr(
+            cli, "sci3", lambda v: averaged.append(isinstance(v, Decimal)) or sci3(v)
+        )
+        args = ["enumerate", "--n", "5", "--K", "16", "--out", str(tmp_path / "codes.csv")]
+        assert main(args) == 0
+        assert not any(averaged) and capsys.readouterr().out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "codes.csv", "codes.csv.manifest.json",
+        ]
+        assert main(args + ["--summary-out", str(tmp_path / "summary.csv")]) == 0
+        assert any(averaged)
+
     def test_capability_exit_3(self, capsys):
         assert main(["enumerate", "--n", "8", "--K", "128"]) == 3
         assert "error:" in capsys.readouterr().err
