@@ -550,7 +550,7 @@ class TestRunBler:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_batch_error_propagates_and_leaves_no_worker(self, monkeypatch, workers):
         # Point 0's third batch raises while later batches are queued:
-        # run_bler re-raises it, cancels what is queued, and shuts the pool.
+        # run_bler re-raises it and stops the processes, whatever is pending.
         monkeypatch.setattr(channel, "_run_batch", failing_batch)
         monkeypatch.setattr(channel, "_BATCH_FRAMES", 32)
         with pytest.raises(RuntimeError, match="batch from frame 64 failed"):

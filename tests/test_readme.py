@@ -98,7 +98,7 @@ def test_each_command_runs_below():
     ]
 
 
-def run_as_written(command: str, tmp_path, monkeypatch, extra: list[str] = ()) -> list[str]:
+def run_as_written(command: str, tmp_path, monkeypatch, extra: tuple[str, ...] = ()) -> list[str]:
     """Run README's one `polaraut <command>` line in tmp_path, with
     code.json holding its first spec; returns the arguments run."""
     (argv,) = [words for words in polaraut_commands() if words[0] == command]
@@ -182,7 +182,7 @@ def test_sample_command_runs_as_written(tmp_path, monkeypatch):
 def test_simulate_command_runs_as_written(tmp_path, monkeypatch):
     # As written it runs each point to 100 errors; the test caps each
     # point at one 256-frame block, which leaves every other argument.
-    argv = run_as_written("simulate", tmp_path, monkeypatch, ["--max-frames", "256"])
+    argv = run_as_written("simulate", tmp_path, monkeypatch, ("--max-frames", "256"))
     assert argv == ["simulate", "sc", "scl-8", "aut-8-sc", "--spec", "code.json",
                     "--ebn0", "1.0,1.5,2.0,2.5", "--seed", "42", "--workers", "4",
                     "--out", "bler.csv"]
