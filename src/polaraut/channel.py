@@ -145,9 +145,9 @@ _SPEC_RE = re.compile(r"^(?:sc|scl-(\d+)|aut-(\d+)-sc(-lta)?(-fixed)?)(-min-sum)
 @dataclass(frozen=True)
 class DecoderSpec:
     """Parsed decoder description: sc, scl-<L> (L >= 2) or
-    aut-<M>-sc[-lta][-fixed], then optionally -min-sum.  -fixed draws one ensemble per run rather than
-    M maps per frame; -min-sum picks the min-sum check node (a codec kernel)
-    over the exact boxplus."""
+    aut-<M>-sc[-lta][-fixed], then optionally -min-sum.  -fixed draws one
+    ensemble per run rather than M maps per frame; -min-sum picks the
+    min-sum check node (a codec kernel) over the exact boxplus."""
 
     kind: str
     list_size: int = 1
@@ -556,7 +556,7 @@ def _ebn0_grid(values: object) -> list[float]:
 
 def run_bler(
     code: MonomialCode,
-    decoder: str,
+    decoder: str | Sequence[str],
     ebn0_list: Sequence[float],
     *,
     master_seed: int,
@@ -564,34 +564,40 @@ def run_bler(
     max_frames: int = 1_000_000,
     workers: int = 1,
 ) -> list[SimResult]:
-    """Monte Carlo BLER at each SNR; stops at the end of the 256-frame block
-    that holds the target_errors-th error, or at max_frames.
+    """Monte Carlo BLER at each (decoder, SNR) point; a point stops at the end
+    of the 256-frame block holding the target_errors-th error, or at max_frames.
 
     Each point consumes its frames in those blocks in index order, so a
     count depends only on master_seed and the frame index.  The calling
     process is one of the workers: it starts workers - 1 processes (none
     for one worker) and runs a share of the batches itself, those still
     queued when it would otherwise wait for a process (see _Workers).  One
-    schedule serves the whole sweep: while fewer than 2 * workers batches
-    are pending, the lowest point that has fewer batches in flight than its
-    expected need submits its next one; results are read first in, first
-    out, and a point that stops drops its pending batches, so with one
-    worker only the batches read run.  Frame f's messages, noise and
-    automorphism integers come from counter blocks fixed by f (see
-    STREAM_VERSION).  decoder is a name (pass spec.label for a
-    DecoderSpec), and it alone picks the check-node rule; anything else
-    raises TypeError.  Before any batch runs, an unknown name, an Eb/N0
-    list that is not a sequence or 1-D array of finite real numbers (a
-    string, a bool or a bare number included), a master_seed not an
-    int >= 0, or a frame count, error target or worker count not a positive
-    int raises ValueError (numpy integers are ints, bools are not).
+    schedule serves every (decoder, SNR) point: while fewer than
+    2 * workers batches are pending, the lowest point that has fewer
+    batches in flight than its expected need submits its next one; results
+    are read first in, first out, and a point that stops drops its pending
+    batches, so with one worker only the batches read run.  Frame f's
+    messages, noise and automorphism integers come from counter blocks
+    fixed by f (see STREAM_VERSION), the same for every decoder.  decoder
+    is a name or a sequence of names, whose results come decoder-major
+    (pass spec.label for a DecoderSpec), and the name alone picks the
+    check-node rule; anything else raises TypeError.  Before any batch
+    runs, an unknown name or no name, an Eb/N0 list that is not a sequence
+    or 1-D array of finite real numbers (a string, a bool or a bare number
+    included), a master_seed not an int >= 0, or a frame count, error
+    target or worker count not a positive int raises ValueError (numpy
+    integers are ints, bools are not).
     Under glibc the call fixes the process's malloc thresholds, and each
     worker's, so batches reuse their heap (see _keep_heap): up to 64 MiB of
     freed heap stays with the process afterwards.
     """
-    if not isinstance(decoder, str):
-        raise TypeError(f"decoder must be a name, got {type(decoder).__name__}")
-    spec = DecoderSpec.parse(decoder)
+    names = decoder if isinstance(decoder, Sequence) and not isinstance(decoder, str) else [decoder]
+    for name in names:
+        if not isinstance(name, str):
+            raise TypeError(f"decoder must be a name, got {type(name).__name__}")
+    if not names:
+        raise ValueError("decoder must hold at least one name")
+    specs = [DecoderSpec.parse(name) for name in names]
     ebn0 = _ebn0_grid(ebn0_list)
     seed = _count("master_seed", master_seed)
     max_frames = _positive_int("max_frames", max_frames)
@@ -599,54 +605,60 @@ def run_bler(
     if target_errors is not None:
         target_errors = _positive_int("target_errors", target_errors)
     _keep_heap()
-    structure = fixed_tables = None
-    if spec.kind == "aut_sc":
-        structure = BlockStructure((1,) * code.n) if spec.lta_only else find_block_structure(code)
-        if spec.fixed:
-            seq = np.random.SeedSequence(seed, spawn_key=(_ENSEMBLE_TAG,))
-            rng = np.random.Generator(np.random.Philox(seq))
-            r, o = sample_blta_batch(structure, spec.ensemble_size, rng)
-            fixed_tables = position_tables_batch(r, o)
+    points = []  # decoder-major: (spec, block structure, fixed tables, SNR index)
+    for spec in specs:
+        structure = fixed_tables = None
+        if spec.kind == "aut_sc":
+            structure = (BlockStructure((1,) * code.n) if spec.lta_only
+                         else find_block_structure(code))
+            if spec.fixed:
+                seq = np.random.SeedSequence(seed, spawn_key=(_ENSEMBLE_TAG,))
+                rng = np.random.Generator(np.random.Philox(seq))
+                r, o = sample_blta_batch(structure, spec.ensemble_size, rng)
+                fixed_tables = position_tables_batch(r, o)
+        points += [(spec, structure, fixed_tables, i) for i in range(len(ebn0))]
 
     batches = -(-max_frames // _BATCH_FRAMES)
-    results: list[SimResult | None] = [None] * len(ebn0)
-    frames, errors, read, submitted = ([0] * len(ebn0) for _ in range(4))
+    results: list[SimResult | None] = [None] * len(points)
+    frames, errors, read, submitted = ([0] * len(points) for _ in range(4))
     # Keyed here, before any process starts, so no worker derives a key
-    # (nor loads numpy.random to do so).
+    # (nor loads numpy.random to do so); every decoder shares them.
     keys = [_frame_key(seed, i) for i in range(len(ebn0))]
 
-    def need(i: int) -> int:
-        """Batches point i should have in flight: its expected remaining need,
+    def need(p: int) -> int:
+        """Batches point p should have in flight: its expected remaining need,
         doubling while it has no errors, one before its first result."""
         if target_errors is None:
             want = batches
-        elif errors[i] == 0:
-            want = read[i]
+        elif errors[p] == 0:
+            want = read[p]
         else:
-            want = -(-(target_errors - errors[i]) * frames[i] // (errors[i] * _BATCH_FRAMES))
-        return max(1, min(want, batches - read[i]))
+            want = -(-(target_errors - errors[p]) * frames[p] // (errors[p] * _BATCH_FRAMES))
+        return max(1, min(want, batches - read[p]))
 
     def fill(executor: _Workers) -> None:
         while len(executor.pending) < 2 * workers:
-            open_points = (i for i, r in enumerate(results) if r is None)
-            i = next((i for i in open_points if submitted[i] - read[i] < need(i)), None)
-            if i is None:
+            open_points = (p for p, r in enumerate(results) if r is None)
+            p = next((p for p in open_points if submitted[p] - read[p] < need(p)), None)
+            if p is None:
                 return
-            lo = submitted[i] * _BATCH_FRAMES
+            spec, structure, fixed_tables, i = points[p]
+            lo = submitted[p] * _BATCH_FRAMES
             hi = min(lo + _BATCH_FRAMES, max_frames)
             args = (code, spec, structure, ebn0[i], keys[i], lo, hi, fixed_tables)
-            executor.submit(i, _run_batch, args)
-            submitted[i] += 1
+            executor.submit(p, _run_batch, args)
+            submitted[p] += 1
 
     with _Workers(workers - 1) as executor:
         fill(executor)
         while executor.pending:
-            i, (got_frames, got_errors) = executor.read()
-            frames[i] += got_frames
-            errors[i] += got_errors
-            read[i] += 1
-            if read[i] == batches or errors[i] >= (target_errors or math.inf):
-                results[i] = SimResult(spec.label, ebn0[i], frames[i], errors[i])
-                executor.drop(i)
+            p, (got_frames, got_errors) = executor.read()
+            frames[p] += got_frames
+            errors[p] += got_errors
+            read[p] += 1
+            if read[p] == batches or errors[p] >= (target_errors or math.inf):
+                spec, *_, i = points[p]
+                results[p] = SimResult(spec.label, ebn0[i], frames[p], errors[p])
+                executor.drop(p)
             fill(executor)
     return results

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .automorphisms import blta_size, find_block_structure, sample_blta_batch
-from .channel import STREAM_VERSION, DecoderSpec, run_bler
+from .channel import STREAM_VERSION, run_bler
 from .construction import ConstructionSpec, SpecError, bhattacharyya_bec_design
 from .monomials import (
     CapabilityError,
@@ -221,7 +221,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         raise SpecError(f"invalid --ebn0 list: {exc}") from exc
     if not ebn0:
         raise SpecError("--ebn0 needs at least one value")
-    decoders = [DecoderSpec.parse(d) for d in args.decoders]
     if args.out and Path(args.out).is_dir():
         raise SpecError(f"cannot write {args.out}: it is a directory")
     if args.out and not Path(args.out).parent.is_dir():
@@ -231,17 +230,15 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         ["code_id", "decoder", "ebn0_db", "frames", "block_errors", "bler",
          "ci_lo", "ci_hi", "seed"]
     ]
-    for dec in decoders:
-        results = run_bler(
-            code, dec.label, ebn0, master_seed=args.seed, target_errors=args.target_errors,
-            max_frames=args.max_frames, workers=args.workers,
-        )
-        for r in results:
-            lo, hi = r.ci95
-            lines.append([
-                cid, r.decoder, repr(r.ebn0_db), str(r.frames), str(r.block_errors),
-                repr(r.bler), repr(lo), repr(hi), str(args.seed),
-            ])
+    for r in run_bler(
+        code, args.decoders, ebn0, master_seed=args.seed, target_errors=args.target_errors,
+        max_frames=args.max_frames, workers=args.workers,
+    ):
+        lo, hi = r.ci95
+        lines.append([
+            cid, r.decoder, repr(r.ebn0_db), str(r.frames), str(r.block_errors),
+            repr(r.bler), repr(lo), repr(hi), str(args.seed),
+        ])
     _emit(_csv_text(lines), args.out, "simulate", args)
     return 0
 

@@ -656,6 +656,26 @@ class TestRunBler:
             )
         assert solo == duo
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("target_errors, max_frames", [(None, 48), (12, 2000)])
+    def test_one_call_over_every_decoder_equals_one_call_per_decoder(
+        self, monkeypatch, workers, target_errors, max_frames
+    ):
+        # One schedule over every (decoder, SNR) point, decoder-major, gives
+        # each decoder the results of its own call; each -fixed decoder draws
+        # its own ensemble, of its own size, from the one ensemble stream.
+        monkeypatch.setattr(channel, "_BATCH_FRAMES", 8)
+        code = small_code()
+        decoders = ["sc", "scl-4", "aut-4-sc", "aut-4-sc-fixed", "aut-2-sc-fixed", "aut-4-sc-lta"]
+        ebn0 = [0.5, 1.5, 2.5]
+        kwargs = dict(master_seed=23, target_errors=target_errors, max_frames=max_frames,
+                      workers=workers)
+        together = run_bler(code, decoders, ebn0, **kwargs)
+        apart = [r for d in decoders for r in run_bler(code, d, ebn0, **kwargs)]
+        assert together == apart
+        assert [r.decoder for r in together] == [d for d in decoders for _ in ebn0]
+        assert run_bler(code, tuple(decoders[:1]), ebn0, **kwargs) == apart[: len(ebn0)]
+
     def test_batch_size_does_not_change_fixed_work_counts(self, monkeypatch):
         # SCL gathers its paths by an index over the frames of each batch,
         # so a batch of one frame, a ragged last batch and one whole batch
@@ -814,6 +834,32 @@ class TestRunBler:
         monkeypatch.setattr(channel, "_run_batch", self.no_batch)
         with pytest.raises(TypeError, match="decoder must be a name"):
             run_bler(small_code(), spec, [1.0], master_seed=0)
+
+    @pytest.mark.parametrize("empty", [[], ()])
+    def test_empty_decoder_sequence_rejected_before_any_batch(self, monkeypatch, empty):
+        monkeypatch.setattr(channel, "_run_batch", self.no_batch)
+        with pytest.raises(ValueError, match="decoder must hold at least one name"):
+            run_bler(small_code(), empty, [1.0], master_seed=0)
+
+    @pytest.mark.parametrize(
+        "decoders",
+        [[DecoderSpec("sc")], ["sc", DecoderSpec("scl", list_size=4)], ("sc", None),
+         ["aut-4-sc", 4], [b"sc"], (DecoderSpec("sc"),)],
+    )
+    def test_non_name_in_a_sequence_rejected_before_any_batch(self, monkeypatch, decoders):
+        # Every element is checked, a DecoderSpec too, before any name is parsed.
+        monkeypatch.setattr(channel, "_run_batch", self.no_batch)
+        with pytest.raises(TypeError, match="^decoder must be a name"):
+            run_bler(small_code(), decoders, [1.0], master_seed=0, workers=2)
+
+    @pytest.mark.parametrize(
+        "decoders",
+        [["turbo", "sc"], ["sc", "scl-4", "aut-sc"], ("sc", "sc-minsum"), ["sc", "scl-1"]],
+    )
+    def test_unknown_name_anywhere_rejected_before_any_batch(self, monkeypatch, decoders):
+        monkeypatch.setattr(channel, "_run_batch", self.no_batch)
+        with pytest.raises(ValueError, match="invalid decoder spec|scl-1 decodes as sc"):
+            run_bler(small_code(), decoders, [1.0], master_seed=0, workers=2)
 
     @pytest.mark.parametrize(
         "option, bad",

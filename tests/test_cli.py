@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import json
+import multiprocessing
 from decimal import Decimal
 
 import pytest
@@ -448,6 +449,42 @@ class TestSimulate:
             assert capsys.readouterr().err.startswith(f"error: cannot write {out}: ")
         assert not (tmp_path / "missing").exists()
         assert not any((tmp_path / "outdir").iterdir())
+
+    def test_one_pool_serves_every_decoder(self, tmp_path, capsys, monkeypatch):
+        # One run_bler call schedules every (decoder, SNR) point, so three
+        # decoders at --workers 3 start the two worker processes once, not
+        # once per decoder.
+        started = []
+
+        class Counted(channel._Process):
+            def __init__(self):
+                started.append(self)
+                super().__init__()
+
+        monkeypatch.setattr(channel, "_Process", Counted)
+        spec = write_spec(
+            tmp_path, "spec.json", {"kind": "generators", "n": 5, "generators": [7, 19]}
+        )
+        assert main(
+            ["simulate", "sc", "scl-2", "aut-2-sc", "--spec", spec, "--ebn0", "1.0,2.0",
+             "--seed", "3", "--max-frames", "512", "--workers", "3"]
+        ) == 0
+        rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+        assert [r["decoder"] for r in rows] == [
+            "sc", "sc", "scl-2", "scl-2", "aut-2-sc", "aut-2-sc",
+        ]
+        assert len(started) == 2
+        assert multiprocessing.active_children() == []
+
+    def test_bad_name_anywhere_exits_2_before_any_batch(self, tmp_path, capsys, monkeypatch):
+        def no_batch(args):
+            raise AssertionError("a batch ran before every decoder name was checked")
+
+        monkeypatch.setattr(channel, "_run_batch", no_batch)
+        spec = write_spec(tmp_path, "spec.json", {"kind": "reed_muller", "n": 4, "r": 1})
+        for names in (["turbo", "sc"], ["sc", "scl-4", "aut-sc"]):
+            assert main(["simulate", *names, "--spec", spec, "--ebn0", "1.0"]) == 2
+            assert capsys.readouterr().err.startswith("error: invalid decoder spec ")
 
     def test_bad_ebn0_exits_2(self, tmp_path, capsys):
         spec = write_spec(tmp_path, "spec.json", {"kind": "reed_muller", "n": 4, "r": 1})
