@@ -206,6 +206,19 @@ def test_every_run_unpacks_its_commit_at_one_path(tmp_path, monkeypatch, capsys)
                 "failed share not worse: True") in printed
 
 
+def test_the_printout_says_the_claim_rule_claims_only_the_named_metric(
+    tmp_path, monkeypatch, capsys
+):
+    # claim_rule_met is computed for every metric; the closing note keeps a
+    # reader from taking a met rule on an unclaimed metric for a claim.
+    stub_runs(tmp_path, monkeypatch)
+    assert bench_pairs.main([
+        "--label", "t", "--base", "B", "--change", "C", "--workload", "w1", "--pairs", "1",
+    ]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert printed[-2:] == [bench_pairs.CLAIM_NOTE, f"wrote {tmp_path / 'BENCH_t.json'}"]
+
+
 def test_control_pairs_run_the_base_twice_into_the_same_file(tmp_path, monkeypatch):
     # Each of the first K pairs is followed by a base/base pair with its
     # seed and order; their summary sits under "control" next to the pairs.

@@ -16,14 +16,19 @@ change-over-base ratio of the medians, and in how many pairs the change
 was better, by the metric's `better` direction in BENCHMARK.json, and
 whether the claim rule is met: the change wins at least ceil(0.9 * pairs)
 pairs and its median is better than the base's by more than the base's
-interquartile range.  Each end-to-end metric with a `bound` also records
+interquartile range.  claim_rule_met is computed for every metric, and it
+is a claim only for the metric the change names as its gain: on any
+other it is a reading, and a narrow base spread can make it read true on
+a move no one claimed (peak_rss_mb's quartiles can lie 0.1 MB apart, so a
+0.2% move meets it).  Each end-to-end metric with a `bound` also records
 whether it is within that bound: the change's median is no worse than the
 base's by more than that fraction of the base's median.  Per workload it
 holds each side's failed and attempted operations, summed over the pairs,
 and whether the change's failed share is no larger than the base's.  The
 file is rewritten after every pair, so a stopped run keeps the pairs it
 finished; at the end each metric's wins, claim rule and bound check are
-printed, and per workload each side's failed/attempted operations.
+printed, and per workload each side's failed/attempted operations, then
+the note that the claim rule is a claim only for the claimed metric.
 SIGTERM stops a run as Ctrl-C does: the running perfbench child is killed
 and the export is removed.  main() puts the SIGTERM handler it replaced
 back when it returns or raises.
@@ -52,6 +57,11 @@ from pathlib import Path
 from typing import Callable
 
 ROOT = Path(__file__).resolve().parent.parent
+
+CLAIM_NOTE = (
+    "claim rule met is computed for every metric; it is a claim only for the "
+    "metric the change names as its gain"
+)
 
 
 def spread(values: list[float]) -> dict:
@@ -234,6 +244,7 @@ def run_pairs(args: argparse.Namespace) -> int:
         print(f"{w} failed operations: " + ", ".join(
             f"{side} {ops['failed']}/{ops['attempted']}" for side, ops in got["operations"].items()
         ) + f", failed share not worse: {got['failed_share_not_worse']}")
+    print(CLAIM_NOTE)
     print(f"wrote {out_path}")
     return 0
 
