@@ -11,6 +11,9 @@ one-path case, successive cancellation list keeps up to L paths, and the
 automorphism ensemble runs SC on permuted frames.  Each keeps the candidate
 most correlated with the channel.  The walker keeps its arrays width-major,
 (width, B) or (width, B, P), so a node's two halves are contiguous slabs.
+It branches only on each node's kind, read from the node plan that _plan
+builds once per frozen mask and list mode and caches (a decoder specialised
+per frozen set, as in Le Gal, Leroux & Jego, 2015).
 SC skips whole subtrees whose kind the frozen mask fixes: Rate-0 (all
 frozen) and Rate-1 (none frozen), after Alamdar-Yazdi & Kschischang (2011)
 and Sarkis et al. (2014).  A node whose left half is Rate-0 skips f and
@@ -46,8 +49,8 @@ rows at a time, so no index the size of the walker's input is ever made.
 
 from __future__ import annotations
 
+import functools
 import math
-from itertools import accumulate
 from typing import Callable
 
 import numpy as np
@@ -209,25 +212,29 @@ def encode_batch(code: MonomialCode, messages: np.ndarray) -> np.ndarray:
     return polar_transform(u.T)[:, ::-1]
 
 
-def _node_kind(frozen_before: list[int], start: int, width: int) -> str:
-    """The kind of the SC node over rows [start, start + width), from the
-    counts of frozen rows before each row (frozen_before[i] counts rows < i).
+@functools.lru_cache(maxsize=4096)
+def _plan(frozen: bytes, listing: bool) -> tuple:
+    """The node plan of a frozen mask (one byte per row, 1 if frozen): the
+    node's kind, then the plans of the halves its walk decodes.
 
-    "rate0" (all rows frozen), "rate1" (none frozen), "left-rate0" (the left
-    half all frozen, the right half not), else "generic".  A leaf is Rate-0
-    or Rate-1.  No right-Rate-0 kind: in a decreasing code each right-half
-    row's monomial divides its left partner's, so a node whose right half is
-    all frozen is all frozen, and on any other mask the generic node returns
-    the same word.
+    ("rate0",) all rows frozen; ("rate1",) none frozen, in SC only; ("leaf",)
+    an SCL information leaf; ("left-rate0", right) the left half all frozen;
+    else ("generic", left, right).  No right-Rate-0 kind: in a decreasing
+    code each right-half row's monomial divides its left partner's, so a
+    node whose right half is all frozen is all frozen, and on any other mask
+    the generic node returns the same word.  Every sub-plan shares this
+    cache, so a mask's plan is built once.
     """
-    frozen = frozen_before[start + width] - frozen_before[start]
-    if frozen == width:
-        return "rate0"
-    if frozen == 0:
-        return "rate1"
-    if frozen_before[start + width // 2] - frozen_before[start] == width // 2:
-        return "left-rate0"
-    return "generic"
+    if all(frozen):
+        return ("rate0",)
+    if not (listing or any(frozen)):
+        return ("rate1",)
+    if len(frozen) == 1:
+        return ("leaf",)
+    h = len(frozen) // 2
+    if all(frozen[:h]):
+        return ("left-rate0", _plan(frozen[h:], listing))
+    return ("generic", _plan(frozen[:h], listing), _plan(frozen[h:], listing))
 
 
 def _tree(
@@ -236,30 +243,14 @@ def _tree(
     """Successive cancellation with up to list_size paths per frame.
 
     llrs are (N, B) in transform order; returns (N, B, P) candidate words in
-    transform order.  With list_size 1 arrays are (width, B) and each node
-    acts by its _node_kind: a Rate-0 node returns zeros, and a Rate-1 node
-    the hard decision for every frame whose smallest |LLR| there reaches the
-    kernel's floor for its depth; the other frames take f and g once and
-    decode each half as a Rate-1 node again.  A node whose left half is
-    Rate-0 calls no f and returns [right, right], its right half decoded
-    from a + b (which is _g with an all-zero word).  Otherwise arrays are
-    (width, B, P): a Rate-0 node adds its frozen leaves' penalties in leaf
-    order, through f and a + b, and returns zeros, a node whose left half is
-    Rate-0 does that for its left half and returns [right, right], and every
-    other node is generic.  Information leaves fork every path, and once
-    more than list_size would live the best survive by path metric, in the
-    order of the stable sort, so tied candidates keep parent-then-0-bit
-    priority: the default argsort's order stands where every frame's sorted
-    metrics rise strictly, and a tie or a NaN re-sorts the batch stably.  A
-    subtree returns its word and, when it forked or pruned, the parent of
-    each of its paths among the paths it was given; its caller gathers what
-    it still holds by that map, the LLRs in one take.
+    transform order.  Arrays are (width, B) for SC and (width, B, P) for
+    SCL, and each node acts by its kind in the mask's _plan, as the module
+    docstring describes.
     """
     f_kernel = KERNELS[kernel]
     floors = _RATE1_FLOORS[kernel]
     batch = llrs.shape[1]
     listing = list_size > 1
-    frozen_before = [0, *accumulate(frozen.tolist())]
     pm = np.zeros((batch, 1))
     frames = np.arange(batch)[:, None]
 
@@ -320,38 +311,38 @@ def _tree(
                 hard[:, weak] = np.concatenate([left ^ right, right])
         return hard
 
-    def node(llr: np.ndarray, start: int) -> tuple[np.ndarray, np.ndarray | None]:
-        width = len(llr)
-        h = width // 2
-        a, b = llr[:h], llr[h:]
-        kind = _node_kind(frozen_before, start, width)
+    def node(llr: np.ndarray, plan: tuple) -> tuple[np.ndarray, np.ndarray | None]:
+        kind = plan[0]
         if kind == "rate0":
             if listing:
                 penalize(llr)
             return np.zeros(llr.shape, dtype=np.uint8), None
-        if kind == "rate1" and not listing:
+        if kind == "rate1":
             return rate1(llr), None
+        if kind == "leaf":
+            return leaf(llr)
+        h = len(llr) // 2
+        a, b = llr[:h], llr[h:]
         if kind == "left-rate0":
             if listing:
                 penalize(_check_node(f_kernel, a, b))
             # _g with an all-zero left word is a + b, bit for bit.
-            right, parent = node(a + b, start + h)
+            right, parent = node(a + b, plan[1])
             return np.concatenate([right, right]), parent
-        if width == 1:  # only SCL: an SC leaf is Rate-0 or Rate-1
-            return leaf(llr)
-        left, parent = node(_check_node(f_kernel, a, b), start)
+        left, parent = node(_check_node(f_kernel, a, b), plan[1])
         if parent is not None:
             llr = take(llr, parent)
             a, b = llr[:h], llr[h:]
-        right, right_parent = node(_g(a, b, left), start + h)
+        right, right_parent = node(_g(a, b, left), plan[2])
         if right_parent is not None:
             left = take(left, right_parent)
             parent = right_parent if parent is None else parent[frames, right_parent]
         return np.concatenate([left ^ right, right]), parent
 
+    plan = _plan(np.asarray(frozen, dtype=bool).tobytes(), listing)
     if listing:
-        return node(llrs[:, :, None], 0)[0]
-    return node(llrs, 0)[0][:, :, None]
+        return node(llrs[:, :, None], plan)[0]
+    return node(llrs, plan)[0][:, :, None]
 
 
 def _checked(

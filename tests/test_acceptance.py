@@ -3,7 +3,8 @@ group sizes, the code census, oracle equivalence, sampling, decoder
 reductions, and the Monte Carlo error-rate orderings.
 
 Run with `pytest -v tests/test_acceptance.py` for one verdict line per
-criterion; add -s to see the measured numbers.
+criterion; add -s to see the measured numbers.  Beside them, the paper's
+closing claim at (256,128): the ensemble beats the list decoder of its size.
 """
 
 import csv
@@ -268,3 +269,18 @@ def test_criterion_11_factorization():
             assert lower.is_unit_lower_triangular()
             assert is_block_lower_triangular(lower, structure)
     print(f"criterion 11 PASS: {trials} factorizations recompose with valid factors")
+
+
+def test_ensemble_beats_list_of_its_size():
+    # At (256,128) and 2.5 dB Aut-8-SC's BLER is about half SCL-8's, so
+    # 8192 frames each part their Wilson intervals.
+    big = code_from_rows(8, [31, 57])
+    aut, scl = run_bler(
+        big, ["aut-8-sc", "scl-8"], [2.5], master_seed=2301,
+        target_errors=None, max_frames=8192, workers=2,
+    )
+    assert aut.ci95[1] < scl.ci95[0], (aut.ci95, scl.ci95)
+    print(
+        f"(256,128) aut-8-sc {aut.bler:.5f} < scl-8 {scl.bler:.5f}, "
+        f"disjoint CIs on {aut.frames} frames each"
+    )

@@ -1,8 +1,6 @@
 """Encoder against the Kronecker-product reference, decoder reductions,
 and the list/ensemble decoders on clean and noisy frames."""
 
-from itertools import accumulate
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -712,19 +710,20 @@ class TestCheckNodeSlabs:
 
 def sc_f_widths(frozen):
     """The half-width of every f call SC makes when no frame falls below a
-    Rate-1 floor, in call order, walked with the decoder's node-kind rule."""
-    frozen_before = [0, *accumulate(frozen.tolist())]
+    Rate-1 floor, in call order, from the frozen-row counts of each node and
+    of its left half: a node with no row or every row frozen calls no f, one
+    whose left half is all frozen walks only its right half, and any other
+    node calls f once and walks both halves."""
 
-    def walk(start, width):
-        kind = codec._node_kind(frozen_before, start, width)
-        h = width // 2
-        if kind == "left-rate0":
-            return walk(start + h, h)
-        if kind == "generic":
-            return [h] + walk(start, h) + walk(start + h, h)
-        return []
+    def walk(rows):
+        h = len(rows) // 2
+        if rows.sum() in (0, len(rows)):
+            return []
+        if rows[:h].sum() == h:
+            return walk(rows[h:])
+        return [h] + walk(rows[:h]) + walk(rows[h:])
 
-    return walk(0, len(frozen))
+    return walk(np.asarray(frozen, dtype=int))
 
 
 def generic_f_widths(size):
@@ -734,6 +733,28 @@ def generic_f_widths(size):
         return []
     h = size // 2
     return [h] + generic_f_widths(h) + generic_f_widths(h)
+
+
+def plan_calls(plan, width, listing):
+    """The half-widths of the f and g calls, each in call order, of a walk
+    of codec's node plan over width rows with no frame below a Rate-1 floor.
+    SCL adds a Rate-0 subtree's penalties through the generic tree's f."""
+    kind, *halves = plan
+    h = width // 2
+    if kind == "rate0":
+        return (generic_f_widths(width) if listing else []), []
+    if kind in ("rate1", "leaf"):
+        return [], []
+    if kind == "left-rate0":
+        f, g = plan_calls(halves[0], h, listing)
+        return ([h] + generic_f_widths(h) if listing else []) + f, g
+    (left_f, left_g), (right_f, right_g) = (plan_calls(p, h, listing) for p in halves)
+    return [h] + left_f + right_f, left_g + [h] + right_g
+
+
+def plan_kinds(plan):
+    """Every node kind in a plan."""
+    return {plan[0]}.union(*map(plan_kinds, plan[1:]))
 
 
 class TestNodeSchedule:
@@ -787,6 +808,62 @@ class TestNodeSchedule:
             assert len(calls) == code.block_length - 1
             assert [c[:2] for c in calls] == [(w, 4) for w in generic_f_widths(code.block_length)]
             assert shapes == calls
+
+    def test_plan_walk_follows_the_oracles(self):
+        # SC's plan calls f where sc_f_widths does and g once per generic
+        # node; SCL's calls every f of the generic tree.
+        codes = [
+            code
+            for n in range(1, 6)
+            for k in range(1, (1 << n) + 1)
+            for code in enumerate_decreasing_codes(n, k)
+        ]
+        codes += [generator_code(8, [31, 57]), generator_code(7, [27, 56])]
+        for code in codes:
+            frozen, size = frozen_mask(code), code.block_length
+            sc, scl = (codec._plan(frozen.tobytes(), listing) for listing in (False, True))
+            f, g = plan_calls(sc, size, False)
+            assert f == sc_f_widths(frozen), code
+            assert sorted(g) == sorted(f), code
+            assert plan_calls(scl, size, True)[0] == generic_f_widths(size), code
+            assert "leaf" not in plan_kinds(sc) and "rate1" not in plan_kinds(scl)
+        assert len(codes) == 159 + 2
+
+    @pytest.mark.parametrize("n, gens", [(8, [31, 57]), (7, [27, 56])])
+    def test_plan_is_built_once_per_mask(self, monkeypatch, n, gens):
+        code = generator_code(n, gens)
+        rng = np.random.default_rng(88)
+        _, _, llrs = noisy_llrs(code, rng, 4, sigma=0.2)
+        g_calls = []
+        g = codec._g
+
+        def spy(a, b, x):
+            g_calls.append(len(a))
+            return g(a, b, x)
+
+        monkeypatch.setattr(codec, "_g", spy)
+        tables = np.tile(np.arange(code.block_length), (2, 1))
+        decode = [
+            lambda: sc_decode_batch(code, llrs),
+            lambda: scl_decode_batch(code, llrs, 4),
+            lambda: aut_sc_decode_batch(code, llrs, tables),
+        ]
+        for run in decode:
+            run()
+        before = codec._plan.cache_info()
+        g_calls.clear()
+        for run in decode:
+            run()
+        # One lookup per decode, and nothing built.
+        after = codec._plan.cache_info()
+        assert (after.hits, after.misses) == (before.hits + len(decode), before.misses)
+        # Clean frames: each decoder's g calls are those of its plan's walk,
+        # one per generic node.
+        sc_g, scl_g = (
+            plan_calls(codec._plan(frozen_mask(code).tobytes(), listing), code.block_length, listing)[1]
+            for listing in (False, True)
+        )
+        assert g_calls == sc_g + scl_g + sc_g
 
     def test_no_decreasing_code_has_a_lone_right_rate0_half(self):
         # A right-half row's monomial divides its left partner's, so in a

@@ -88,16 +88,16 @@ def test_automorphisms_holds_only_the_hot_path():
 
 
 def test_sc_node_kinds_are_pinned():
-    # A new SC node rule (an SPC kind, say) needs a deliberate edit here,
-    # and in the tests that walk the kinds.
+    # A new node rule (an SPC kind, say) needs a deliberate edit here, and
+    # in the tests that walk the plan.
     tree = ast.parse((PACKAGE / "codec.py").read_text())
     (func,) = [
         node for node in tree.body
-        if isinstance(node, ast.FunctionDef) and node.name == "_node_kind"
+        if isinstance(node, ast.FunctionDef) and node.name == "_plan"
     ]
     returns = [node for node in ast.walk(func) if isinstance(node, ast.Return)]
-    kinds = {ast.literal_eval(node.value) for node in returns}
-    assert kinds == {"rate0", "rate1", "left-rate0", "generic"}
+    kinds = {ast.literal_eval(node.value.elts[0]) for node in returns}
+    assert kinds == {"rate0", "rate1", "leaf", "left-rate0", "generic"}
 
 
 def test_run_bler_takes_only_its_options():
