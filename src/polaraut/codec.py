@@ -272,9 +272,19 @@ def _tree(
         penalize(_check_node(f_kernel, a, b))
         penalize(a + b)
 
-    def leaf(llr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def leaf(llr: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
         nonlocal pm
         x = llr[0]
+        # A full list whose metrics rise strictly, and whose every flipped
+        # bit costs more than the worst metric, keeps its paths in order:
+        # each kept candidate is pm + 0, pm bit for bit, so the sort below
+        # would return exactly that.  A zero LLR or a NaN fails the test.
+        if (
+            x.shape[1] == list_size
+            and (pm[:, 1:] > pm[:, :-1]).all()
+            and ((np.abs(x) + pm).min(axis=1) > pm[:, -1]).all()
+        ):
+            return (x < 0).view(np.uint8)[None], None
         cand = np.empty((batch, x.shape[1], 2))
         np.maximum(-x, 0.0, out=cand[:, :, 0])
         np.maximum(x, 0.0, out=cand[:, :, 1])
