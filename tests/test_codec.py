@@ -1098,3 +1098,119 @@ class TestAgainstReference:
         for got, want in pairs:
             assert np.array_equal(got[0], want[0])
             assert np.array_equal(got[1], want[1])
+
+
+class TestFullListLeaf:
+    """A full-list SCL leaf where every frame's metrics rise strictly and
+    every flipped bit costs more than the worst kept metric keeps its
+    paths without a sort; any other full-list leaf sorts.  Each case below
+    is built to reach the sort by the narrowest margin, and the words stay
+    bit for bit those of scl_reference."""
+
+    @staticmethod
+    def sorted_leaves(monkeypatch, code, llrs, list_size, kernel):
+        """Per frame, decoded alone, the (L, 2) candidate metrics of each
+        full-list leaf that sorted; the words of those decodes, and of one
+        decode of the whole batch, must equal scl_reference's."""
+        leaves = []
+        argsort = np.argsort
+
+        def spy(a, *args, **kwargs):
+            # The leaf's first sort runs numpy's default kind; a tie adds a
+            # stable one, not counted here.
+            if kwargs.get("kind") is None and a.shape[1] == 2 * list_size:
+                leaves[-1].append(a.reshape(list_size, 2).copy())
+            return argsort(a, *args, **kwargs)
+
+        with np.errstate(over="ignore", invalid="ignore"):
+            with monkeypatch.context() as patch:
+                patch.setattr(np, "argsort", spy)
+                alone = []
+                for frame in llrs:
+                    leaves.append([])
+                    alone.append(scl_decode_batch(code, frame[None], list_size, kernel))
+            whole = scl_decode_batch(code, llrs, list_size, kernel)
+            want = scl_reference(code, llrs, list_size, kernel)
+        for got in ([np.concatenate(part) for part in zip(*alone)], whole):
+            assert np.array_equal(got[0], want[0])
+            assert np.array_equal(got[1], want[1])
+        return leaves
+
+    @staticmethod
+    def tied_llrs(rng, code):
+        """Integer LLRs times 2**60.  Every kernel output is then an
+        integer multiple of 2**60: exact boxplus adds corrections below
+        log 2 to values whose spacing is 256 or more, so it rounds to
+        min-sum exactly, and path metrics tie as integers do."""
+        _, _, llrs = noisy_llrs(code, rng, 64, sigma=1.0)
+        return 2.0**60 * np.round(3.0 * llrs)
+
+    # Each case's test on one sorted leaf's (L, 2) candidates, with kept
+    # and flipped the lower and higher candidate of each path.
+    CASES = {
+        # Every frame would pass but for a flipped bit that costs exactly
+        # the worst kept metric; the stable sort keeps that flip.
+        "flip-ties-worst-kept": lambda kept, flipped: (
+            (flipped > kept).all()
+            and (np.diff(kept) > 0).all()
+            and flipped.min() == kept[-1]
+        ),
+        "kept-paths-tie": lambda kept, flipped: (
+            (flipped > kept).all()
+            and flipped.min() > kept.max()
+            and len(np.unique(kept)) < len(kept)
+        ),
+        "zero-llr": lambda kept, flipped: (flipped == kept).any(),
+        "non-finite": lambda kept, flipped: not np.isfinite(flipped).all(),
+    }
+
+    @pytest.mark.parametrize("kernel", ["exact_boxplus", "min_sum"])
+    @pytest.mark.parametrize("list_size", [2, 3, 4, 8])
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_boundary_cases_sort_and_match_reference(
+        self, monkeypatch, kernel, list_size, case
+    ):
+        code = bhattacharyya_bec_design(0.5, 16, 5)
+        rng = np.random.default_rng(3201)
+        llrs = self.tied_llrs(rng, code)
+        if case == "zero-llr":
+            llrs[rng.random(llrs.shape) < 0.1] = 0.0
+            llrs[rng.random(llrs.shape) < 0.1] = -0.0
+        elif case == "non-finite":
+            # g overflows +-1e308 to infinity, and infinities to NaN.
+            llrs = np.where(rng.random(llrs.shape) < 0.5, np.copysign(1e308, llrs), llrs)
+        leaves = self.sorted_leaves(monkeypatch, code, llrs, list_size, kernel)
+        seen = [
+            any(self.CASES[case](c.min(axis=1), c.max(axis=1)) for c in frame)
+            for frame in leaves
+        ]
+        assert any(seen)
+
+    @staticmethod
+    def default_sorts(monkeypatch, code, llrs):
+        calls = []
+        argsort = np.argsort
+
+        def spy(a, *args, **kwargs):
+            if kwargs.get("kind") is None:
+                calls.append(a.shape)
+            return argsort(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, "argsort", spy)
+        scl_decode_batch(code, llrs, 8)
+        monkeypatch.undo()
+        return calls
+
+    def test_most_full_list_leaves_skip_the_sort(self, monkeypatch):
+        # (256,128) holds 128 information leaves; SCL-8's list is full from
+        # the fourth on, so 125 leaves could sort.
+        code = generator_code(8, [31, 57])
+        rng = np.random.default_rng(3202)
+        sigma = ChannelParams(2.5, code.dimension / code.block_length).noise_variance ** 0.5
+        _, _, llrs = noisy_llrs(code, rng, 256, sigma)
+        sorts = self.default_sorts(monkeypatch, code, llrs)
+        assert all(shape == (256, 16) for shape in sorts)
+        assert len(sorts) < 125 / 2
+        # Zero LLRs tie both candidates of every path at every leaf.
+        sorts = self.default_sorts(monkeypatch, code, np.zeros_like(llrs))
+        assert sorts == [(256, 16)] * 125
