@@ -40,7 +40,13 @@ Every f call of the generic tree stays, in its order, and Rate-1 nodes stay
 generic, since their leaves fork.  Pruning sorts each frame's candidate
 metrics with numpy's default argsort and keeps that order where every
 frame's sorted metrics rise strictly, so that order is the only one; a tie
-or a NaN re-sorts the batch stably.
+or a NaN re-sorts the batch stably.  A full list skips the sort where, in
+every frame, the path metrics rise strictly and each path's flipped bit
+costs more than the worst kept metric: each path then keeps its hard
+decision at an unchanged metric (the LLR-based metric of
+Balatsoukas-Stimming, Bastani Parizi & Burg, 2015), the order the sort
+would return, and the leaf hands back no parent map, so no node above it
+gathers.
 The ensemble reads its tables in their own dtype (uint8 from
 position_tables_batch at N <= 256): it gathers the walker's input and
 scatters each branch's word back through flat indices built a few walker
@@ -275,10 +281,9 @@ def _tree(
     def leaf(llr: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
         nonlocal pm
         x = llr[0]
-        # A full list whose metrics rise strictly, and whose every flipped
-        # bit costs more than the worst metric, keeps its paths in order:
-        # each kept candidate is pm + 0, pm bit for bit, so the sort below
-        # would return exactly that.  A zero LLR or a NaN fails the test.
+        # pm is never -0, so each kept candidate, pm + 0, is pm bit for bit,
+        # and the sort below would return the paths in order.  A zero LLR,
+        # a tie or a NaN fails a strict comparison and sorts.
         if (
             x.shape[1] == list_size
             and (pm[:, 1:] > pm[:, :-1]).all()

@@ -1104,31 +1104,38 @@ class TestFullListLeaf:
     """A full-list SCL leaf where every frame's metrics rise strictly and
     every flipped bit costs more than the worst kept metric keeps its
     paths without a sort; any other full-list leaf sorts.  Each case below
-    is built to reach the sort by the narrowest margin, and the words stay
-    bit for bit those of scl_reference."""
+    is built to reach the sort, and the words stay bit for bit those of
+    scl_reference."""
 
     @staticmethod
-    def sorted_leaves(monkeypatch, code, llrs, list_size, kernel):
-        """Per frame, decoded alone, the (L, 2) candidate metrics of each
-        full-list leaf that sorted; the words of those decodes, and of one
-        decode of the whole batch, must equal scl_reference's."""
-        leaves = []
+    def sorts(patch, code, llrs, list_size, kernel="exact_boxplus"):
+        """The decoded words, and the input of each default-kind np.argsort
+        call the decode makes: the leaf's first sort (a tie adds a stable
+        one, not kept here)."""
+        inputs = []
         argsort = np.argsort
 
         def spy(a, *args, **kwargs):
-            # The leaf's first sort runs numpy's default kind; a tie adds a
-            # stable one, not counted here.
-            if kwargs.get("kind") is None and a.shape[1] == 2 * list_size:
-                leaves[-1].append(a.reshape(list_size, 2).copy())
+            if kwargs.get("kind") is None:
+                inputs.append(a.copy())
             return argsort(a, *args, **kwargs)
 
+        with patch.context() as m:
+            m.setattr(np, "argsort", spy)
+            return scl_decode_batch(code, llrs, list_size, kernel), inputs
+
+    def sorted_leaves(self, monkeypatch, code, llrs, list_size, kernel):
+        """Per frame, decoded alone, the (L, 2) candidate metrics of each
+        full-list leaf that sorted; the words of those decodes, and of one
+        decode of the whole batch, must equal scl_reference's."""
+        leaves, alone = [], []
         with np.errstate(over="ignore", invalid="ignore"):
-            with monkeypatch.context() as patch:
-                patch.setattr(np, "argsort", spy)
-                alone = []
-                for frame in llrs:
-                    leaves.append([])
-                    alone.append(scl_decode_batch(code, frame[None], list_size, kernel))
+            for frame in llrs:
+                got, inputs = self.sorts(monkeypatch, code, frame[None], list_size, kernel)
+                alone.append(got)
+                leaves.append([
+                    a.reshape(list_size, 2) for a in inputs if a.shape[1] == 2 * list_size
+                ])
             whole = scl_decode_batch(code, llrs, list_size, kernel)
             want = scl_reference(code, llrs, list_size, kernel)
         for got in ([np.concatenate(part) for part in zip(*alone)], whole):
@@ -1186,21 +1193,6 @@ class TestFullListLeaf:
         ]
         assert any(seen)
 
-    @staticmethod
-    def default_sorts(monkeypatch, code, llrs):
-        calls = []
-        argsort = np.argsort
-
-        def spy(a, *args, **kwargs):
-            if kwargs.get("kind") is None:
-                calls.append(a.shape)
-            return argsort(a, *args, **kwargs)
-
-        monkeypatch.setattr(np, "argsort", spy)
-        scl_decode_batch(code, llrs, 8)
-        monkeypatch.undo()
-        return calls
-
     def test_most_full_list_leaves_skip_the_sort(self, monkeypatch):
         # (256,128) holds 128 information leaves; SCL-8's list is full from
         # the fourth on, so 125 leaves could sort.
@@ -1208,9 +1200,9 @@ class TestFullListLeaf:
         rng = np.random.default_rng(3202)
         sigma = ChannelParams(2.5, code.dimension / code.block_length).noise_variance ** 0.5
         _, _, llrs = noisy_llrs(code, rng, 256, sigma)
-        sorts = self.default_sorts(monkeypatch, code, llrs)
-        assert all(shape == (256, 16) for shape in sorts)
+        _, sorts = self.sorts(monkeypatch, code, llrs, 8)
+        assert all(a.shape == (256, 16) for a in sorts)
         assert len(sorts) < 125 / 2
         # Zero LLRs tie both candidates of every path at every leaf.
-        sorts = self.default_sorts(monkeypatch, code, np.zeros_like(llrs))
-        assert sorts == [(256, 16)] * 125
+        _, sorts = self.sorts(monkeypatch, code, np.zeros_like(llrs), 8)
+        assert [a.shape for a in sorts] == [(256, 16)] * 125
