@@ -20,7 +20,7 @@ pytestmark = pytest.mark.skipif(not _HAS_HEAD, reason="needs a git checkout with
 DECODERS = ["sc", "scl-2", "scl-3-min-sum", "aut-2-sc", "aut-2-sc-lta-fixed"]
 ARGS = ["--base", "HEAD", "--change", "HEAD", "--code",
         '{"kind": "generators", "n": 5, "generators": [11, 12]}',
-        "--frames", "8", "--rounds", "2", "--repeats", "1"]
+        "--frames", "8", "--rounds", "2"]
 for name in DECODERS:
     ARGS += ["--decoder", name]
 

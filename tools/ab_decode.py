@@ -1,18 +1,18 @@
 """In-process A/B timings of the decoders at two git revisions.
 
     python3 tools/ab_decode.py --base HEAD~1 --change HEAD \\
-        --decoder sc --decoder scl-8 --decoder aut-8-sc --ebn0 2.5
+        --decoder sc --decoder scl-8 --decoder aut-8-sc
 
 Each revision's committed tree is unpacked with `git archive`, as
 tools/bench_pairs.py does, and its `polaraut` package is imported under
 its own module name (polaraut_base, polaraut_change), so both sides run in
 this one process on the same host state.  Per decoder, --frames frames of
---code at --ebn0 are drawn once from --seed with the base's encoder and
+--code at EBN0 dB are drawn once from SEED with the base's encoder and
 channel, and so are Aut-SC's tables; both sides decode those same inputs,
 each with its own code object and decoder.  After one untimed call per
 side, round r times the base then the change on even r and the change
 then the base on odd r (ABBA order), each side's time the best of
---repeats calls.  Per decoder it prints each side's median time, the
+REPEATS calls.  Per decoder it prints each side's median time, the
 median of the per-round change/base ratios and the rounds the change won.
 It exits 1 if any call of either side returns a message or word that
 differs from the base's first call.
@@ -38,6 +38,9 @@ from bench_pairs import export  # noqa: E402
 
 SIDES = ("base", "change")
 DEFAULT_CODE = '{"kind": "generators", "n": 8, "generators": [31, 57]}'
+EBN0 = 2.5
+SEED = 1
+REPEATS = 2
 
 
 def load(tree: Path, name: str) -> types.SimpleNamespace:
@@ -63,14 +66,14 @@ def forget(name: str) -> None:
         del sys.modules[key]
 
 
-def inputs(pkg: types.SimpleNamespace, code, label: str, ebn0: float, frames: int, seed: int):
+def inputs(pkg: types.SimpleNamespace, code, label: str, frames: int):
     """(llrs, tables) of one decoder: seeded frames, and for Aut-SC its
     sampled position tables (None for SC and SCL)."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(SEED)
     size = code.block_length
     msgs = rng.integers(0, 2, (frames, code.dimension), dtype=np.uint8)
     noise = rng.standard_normal((frames, size))
-    params = pkg.channel.ChannelParams(ebn0, code.dimension / size)
+    params = pkg.channel.ChannelParams(EBN0, code.dimension / size)
     llrs = pkg.channel.transmit(pkg.codec.encode_batch(code, msgs), params, noise)
     spec = pkg.channel.DecoderSpec.parse(label)
     if spec.kind != "aut_sc":
@@ -103,7 +106,7 @@ def compare(pkgs: dict, code_text: str, label: str, args: argparse.Namespace) ->
     change's wins and whether every call gave the base's words."""
     codes = {s: pkgs[s].construction.ConstructionSpec.from_dict(json.loads(code_text)).build()
              for s in SIDES}
-    llrs, tables = inputs(pkgs["base"], codes["base"], label, args.ebn0, args.frames, args.seed)
+    llrs, tables = inputs(pkgs["base"], codes["base"], label, args.frames)
     calls = {s: decoder(pkgs[s], codes[s], label, llrs, tables) for s in SIDES}
     want = calls["base"]()
     identical = same(calls["change"](), want)
@@ -111,7 +114,7 @@ def compare(pkgs: dict, code_text: str, label: str, args: argparse.Namespace) ->
     for r in range(args.rounds):
         for s in SIDES if r % 2 == 0 else SIDES[::-1]:
             best = float("inf")
-            for _ in range(args.repeats):
+            for _ in range(REPEATS):
                 start = time.perf_counter()
                 got = calls[s]()
                 best = min(best, time.perf_counter() - start)
@@ -133,13 +136,10 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--decoder", action="append", required=True,
                    help="a simulate decoder name, e.g. scl-8-min-sum; repeatable")
     p.add_argument("--code", default=DEFAULT_CODE, help="construction spec as JSON")
-    p.add_argument("--ebn0", type=float, default=2.5, help="Eb/N0 in dB")
     p.add_argument("--frames", type=int, default=256)
     p.add_argument("--rounds", type=int, default=16)
-    p.add_argument("--repeats", type=int, default=2)
-    p.add_argument("--seed", type=int, default=1)
     args = p.parse_args(argv)
-    for name in ("frames", "rounds", "repeats"):
+    for name in ("frames", "rounds"):
         if getattr(args, name) < 1:
             p.error(f"--{name} must be at least 1, got {getattr(args, name)}")
     failed = []
@@ -148,8 +148,8 @@ def main(argv: list[str] | None = None) -> int:
             pkgs = {s: load(export(getattr(args, s), Path(tmp) / s), f"polaraut_{s}")
                     for s in SIDES}
             print(f"base {args.base}, change {args.change}, code {args.code}, "
-                  f"{args.ebn0} dB, {args.frames} frames, {args.rounds} rounds, "
-                  f"best of {args.repeats}")
+                  f"{EBN0} dB, {args.frames} frames, {args.rounds} rounds, "
+                  f"best of {REPEATS}")
             print(f"{'decoder':<18} {'base ms':>9} {'change ms':>9} {'ratio':>6} {'wins':>7}")
             for label in args.decoder:
                 got = compare(pkgs, args.code, label, args)
