@@ -14,7 +14,6 @@ import ctypes
 import functools
 import itertools
 import math
-import multiprocessing
 import os
 import re
 from collections import deque
@@ -417,6 +416,9 @@ class _Process:
     outcomes have not come back."""
 
     def __init__(self) -> None:
+        # Loaded at the first worker process: a one-worker run never needs it.
+        import multiprocessing
+
         self.conn, child = multiprocessing.Pipe()
         self.proc = multiprocessing.Process(target=_serve, args=(child,), daemon=True)
         self.proc.start()

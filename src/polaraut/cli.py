@@ -102,6 +102,16 @@ def _emit(text: str, out: str | None, command: str, args: argparse.Namespace) ->
         sys.stdout.write(text)
 
 
+def _check_outputs(args: argparse.Namespace) -> None:
+    """Refuse, before any work, an --out or --summary-out that names a
+    directory or sits in a directory that does not exist."""
+    for out in (args.out, getattr(args, "summary_out", None)):
+        if out and Path(out).is_dir():
+            raise SpecError(f"cannot write {out}: it is a directory")
+        if out and not Path(out).parent.is_dir():
+            raise SpecError(f"cannot write {out}: no directory {Path(out).parent}")
+
+
 def _load_spec(path: str) -> ConstructionSpec:
     try:
         text = Path(path).read_text()
@@ -221,10 +231,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         raise SpecError(f"invalid --ebn0 list: {exc}") from exc
     if not ebn0:
         raise SpecError("--ebn0 needs at least one value")
-    if args.out and Path(args.out).is_dir():
-        raise SpecError(f"cannot write {args.out}: it is a directory")
-    if args.out and not Path(args.out).parent.is_dir():
-        raise SpecError(f"cannot write {args.out}: no directory {Path(args.out).parent}")
     cid = default_code_id(code)
     lines = [
         ["code_id", "decoder", "ebn0_db", "frames", "block_errors", "bler",
@@ -297,6 +303,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_outputs(args)
         return args.func(args)
     except CapabilityError as exc:
         print(f"error: {exc}", file=sys.stderr)

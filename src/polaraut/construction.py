@@ -5,7 +5,6 @@ and the JSON construction spec shared by the command line tools.
 from __future__ import annotations
 
 import json
-import logging
 from dataclasses import dataclass
 from typing import Any
 
@@ -29,8 +28,6 @@ __all__ = [
     "rm_code",
     "ConstructionSpec",
 ]
-
-log = logging.getLogger(__name__)
 
 
 class SpecError(ValueError):
@@ -77,7 +74,10 @@ def bhattacharyya_bec_design(epsilon: float, dimension: int, n: int) -> Monomial
     ranked = sorted(range(total), key=key)
     picked = ranked[:dimension]
     if dimension < total and z[ranked[dimension - 1]] == z[ranked[dimension]]:
-        log.warning(
+        # Only a tie logs, so only a tie loads logging.
+        import logging
+
+        logging.getLogger(__name__).warning(
             "selection boundary tie at z=%g (n=%d, K=%d, eps=%g)",
             z[ranked[dimension - 1]],
             n,

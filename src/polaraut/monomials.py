@@ -52,6 +52,10 @@ class Monomial:
         if mask is not self.mask:
             object.__setattr__(self, "mask", mask)
 
+    def __hash__(self) -> int:
+        # The generated hash((self.mask,)) builds a tuple on every call.
+        return self.mask
+
     @classmethod
     def from_indices(cls, indices: Iterable[int]) -> "Monomial":
         mask = 0

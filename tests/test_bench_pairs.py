@@ -251,6 +251,60 @@ def test_control_pairs_run_the_base_twice_into_the_same_file(tmp_path, monkeypat
         assert control["workloads"][w]["failed_share_not_worse"] is True
 
 
+# A stand-in for perfbench/run.py: its lines in perfbench's order, the raw
+# values before the result line, and its arguments echoed in the raw line.
+_STAND_IN_RUN = """
+import json, sys
+print("perfbench w1 seed=3 trace=0 jobs=2")
+print("raw " + json.dumps({"solve_s": 0.25, "setup_s": 0.125, "host_speed": 1.5,
+                           "argv": sys.argv[1:]}))
+print("  items_per_s 4 1/s")
+print(json.dumps({"correct": True, "attempted": 2, "failed": 0,
+                  "metrics": {"items_per_s": {"value": 4.0, "unit": "1/s"}}}))
+"""
+
+
+def test_run_keeps_the_raw_line_beside_the_result(tmp_path):
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text(_STAND_IN_RUN)
+    got = bench_pairs.run(tmp_path, "w1", 3, 0)
+    assert got["metrics"] == {"items_per_s": {"value": 4.0, "unit": "1/s"}}
+    assert got["raw"] == {
+        "solve_s": 0.25, "setup_s": 0.125, "host_speed": 1.5,
+        "argv": ["--workload", "w1", "--seed", "3", "--trace", "0"],
+    }
+
+
+def test_raw_values_are_summarised_per_pair(tmp_path, monkeypatch, capsys):
+    # Each side's raw values are kept per pair, next to the normalised
+    # metrics, so a setup_s ratio can be read against the probe's seconds.
+    stub_runs(tmp_path, monkeypatch)
+    stubbed_run = bench_pairs.run
+    raw_setup = iter([0.120, 0.108, 0.106, 0.118, 0.122, 0.110])
+
+    def run(checkout, workload, seed, trace):
+        got = stubbed_run(checkout, workload, seed, trace)
+        got["raw"] = {"setup_s": next(raw_setup), "host_speed": 1.0}
+        return got
+
+    monkeypatch.setattr(bench_pairs, "run", run)
+    assert bench_pairs.main([
+        "--label", "t", "--base", "B", "--change", "C", "--workload", "w1", "--pairs", "3",
+    ]) == 0
+    raw = json.loads((tmp_path / "BENCH_t.json").read_text())["workloads"]["w1"]["raw"]
+    # Pair 2 runs the change first, so its values come in change, base order.
+    assert raw["setup_s"]["base"]["values"] == [0.120, 0.118, 0.122]
+    assert raw["setup_s"]["change"]["values"] == [0.108, 0.106, 0.110]
+    assert raw["setup_s"]["ratio"] == pytest.approx(0.108 / 0.120)
+    assert raw["host_speed"]["ratio"] == 1.0
+    assert "w1 raw medians: setup_s 0.12 -> 0.108, host_speed 1 -> 1" in capsys.readouterr().out
+
+
+def test_no_raw_summary_without_raw_lines():
+    got = bench_pairs.summarize([(result(4.0, 2.0), result(8.0, 1.0))], BETTER)
+    assert "raw" not in got
+
+
 # Installs the handler, then waits on a sleeper inside a temporary directory,
 # as main() waits on perfbench/run.py inside its exports.  `exec` makes the
 # shell the sleeper, so it writes its own pid.

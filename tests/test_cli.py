@@ -498,6 +498,67 @@ class TestSimulate:
         assert capsys.readouterr().err == "error: --ebn0 needs at least one value\n"
 
 
+class TestOutputsCheckedFirst:
+    """Every command refuses an --out or --summary-out that names a
+    directory or a missing directory before it computes: it exits 2 and
+    writes no file and no stdout row."""
+
+    @staticmethod
+    def commands(spec):
+        return {
+            "analyze": ["analyze", "--spec", spec],
+            "sweep-epsilon": ["sweep-epsilon", "--n", "4", "--K", "8", "--grid", "0.1,0.3"],
+            "enumerate": ["enumerate", "--n", "4", "--K", "8"],
+            "sample": ["sample", "--spec", spec, "--count", "2"],
+            "simulate": ["simulate", "sc", "--spec", spec, "--ebn0", "1.0",
+                         "--max-frames", "256"],
+        }
+
+    @pytest.mark.parametrize("target", ["missing/out.txt", "outdir"])
+    @pytest.mark.parametrize(
+        "command", ["analyze", "sweep-epsilon", "enumerate", "sample", "simulate"]
+    )
+    def test_unwritable_out_exits_2_with_no_output(self, tmp_path, capsys, command, target):
+        spec = write_spec(tmp_path, "spec.json", {"kind": "reed_muller", "n": 4, "r": 1})
+        (tmp_path / "outdir").mkdir()
+        out = str(tmp_path / target)
+        assert main([*self.commands(spec)[command], "--out", out]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write {out}: ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["outdir", "spec.json"]
+        assert not any((tmp_path / "outdir").iterdir())
+
+    @pytest.mark.parametrize("with_out", [True, False])
+    @pytest.mark.parametrize("target", ["missing/summary.csv", "outdir"])
+    def test_unwritable_summary_out_exits_2_with_no_output(
+        self, tmp_path, capsys, target, with_out
+    ):
+        (tmp_path / "outdir").mkdir()
+        summary = str(tmp_path / target)
+        args = ["enumerate", "--n", "3", "--K", "2", "--summary-out", summary]
+        if with_out:
+            args += ["--out", str(tmp_path / "ok.csv")]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write {summary}: ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["outdir"]
+
+    def test_no_work_before_the_check(self, tmp_path, capsys, monkeypatch):
+        def no_work(*args):
+            raise AssertionError("a command computed before its outputs were checked")
+
+        for name in ("enumerate_decreasing_codes", "bhattacharyya_bec_design",
+                     "find_block_structure", "run_bler"):
+            monkeypatch.setattr(cli, name, no_work)
+        spec = write_spec(tmp_path, "spec.json", {"kind": "reed_muller", "n": 4, "r": 1})
+        out = str(tmp_path / "missing" / "out.txt")
+        for args in self.commands(spec).values():
+            assert main([*args, "--out", out]) == 2
+            assert capsys.readouterr().err.startswith(f"error: cannot write {out}: ")
+
+
 class TestParserReuse:
     @staticmethod
     def run_calls(tmp_path, capsys, fresh):

@@ -7,6 +7,9 @@ import argparse
 import ast
 import importlib.util
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -33,6 +36,16 @@ PUBLIC_NAMES = (
     "partial_order_leq", "polar_transform", "position_action", "rm_code",
     "row_to_monomial", "run_bler", "sample_blta", "sc_decode_batch",
     "scl_decode_batch", "stabilizes", "transmit", "wilson_interval",
+)
+
+
+# The PUBLIC_NAMES that live in polaraut.verify, which the package root
+# loads on first use.
+VERIFY_NAMES = (
+    "AffineAutomorphism", "Permutation", "block_reversal_matrix",
+    "brute_force_stabilizer", "interval_disjoint_decomposition",
+    "is_code_automorphism", "lemma1_decompose", "position_action",
+    "sample_blta", "stabilizes",
 )
 
 
@@ -125,3 +138,53 @@ def test_simulate_takes_only_its_options():
 @pytest.mark.parametrize("name", PUBLIC_NAMES)
 def test_package_root_keeps_its_names(name):
     assert hasattr(polaraut, name)
+
+
+def fresh(code: str) -> list[str]:
+    """The stdout lines of code run in a fresh interpreter that imports
+    this package."""
+    path = os.pathsep.join(filter(None, (str(PACKAGE.parent), os.environ.get("PYTHONPATH"))))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, check=True,
+    )
+    return done.stdout.splitlines()
+
+
+def test_import_leaves_verify_multiprocessing_and_logging_unloaded():
+    assert fresh(
+        "import sys, polaraut, polaraut.cli\n"
+        "for m in ('polaraut.verify', 'multiprocessing', 'logging'):\n"
+        "    print(m, m in sys.modules)"
+    ) == ["polaraut.verify False", "multiprocessing False", "logging False"]
+
+
+@pytest.mark.parametrize("name", VERIFY_NAMES)
+def test_verify_names_load_on_first_use(name):
+    assert name in PUBLIC_NAMES
+    assert fresh(
+        "import sys, polaraut\n"
+        "print('polaraut.verify' in sys.modules)\n"
+        f"got = polaraut.{name}\n"
+        "from polaraut import verify\n"
+        f"print(got is verify.{name}, {name!r} in dir(polaraut))"
+    ) == ["False", "True True"]
+
+
+def test_verify_module_is_an_attribute_of_the_root():
+    assert fresh(
+        "import sys, polaraut\n"
+        "print(polaraut.verify is sys.modules['polaraut.verify'], 'verify' in dir(polaraut))"
+    ) == ["True True"]
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        polaraut.no_such_name  # noqa: B018
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_multiprocessing_loads_with_the_first_worker_process(workers):
+    assert fresh(
+        "import sys, polaraut\n"
+        f"polaraut.run_bler(polaraut.rm_code(1, 4), 'sc', [1.0], master_seed=0, "
+        f"max_frames=512, workers={workers})\n"
+        "print('multiprocessing' in sys.modules)"
+    ) == [str(workers > 1)]

@@ -9,7 +9,9 @@ committed files only, both sides run from the same path, and each run
 lasts as long as its revision's BENCHMARK.json sets.  Pair k runs both
 sides with seed first_seed + k, the base first on even k and the change
 first on odd k, so a slow drift of the host's speed falls on both sides
-alike.  Each run's result is the last line of its stdout.
+alike.  Each run's result is the last line of its stdout, and its raw
+values the `raw {...}` line before it: the unnormalised solve seconds,
+the raw set-up seconds of the revision's own package, and host_speed.
 BENCH_<label>.json, written at the repository root, holds both commits
 and, per workload and metric, each side's median and quartiles, the
 change-over-base ratio of the medians, and in how many pairs the change
@@ -24,7 +26,11 @@ a move no one claimed (peak_rss_mb's quartiles can lie 0.1 MB apart, so a
 whether it is within that bound: the change's median is no worse than the
 base's by more than that fraction of the base's median.  Per workload it
 holds each side's failed and attempted operations, summed over the pairs,
-and whether the change's failed share is no larger than the base's.  The
+and whether the change's failed share is no larger than the base's, and,
+under "raw", each raw value's per-pair values, median, quartiles and
+ratio per side: perfbench normalises setup_s by a frozen copy of the
+package timed in the same run, so the raw set-up seconds show what the
+probe itself measured beside that ratio.  The
 file is rewritten after every pair, so a stopped run keeps the pairs it
 finished; at the end each metric's wins, claim rule and bound check are
 printed, and per workload each side's failed/attempted operations, then
@@ -73,6 +79,13 @@ def spread(values: list[float]) -> dict:
     return {"median": med, "q1": q1, "q3": q3, "values": values}
 
 
+def compare(base: list[float], change: list[float]) -> dict:
+    """Both sides' spreads and the change-over-base ratio of the medians."""
+    b_spread, c_spread = spread(base), spread(change)
+    b_med, c_med = b_spread["median"], c_spread["median"]
+    return {"base": b_spread, "change": c_spread, "ratio": c_med / b_med if b_med else None}
+
+
 def summarize(
     pairs: list[tuple[dict, dict]], better: dict[str, str], bounds: dict[str, float] | None = None
 ) -> dict:
@@ -82,6 +95,8 @@ def summarize(
     pairs holds (base, change) results as run.py prints them, better maps
     each metric name to "higher" or "lower", and bounds maps the end-to-end
     metrics to their no-regression bound, a fraction of the base's median.
+    When every result holds its run's `raw` values, "raw" holds both sides'
+    spreads and ratio per raw value.
     """
     bounds = bounds or {}
     metrics = {}
@@ -89,15 +104,14 @@ def summarize(
         base = [b["metrics"][name]["value"] for b, _ in pairs]
         change = [c["metrics"][name]["value"] for _, c in pairs]
         sign = 1 if better[name] == "higher" else -1
-        b_spread, c_spread = spread(base), spread(change)
-        b_med, c_med = b_spread["median"], c_spread["median"]
+        sides = compare(base, change)
+        b_spread = sides["base"]
+        b_med, c_med = b_spread["median"], sides["change"]["median"]
         wins = sum(sign * (c - b) > 0 for b, c in zip(base, change))
         metrics[name] = {
             "unit": pairs[0][0]["metrics"][name]["unit"],
             "better": better[name],
-            "base": b_spread,
-            "change": c_spread,
-            "ratio": c_med / b_med if b_med else None,
+            **sides,
             "wins": wins,
             "pairs": len(pairs),
             "claim_rule_met": wins >= math.ceil(0.9 * len(pairs))
@@ -114,8 +128,14 @@ def summarize(
     }
     share = {side: ops["failed"] / ops["attempted"] if ops["attempted"] else 0.0
              for side, ops in operations.items()}
-    return {"metrics": metrics, "operations": operations,
-            "failed_share_not_worse": share["change"] <= share["base"]}
+    out = {"metrics": metrics, "operations": operations,
+           "failed_share_not_worse": share["change"] <= share["base"]}
+    if all("raw" in b and "raw" in c for b, c in pairs):
+        out["raw"] = {
+            name: compare([b["raw"][name] for b, _ in pairs], [c["raw"][name] for _, c in pairs])
+            for name in pairs[0][0]["raw"]
+        }
+    return out
 
 
 def git(*args: str) -> bytes:
@@ -130,7 +150,8 @@ def export(commit: str, dest: Path) -> Path:
 
 
 def run(checkout: Path, workload: str, seed: int, trace: int) -> dict:
-    """The result line of one perfbench/run.py in checkout."""
+    """The result line of one perfbench/run.py in checkout, with the values
+    of its `raw` line, if it prints one, under "raw"."""
     cmd = [
         sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
         "--trace", str(trace),
@@ -139,7 +160,12 @@ def run(checkout: Path, workload: str, seed: int, trace: int) -> dict:
     if done.returncode != 0:
         sys.stderr.write(done.stderr[-2000:])
         raise SystemExit(f"{workload} seed {seed} in {checkout}: exit {done.returncode}")
-    return json.loads(done.stdout.strip().splitlines()[-1])
+    lines = done.stdout.strip().splitlines()
+    result = json.loads(lines[-1])
+    for line in lines:
+        if line.startswith("raw "):
+            result["raw"] = json.loads(line.removeprefix("raw "))
+    return result
 
 
 def stop_on_sigterm() -> signal.Handlers | Callable | None:
@@ -241,6 +267,11 @@ def run_pairs(args: argparse.Namespace) -> int:
             bound = f", within bound: {m['within_bound']}" if "within_bound" in m else ""
             print(f"{w} {name}: wins {m['wins']}/{m['pairs']}, "
                   f"claim rule met: {m['claim_rule_met']}{bound}")
+        if "raw" in got:
+            print(f"{w} raw medians: " + ", ".join(
+                f"{name} {r['base']['median']:.4g} -> {r['change']['median']:.4g}"
+                for name, r in got["raw"].items()
+            ))
         print(f"{w} failed operations: " + ", ".join(
             f"{side} {ops['failed']}/{ops['attempted']}" for side, ops in got["operations"].items()
         ) + f", failed share not worse: {got['failed_share_not_worse']}")
