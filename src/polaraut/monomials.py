@@ -299,6 +299,8 @@ class MonomialCode:
             for f in info_set:
                 digits[~f.mask] = one
         except IndexError:
+            # The lowest offender, not the first the set happens to yield.
+            f = min(g for g in info_set if g.mask >> n)
             raise ValueError(f"monomial {f} uses variables beyond x{n - 1}") from None
         self.__dict__.update(n=n, members=int(digits, 2), info_set=info_set)
 

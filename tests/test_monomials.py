@@ -331,6 +331,13 @@ class TestMonomialCode:
         with pytest.raises(ValueError, match="x3"):
             MonomialCode(3, frozenset({Monomial(0), Monomial(0b1010)}))
 
+    def test_validation_names_the_lowest_out_of_range_monomial(self):
+        # Set order follows the hash, so the message does not depend on it.
+        bad = [Monomial(0b10000), Monomial(0b0110), Monomial(0b1100), Monomial(0b0010)]
+        for order in (bad, bad[::-1]):
+            with pytest.raises(ValueError, match="^monomial x1x2 uses variables beyond x1$"):
+                MonomialCode(2, order)
+
     def test_from_members_round_trip(self):
         rng = np.random.default_rng(82)
         cases = [random_decreasing_code(rng, int(rng.integers(1, 9))) for _ in range(20)]
