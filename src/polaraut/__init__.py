@@ -32,7 +32,6 @@ from .codec import (  # noqa: F401
 )
 from .channel import (  # noqa: F401
     ChannelParams,
-    DecoderSpec,
     SimResult,
     run_bler,
     transmit,

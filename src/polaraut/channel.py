@@ -43,7 +43,6 @@ __all__ = [
     "STREAM_VERSION",
     "Z95",
     "ChannelParams",
-    "DecoderSpec",
     "SimResult",
     "transmit",
     "wilson_interval",
@@ -138,53 +137,29 @@ def wilson_interval(errors: int, trials: int) -> tuple[float, float]:
     return lo, hi
 
 
-_SPEC_RE = re.compile(r"^(?:sc|scl-(\d+)|aut-(\d+)-sc(-lta)?(-fixed)?)(-min-sum)?$")
+_NAME_RE = re.compile(r"^(?:sc|scl-(\d+)|aut-(\d+)-sc(-lta)?(-fixed)?)(-min-sum)?$")
 
 
-@dataclass(frozen=True)
-class DecoderSpec:
-    """Parsed decoder description: sc, scl-<L> (L >= 2) or
-    aut-<M>-sc[-lta][-fixed], then optionally -min-sum.  -fixed draws one
-    ensemble per run rather than M maps per frame; -min-sum picks the
-    min-sum check node (a codec kernel) over the exact boxplus."""
-
-    kind: str
-    list_size: int = 1
-    ensemble_size: int = 1
-    lta_only: bool = False
-    fixed: bool = False
-    kernel: str = "exact_boxplus"
-
-    @property
-    def label(self) -> str:
-        """The canonical name: parse(spec.label) == spec."""
-        if self.kind != "aut_sc":
-            name = "sc" if self.kind == "sc" else f"scl-{self.list_size}"
-        else:
-            name = f"aut-{self.ensemble_size}-sc" + "-lta" * self.lta_only + "-fixed" * self.fixed
-        return name + "-min-sum" * (self.kernel == "min_sum")
-
-    @classmethod
-    def parse(cls, text: str) -> "DecoderSpec":
-        got = _SPEC_RE.match(text.strip().lower())
-        if not got:
-            raise ValueError(
-                f"invalid decoder spec {text!r}; expected sc, scl-<L> (L >= 2) or "
-                "aut-<M>-sc[-lta][-fixed], then optionally -min-sum"
-            )
-        list_size, ensemble_size, lta, fixed, min_sum = got.groups()
-        kernel = "min_sum" if min_sum else "exact_boxplus"
-        if list_size is None and ensemble_size is None:
-            return cls("sc", kernel=kernel)
-        size = int(list_size or ensemble_size)
-        if size < 1:
-            raise ValueError(f"{'list' if list_size else 'ensemble'} size must be positive")
-        if list_size:
-            if size == 1:
-                raise ValueError("scl-1 decodes as sc; name it sc, or give scl a list of 2 or more")
-            return cls("scl", list_size=size, kernel=kernel)
-        return cls("aut_sc", ensemble_size=size, lta_only=bool(lta), fixed=bool(fixed),
-                   kernel=kernel)
+def _decoder(name: str) -> tuple[str, str, int, bool, bool, str]:
+    """A decoder name, in any letter case, as (label, kind, size, lta_only,
+    fixed, kernel): kind sc, scl or aut_sc, size its L, M or 1 for sc, and
+    the label the name lower-cased without leading zeros."""
+    text = name.strip().lower()
+    got = _NAME_RE.match(text)
+    if not got:
+        raise ValueError(
+            f"invalid decoder spec {name!r}; expected sc, scl-<L> (L >= 2) or "
+            "aut-<M>-sc[-lta][-fixed], then optionally -min-sum"
+        )
+    list_size, ensemble_size, lta, fixed, min_sum = got.groups()
+    kind = "scl" if list_size else "aut_sc" if ensemble_size else "sc"
+    size = int(list_size or ensemble_size or 1)
+    if size < 1:
+        raise ValueError(f"{'list' if list_size else 'ensemble'} size must be positive")
+    if kind == "scl" and size == 1:
+        raise ValueError("scl-1 decodes as sc; name it sc, or give scl a list of 2 or more")
+    label = re.sub(r"-0+(?=\d)", "-", text)
+    return label, kind, size, bool(lta), bool(fixed), "min_sum" if min_sum else "exact_boxplus"
 
 
 @dataclass(frozen=True)
@@ -199,6 +174,8 @@ class SimResult:
     def __post_init__(self) -> None:
         for name in ("frames", "block_errors"):
             object.__setattr__(self, name, _count(name, getattr(self, name)))
+        if not self.frames:
+            raise ValueError("frames must be positive")
         if self.block_errors > self.frames:
             raise ValueError("block_errors must be in 0..frames")
 
@@ -300,8 +277,9 @@ def _automorphism_draw(
 def _run_batch(args: tuple) -> tuple[int, int]:
     """Simulate frames [lo, hi) at one SNR, whose frames `key` keys (see
     _frame_key); returns (frames, block errors).  The structure run_bler
-    passes is None unless the spec is Aut-SC."""
-    code, spec, structure, ebn0_db, key, lo, hi, fixed_tables = args
+    passes is None unless the decoder (see _decoder) is Aut-SC."""
+    code, decoder, structure, ebn0_db, key, lo, hi, fixed_tables = args
+    _, kind, width, _, _, kernel = decoder  # width: the list or the ensemble size
     size = code.block_length
     params = ChannelParams(ebn0_db, code.dimension / size)
     batch = hi - lo
@@ -309,22 +287,21 @@ def _run_batch(args: tuple) -> tuple[int, int]:
     sent = encode_batch(code, msgs)
     llrs = transmit(sent, params, noise)
     del msgs, noise
-    if spec.kind == "sc":
-        _, words = sc_decode_batch(code, llrs, spec.kernel)
-    elif spec.kind == "scl":
-        _, words = scl_decode_batch(code, llrs, spec.list_size, spec.kernel)
+    if kind == "sc":
+        _, words = sc_decode_batch(code, llrs, kernel)
+    elif kind == "scl":
+        _, words = scl_decode_batch(code, llrs, width, kernel)
     else:
         if fixed_tables is not None:
             tables = fixed_tables
         else:
             # Automorphism words live in their own counter ranges, so
             # messages and noise match the SC and SCL streams frame for frame.
-            m = spec.ensemble_size
-            draws = _automorphism_draw(key, lo, hi, blta_bounds(structure), m)
-            aut_rows, aut_offs = sample_blta_batch(structure, batch * m, draws)
+            draws = _automorphism_draw(key, lo, hi, blta_bounds(structure), width)
+            aut_rows, aut_offs = sample_blta_batch(structure, batch * width, draws)
             del draws
-            tables = position_tables_batch(aut_rows, aut_offs).reshape(batch, m, size)
-        _, words = aut_sc_decode_batch(code, llrs, tables, spec.kernel)
+            tables = position_tables_batch(aut_rows, aut_offs).reshape(batch, width, size)
+        _, words = aut_sc_decode_batch(code, llrs, tables, kernel)
     errors = int((words != sent).any(axis=1).sum())
     return batch, errors
 
@@ -581,8 +558,8 @@ def run_bler(
     batches, so with one worker only the batches read run.  Frame f's
     messages, noise and automorphism integers come from counter blocks
     fixed by f (see STREAM_VERSION), the same for every decoder.  decoder
-    is a name or a sequence of names, whose results come decoder-major
-    (pass spec.label for a DecoderSpec), and the name alone picks the
+    is a name or a sequence of names (see _decoder), whose results come
+    decoder-major under each name's label, and the name alone picks the
     check-node rule; anything else raises TypeError.  Before any batch
     runs, an unknown name or no name, an Eb/N0 list that is not a sequence
     or 1-D array of finite real numbers (a string, a bool or a bare number
@@ -599,7 +576,7 @@ def run_bler(
             raise TypeError(f"decoder must be a name, got {type(name).__name__}")
     if not names:
         raise ValueError("decoder must hold at least one name")
-    specs = [DecoderSpec.parse(name) for name in names]
+    decoders = [_decoder(name) for name in names]
     ebn0 = _ebn0_grid(ebn0_list)
     seed = _count("master_seed", master_seed)
     max_frames = _positive_int("max_frames", max_frames)
@@ -607,18 +584,18 @@ def run_bler(
     if target_errors is not None:
         target_errors = _positive_int("target_errors", target_errors)
     _keep_heap()
-    points = []  # decoder-major: (spec, block structure, fixed tables, SNR index)
-    for spec in specs:
+    points = []  # decoder-major: (parsed name, block structure, fixed tables, SNR index)
+    for parsed in decoders:
+        _, kind, width, lta_only, fixed, _ = parsed
         structure = fixed_tables = None
-        if spec.kind == "aut_sc":
-            structure = (BlockStructure((1,) * code.n) if spec.lta_only
+        if kind == "aut_sc":
+            structure = (BlockStructure((1,) * code.n) if lta_only
                          else find_block_structure(code))
-            if spec.fixed:
+            if fixed:
                 seq = np.random.SeedSequence(seed, spawn_key=(_ENSEMBLE_TAG,))
                 rng = np.random.Generator(np.random.Philox(seq))
-                r, o = sample_blta_batch(structure, spec.ensemble_size, rng)
-                fixed_tables = position_tables_batch(r, o)
-        points += [(spec, structure, fixed_tables, i) for i in range(len(ebn0))]
+                fixed_tables = position_tables_batch(*sample_blta_batch(structure, width, rng))
+        points += [(parsed, structure, fixed_tables, i) for i in range(len(ebn0))]
 
     batches = -(-max_frames // _BATCH_FRAMES)
     results: list[SimResult | None] = [None] * len(points)
@@ -644,10 +621,10 @@ def run_bler(
             p = next((p for p in open_points if submitted[p] - read[p] < need(p)), None)
             if p is None:
                 return
-            spec, structure, fixed_tables, i = points[p]
+            parsed, structure, fixed_tables, i = points[p]
             lo = submitted[p] * _BATCH_FRAMES
             hi = min(lo + _BATCH_FRAMES, max_frames)
-            args = (code, spec, structure, ebn0[i], keys[i], lo, hi, fixed_tables)
+            args = (code, parsed, structure, ebn0[i], keys[i], lo, hi, fixed_tables)
             executor.submit(p, _run_batch, args)
             submitted[p] += 1
 
@@ -659,8 +636,8 @@ def run_bler(
             errors[p] += got_errors
             read[p] += 1
             if read[p] == batches or errors[p] >= (target_errors or math.inf):
-                spec, *_, i = points[p]
-                results[p] = SimResult(spec.label, ebn0[i], frames[p], errors[p])
+                (label, *_), *_, i = points[p]
+                results[p] = SimResult(label, ebn0[i], frames[p], errors[p])
                 executor.drop(p)
             fill(executor)
     return results

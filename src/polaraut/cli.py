@@ -132,14 +132,21 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
+def _floats(text: str, option: str) -> list[float]:
+    try:
+        values = [float(part) for part in text.split(",") if part.strip()]
+    except ValueError as exc:
+        raise SpecError(f"invalid {option} list: {exc}") from exc
+    if not values:
+        raise SpecError(f"{option} needs at least one value")
+    return values
+
+
 def _parse_grid(text: str | None) -> list[float]:
     if text is None:
         return [float(e) for e in np.geomspace(1e-4, 0.5, 25)]
-    try:
-        grid = [float(part) for part in text.split(",") if part.strip()]
-    except ValueError as exc:
-        raise SpecError(f"invalid grid: {exc}") from exc
-    if not grid or any(not 0.0 < e < 1.0 for e in grid):
+    grid = _floats(text, "--grid")
+    if any(not 0.0 < e < 1.0 for e in grid):
         raise SpecError("grid values must lie in (0, 1)")
     return grid
 
@@ -225,12 +232,7 @@ def _cmd_sample(args: argparse.Namespace) -> int:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     spec = _load_spec(args.spec)
     code = spec.build()
-    try:
-        ebn0 = [float(part) for part in args.ebn0.split(",") if part.strip()]
-    except ValueError as exc:
-        raise SpecError(f"invalid --ebn0 list: {exc}") from exc
-    if not ebn0:
-        raise SpecError("--ebn0 needs at least one value")
+    ebn0 = _floats(args.ebn0, "--ebn0")
     cid = default_code_id(code)
     lines = [
         ["code_id", "decoder", "ebn0_db", "frames", "block_errors", "bler",

@@ -60,9 +60,10 @@ class Monomial:
     def from_indices(cls, indices: Iterable[int]) -> "Monomial":
         mask = 0
         for i in indices:
-            if not 0 <= i < MAX_VARS:
-                raise ValueError(f"variable index out of range: {i}")
-            mask |= 1 << i
+            index = _plain_int(i)
+            if index is None or not 0 <= index < MAX_VARS:
+                raise ValueError(f"variable index must be an int in 0..{MAX_VARS - 1}, got {i!r}")
+            mask |= 1 << index
         return cls(mask)
 
     @property
@@ -98,9 +99,10 @@ def monomial_to_row(f: Monomial, n: int) -> int:
 def row_to_monomial(row: int, n: int) -> Monomial:
     """Inverse of monomial_to_row."""
     n = _check_n(n)
-    if not 0 <= row < 1 << n:
-        raise ValueError(f"row index out of range for n={n}: {row}")
-    return Monomial((1 << n) - 1 ^ row)
+    index = _plain_int(row)
+    if index is None or not 0 <= index < 1 << n:
+        raise ValueError(f"row index must be an int in 0..{(1 << n) - 1} for n={n}, got {row!r}")
+    return Monomial((1 << n) - 1 ^ index)
 
 
 def _plain_int(value: object) -> int | None:

@@ -17,7 +17,8 @@ _HAS_HEAD = subprocess.run(
 ).returncode == 0
 pytestmark = pytest.mark.skipif(not _HAS_HEAD, reason="needs a git checkout with a commit")
 
-DECODERS = ["sc", "scl-2", "scl-3-min-sum", "aut-2-sc", "aut-2-sc-lta-fixed"]
+DECODERS = ["sc", "scl-2", "scl-3-min-sum", "aut-2-sc", "aut-2-sc-lta-fixed",
+            "AUT-02-SC-LTA-FIXED"]
 ARGS = ["--base", "HEAD", "--change", "HEAD", "--code",
         '{"kind": "generators", "n": 5, "generators": [11, 12]}',
         "--frames", "8", "--rounds", "2"]

@@ -1,7 +1,6 @@
 """Channel model, interval estimates, decoder spec parsing, and the
 Monte Carlo harness: determinism, stop rules, worker invariance."""
 
-import dataclasses
 import math
 import multiprocessing
 import os
@@ -21,7 +20,6 @@ from hypothesis import strategies as st
 from polaraut import channel
 from polaraut.channel import (
     ChannelParams,
-    DecoderSpec,
     SimResult,
     run_bler,
     transmit,
@@ -326,25 +324,29 @@ class TestWilsonInterval:
 
 
 class TestDecoderSpec:
+    """channel._decoder: a decoder spec is its name, parsed to
+    (label, kind, size, lta_only, fixed, kernel)."""
+
     def test_parse_forms(self):
-        assert DecoderSpec.parse("sc").kind == "sc"
-        scl = DecoderSpec.parse("scl-8")
-        assert (scl.kind, scl.list_size) == ("scl", 8)
-        aut = DecoderSpec.parse("aut-4-sc")
-        assert (aut.kind, aut.ensemble_size, aut.lta_only) == ("aut_sc", 4, False)
-        lta = DecoderSpec.parse("AUT-8-SC-LTA")
-        assert (lta.kind, lta.ensemble_size, lta.lta_only) == ("aut_sc", 8, True)
+        assert channel._decoder("sc") == ("sc", "sc", 1, False, False, "exact_boxplus")
+        assert channel._decoder("scl-8") == ("scl-8", "scl", 8, False, False, "exact_boxplus")
+        assert channel._decoder("aut-4-sc") == (
+            "aut-4-sc", "aut_sc", 4, False, False, "exact_boxplus"
+        )
+        assert channel._decoder("AUT-8-SC-LTA") == (
+            "aut-8-sc-lta", "aut_sc", 8, True, False, "exact_boxplus"
+        )
 
     def test_label_preserved(self):
-        assert DecoderSpec.parse("scl-32").label == "scl-32"
+        assert channel._decoder("scl-32")[0] == "scl-32"
 
     def test_fixed_suffix(self):
-        fixed = DecoderSpec.parse("AUT-04-SC-LTA-FIXED")
-        assert (fixed.kind, fixed.ensemble_size, fixed.lta_only, fixed.fixed) == (
-            "aut_sc", 4, True, True
+        assert channel._decoder("AUT-04-SC-LTA-FIXED") == (
+            "aut-4-sc-lta-fixed", "aut_sc", 4, True, True, "exact_boxplus"
         )
-        assert fixed.label == "aut-4-sc-lta-fixed"
-        assert not DecoderSpec.parse("aut-4-sc").fixed
+        assert channel._decoder("aut-4-sc-min-sum") == (
+            "aut-4-sc-min-sum", "aut_sc", 4, False, False, "min_sum"
+        )
 
     @pytest.mark.parametrize(
         "text, label",
@@ -360,28 +362,41 @@ class TestDecoderSpec:
         ],
     )
     def test_label_is_canonical_and_round_trips(self, text, label):
-        spec = DecoderSpec.parse(text)
-        assert spec.label == label
-        assert DecoderSpec.parse(spec.label) == spec
+        got = channel._decoder(text)
+        assert got[0] == label
+        assert channel._decoder(label) == got
 
     @given(
         kind=st.sampled_from(["sc", "scl", "aut_sc"]),
         size=st.integers(1, 10**6),
+        zeros=st.integers(0, 3),
         lta_only=st.booleans(),
         fixed=st.booleans(),
-        kernel=st.sampled_from(["exact_boxplus", "min_sum"]),
+        min_sum=st.booleans(),
+        upper=st.integers(0, 2**40 - 1),
     )
-    def test_every_valid_spec_round_trips(self, kind, size, lta_only, fixed, kernel):
-        # The valid specs: a size for scl and aut_sc only (scl from 2, since
-        # a list of one is sc), the ensemble flags for aut_sc only, and
-        # either kernel for all three.
-        fields = {"scl": {"list_size": size + 1},
-                  "aut_sc": {"ensemble_size": size, "lta_only": lta_only, "fixed": fixed}}
-        spec = DecoderSpec(kind, kernel=kernel, **fields.get(kind, {}))
-        assert DecoderSpec.parse(spec.label) == spec
-
-    def test_label_is_derived_not_stored(self):
-        assert "label" not in {f.name for f in dataclasses.fields(DecoderSpec)}
+    def test_every_valid_spec_round_trips(self, kind, size, zeros, lta_only, fixed, min_sum,
+                                          upper):
+        # Names drawn from the grammar: a size for scl and aut_sc only (scl
+        # from 2, since a list of one is sc), written with leading zeros;
+        # the ensemble suffixes for aut_sc only; -min-sum for all three;
+        # and each letter in either case (bit i of `upper` for character i).
+        size += kind == "scl"
+        lta_only, fixed = lta_only and kind == "aut_sc", fixed and kind == "aut_sc"
+        if kind == "sc":
+            stem, padded = "sc", "sc"
+        elif kind == "scl":
+            stem, padded = f"scl-{size}", f"scl-{'0' * zeros}{size}"
+        else:
+            tail = "-sc" + "-lta" * lta_only + "-fixed" * fixed
+            stem, padded = f"aut-{size}{tail}", f"aut-{'0' * zeros}{size}{tail}"
+        label = stem + "-min-sum" * min_sum
+        name = "".join(c.upper() if upper >> i & 1 else c
+                       for i, c in enumerate(padded + "-min-sum" * min_sum))
+        want = (label, kind, size if kind != "sc" else 1, lta_only, fixed,
+                "min_sum" if min_sum else "exact_boxplus")
+        assert channel._decoder(name) == want
+        assert channel._decoder(label) == channel._decoder(name)
 
     @pytest.mark.parametrize(
         "text",
@@ -394,7 +409,7 @@ class TestDecoderSpec:
     )
     def test_rejects_malformed(self, text):
         with pytest.raises(ValueError):
-            DecoderSpec.parse(text)
+            channel._decoder(text)
 
 
 class TestSimResult:
@@ -406,6 +421,12 @@ class TestSimResult:
     def test_validation(self):
         with pytest.raises(ValueError):
             SimResult("sc", 1.0, frames=10, block_errors=11)
+
+    def test_zero_frames_rejected(self):
+        # SimResult("sc", 1.0, 0, 0) built, then bler raised
+        # ZeroDivisionError and ci95 "trials must be positive".
+        with pytest.raises(ValueError, match="frames must be positive"):
+            SimResult("sc", 1.0, frames=0, block_errors=0)
 
     @pytest.mark.parametrize(
         "frames, block_errors", [(2.5, 1), (10, 1.0), (True, 0), (10, np.bool_(False)), (-1, 0)]
@@ -825,12 +846,11 @@ class TestRunBler:
 
     @pytest.mark.parametrize(
         "spec",
-        [DecoderSpec("sc", fixed=True), DecoderSpec("viterbi"),
-         DecoderSpec("aut_sc", ensemble_size=0)],
+        [object(), Fraction(4), {"kind": "sc"}],
     )
     def test_decoder_spec_object_rejected_before_any_batch(self, monkeypatch, spec):
-        # A DecoderSpec built directly skips parse's checks, so run_bler
-        # takes names only; callers holding a spec pass spec.label.
+        # A decoder is its name: run_bler takes no other object for one (a
+        # bare number or None in a sequence is checked below).
         monkeypatch.setattr(channel, "_run_batch", self.no_batch)
         with pytest.raises(TypeError, match="decoder must be a name"):
             run_bler(small_code(), spec, [1.0], master_seed=0)
@@ -843,11 +863,10 @@ class TestRunBler:
 
     @pytest.mark.parametrize(
         "decoders",
-        [[DecoderSpec("sc")], ["sc", DecoderSpec("scl", list_size=4)], ("sc", None),
-         ["aut-4-sc", 4], [b"sc"], (DecoderSpec("sc"),)],
+        [[object()], ["sc", 4.0], ("sc", None), ["aut-4-sc", 4], [b"sc"], (object(),)],
     )
     def test_non_name_in_a_sequence_rejected_before_any_batch(self, monkeypatch, decoders):
-        # Every element is checked, a DecoderSpec too, before any name is parsed.
+        # Every element is checked before any name is parsed.
         monkeypatch.setattr(channel, "_run_batch", self.no_batch)
         with pytest.raises(TypeError, match="^decoder must be a name"):
             run_bler(small_code(), decoders, [1.0], master_seed=0, workers=2)
@@ -1013,12 +1032,12 @@ from polaraut import channel
 from polaraut.construction import ConstructionSpec
 code = ConstructionSpec.from_dict({"kind": "generators", "n": 8, "generators": [31, 57]}).build()
 channel.run_bler(code, "aut-8-sc", [2.5], master_seed=0, target_errors=None, max_frames=1)
-spec = channel.DecoderSpec.parse("aut-8-sc")
+decoder = channel._decoder("aut-8-sc")
 structure = channel.find_block_structure(code)
 key = channel._frame_key(3, 0)
 for k in range(8):
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    channel._run_batch((code, spec, structure, 2.5, key, 256 * k, 256 * (k + 1), None))
+    channel._run_batch((code, decoder, structure, 2.5, key, 256 * k, 256 * (k + 1), None))
     print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 """
 

@@ -181,6 +181,18 @@ class TestSweepEpsilon:
         assert main(["sweep-epsilon", "--n", "7", "--K", "64", "--grid", "abc"]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("grid", [",", " , ", ""])
+    def test_empty_grid_exits_2(self, capsys, grid):
+        # An empty list said "grid values must lie in (0, 1)".
+        assert main(["sweep-epsilon", "--n", "7", "--K", "64", "--grid", grid]) == 2
+        assert capsys.readouterr().err == "error: --grid needs at least one value\n"
+
+    def test_default_grid_is_geometric(self):
+        grid = cli._parse_grid(None)
+        assert len(grid) == 25 and grid[0] == pytest.approx(1e-4) and grid[-1] == 0.5
+        assert all(type(e) is float for e in grid)
+        assert grid[1] / grid[0] == pytest.approx(grid[-1] / grid[-2])
+
 
 class TestEnumerate:
     def test_census_rows_n4(self, tmp_path):
@@ -404,7 +416,7 @@ class TestSimulate:
         ]
 
     def test_bad_decoder_exits_2(self, tmp_path, capsys):
-        # Decoder names are DecoderSpec's grammar only: no bare scl or
+        # Decoder names follow the name grammar only: no bare scl or
         # aut-sc, no decoder flag beside the name, and the check-node rule
         # goes by the -min-sum suffix.
         spec = write_spec(tmp_path, "spec.json", {"kind": "reed_muller", "n": 4, "r": 1})

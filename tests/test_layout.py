@@ -26,7 +26,7 @@ HOT_MODULES = ("automorphisms", "channel", "codec", "cli", "monomials", "constru
 # What `import polaraut` exposed before the verification code moved.
 PUBLIC_NAMES = (
     "AffineAutomorphism", "BlockStructure", "CapabilityError", "ChannelParams",
-    "ConstructionSpec", "DecoderSpec", "Monomial", "MonomialCode", "Permutation",
+    "ConstructionSpec", "Monomial", "MonomialCode", "Permutation",
     "SimResult", "SpecError", "aut_sc_decode_batch", "bec_bhattacharyya",
     "bhattacharyya_bec_design", "block_reversal_matrix", "blta_size",
     "brute_force_stabilizer", "decreasing_closure", "encode_batch",
@@ -114,8 +114,8 @@ def test_sc_node_kinds_are_pinned():
 
 
 def test_run_bler_takes_only_its_options():
-    # Decoder properties live in the decoder's name (DecoderSpec), not in
-    # run_bler keywords; a new knob needs a deliberate edit here.
+    # Decoder properties live in the decoder's name (see channel._decoder),
+    # not in run_bler keywords; a new knob needs a deliberate edit here.
     params = inspect.signature(polaraut.run_bler).parameters.values()
     keywords = {p.name for p in params if p.kind is inspect.Parameter.KEYWORD_ONLY}
     assert [p.name for p in params if p.kind is not inspect.Parameter.KEYWORD_ONLY] == [

@@ -143,6 +143,14 @@ class TestMonomial:
         with pytest.raises(ValueError, match="out of range"):
             Monomial(np.int64(-1))
 
+    def test_indices_are_ints(self):
+        # True built x1, and 1.5 raised TypeError from the shift.
+        for index in (True, np.bool_(True), 1.5, np.float64(1.0), "1", None):
+            with pytest.raises(ValueError, match="variable index must be an int"):
+                Monomial.from_indices([0, index])
+        f = Monomial.from_indices([np.int64(2), np.uint8(0)])
+        assert type(f.mask) is int and f == Monomial(0b101)
+
     def test_ordering_is_by_mask(self):
         assert Monomial(3) < Monomial(4)
         assert sorted([Monomial(5), Monomial(2)])[0] == Monomial(2)
@@ -164,6 +172,14 @@ class TestRowMap:
         n = 6
         for row in range(1 << n):
             assert monomial_to_row(row_to_monomial(row, n), n) == row
+
+    def test_row_is_an_int(self):
+        # True gave Monomial(mask=6), and 1.5 raised TypeError.
+        for row in (True, np.bool_(False), 1.5, np.float32(2.0), "3", None):
+            with pytest.raises(ValueError, match="row index must be an int"):
+                row_to_monomial(row, 3)
+        assert row_to_monomial(np.int64(5), 3) == row_to_monomial(5, 3) == Monomial(0b010)
+        assert type(row_to_monomial(np.uint16(5), 3).mask) is int
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):

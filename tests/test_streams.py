@@ -84,8 +84,7 @@ class TestRunBatchDraws:
         seen = {}
         for name in ("encode_batch", "transmit", "sample_blta_batch"):
             self.spy(monkeypatch, name, seen)
-        spec = channel.DecoderSpec.parse("aut-3-sc")
-        args = (code, spec, structure, 2.0, KEY, lo, hi, None)
+        args = (code, channel._decoder("aut-3-sc"), structure, 2.0, KEY, lo, hi, None)
         assert channel._run_batch(args)[0] == hi - lo
 
         msgs = seen["encode_batch"][1]

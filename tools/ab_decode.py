@@ -15,7 +15,9 @@ then the base on odd r (ABBA order), each side's time the best of
 REPEATS calls.  Per decoder it prints each side's median time, the
 median of the per-round change/base ratios and the rounds the change won.
 It exits 1 if any call of either side returns a message or word that
-differs from the base's first call.
+differs from the base's first call.  Decoder names are parsed once, by
+this checkout's polaraut.channel._decoder, so either revision may predate
+that parse.
 """
 
 from __future__ import annotations
@@ -34,7 +36,9 @@ from pathlib import Path
 import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from bench_pairs import export  # noqa: E402
+from polaraut.channel import _decoder  # noqa: E402
 
 SIDES = ("base", "change")
 DEFAULT_CODE = '{"kind": "generators", "n": 8, "generators": [31, 57]}'
@@ -75,26 +79,26 @@ def inputs(pkg: types.SimpleNamespace, code, label: str, frames: int):
     noise = rng.standard_normal((frames, size))
     params = pkg.channel.ChannelParams(EBN0, code.dimension / size)
     llrs = pkg.channel.transmit(pkg.codec.encode_batch(code, msgs), params, noise)
-    spec = pkg.channel.DecoderSpec.parse(label)
-    if spec.kind != "aut_sc":
+    _, kind, m, lta_only, fixed, _ = _decoder(label)
+    if kind != "aut_sc":
         return llrs, None
     aut = pkg.automorphisms
-    structure = (aut.BlockStructure((1,) * code.n) if spec.lta_only
+    structure = (aut.BlockStructure((1,) * code.n) if lta_only
                  else aut.find_block_structure(code))
-    count = spec.ensemble_size * (1 if spec.fixed else frames)
+    count = m * (1 if fixed else frames)
     tables = aut.position_tables_batch(*aut.sample_blta_batch(structure, count, rng))
-    return llrs, tables if spec.fixed else tables.reshape(frames, spec.ensemble_size, size)
+    return llrs, tables if fixed else tables.reshape(frames, m, size)
 
 
 def decoder(pkg: types.SimpleNamespace, code, label: str, llrs, tables):
     """A no-argument call of one side's decoder on the given inputs."""
-    spec = pkg.channel.DecoderSpec.parse(label)
+    _, kind, size, _, _, kernel = _decoder(label)
     codec = pkg.codec
-    if spec.kind == "sc":
-        return lambda: codec.sc_decode_batch(code, llrs, spec.kernel)
-    if spec.kind == "scl":
-        return lambda: codec.scl_decode_batch(code, llrs, spec.list_size, spec.kernel)
-    return lambda: codec.aut_sc_decode_batch(code, llrs, tables, spec.kernel)
+    if kind == "sc":
+        return lambda: codec.sc_decode_batch(code, llrs, kernel)
+    if kind == "scl":
+        return lambda: codec.scl_decode_batch(code, llrs, size, kernel)
+    return lambda: codec.aut_sc_decode_batch(code, llrs, tables, kernel)
 
 
 def same(got, want) -> bool:
