@@ -381,7 +381,7 @@ class TestDecoderSpec:
         # from 2, since a list of one is sc), written with leading zeros;
         # the ensemble suffixes for aut_sc only; -min-sum for all three;
         # and each letter in either case (bit i of `upper` for character i).
-        size += kind == "scl"
+        size += 1 if kind == "scl" else 0
         lta_only, fixed = lta_only and kind == "aut_sc", fixed and kind == "aut_sc"
         if kind == "sc":
             stem, padded = "sc", "sc"
