@@ -1,4 +1,6 @@
-"""Automorphism groups of decreasing monomial codes, with decoders to match."""
+"""Automorphism groups of decreasing monomial codes, with decoders to match.
+
+The theory checks are in `polaraut.verify`, which this package never imports."""
 
 __version__ = "0.1.0"
 
@@ -37,29 +39,3 @@ from .channel import (  # noqa: F401
     transmit,
     wilson_interval,
 )
-
-# The verification oracles stay off the hot path: `import polaraut` leaves
-# them unloaded until one of these names, or `polaraut.verify`, is read.
-_VERIFY_NAMES = frozenset({
-    "AffineAutomorphism", "Permutation", "block_reversal_matrix",
-    "brute_force_stabilizer", "interval_disjoint_decomposition",
-    "is_code_automorphism", "lemma1_decompose", "position_action",
-    "sample_blta", "stabilizes",
-})
-
-
-def __getattr__(name):
-    if name == "verify":
-        # Not `from . import verify`: its hasattr check would call back here.
-        import importlib
-
-        return importlib.import_module(f"{__name__}.verify")
-    if name in _VERIFY_NAMES:
-        from . import verify
-
-        return getattr(verify, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__():
-    return sorted({*globals(), *_VERIFY_NAMES, "verify"})

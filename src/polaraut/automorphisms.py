@@ -192,9 +192,20 @@ def position_tables_batch(rows: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     .T view of a width-major array, the layout aut_sc_decode_batch reads
     fastest.  Built by doubling: positions j + 2**k, j < 2**k, map to the
     image of j XOR the image A e_k of the k-th basis vector, one contiguous
-    slab per step.
+    slab per step.  Raises ValueError unless rows and offsets are integer
+    arrays of those shapes with every entry in [0, 2**n).
     """
+    rows, offsets = np.asarray(rows), np.asarray(offsets)
+    if (rows.ndim != 2 or offsets.shape != rows.shape[:1]
+            or rows.dtype.kind not in "iu" or offsets.dtype.kind not in "iu"):
+        raise ValueError(
+            f"expected (count, n) integer rows and (count,) integer offsets, "
+            f"got {rows.dtype} {rows.shape} and {offsets.dtype} {offsets.shape}"
+        )
     count, n = rows.shape
+    for what, a in (("row", rows), ("offset", offsets)):
+        if a.size and (int(a.max()) >> n or a.dtype.kind == "i" and a.min() < 0):
+            raise ValueError(f"every {what} must lie in [0, {1 << n}) for n={n}")
     shifts = np.arange(n, dtype=rows.dtype)[:, None]
     cols = np.zeros((n, count), dtype=rows.dtype)
     for i in range(n):

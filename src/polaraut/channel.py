@@ -561,7 +561,8 @@ def run_bler(
     is a name or a sequence of names (see _decoder), whose results come
     decoder-major under each name's label, and the name alone picks the
     check-node rule; anything else raises TypeError.  Before any batch
-    runs, an unknown name or no name, an Eb/N0 list that is not a sequence
+    runs, an unknown name or no name, an Aut-SC name (-lta too) on a code
+    that is not decreasing, an Eb/N0 list that is not a sequence
     or 1-D array of finite real numbers (a string, a bool or a bare number
     included), a master_seed not an int >= 0, or a frame count, error
     target or worker count not a positive int raises ValueError (numpy
@@ -589,8 +590,10 @@ def run_bler(
         _, kind, width, lta_only, fixed, _ = parsed
         structure = fixed_tables = None
         if kind == "aut_sc":
-            structure = (BlockStructure((1,) * code.n) if lta_only
-                         else find_block_structure(code))
+            # Checked for -lta too: LTA maps are automorphisms of decreasing codes only.
+            structure = find_block_structure(code)
+            if lta_only:
+                structure = BlockStructure((1,) * code.n)
             if fixed:
                 seq = np.random.SeedSequence(seed, spawn_key=(_ENSEMBLE_TAG,))
                 rng = np.random.Generator(np.random.Philox(seq))

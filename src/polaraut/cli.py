@@ -213,6 +213,8 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def _cmd_sample(args: argparse.Namespace) -> int:
+    if args.seed < 0:
+        raise SpecError(f"--seed must be a non-negative int, got {args.seed}")
     spec = _load_spec(args.spec)
     code = spec.build()
     structure = find_block_structure(code)

@@ -174,18 +174,6 @@ def _variable_members(n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _swap_variables(members: int, n: int, i: int, j: int) -> int:
-    """Exchange x_i and x_j, i < j, in every member of a membership integer.
-
-    Members holding x_i but not x_j move up by 2**j - 2**i, members holding
-    x_j but not x_i move down by as much, and the others stay.
-    """
-    has = _variable_members(n)
-    up = has[i] & ~has[j]
-    d = (1 << j) - (1 << i)
-    return members & ~(up | up << d) | (members & up) << d | members >> d & up
-
-
 @lru_cache(maxsize=None)
 def _adjacent_up(n: int) -> tuple[int, ...]:
     """Per i < n-1, the membership integer of the masks holding x_i but not

@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .automorphisms import BlockStructure, position_tables_batch, sample_blta_batch
-from .monomials import CapabilityError, MonomialCode, _swap_variables, _variable_members
+from .monomials import CapabilityError, MonomialCode, _variable_members
 
 __all__ = [
     "BinaryMatrix",
@@ -240,6 +240,18 @@ class Permutation:
         for i, img in enumerate(self.images):
             rows[img] = 1 << i
         return BinaryMatrix(self.n, tuple(rows))
+
+
+def _swap_variables(members: int, n: int, i: int, j: int) -> int:
+    """Exchange x_i and x_j, i < j, in every member of a membership integer.
+
+    Members holding x_i but not x_j move up by 2**j - 2**i, members holding
+    x_j but not x_i move down by as much, and the others stay.
+    """
+    has = _variable_members(n)
+    up = has[i] & ~has[j]
+    d = (1 << j) - (1 << i)
+    return members & ~(up | up << d) | (members & up) << d | members >> d & up
 
 
 def stabilizes(perm: Permutation, code: MonomialCode) -> bool:

@@ -10,7 +10,8 @@ one per index.
 from __future__ import annotations
 
 from polaraut.automorphisms import BlockStructure
-from polaraut.monomials import MonomialCode, _swap_variables
+from polaraut.monomials import MonomialCode
+from polaraut.verify import _swap_variables
 
 
 def greedy_block_structure(code: MonomialCode) -> BlockStructure:

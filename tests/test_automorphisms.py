@@ -30,6 +30,7 @@ from polaraut.verify import (
     BinaryMatrix,
     Permutation,
     _row_reduce,
+    _swap_variables,
     block_reversal_matrix,
     brute_force_stabilizer,
     from_lists,
@@ -48,7 +49,6 @@ from polaraut.monomials import (
     Monomial,
     MonomialCode,
     _adjacent_up,
-    _swap_variables,
     _variable_members,
     decreasing_closure,
     enumerate_decreasing_codes,
@@ -657,6 +657,38 @@ class TestAffineAutomorphism:
                 position_tables_batch(rows, offsets),
                 parity_position_tables(rows, offsets),
             )
+
+    @pytest.mark.parametrize(
+        "rows, offsets, match",
+        [
+            # Offset 9 at n = 3 gave positions 8..15.
+            ([[1, 2, 4]], [9], "every offset must lie in \\[0, 8\\)"),
+            ([[1, 2, 4]], [-1], "every offset must lie"),
+            # Row 9 was read as row 1.
+            ([[9, 2, 4]], [0], "every row must lie in \\[0, 8\\)"),
+            ([[1, 2, -4]], [0], "every row must lie"),
+            # Mismatched counts raised numpy's broadcast error.
+            ([[1, 2, 4]], [0, 1], "expected \\(count, n\\) integer rows"),
+            ([[1, 2, 4], [1, 2, 4]], [0], "expected \\(count, n\\) integer rows"),
+            ([1, 2, 4], [0], "expected \\(count, n\\) integer rows"),
+            ([[1, 2, 4]], 0, "expected \\(count, n\\) integer rows"),
+            ([[1.0, 2.0, 4.0]], [0], "expected \\(count, n\\) integer rows"),
+            ([[1, 2, 4]], [0.0], "expected \\(count, n\\) integer rows"),
+            ([[True, False, False]], [0], "expected \\(count, n\\) integer rows"),
+        ],
+        ids=["offset-9", "offset-negative", "row-9", "row-negative", "more-offsets",
+             "more-rows", "rows-1d", "offsets-0d", "rows-float", "offsets-float", "rows-bool"],
+    )
+    def test_batch_tables_reject_bad_input(self, rows, offsets, match):
+        with pytest.raises(ValueError, match=match):
+            position_tables_batch(np.array(rows), np.array(offsets))
+
+    def test_batch_tables_take_any_integer_dtype(self):
+        rows, offsets = np.array([[1, 2, 4]]), np.array([7])
+        want = position_tables_batch(rows.astype(np.uint32), offsets.astype(np.uint32))
+        for t in (np.int8, np.uint8, np.int64, np.uint64):
+            got = position_tables_batch(rows.astype(t), offsets.astype(t))
+            assert got.tolist() == want.tolist() == [[7, 6, 5, 4, 3, 2, 1, 0]]
 
 
 class TestSampling:

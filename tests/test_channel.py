@@ -27,7 +27,7 @@ from polaraut.channel import (
 )
 from polaraut.cli import default_code_id
 from polaraut.construction import ConstructionSpec, bhattacharyya_bec_design
-from polaraut.monomials import Monomial, decreasing_closure
+from polaraut.monomials import Monomial, MonomialCode, decreasing_closure
 
 
 RUN_BATCH = channel._run_batch
@@ -879,6 +879,18 @@ class TestRunBler:
         monkeypatch.setattr(channel, "_run_batch", self.no_batch)
         with pytest.raises(ValueError, match="invalid decoder spec|scl-1 decodes as sc"):
             run_bler(small_code(), decoders, [1.0], master_seed=0, workers=2)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("name", ["aut-2-sc", "aut-2-sc-lta", "aut-2-sc-lta-fixed"])
+    def test_aut_sc_on_a_non_decreasing_code_rejected_before_any_batch(
+        self, monkeypatch, name, workers
+    ):
+        # {x1x2, 1} holds x1x2 but not x1 or x2.  LTA maps move it off
+        # itself, and -lta once ran them, counting errors SC does not make.
+        code = MonomialCode.from_members(3, 1 << 0b110 | 1)
+        monkeypatch.setattr(channel, "_run_batch", self.no_batch)
+        with pytest.raises(ValueError, match="defined for decreasing codes only"):
+            run_bler(code, ["sc", name], [3.0], master_seed=0, workers=workers)
 
     @pytest.mark.parametrize(
         "option, bad",

@@ -310,6 +310,14 @@ class TestSample:
             outs.append(out.read_text())
         assert outs[0] == outs[1]
 
+    def test_negative_seed_exits_2(self, tmp_path, capsys):
+        # numpy's "expected non-negative integer" named no option.
+        spec = write_spec(tmp_path, "spec.json", {"kind": "reed_muller", "n": 4, "r": 2})
+        out = tmp_path / "sample.json"
+        assert main(["sample", "--spec", spec, "--seed", "-1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: --seed must be a non-negative int, got -1\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["spec.json"]
+
 
 PINNED_SIMULATE_CSV = (
     "code_id,decoder,ebn0_db,frames,block_errors,bler,ci_lo,ci_hi,seed\n"

@@ -954,6 +954,26 @@ class TestNodeSchedule:
                 _, generic = _sc_batch(llrs.T, frozen, REFERENCE_KERNELS[kernel])
                 assert np.array_equal(codec._tree(llrs, frozen, kernel, 1)[:, :, 0].T, generic)
 
+    def test_any_frozen_mask_matches_scl_reference(self):
+        # The SCL twin of the test above.  Arbitrary masks, unlike decreasing
+        # codes, put Rate-0 nodes after the list has split, where each path
+        # pays for the frozen bits its LLRs disagree with.  Rounded LLRs
+        # and zeros tie candidate metrics.
+        rng = np.random.default_rng(82)
+        for _ in range(24):
+            n = int(rng.integers(1, 7))
+            info = np.flatnonzero(rng.random(1 << n) < rng.random())
+            members = sum(1 << ((1 << n) - 1 ^ int(row)) for row in info) or 1
+            code = MonomialCode.from_members(n, members)
+            llrs = np.round(3.0 * rng.standard_normal((24, 1 << n)))
+            llrs[rng.random(llrs.shape) < 0.05] = 0.0
+            for list_size in (2, 4, 8):
+                for kernel in KERNELS:
+                    got = scl_decode_batch(code, llrs, list_size, kernel)
+                    want = scl_reference(code, llrs, list_size, kernel)
+                    assert np.array_equal(got[0], want[0]), (code, list_size, kernel)
+                    assert np.array_equal(got[1], want[1]), (code, list_size, kernel)
+
     def test_repetition_sums_in_g_chain_order(self):
         # In the g chain 1e16 and -1e16 cancel before -1 and 0.5 are added;
         # summed left to right, -1 is lost to rounding and the sign flips.

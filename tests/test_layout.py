@@ -15,43 +15,35 @@ from pathlib import Path
 import pytest
 
 import polaraut
+import polaraut.verify as verify
 from polaraut import cli
 
 PACKAGE = Path(polaraut.__file__).parent
 
 MODULES = sorted(path.stem for path in PACKAGE.glob("*.py"))
 
-HOT_MODULES = ("automorphisms", "channel", "codec", "cli", "monomials", "construction")
+HOT_MODULES = (
+    "__init__", "automorphisms", "channel", "codec", "cli", "monomials", "construction",
+)
 
-# What `import polaraut` exposed before the verification code moved.
+# What `import polaraut` exposes: the hot API.  The verification helpers
+# are reached as `polaraut.verify` only.
 PUBLIC_NAMES = (
-    "AffineAutomorphism", "BlockStructure", "CapabilityError", "ChannelParams",
-    "ConstructionSpec", "Monomial", "MonomialCode", "Permutation",
-    "SimResult", "SpecError", "aut_sc_decode_batch", "bec_bhattacharyya",
-    "bhattacharyya_bec_design", "block_reversal_matrix", "blta_size",
-    "brute_force_stabilizer", "decreasing_closure", "encode_batch",
-    "enumerate_decreasing_codes", "find_block_structure", "frozen_mask",
-    "interval_disjoint_decomposition", "is_code_automorphism", "is_decreasing",
-    "lemma1_decompose", "minimal_generators", "monomial_to_row",
-    "partial_order_leq", "polar_transform", "position_action", "rm_code",
-    "row_to_monomial", "run_bler", "sample_blta", "sc_decode_batch",
-    "scl_decode_batch", "stabilizes", "transmit", "wilson_interval",
+    "BlockStructure", "CapabilityError", "ChannelParams", "ConstructionSpec",
+    "Monomial", "MonomialCode", "SimResult", "SpecError", "aut_sc_decode_batch",
+    "bec_bhattacharyya", "bhattacharyya_bec_design", "blta_size",
+    "decreasing_closure", "encode_batch", "enumerate_decreasing_codes",
+    "find_block_structure", "frozen_mask", "is_decreasing", "minimal_generators",
+    "monomial_to_row", "partial_order_leq", "polar_transform", "rm_code",
+    "row_to_monomial", "run_bler", "sc_decode_batch", "scl_decode_batch",
+    "transmit", "wilson_interval",
 )
 
 
-# The PUBLIC_NAMES that live in polaraut.verify, which the package root
-# loads on first use.
-VERIFY_NAMES = (
-    "AffineAutomorphism", "Permutation", "block_reversal_matrix",
-    "brute_force_stabilizer", "interval_disjoint_decomposition",
-    "is_code_automorphism", "lemma1_decompose", "position_action",
-    "sample_blta", "stabilizes",
-)
-
-
-def imported_modules(name: str) -> set[str]:
-    """Absolute names of the polaraut modules a package module imports."""
-    tree = ast.parse((PACKAGE / f"{name}.py").read_text())
+def imported_modules(name: str, source: str | None = None) -> set[str]:
+    """Absolute names of the polaraut modules a package module imports, or
+    that source would import as one."""
+    tree = ast.parse((PACKAGE / f"{name}.py").read_text() if source is None else source)
     out = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -79,7 +71,23 @@ def test_only_cli_imports_cli(name):
 
 
 def test_import_scan_sees_verify():
-    assert "polaraut.verify" in imported_modules("__init__")
+    # No package module imports verify, so the scan is checked on source
+    # that does: test_hot_modules_do_not_import_verify cannot pass vacuously.
+    for source in (
+        "from . import verify", "from .verify import stabilizes", "import polaraut.verify",
+        "def f():\n    from .verify import Permutation",
+    ):
+        assert "polaraut.verify" in imported_modules("__init__", source), source
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib is new in Python 3.11")
+def test_version_matches_pyproject():
+    # Manifests and --version stamp __version__; the build stamps pyproject's.
+    import tomllib
+
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with pyproject.open("rb") as f:
+        assert tomllib.load(f)["project"]["version"] == polaraut.__version__
 
 
 def test_gf2_is_gone():
@@ -159,23 +167,35 @@ def test_import_leaves_verify_multiprocessing_and_logging_unloaded():
     ) == ["polaraut.verify False", "multiprocessing False", "logging False"]
 
 
-@pytest.mark.parametrize("name", VERIFY_NAMES)
-def test_verify_names_load_on_first_use(name):
-    assert name in PUBLIC_NAMES
-    assert fresh(
+@pytest.fixture(scope="module")
+def verify_first_use() -> dict[str, list[str]]:
+    """One fresh interpreter that imports the root, then polaraut.verify:
+    whether verify loaded with the root, whether the root then holds the
+    module, and per verify name whether the root and verify hold it."""
+    lines = fresh(
         "import sys, polaraut\n"
-        "print('polaraut.verify' in sys.modules)\n"
-        f"got = polaraut.{name}\n"
-        "from polaraut import verify\n"
-        f"print(got is verify.{name}, {name!r} in dir(polaraut))"
-    ) == ["False", "True True"]
+        "print('with-root', 'polaraut.verify' in sys.modules)\n"
+        "import polaraut.verify as verify\n"
+        "print('module', polaraut.verify is sys.modules['polaraut.verify'])\n"
+        "for name in verify.__all__:\n"
+        "    print(name, hasattr(polaraut, name), hasattr(verify, name))"
+    )
+    return {key: rest for key, *rest in map(str.split, lines)}
 
 
-def test_verify_module_is_an_attribute_of_the_root():
-    assert fresh(
-        "import sys, polaraut\n"
-        "print(polaraut.verify is sys.modules['polaraut.verify'], 'verify' in dir(polaraut))"
-    ) == ["True True"]
+@pytest.mark.parametrize("name", verify.__all__)
+def test_verify_names_load_on_first_use(name, verify_first_use):
+    # verify is reached one way: its names load with `import polaraut.verify`,
+    # not with the root, which names none of them.
+    assert verify_first_use["with-root"] == ["False"]
+    assert verify_first_use[name] == ["False", "True"]
+    assert len(verify_first_use) == 2 + len(verify.__all__)
+
+
+def test_verify_module_is_an_attribute_of_the_root(verify_first_use):
+    # Once imported; the root has no module __getattr__ to load it earlier.
+    assert verify_first_use["module"] == ["True"]
+    assert not {"__getattr__", "__dir__"} & vars(polaraut).keys()
     with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
         polaraut.no_such_name  # noqa: B018
 
