@@ -258,18 +258,26 @@ def _tree(
     batch = llrs.shape[1]
     listing = list_size > 1
     pm = np.zeros((batch, 1))
+    # Whether every frame's path metrics rise strictly, as a sort whose
+    # ranked candidates rise strictly leaves them.
+    rising = False
     frames = np.arange(batch)[:, None]
 
     def take(x: np.ndarray, parent: np.ndarray) -> np.ndarray:
-        # Path p of frame f is column f * P + p of the (width, B * P) view;
-        # np.take returns it C-contiguous, unlike a fancy index.
-        flat = (parent + x.shape[2] * frames).ravel()
-        return np.take(x.reshape(len(x), -1), flat, axis=1).reshape((len(x),) + parent.shape)
+        # parent holds flat columns of the (width, B * P) view; np.take
+        # returns them C-contiguous, unlike a fancy index.  One path's
+        # parents are all 0, so that array stays as it is and broadcasts.
+        if x.shape[2] == 1:
+            return x
+        return np.take(x.reshape(len(x), -1), parent.ravel(), axis=1).reshape(
+            (len(x),) + parent.shape
+        )
 
     def penalize(llr: np.ndarray) -> None:
         # A Rate-0 subtree's frozen leaves, in leaf order; its right halves
         # take _g with an all-zero word, which is a + b bit for bit.
-        nonlocal pm
+        nonlocal pm, rising
+        rising = False
         if len(llr) == 1:
             pm += np.maximum(-llr[0], 0.0)
             return
@@ -279,16 +287,12 @@ def _tree(
         penalize(a + b)
 
     def leaf(llr: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-        nonlocal pm
+        nonlocal pm, rising
         x = llr[0]
         # pm is never -0, so each kept candidate, pm + 0, is pm bit for bit,
         # and the sort below would return the paths in order.  A zero LLR,
         # a tie or a NaN fails a strict comparison and sorts.
-        if (
-            x.shape[1] == list_size
-            and (pm[:, 1:] > pm[:, :-1]).all()
-            and ((np.abs(x) + pm).min(axis=1) > pm[:, -1]).all()
-        ):
+        if x.shape[1] == list_size and rising and (np.abs(x) + pm > pm[:, -1:]).all():
             return (x < 0).view(np.uint8)[None], None
         cand = np.empty((batch, x.shape[1], 2))
         np.maximum(-x, 0.0, out=cand[:, :, 0])
@@ -297,19 +301,20 @@ def _tree(
         cand = cand.reshape(batch, 2 * x.shape[1])
         if cand.shape[1] <= list_size:
             order = np.broadcast_to(np.arange(cand.shape[1]), cand.shape)
-            pm = cand
+            pm, rising = cand, False
         else:
             # Rows that rise strictly have one sorted order, the stable one;
             # a tie or a NaN anywhere sends the batch to the stable sort.
             rows = cand.shape[1] * frames
             order = np.argsort(cand, axis=1)
             ranked = np.take(cand, order + rows)
-            if not (ranked[:, 1:] > ranked[:, :-1]).all():
+            rising = (ranked[:, 1:] > ranked[:, :-1]).all()
+            if not rising:
                 order = np.argsort(cand, axis=1, kind="stable")
                 ranked = np.take(cand, order + rows)
             order = order[:, :list_size]
             pm = ranked[:, :list_size]
-        return (order & 1).astype(np.uint8)[None], order >> 1
+        return (order & 1).astype(np.uint8)[None], (order >> 1) + x.shape[1] * frames
 
     def rate1(llr: np.ndarray) -> np.ndarray:
         hard = (llr < 0).astype(np.uint8)
@@ -351,7 +356,7 @@ def _tree(
         right, right_parent = node(_g(a, b, left), plan[2])
         if right_parent is not None:
             left = take(left, right_parent)
-            parent = right_parent if parent is None else parent[frames, right_parent]
+            parent = right_parent if parent is None else parent.ravel()[right_parent]
         return np.concatenate([left ^ right, right]), parent
 
     plan = _plan(np.asarray(frozen, dtype=bool).tobytes(), listing)
