@@ -24,6 +24,7 @@ from .automorphisms import blta_size, find_block_structure, sample_blta_batch
 from .channel import STREAM_VERSION, run_bler
 from .construction import ConstructionSpec, SpecError, bhattacharyya_bec_design
 from .monomials import (
+    MAX_VARS,
     CapabilityError,
     MonomialCode,
     enumerate_decreasing_codes,
@@ -78,6 +79,16 @@ def _utc_now() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 
+def _numpy_stamp() -> dict:
+    """numpy's version and the CPU targets its math dispatches to: float64
+    log, exp and log1p round differently on some of them."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__
+    except ImportError:  # numpy 1.x
+        from numpy.core._multiarray_umath import __cpu_dispatch__
+    return {"version": np.__version__, "cpu_dispatch": list(__cpu_dispatch__)}
+
+
 def _write_manifest(out_path: str, command: str, args: argparse.Namespace) -> None:
     echo = {k: v for k, v in vars(args).items() if k != "func"}
     manifest = {
@@ -86,6 +97,7 @@ def _write_manifest(out_path: str, command: str, args: argparse.Namespace) -> No
         "version": __version__,
         "master_seed": getattr(args, "seed", None),
         "stream_version": STREAM_VERSION,
+        "numpy": _numpy_stamp(),
         "created_utc": _utc_now(),
     }
     Path(out_path + ".manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
@@ -110,6 +122,24 @@ def _check_outputs(args: argparse.Namespace) -> None:
             raise SpecError(f"cannot write {out}: it is a directory")
         if out and not Path(out).parent.is_dir():
             raise SpecError(f"cannot write {out}: no directory {Path(out).parent}")
+
+
+def _check_ints(args: argparse.Namespace) -> None:
+    """Refuse, before any work, an integer option out of its range, named
+    as the command line spells it: --seed at least 0, --K in 1..2**n, --n
+    in 1..MAX_VARS and every other count at least 1."""
+    for dest in ("seed", "count", "workers", "max_frames", "target_errors", "n", "K"):
+        if dest not in args:
+            continue
+        value, least = getattr(args, dest), 0 if dest == "seed" else 1
+        # --n is checked before --K, so 2**n is small here.
+        most = MAX_VARS if dest == "n" else 1 << args.n if dest == "K" else None
+        if most is not None:
+            kind = f"an int in {least}..{most}"
+        else:
+            kind = "a non-negative int" if least == 0 else "a positive int"
+        if value < least or most is not None and value > most:
+            raise SpecError(f"--{dest.replace('_', '-')} must be {kind}, got {value}")
 
 
 def _load_spec(path: str) -> ConstructionSpec:
@@ -213,8 +243,6 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def _cmd_sample(args: argparse.Namespace) -> int:
-    if args.seed < 0:
-        raise SpecError(f"--seed must be a non-negative int, got {args.seed}")
     spec = _load_spec(args.spec)
     code = spec.build()
     structure = find_block_structure(code)
@@ -308,6 +336,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         _check_outputs(args)
+        _check_ints(args)
         return args.func(args)
     except CapabilityError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -29,9 +29,12 @@ call 1-2 MB, and with the kernel's temporaries that spills a 2 MB L2 cache;
 a 256 KB slab does not.  The kernels act elementwise, so the words are bit
 for bit those of one call.
 SCL's paths live on the last axis, and a subtree that forks or prunes
-hands back the parent of each of its paths: the caller gathers the LLRs and
-left word it still holds by that map, once each (the lazy copy of Tal &
-Vardy, 2015), by flat index into the (width, B * P) view of each array.
+hands back the parent of each of its paths as a (B, P) map of flat
+columns of the (width, B * P) view: the caller gathers the LLRs and left
+word it still holds by that map, once each (the lazy copy of Tal & Vardy,
+2015), and composes its halves' maps by one index.  An array that holds
+one path is not gathered, since every parent is 0: _g and the XOR
+broadcast it, so the first forks copy none of the root spine's LLRs.
 SCL takes a Rate-0 subtree as one rule too: it adds the frozen leaves'
 penalties to the path metrics in leaf order, through f on each left half
 and a + b on each right half, and returns zeros.  A node whose left half
@@ -46,7 +49,10 @@ costs more than the worst kept metric: each path then keeps its hard
 decision at an unchanged metric (the LLR-based metric of
 Balatsoukas-Stimming, Bastani Parizi & Burg, 2015), the order the sort
 would return, and the leaf hands back no parent map, so no node above it
-gathers.
+gathers.  Whether the metrics rise strictly is carried between leaves:
+a sort whose ranked candidates rise strictly sets it, a skip keeps it,
+and a Rate-0 penalty, the growth of the list and a stable re-sort clear
+it.
 The ensemble reads its tables in their own dtype (uint8 from
 position_tables_batch at N <= 256): it gathers the walker's input and
 scatters each branch's word back through flat indices built a few walker

@@ -11,6 +11,16 @@ from polaraut.monomials import Monomial, MonomialCode, decreasing_closure
 from polaraut.verify import Permutation
 
 
+def numpy_umath():
+    """numpy's _multiarray_umath: __cpu_dispatch__ lists the CPU targets its
+    math dispatches to, and __cpu_features__ what this host has."""
+    try:
+        from numpy._core import _multiarray_umath
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath
+    return _multiarray_umath
+
+
 def random_monomial(rng: np.random.Generator, n: int) -> Monomial:
     degree = int(rng.integers(0, n + 1))
     indices = rng.choice(n, size=degree, replace=False)

@@ -1,6 +1,7 @@
 """tools/ab_decode.py on two exports of HEAD: one table row per decoder,
 and a non-zero exit once one side's words differ."""
 
+import dataclasses
 import importlib.util
 import subprocess
 from pathlib import Path
@@ -58,3 +59,34 @@ def test_one_differing_word_exits_non_zero(capsys, monkeypatch):
     monkeypatch.setattr(ab_decode, "load", flipping)
     assert ab_decode.main(ARGS) == 1
     assert capsys.readouterr().out.splitlines()[-1] == "words differ: scl-2, scl-3-min-sum"
+
+
+def test_jobs_mode_times_run_bler_and_exits_non_zero_on_a_count_change(capsys, monkeypatch):
+    # --jobs times whole run_bler calls; HEAD against HEAD agrees, and a
+    # change side that counts one frame more in every result fails.
+    args = ARGS[:-2 * len(DECODERS)] + ["--decoder", "sc", "--decoder", "scl-2", "--jobs"]
+    assert ab_decode.main(args) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "run_bler jobs, master seeds 10000..10001" in lines[0]
+    assert [line.split()[0] for line in lines[2:-1]] == ["sc", "scl-2"]
+    assert lines[-1] == "all counts identical"
+    load = ab_decode.load
+    seeds = []
+
+    def counting_one_more(tree, name):
+        pkg = load(tree, name)
+        if name == "polaraut_change":
+            run_bler = pkg.channel.run_bler
+
+            def more(code, decoder, ebn0, **kwargs):
+                seeds.append(kwargs["master_seed"])
+                return [dataclasses.replace(r, frames=r.frames + 1)
+                        for r in run_bler(code, decoder, ebn0, **kwargs)]
+
+            monkeypatch.setattr(pkg.channel, "run_bler", more)
+        return pkg
+
+    monkeypatch.setattr(ab_decode, "load", counting_one_more)
+    assert ab_decode.main(args) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == "counts differ: sc, scl-2"
+    assert seeds == [0, 10000, 10001] * 2

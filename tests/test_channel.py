@@ -1,6 +1,7 @@
 """Channel model, interval estimates, decoder spec parsing, and the
 Monte Carlo harness: determinism, stop rules, worker invariance."""
 
+import json
 import math
 import multiprocessing
 import os
@@ -17,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import numpy_umath
 from polaraut import channel
 from polaraut.channel import (
     ChannelParams,
@@ -1081,3 +1083,53 @@ def test_the_heap_setting_is_a_no_op_off_glibc(confstr):
         assert not channel._glibc()
         channel._keep_heap.__wrapped__()
     cdll.assert_not_called()
+
+
+# The same short run_bler in a child process, printed as JSON lines: the
+# dispatch targets numpy still uses, then (decoder, Eb/N0, frames, errors)
+# per point; argv holds the package root, the code spec and the decoders.
+_DISPATCH_RUN = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+try:
+    from numpy._core import _multiarray_umath as umath
+except ImportError:
+    from numpy.core import _multiarray_umath as umath
+print(json.dumps([t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)]))
+from polaraut.channel import run_bler
+from polaraut.construction import ConstructionSpec
+code = ConstructionSpec.from_dict(json.loads(sys.argv[2])).build()
+for r in run_bler(code, sys.argv[3:], [1.0, 2.5], master_seed=2401, max_frames=512):
+    print(json.dumps([r.decoder, r.ebn0_db, r.frames, r.block_errors]))
+"""
+
+
+def test_counts_agree_with_every_cpu_dispatch_target_disabled(capsys):
+    # numpy dispatches float64 log, exp and log1p to per-CPU code whose
+    # results differ in the last bit from its baseline code, so noise and
+    # exact-boxplus f differ between hosts.  A child process with every
+    # dispatch target disabled runs the baseline code; its counts must be
+    # the in-process ones.  The setting reaches that child only.
+    umath = numpy_umath()
+    targets = list(umath.__cpu_dispatch__)
+    in_use = [t for t in targets if umath.__cpu_features__.get(t)]
+    spec = {"kind": "generators", "n": 7, "generators": [27, 56]}
+    decoders = ["sc", "scl-4", "aut-4-sc", "sc-min-sum", "scl-4-min-sum", "aut-4-sc-min-sum"]
+    code = ConstructionSpec.from_dict(spec).build()
+    want = [[r.decoder, r.ebn0_db, r.frames, r.block_errors]
+            for r in run_bler(code, decoders, [1.0, 2.5], master_seed=2401, max_frames=512)]
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(targets))
+    package_root = str(Path(channel.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", _DISPATCH_RUN, package_root, json.dumps(spec), *decoders],
+        capture_output=True, text=True, check=True, timeout=120, env=env,
+    )
+    still_used, *got = [json.loads(line) for line in done.stdout.splitlines()]
+    assert still_used == []
+    assert got == want and len(got) == 12
+    assert "NPY_DISABLE_CPU_FEATURES" not in os.environ
+    with capsys.disabled():
+        if in_use:
+            print(f"\ncounts agree with dispatch targets {' '.join(in_use)} disabled")
+        else:
+            print("\nno numpy dispatch target in use on this host: both sides ran the same code")

@@ -6,8 +6,10 @@ import json
 import multiprocessing
 from decimal import Decimal
 
+import numpy as np
 import pytest
 
+from conftest import numpy_umath
 from polaraut import __version__, channel, cli
 from polaraut.automorphisms import BlockStructure, blta_size, find_block_structure
 from polaraut.channel import wilson_interval
@@ -96,6 +98,11 @@ class TestAnalyze:
         assert manifest["version"] == __version__
         assert manifest["stream_version"] == 3
         assert manifest["config"]["spec"] == spec
+        # float64 log, exp and log1p round by numpy's dispatch target.
+        assert manifest["numpy"] == {
+            "version": np.__version__,
+            "cpu_dispatch": list(numpy_umath().__cpu_dispatch__),
+        }
 
     def test_invalid_spec_exits_2(self, tmp_path, capsys):
         spec = write_spec(tmp_path, "spec.json", {"kind": "mystery", "n": 4})
@@ -577,6 +584,39 @@ class TestOutputsCheckedFirst:
         for args in self.commands(spec).values():
             assert main([*args, "--out", out]) == 2
             assert capsys.readouterr().err.startswith(f"error: cannot write {out}: ")
+
+
+class TestIntegerOptions:
+    """An integer option out of range exits 2 with a message naming the
+    option as typed, before any work, writing no file and no manifest."""
+
+    @pytest.mark.parametrize("command, option, value, message", [
+        ("simulate", "--seed", "-1", "--seed must be a non-negative int, got -1"),
+        ("simulate", "--workers", "0", "--workers must be a positive int, got 0"),
+        ("simulate", "--max-frames", "0", "--max-frames must be a positive int, got 0"),
+        ("simulate", "--target-errors", "0", "--target-errors must be a positive int, got 0"),
+        ("sample", "--count", "0", "--count must be a positive int, got 0"),
+        ("enumerate", "--K", "0", "--K must be an int in 1..16, got 0"),
+        ("enumerate", "--K", "17", "--K must be an int in 1..16, got 17"),
+        ("enumerate", "--n", "0", "--n must be an int in 1..16, got 0"),
+        ("sweep-epsilon", "--K", "0", "--K must be an int in 1..16, got 0"),
+        ("sweep-epsilon", "--K", "17", "--K must be an int in 1..16, got 17"),
+        ("sweep-epsilon", "--n", "17", "--n must be an int in 1..16, got 17"),
+    ])
+    def test_names_the_option(self, tmp_path, capsys, monkeypatch, command, option, value,
+                              message):
+        def no_work(*args, **kwargs):
+            raise AssertionError("a command computed before its options were checked")
+
+        for name in ("enumerate_decreasing_codes", "bhattacharyya_bec_design",
+                     "find_block_structure", "run_bler"):
+            monkeypatch.setattr(cli, name, no_work)
+        spec = write_spec(tmp_path, "spec.json", {"kind": "reed_muller", "n": 4, "r": 1})
+        args = TestOutputsCheckedFirst.commands(spec)[command]
+        out = str(tmp_path / "out.txt")
+        assert main([*args, option, value, "--out", out]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["spec.json"]
 
 
 class TestParserReuse:

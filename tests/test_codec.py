@@ -974,6 +974,29 @@ class TestNodeSchedule:
                     assert np.array_equal(got[0], want[0]), (code, list_size, kernel)
                     assert np.array_equal(got[1], want[1]), (code, list_size, kernel)
 
+    def test_scl_gathers_no_one_path_array(self, monkeypatch):
+        # Until the first fork a node holds one path, whose parents are all
+        # 0: that array broadcasts, so at (256,128) SCL-8 every gather reads
+        # B * P columns with P > 1, and the root spine's 256-, 128- and
+        # 64-row LLRs are never copied into 2-8 paths.
+        code = generator_code(8, [31, 57])
+        rng = np.random.default_rng(3601)
+        sigma = ChannelParams(2.5, code.dimension / code.block_length).noise_variance ** 0.5
+        _, _, llrs = noisy_llrs(code, rng, 256, sigma)
+        gathered = []
+        take = np.take
+
+        def spy(a, *args, **kwargs):
+            if kwargs.get("axis") == 1:
+                gathered.append(a.shape)
+            return take(a, *args, **kwargs)
+
+        with monkeypatch.context() as m:
+            m.setattr(np, "take", spy)
+            got = scl_decode_batch(code, llrs, 8)
+        assert gathered and all(columns in (512, 1024, 2048) for _, columns in gathered)
+        assert np.array_equal(got[1], scl_decode_batch(code, llrs, 8)[1])
+
     def test_repetition_sums_in_g_chain_order(self):
         # In the g chain 1e16 and -1e16 cancel before -1 and 0.5 are added;
         # summed left to right, -1 is lost to rounding and the sign flips.
@@ -1226,3 +1249,78 @@ class TestFullListLeaf:
         # Zero LLRs tie both candidates of every path at every leaf.
         _, sorts = self.sorts(monkeypatch, code, np.zeros_like(llrs), 8)
         assert [a.shape for a in sorts] == [(256, 16)] * 125
+
+
+class TestListBookkeeping:
+    """SCL's parent maps are flat columns of the (width, B * P) view, a
+    one-path array is broadcast instead of gathered, and whether every
+    frame's path metrics rise strictly is carried from leaf to leaf: a
+    sort whose ranked candidates rise strictly sets it, a full-list skip
+    keeps it, and a Rate-0 penalty, the growth phase or a stable re-sort
+    clears it.  The words stay bit for bit those of scl_reference."""
+
+    @staticmethod
+    def sorts(patch, code, llrs, list_size, kernel):
+        """The decoded words, and the kind of each np.argsort call."""
+        kinds = []
+        argsort = np.argsort
+
+        def spy(a, *args, **kwargs):
+            kinds.append(kwargs.get("kind"))
+            return argsort(a, *args, **kwargs)
+
+        with patch.context() as m:
+            m.setattr(np, "argsort", spy)
+            return scl_decode_batch(code, llrs, list_size, kernel), kinds
+
+    @staticmethod
+    def check(got, want):
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
+
+    @pytest.mark.parametrize("kernel", ["exact_boxplus", "min_sum"])
+    @pytest.mark.parametrize("list_size", [2, 4, 8, 32])
+    def test_batch_sizes(self, kernel, list_size):
+        # Frames decode independently, so each batch is a prefix of one
+        # 256-frame reference; the empty batch keeps its (B, P) maps.
+        code = generator_code(6, [11, 22])
+        rng = np.random.default_rng(3602)
+        _, _, llrs = noisy_llrs(code, rng, 256, sigma=0.9)
+        want = scl_reference(code, llrs, list_size, kernel)
+        for batch in (0, 1, 7, 256):
+            got = scl_decode_batch(code, llrs[:batch], list_size, kernel)
+            assert got[1].shape == (batch, code.block_length)
+            self.check(got, (want[0][:batch], want[1][:batch]))
+
+    @pytest.mark.parametrize("kernel", ["exact_boxplus", "min_sum"])
+    @pytest.mark.parametrize("list_size", [2, 4, 8])
+    def test_penalty_between_full_list_leaves(self, monkeypatch, kernel, list_size):
+        # The first log2(L) + 1 rows are information rows, so the list
+        # grows and then sorts once; after that frozen and information rows
+        # alternate.  A penalty can reorder the metrics the last sort left
+        # rising, so it drops the carried order and every later information
+        # leaf sorts instead of skipping.
+        n = 5
+        first = list_size.bit_length()
+        info = list(range(first)) + list(range(first + 1, 1 << n, 2))
+        members = sum(1 << ((1 << n) - 1 ^ row) for row in info)
+        code = MonomialCode.from_members(n, members)
+        assert (~frozen_mask(code)).nonzero()[0].tolist() == info
+        rng = np.random.default_rng(3603)
+        _, _, llrs = noisy_llrs(code, rng, 64, sigma=0.8)
+        got, kinds = self.sorts(monkeypatch, code, llrs, list_size, kernel)
+        self.check(got, scl_reference(code, llrs, list_size, kernel))
+        assert kinds.count(None) == len(info) - (first - 1)
+
+    @pytest.mark.parametrize("kernel", ["exact_boxplus", "min_sum"])
+    @pytest.mark.parametrize("list_size", [2, 4, 8, 32])
+    def test_integer_llrs_force_the_stable_re_sort(self, monkeypatch, kernel, list_size):
+        # Integer LLRs tie candidate metrics, so some sorts rank a tie and
+        # re-sort stably, and the full-list leaf after one sorts again.
+        code = generator_code(6, [11, 22])
+        rng = np.random.default_rng(3604)
+        _, _, llrs = noisy_llrs(code, rng, 64, sigma=0.9)
+        llrs = np.round(llrs)
+        got, kinds = self.sorts(monkeypatch, code, llrs, list_size, kernel)
+        self.check(got, scl_reference(code, llrs, list_size, kernel))
+        assert "stable" in kinds

@@ -20,6 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
+from conftest import numpy_umath
 from polaraut import __version__, cli
 from polaraut.automorphisms import BlockStructure
 from polaraut.channel import STREAM_VERSION
@@ -112,8 +113,10 @@ def manifest(name: str) -> dict:
     """name's manifest, holding what README says each one records."""
     got = json.loads(Path(name + ".manifest.json").read_text())
     assert set(got) == {"command", "config", "version", "master_seed", "stream_version",
-                        "created_utc"}
+                        "numpy", "created_utc"}
     assert got["version"] == __version__ and got["stream_version"] == STREAM_VERSION
+    assert got["numpy"] == {"version": np.__version__,
+                            "cpu_dispatch": list(numpy_umath().__cpu_dispatch__)}
     return got
 
 

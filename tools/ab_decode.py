@@ -18,6 +18,13 @@ It exits 1 if any call of either side returns a message or word that
 differs from the base's first call.  Decoder names are parsed once, by
 this checkout's polaraut.channel._decoder, so either revision may predate
 that parse.
+
+With --jobs it times what perfbench times instead: whole run_bler calls
+of --frames frames (one 256-frame block by default) at EBN0 dB, one
+worker, no error target.  After one untimed one-frame call per side,
+round r runs master seed 10000 + r on both sides, in the same ABBA order,
+and times each call once.  It exits 1 if any round's frame or error
+counts differ between the sides.
 """
 
 from __future__ import annotations
@@ -45,6 +52,7 @@ DEFAULT_CODE = '{"kind": "generators", "n": 8, "generators": [31, 57]}'
 EBN0 = 2.5
 SEED = 1
 REPEATS = 2
+FIRST_JOB_SEED = 10000
 
 
 def load(tree: Path, name: str) -> types.SimpleNamespace:
@@ -105,11 +113,52 @@ def same(got, want) -> bool:
     return all(g.shape == w.shape and (g == w).all() for g, w in zip(got, want))
 
 
+def summary(times: dict[str, list[float]], identical: bool) -> dict:
+    """Each side's per-round times (s), the median change/base ratio, the
+    change's wins and whether both sides' outputs agreed."""
+    ratios = [c / b for b, c in zip(times["base"], times["change"])]
+    return {
+        "times": times,
+        "ratio": statistics.median(ratios),
+        "wins": sum(c < b for b, c in zip(times["base"], times["change"])),
+        "identical": identical,
+    }
+
+
+def build_codes(pkgs: dict, code_text: str) -> dict:
+    return {s: pkgs[s].construction.ConstructionSpec.from_dict(json.loads(code_text)).build()
+            for s in SIDES}
+
+
+def compare_jobs(pkgs: dict, code_text: str, label: str, args: argparse.Namespace) -> dict:
+    """One decoder's rounds of whole run_bler jobs, one timed call per side
+    per round; identical means every round's counts agreed."""
+    codes = build_codes(pkgs, code_text)
+
+    def job(side: str, seed: int, frames: int) -> list[tuple[int, int]]:
+        results = pkgs[side].channel.run_bler(
+            codes[side], label, [EBN0], master_seed=seed, target_errors=None, max_frames=frames
+        )
+        return [(r.frames, r.block_errors) for r in results]
+
+    for s in SIDES:
+        job(s, 0, 1)
+    identical = True
+    times: dict[str, list[float]] = {s: [] for s in SIDES}
+    for r in range(args.rounds):
+        counts = {}
+        for s in SIDES if r % 2 == 0 else SIDES[::-1]:
+            start = time.perf_counter()
+            counts[s] = job(s, FIRST_JOB_SEED + r, args.frames)
+            times[s].append(time.perf_counter() - start)
+        identical = identical and counts["base"] == counts["change"]
+    return summary(times, identical)
+
+
 def compare(pkgs: dict, code_text: str, label: str, args: argparse.Namespace) -> dict:
     """One decoder's rounds: each side's per-round best times (s), the
     change's wins and whether every call gave the base's words."""
-    codes = {s: pkgs[s].construction.ConstructionSpec.from_dict(json.loads(code_text)).build()
-             for s in SIDES}
+    codes = build_codes(pkgs, code_text)
     llrs, tables = inputs(pkgs["base"], codes["base"], label, args.frames)
     calls = {s: decoder(pkgs[s], codes[s], label, llrs, tables) for s in SIDES}
     want = calls["base"]()
@@ -124,13 +173,7 @@ def compare(pkgs: dict, code_text: str, label: str, args: argparse.Namespace) ->
                 best = min(best, time.perf_counter() - start)
                 identical = identical and same(got, want)
             times[s].append(best)
-    ratios = [c / b for b, c in zip(times["base"], times["change"])]
-    return {
-        "times": times,
-        "ratio": statistics.median(ratios),
-        "wins": sum(c < b for b, c in zip(times["base"], times["change"])),
-        "identical": identical,
-    }
+    return summary(times, identical)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -142,6 +185,8 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--code", default=DEFAULT_CODE, help="construction spec as JSON")
     p.add_argument("--frames", type=int, default=256)
     p.add_argument("--rounds", type=int, default=16)
+    p.add_argument("--jobs", action="store_true",
+                   help="time whole run_bler calls of --frames frames, one per side per round")
     args = p.parse_args(argv)
     for name in ("frames", "rounds"):
         if getattr(args, name) < 1:
@@ -151,12 +196,14 @@ def main(argv: list[str] | None = None) -> int:
         try:
             pkgs = {s: load(export(getattr(args, s), Path(tmp) / s), f"polaraut_{s}")
                     for s in SIDES}
+            timing = (f"run_bler jobs, master seeds {FIRST_JOB_SEED}.."
+                      f"{FIRST_JOB_SEED + args.rounds - 1}" if args.jobs
+                      else f"best of {REPEATS}")
             print(f"base {args.base}, change {args.change}, code {args.code}, "
-                  f"{EBN0} dB, {args.frames} frames, {args.rounds} rounds, "
-                  f"best of {REPEATS}")
+                  f"{EBN0} dB, {args.frames} frames, {args.rounds} rounds, {timing}")
             print(f"{'decoder':<18} {'base ms':>9} {'change ms':>9} {'ratio':>6} {'wins':>7}")
             for label in args.decoder:
-                got = compare(pkgs, args.code, label, args)
+                got = (compare_jobs if args.jobs else compare)(pkgs, args.code, label, args)
                 b, c = (1e3 * statistics.median(got["times"][s]) for s in SIDES)
                 print(f"{label:<18} {b:9.3f} {c:9.3f} {got['ratio']:6.3f} "
                       f"{got['wins']:>4}/{args.rounds}", flush=True)
@@ -165,10 +212,11 @@ def main(argv: list[str] | None = None) -> int:
         finally:
             for s in SIDES:
                 forget(f"polaraut_{s}")
+    what = "counts" if args.jobs else "words"
     if failed:
-        print("words differ: " + ", ".join(failed))
+        print(f"{what} differ: " + ", ".join(failed))
         return 1
-    print("all words identical")
+    print(f"all {what} identical")
     return 0
 
 
