@@ -131,14 +131,16 @@ def _check_ints(args: argparse.Namespace) -> None:
     for dest in ("seed", "count", "workers", "max_frames", "target_errors", "n", "K"):
         if dest not in args:
             continue
-        value, least = getattr(args, dest), 0 if dest == "seed" else 1
-        # --n is checked before --K, so 2**n is small here.
-        most = MAX_VARS if dest == "n" else 1 << args.n if dest == "K" else None
-        if most is not None:
-            kind = f"an int in {least}..{most}"
+        value = getattr(args, dest)
+        if dest in ("n", "K"):
+            # --n is checked before --K, so 2**n is small here.
+            most = MAX_VARS if dest == "n" else 1 << args.n
+            ok, kind = 1 <= value <= most, f"an int in 1..{most}"
+        elif dest == "seed":
+            ok, kind = value >= 0, "a non-negative int"
         else:
-            kind = "a non-negative int" if least == 0 else "a positive int"
-        if value < least or most is not None and value > most:
+            ok, kind = value >= 1, "a positive int"
+        if not ok:
             raise SpecError(f"--{dest.replace('_', '-')} must be {kind}, got {value}")
 
 
