@@ -14,7 +14,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .monomials import MonomialCode, _adjacent_up, _positive_int, is_decreasing
+from .monomials import MonomialCode, _adjacent_up, _int_in, is_decreasing
 
 __all__ = [
     "BlockStructure",
@@ -35,7 +35,7 @@ class BlockStructure:
     def __post_init__(self) -> None:
         if not self.sizes:
             raise ValueError("a block structure needs at least one block")
-        object.__setattr__(self, "sizes", tuple(_positive_int("block size", s) for s in self.sizes))
+        object.__setattr__(self, "sizes", tuple(_int_in("block size", s, 1) for s in self.sizes))
 
     @property
     def n(self) -> int:
@@ -145,7 +145,7 @@ def sample_blta_batch(
     tuple of integers, so uniform integers give an exactly uniform map, and
     a block costs O(s**2) vector operations.
     """
-    count = _positive_int("count", count)
+    count = _int_in("count", count, 1)
     n = structure.n
     highs = blta_bounds(structure)
     if isinstance(rng, np.random.Generator):

@@ -19,7 +19,6 @@ import re
 from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass
-from numbers import Real
 
 import numpy as np
 
@@ -37,7 +36,7 @@ from .codec import (
     sc_decode_batch,
     scl_decode_batch,
 )
-from .monomials import MonomialCode, _plain_int, _positive_int
+from .monomials import MonomialCode, _int_in, _real
 
 __all__ = [
     "STREAM_VERSION",
@@ -79,8 +78,7 @@ class ChannelParams:
     rate: float
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.ebn0_db):
-            raise ValueError(f"Eb/N0 must be finite, got {self.ebn0_db}")
+        self.__dict__.update(ebn0_db=_real("Eb/N0", self.ebn0_db), rate=_real("rate", self.rate))
         if not 0.0 < self.rate <= 1.0:
             raise ValueError(f"rate must be in (0, 1], got {self.rate}")
 
@@ -91,11 +89,12 @@ class ChannelParams:
 
 def transmit(bits: np.ndarray, params: ChannelParams, noise: np.ndarray) -> np.ndarray:
     """BPSK over AWGN: modulate, add sigma times the standard-normal noise
-    (same shape as bits, left as it is), and return float64 LLRs
+    (same shape as bits, left as it is; both taken as arrays, lists
+    included), and return float64 LLRs
     (2y / sigma^2), built in the one array that scales the noise.  Bits
     other than 0 and 1 raise ValueError."""
-    bits = np.asarray(bits)
-    if np.shape(noise) != bits.shape:
+    bits, noise = np.asarray(bits), np.asarray(noise)
+    if noise.shape != bits.shape:
         raise ValueError("noise must have the shape of bits")
     _check_bits(bits, "code bits")
     sigma2 = params.noise_variance
@@ -106,21 +105,11 @@ def transmit(bits: np.ndarray, params: ChannelParams, noise: np.ndarray) -> np.n
     return y
 
 
-def _count(name: str, value: object) -> int:
-    """value as a plain int (see monomials._plain_int), ValueError unless
-    one >= 0."""
-    got = _plain_int(value)
-    if got is None or got < 0:
-        raise ValueError(f"{name} must be a non-negative int, got {value!r}")
-    return got
-
-
 def wilson_interval(errors: int, trials: int) -> tuple[float, float]:
     """Wilson 95% score interval for a binomial proportion; both counts
     are ints (numpy integers too, bools not)."""
-    errors, trials = _count("errors", errors), _positive_int("trials", trials)
-    if errors > trials:
-        raise ValueError("errors must be in 0..trials")
+    trials = _int_in("trials", trials, 1)
+    errors = _int_in("errors", errors, 0, trials)
     p = errors / trials
     z2 = Z95 * Z95
     denom = 1.0 + z2 / trials
@@ -172,12 +161,9 @@ class SimResult:
     block_errors: int
 
     def __post_init__(self) -> None:
-        for name in ("frames", "block_errors"):
-            object.__setattr__(self, name, _count(name, getattr(self, name)))
-        if not self.frames:
-            raise ValueError("frames must be positive")
-        if self.block_errors > self.frames:
-            raise ValueError("block_errors must be in 0..frames")
+        frames = _int_in("frames", self.frames, 1)
+        errors = _int_in("block_errors", self.block_errors, 0, frames)
+        self.__dict__.update(frames=frames, block_errors=errors)
 
     @property
     def bler(self) -> float:
@@ -527,10 +513,7 @@ def _ebn0_grid(values: object) -> list[float]:
         raise ValueError(f"ebn0_list must be a sequence of numbers, got {values!r}")
     if not len(values):
         raise ValueError("ebn0_list must not be empty")
-    for e in values:
-        if isinstance(e, (bool, np.bool_)) or not isinstance(e, Real) or not math.isfinite(e):
-            raise ValueError(f"Eb/N0 values must be finite real numbers, got {e!r}")
-    return [float(e) for e in values]
+    return [_real("Eb/N0", e) for e in values]
 
 
 def run_bler(
@@ -579,11 +562,11 @@ def run_bler(
         raise ValueError("decoder must hold at least one name")
     decoders = [_decoder(name) for name in names]
     ebn0 = _ebn0_grid(ebn0_list)
-    seed = _count("master_seed", master_seed)
-    max_frames = _positive_int("max_frames", max_frames)
-    workers = _positive_int("workers", workers)
+    seed = _int_in("master_seed", master_seed, 0)
+    max_frames = _int_in("max_frames", max_frames, 1)
+    workers = _int_in("workers", workers, 1)
     if target_errors is not None:
-        target_errors = _positive_int("target_errors", target_errors)
+        target_errors = _int_in("target_errors", target_errors, 1)
     _keep_heap()
     points = []  # decoder-major: (parsed name, block structure, fixed tables, SNR index)
     for parsed in decoders:

@@ -27,6 +27,7 @@ from .monomials import (
     MAX_VARS,
     CapabilityError,
     MonomialCode,
+    _int_in,
     enumerate_decreasing_codes,
     minimal_generators,
 )
@@ -116,32 +117,29 @@ def _emit(text: str, out: str | None, command: str, args: argparse.Namespace) ->
 
 def _check_outputs(args: argparse.Namespace) -> None:
     """Refuse, before any work, an --out or --summary-out that names a
-    directory or sits in a directory that does not exist."""
-    for out in (args.out, getattr(args, "summary_out", None)):
-        if out and Path(out).is_dir():
+    directory or sits in a directory that does not exist, and two outputs
+    whose files (manifests included) would be one."""
+    outs = [out for out in (args.out, getattr(args, "summary_out", None)) if out]
+    for out in outs:
+        if Path(out).is_dir():
             raise SpecError(f"cannot write {out}: it is a directory")
-        if out and not Path(out).parent.is_dir():
+        if not Path(out).parent.is_dir():
             raise SpecError(f"cannot write {out}: no directory {Path(out).parent}")
+    files = [Path(path).resolve() for out in outs for path in (out, out + ".manifest.json")]
+    if len(set(files)) < len(files):
+        raise SpecError(f"cannot write {outs[0]} and {outs[1]}: they would overwrite each other")
 
 
 def _check_ints(args: argparse.Namespace) -> None:
-    """Refuse, before any work, an integer option out of its range, named
-    as the command line spells it: --seed at least 0, --K in 1..2**n, --n
-    in 1..MAX_VARS and every other count at least 1."""
-    for dest in ("seed", "count", "workers", "max_frames", "target_errors", "n", "K"):
-        if dest not in args:
-            continue
-        value = getattr(args, dest)
-        if dest in ("n", "K"):
-            # --n is checked before --K, so 2**n is small here.
-            most = MAX_VARS if dest == "n" else 1 << args.n
-            ok, kind = 1 <= value <= most, f"an int in 1..{most}"
-        elif dest == "seed":
-            ok, kind = value >= 0, "a non-negative int"
-        else:
-            ok, kind = value >= 1, "a positive int"
-        if not ok:
-            raise SpecError(f"--{dest.replace('_', '-')} must be {kind}, got {value}")
+    """Refuse, before any work, an integer option out of its range (see
+    monomials._int_in), named as the command line spells it: per option
+    (dest, lo, hi), hi None for none, then --K in 1..2**n."""
+    for dest, lo, hi in (("seed", 0, None), ("count", 1, None), ("workers", 1, None),
+                         ("max_frames", 1, None), ("target_errors", 1, None), ("n", 1, MAX_VARS)):
+        if dest in args:
+            _int_in(f"--{dest.replace('_', '-')}", getattr(args, dest), lo, hi)
+    if "K" in args:
+        _int_in("--K", args.K, 1, 1 << args.n)
 
 
 def _load_spec(path: str) -> ConstructionSpec:

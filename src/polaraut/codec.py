@@ -67,7 +67,7 @@ from typing import Callable
 
 import numpy as np
 
-from .monomials import MAX_VARS, MonomialCode, _positive_int
+from .monomials import MAX_VARS, MonomialCode, _int_in
 
 __all__ = [
     "KERNELS",
@@ -379,7 +379,7 @@ def _checked(
     size."""
     if kernel not in KERNELS:
         raise ValueError(f"unknown kernel {kernel!r}; pick from {sorted(KERNELS)}")
-    size = _positive_int("list size", list_size)
+    size = _int_in("list size", list_size, 1)
     llrs = np.asarray(llrs, dtype=np.float64)
     if llrs.ndim != 2 or llrs.shape[1] != code.block_length:
         raise ValueError(

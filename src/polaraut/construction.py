@@ -15,7 +15,8 @@ from .monomials import (
     Monomial,
     MonomialCode,
     _check_n,
-    _plain_int,
+    _int_in,
+    _real,
     decreasing_closure,
     is_decreasing,
     row_to_monomial,
@@ -42,6 +43,7 @@ def bec_bhattacharyya(n: int, epsilon: float) -> np.ndarray:
     landing on the even row.
     """
     n = _check_n(n)
+    epsilon = _real("erasure probability", epsilon)
     if not 0.0 <= epsilon <= 1.0:
         raise ValueError(f"erasure probability must be in [0, 1], got {epsilon}")
     z = np.array([epsilon], dtype=np.float64)
@@ -63,9 +65,7 @@ def bhattacharyya_bec_design(epsilon: float, dimension: int, n: int) -> Monomial
     n = _check_n(n)
     z = bec_bhattacharyya(n, epsilon)
     total = 1 << n
-    dimension = _plain_int(dimension)
-    if dimension is None or not 1 <= dimension <= total:
-        raise ValueError(f"dimension must be an int in 1..{total}")
+    dimension = _int_in("dimension", dimension, 1, total)
 
     def key(row: int) -> tuple[float, int, int, int]:
         f = row_to_monomial(row, n)
@@ -95,9 +95,8 @@ def bhattacharyya_bec_design(epsilon: float, dimension: int, n: int) -> Monomial
 
 def rm_code(r: int, n: int) -> MonomialCode:
     """Reed-Muller code of order r: all monomials of degree at most r."""
-    n, r = _check_n(n), _plain_int(r)
-    if r is None or not 0 <= r <= n:
-        raise ValueError(f"order must be an int in 0..{n}")
+    n = _check_n(n)
+    r = _int_in("order", r, 0, n)
     return decreasing_closure([Monomial.from_indices(range(n - r, n))], n)
 
 
@@ -124,37 +123,28 @@ class ConstructionSpec:
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
             raise SpecError(f"unknown construction kind: {self.kind!r}")
-        # Each count is kept as the plain int it equals, numpy ints too.
-        n = _plain_int(self.n)
-        if n is None or not 1 <= n <= MAX_VARS:
-            raise SpecError(f"n must be an integer in 1..{MAX_VARS}, got {self.n!r}")
-        object.__setattr__(self, "n", n)
-        eps = self.epsilon
-        if eps is not None and (isinstance(eps, bool) or not isinstance(eps, (int, float))):
-            raise SpecError("'epsilon' must be a number")
-        for field, name in (("dimension", "K"), ("r", "r")):
-            value = getattr(self, field)
-            if value is not None and _plain_int(value) is None:
-                raise SpecError(f"'{name}' must be an integer")
-            object.__setattr__(self, field, value if value is None else _plain_int(value))
-        if self.kind == "bhattacharyya_bec":
-            if self.epsilon is None or self.dimension is None:
-                raise SpecError("bhattacharyya_bec needs 'epsilon' and 'K'")
-            if not 0.0 <= self.epsilon <= 1.0:
-                raise SpecError(f"epsilon must be in [0, 1], got {self.epsilon}")
-            if not 1 <= self.dimension <= 1 << self.n:
-                raise SpecError(f"K out of range for n={self.n}: {self.dimension}")
-        elif self.kind == "generators":
-            if not self.generators:
-                raise SpecError("generators kind needs a non-empty 'generators' list")
-            rows = tuple(map(_plain_int, self.generators))
-            if any(row is None or not 0 <= row < 1 << self.n for row in rows):
-                raise SpecError(f"generators must be integers below {1 << self.n}: "
-                                f"{self.generators!r}")
-            object.__setattr__(self, "generators", rows)
-        else:
-            if self.r is None or not 0 <= self.r <= self.n:
-                raise SpecError(f"reed_muller needs 'r' in 0..{self.n}")
+        # Every number given is checked, whichever kind uses it, and kept as
+        # the plain int or float it equals, numpy's too.
+        try:
+            n = _int_in("n", self.n, 1, MAX_VARS)
+            eps = None if self.epsilon is None else _real("epsilon", self.epsilon)
+            if eps is not None and not 0.0 <= eps <= 1.0:
+                raise ValueError(f"epsilon must be in [0, 1], got {eps}")
+            dimension = None if self.dimension is None else _int_in("K", self.dimension, 1, 1 << n)
+            r = None if self.r is None else _int_in("r", self.r, 0, n)
+            rows = self.generators and tuple(
+                _int_in(f"generators[{i}]", row, 0, (1 << n) - 1)
+                for i, row in enumerate(self.generators)
+            )
+        except ValueError as exc:
+            raise SpecError(str(exc)) from None
+        self.__dict__.update(n=n, epsilon=eps, dimension=dimension, r=r, generators=rows)
+        if self.kind == "bhattacharyya_bec" and (eps is None or dimension is None):
+            raise SpecError("bhattacharyya_bec needs 'epsilon' and 'K'")
+        if self.kind == "generators" and not rows:
+            raise SpecError("generators kind needs a non-empty 'generators' list")
+        if self.kind == "reed_muller" and r is None:
+            raise SpecError(f"reed_muller needs 'r' in 0..{n}")
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "ConstructionSpec":

@@ -9,9 +9,11 @@ is a member, so that set checks run as a few shifts and masks on that integer.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
+from numbers import Real
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -44,11 +46,7 @@ class Monomial:
     mask: int
 
     def __post_init__(self) -> None:
-        mask = _plain_int(self.mask)
-        if mask is None:
-            raise ValueError(f"monomial mask must be an int, got {self.mask!r}")
-        if not 0 <= mask < 1 << MAX_VARS:
-            raise ValueError(f"monomial mask out of range: {mask}")
+        mask = _int_in("monomial mask", self.mask, 0, (1 << MAX_VARS) - 1)
         if mask is not self.mask:
             object.__setattr__(self, "mask", mask)
 
@@ -60,10 +58,7 @@ class Monomial:
     def from_indices(cls, indices: Iterable[int]) -> "Monomial":
         mask = 0
         for i in indices:
-            index = _plain_int(i)
-            if index is None or not 0 <= index < MAX_VARS:
-                raise ValueError(f"variable index must be an int in 0..{MAX_VARS - 1}, got {i!r}")
-            mask |= 1 << index
+            mask |= 1 << _int_in("variable index", i, 0, MAX_VARS - 1)
         return cls(mask)
 
     @property
@@ -99,10 +94,7 @@ def monomial_to_row(f: Monomial, n: int) -> int:
 def row_to_monomial(row: int, n: int) -> Monomial:
     """Inverse of monomial_to_row."""
     n = _check_n(n)
-    index = _plain_int(row)
-    if index is None or not 0 <= index < 1 << n:
-        raise ValueError(f"row index must be an int in 0..{(1 << n) - 1} for n={n}, got {row!r}")
-    return Monomial((1 << n) - 1 ^ index)
+    return Monomial((1 << n) - 1 ^ _int_in("row index", row, 0, (1 << n) - 1))
 
 
 def _plain_int(value: object) -> int | None:
@@ -116,21 +108,29 @@ def _plain_int(value: object) -> int | None:
         return None
 
 
-def _positive_int(name: str, value: object) -> int:
-    """value as a plain int (see _plain_int), ValueError unless one >= 1."""
+def _int_in(name: str, value: object, lo: int, hi: int | None = None) -> int:
+    """value as a plain int (see _plain_int) in lo..hi, or at least lo when
+    hi is None; else ValueError "<name> must be <the rule>, got <value>"."""
     got = _plain_int(value)
-    if got is None:
-        raise ValueError(f"{name} must be an int, got {value!r}")
-    if got < 1:
-        raise ValueError(f"{name} must be positive")
+    if got is None or got < lo or hi is not None and got > hi:
+        rule = (f"an int in {lo}..{hi}" if hi is not None
+                else {0: "a non-negative int", 1: "a positive int"}.get(lo, f"an int >= {lo}"))
+        raise ValueError(f"{name} must be {rule}, got {value!r}")
     return got
+
+
+def _real(name: str, value: object) -> float:
+    """value as a plain float when it is a finite real number, a numpy one
+    included; else ValueError "<name> must be a finite real number, got
+    <value>", for a bool or np.bool_ too."""
+    real = isinstance(value, Real) and not isinstance(value, (bool, np.bool_))
+    if not (real and math.isfinite(value)):
+        raise ValueError(f"{name} must be a finite real number, got {value!r}")
+    return float(value)
 
 
 def _check_n(n: object) -> int:
-    got = _plain_int(n)
-    if got is None or not 1 <= got <= MAX_VARS:
-        raise ValueError(f"variable count must be an int in 1..{MAX_VARS}, got {n!r}")
-    return got
+    return _int_in("variable count", n, 1, MAX_VARS)
 
 
 def partial_order_leq(f: Monomial, g: Monomial) -> bool:
@@ -376,9 +376,7 @@ def enumerate_decreasing_codes(n: int, dimension: int) -> Iterator[MonomialCode]
     if n > 7:
         raise CapabilityError(f"exhaustive census is supported for n <= 7, got n={n}")
     total = 1 << n
-    dimension = _plain_int(dimension)
-    if dimension is None or not 1 <= dimension <= total:
-        raise ValueError(f"dimension must be an int in 1..{total}")
+    dimension = _int_in("dimension", dimension, 1, total)
     order, up = _extension(n)
     full = (1 << total) - 1
     # Depth-first over the linear extension, including each position before

@@ -307,7 +307,7 @@ class TestBlockStructure:
             BlockStructure((2, 0))
         # (2.5, 1) gave n == 3.5; a bool is no block size either.
         for sizes in ((2.5, 1), (True, 2), (np.bool_(True),)):
-            with pytest.raises(ValueError, match="block size must be an int"):
+            with pytest.raises(ValueError, match="^block size must be a positive int, got "):
                 BlockStructure(sizes)
         plain = BlockStructure((np.int64(2), np.int32(1)))
         assert plain == BlockStructure((2, 1))
@@ -316,9 +316,10 @@ class TestBlockStructure:
     def test_checks_fail_the_same_after_a_plain_prefix(self):
         # A size after plain positive ints that is not one fails with the
         # same message as a first size, and a list becomes a tuple.
-        for sizes, match in (((2, 0), "positive"), ((3, -1), "positive"), ((1, 2, 2.0), "an int"),
-                             ((1, True), "an int"), ([0], "positive")):
-            with pytest.raises(ValueError, match=f"block size must be {match}"):
+        for sizes, got in (((2, 0), "0"), ((3, -1), "-1"), ((1, 2, 2.0), "2.0"),
+                           ((1, True), "True"), ([0], "0")):
+            match = f"^block size must be a positive int, got {got}$"
+            with pytest.raises(ValueError, match=match):
                 BlockStructure(sizes)
         with pytest.raises(ValueError, match="at least one block"):
             BlockStructure([])

@@ -191,7 +191,7 @@ class TestChannelParams:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_ebn0_rejected(self, bad):
         # NaN built a channel whose noise variance is NaN.
-        with pytest.raises(ValueError, match="Eb/N0 must be finite"):
+        with pytest.raises(ValueError, match="^Eb/N0 must be a finite real number, got "):
             ChannelParams(bad, 0.5)
 
 
@@ -222,6 +222,17 @@ class TestTransmit:
         a = transmit(bits, params, np.random.default_rng(7).standard_normal(4))
         b = transmit(bits, params, np.random.default_rng(7).standard_normal(4))
         assert np.array_equal(a, b)
+
+    def test_sequences_are_arrays(self):
+        # A list of noise raised TypeError from the float multiply.
+        params = ChannelParams(ebn0_db=1.0, rate=0.5)
+        noise = [0.25, -1.5]
+        got = transmit([0, 1], params, noise)
+        assert np.array_equal(got, transmit(np.array([0, 1]), params, np.array(noise)))
+        assert got.dtype == np.float64 and noise == [0.25, -1.5]
+        array = np.array(noise)
+        transmit([0, 1], params, array)
+        assert array.tolist() == noise
 
     def test_noise_shape_must_match(self):
         params = ChannelParams(ebn0_db=3.0, rate=0.5)
@@ -318,7 +329,8 @@ class TestWilsonInterval:
     )
     def test_counts_must_be_ints(self, errors, trials):
         # (True, 2) and (1.5, 4) returned intervals.
-        with pytest.raises(ValueError, match="must be an int|non-negative int"):
+        match = r"^(errors must be an int in 0\.\.[24]|trials must be a positive int), got "
+        with pytest.raises(ValueError, match=match):
             wilson_interval(errors, trials)
 
     def test_numpy_ints_are_ints(self):
@@ -427,7 +439,7 @@ class TestSimResult:
     def test_zero_frames_rejected(self):
         # SimResult("sc", 1.0, 0, 0) built, then bler raised
         # ZeroDivisionError and ci95 "trials must be positive".
-        with pytest.raises(ValueError, match="frames must be positive"):
+        with pytest.raises(ValueError, match="^frames must be a positive int, got 0$"):
             SimResult("sc", 1.0, frames=0, block_errors=0)
 
     @pytest.mark.parametrize(
@@ -435,7 +447,8 @@ class TestSimResult:
     )
     def test_counts_must_be_ints(self, frames, block_errors):
         # SimResult("sc", 1.0, 2.5, 1) built.
-        with pytest.raises(ValueError, match="must be a non-negative int"):
+        match = r"^(frames must be a positive int|block_errors must be an int in 0\.\.10), got "
+        with pytest.raises(ValueError, match=match):
             SimResult("sc", 1.0, frames, block_errors)
 
     def test_numpy_ints_become_ints(self):
@@ -829,7 +842,8 @@ class TestRunBler:
     def test_ebn0_list_checked_before_any_batch(self, monkeypatch, bad):
         # ["2.5"] ran at 2.5 dB, [True] at 1 dB, and "2.5" failed in float.
         monkeypatch.setattr(channel, "_run_batch", self.no_batch)
-        with pytest.raises(ValueError, match="ebn0_list must be a sequence|Eb/N0 values"):
+        match = "^ebn0_list must be a sequence|^Eb/N0 must be a finite real number, got "
+        with pytest.raises(ValueError, match=match):
             run_bler(small_code(), "sc", bad, master_seed=0)
 
     def test_numpy_and_fraction_ebn0_accepted(self):
@@ -902,7 +916,7 @@ class TestRunBler:
     )
     def test_non_int_frame_count_rejected_before_any_batch(self, monkeypatch, option, bad):
         monkeypatch.setattr(channel, "_run_batch", self.no_batch)
-        with pytest.raises(ValueError, match=f"{option} must be an int"):
+        with pytest.raises(ValueError, match=f"^{option} must be a positive int, got "):
             run_bler(small_code(), "sc", [1.0], master_seed=0, **{option: bad})
 
     @pytest.mark.parametrize("workers", [1, 2])

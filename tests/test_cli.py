@@ -572,6 +572,23 @@ class TestOutputsCheckedFirst:
         assert captured.err.startswith(f"error: cannot write {summary}: ")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["outdir"]
 
+    @pytest.mark.parametrize(
+        "summary", ["x.csv", "./x.csv", "sub/../x.csv", "x.csv.manifest.json"]
+    )
+    def test_outputs_that_overwrite_each_other_exit_2_with_no_output(
+        self, tmp_path, capsys, monkeypatch, summary
+    ):
+        # --out x.csv --summary-out x.csv exited 0, leaving x.csv and its
+        # manifest holding the summary alone.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        args = ["enumerate", "--n", "3", "--K", "2", "--out", "x.csv", "--summary-out", summary]
+        assert main(args) == 2
+        assert capsys.readouterr() == (
+            "", f"error: cannot write x.csv and {summary}: they would overwrite each other\n"
+        )
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["sub"]
+
     def test_no_work_before_the_check(self, tmp_path, capsys, monkeypatch):
         def no_work(*args):
             raise AssertionError("a command computed before its outputs were checked")

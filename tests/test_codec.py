@@ -200,9 +200,9 @@ class TestMessageTypes:
         with pytest.raises(ValueError, match="list size"):
             scl_decode_batch(code, llrs, 0)
         for bad in (2.5, 2.0, True, np.bool_(True), np.float64(2.0), None, "3"):
-            with pytest.raises(ValueError, match="list size must be an int"):
+            with pytest.raises(ValueError, match="^list size must be a positive int, got "):
                 scl_decode_batch(code, llrs, bad)
-        with pytest.raises(ValueError, match="list size must be positive"):
+        with pytest.raises(ValueError, match="^list size must be a positive int, got .*-1"):
             scl_decode_batch(code, llrs, np.int64(-1))
         # numpy ints are ints.
         for size in (np.int64(2), np.int32(2), np.uint8(2)):

@@ -121,6 +121,47 @@ def test_sc_node_kinds_are_pinned():
     assert kinds == {"rate0", "rate1", "leaf", "left-rate0", "generic"}
 
 
+# The int and real rules (`_int_in`, `_real`) are built from these parts in
+# monomials alone: a module that calls one itself grows its own check and
+# message.  An exception is named here as (module, part).
+NUMBER_RULE_PARTS = {"_plain_int", "operator.index", "math.isfinite"}
+NUMBER_RULE_EXCEPTIONS: set[tuple[str, str]] = set()
+
+
+def number_rule_parts(source: str) -> set[str]:
+    """The parts of NUMBER_RULE_PARTS that source calls or imports by name."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            called = ast.unparse(node.func)
+            found |= {p for p in NUMBER_RULE_PARTS if called == p or called.endswith("." + p)}
+        elif isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                found |= {f"{node.module}.{alias.name}", alias.name} & NUMBER_RULE_PARTS
+    return found
+
+
+@pytest.mark.parametrize("name", [m for m in MODULES if m != "monomials"])
+def test_number_rules_are_built_in_monomials_only(name):
+    found = number_rule_parts((PACKAGE / f"{name}.py").read_text())
+    assert found <= {part for module, part in NUMBER_RULE_EXCEPTIONS if module == name}
+
+
+def test_number_rule_scan_sees_the_parts():
+    # Checked on monomials, which holds them all, and on sources that reach
+    # them other ways, so the test above cannot pass vacuously.
+    assert number_rule_parts((PACKAGE / "monomials.py").read_text()) == NUMBER_RULE_PARTS
+    for source, part in (
+        ("from .monomials import _plain_int", "_plain_int"),
+        ("monomials._plain_int(x)", "_plain_int"),
+        ("from operator import index", "operator.index"),
+        ("from math import isfinite as finite", "math.isfinite"),
+        ("def f(x):\n    return math.isfinite(x)", "math.isfinite"),
+    ):
+        assert number_rule_parts(source) == {part}, source
+    assert not number_rule_parts("np.isfinite(x); operator.xor(a, b)")
+
+
 def test_run_bler_takes_only_its_options():
     # Decoder properties live in the decoder's name (see channel._decoder),
     # not in run_bler keywords; a new knob needs a deliberate edit here.
