@@ -124,16 +124,17 @@ class ConstructionSpec:
         if self.kind not in _KINDS:
             raise SpecError(f"unknown construction kind: {self.kind!r}")
         # Every number given is checked, whichever kind uses it, and kept as
-        # the plain int or float it equals, numpy's too.
+        # the plain int or float it equals, numpy's too; messages quote the
+        # JSON field.
         try:
-            n = _int_in("n", self.n, 1, MAX_VARS)
-            eps = None if self.epsilon is None else _real("epsilon", self.epsilon)
+            n = _int_in("'n'", self.n, 1, MAX_VARS)
+            eps = None if self.epsilon is None else _real("'epsilon'", self.epsilon)
             if eps is not None and not 0.0 <= eps <= 1.0:
                 raise ValueError(f"epsilon must be in [0, 1], got {eps}")
-            dimension = None if self.dimension is None else _int_in("K", self.dimension, 1, 1 << n)
-            r = None if self.r is None else _int_in("r", self.r, 0, n)
+            dimension = None if self.dimension is None else _int_in("'K'", self.dimension, 1, 1 << n)
+            r = None if self.r is None else _int_in("'r'", self.r, 0, n)
             rows = self.generators and tuple(
-                _int_in(f"generators[{i}]", row, 0, (1 << n) - 1)
+                _int_in(f"'generators'[{i}]", row, 0, (1 << n) - 1)
                 for i, row in enumerate(self.generators)
             )
         except ValueError as exc:

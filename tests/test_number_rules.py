@@ -64,11 +64,11 @@ INT_ENTRIES = [
      lambda v: bhattacharyya_bec_design(0.3, v, 3)),
     ("rm_code order", "order", 0, 3, 1, lambda v: rm_code(v, 3)),
     ("rm_code n", "variable count", 1, 16, 3, lambda v: rm_code(0, v)),
-    ("ConstructionSpec n", "n", 1, 16, 3, lambda v: ConstructionSpec(n=v, kind="reed_muller", r=1)),
-    ("ConstructionSpec K", "K", 1, 8, 4,
+    ("ConstructionSpec n", "'n'", 1, 16, 3, lambda v: ConstructionSpec(n=v, kind="reed_muller", r=1)),
+    ("ConstructionSpec K", "'K'", 1, 8, 4,
      lambda v: ConstructionSpec(n=3, kind="bhattacharyya_bec", epsilon=0.3, dimension=v)),
-    ("ConstructionSpec r", "r", 0, 3, 1, lambda v: ConstructionSpec(n=3, kind="reed_muller", r=v)),
-    ("ConstructionSpec generators", "generators[1]", 0, 7, 5,
+    ("ConstructionSpec r", "'r'", 0, 3, 1, lambda v: ConstructionSpec(n=3, kind="reed_muller", r=v)),
+    ("ConstructionSpec generators", "'generators'[1]", 0, 7, 5,
      lambda v: ConstructionSpec(n=3, kind="generators", generators=(3, v))),
     ("wilson_interval trials", "trials", 1, None, 4, lambda v: wilson_interval(1, v)),
     ("wilson_interval errors", "errors", 0, 4, 1, lambda v: wilson_interval(v, 4)),
@@ -102,7 +102,7 @@ REAL_ENTRIES = [
      ((-0.5, "erasure probability must be in [0, 1], got -0.5"),
       (1.5, "erasure probability must be in [0, 1], got 1.5")),
      lambda v: bhattacharyya_bec_design(v, 4, 3)),
-    ("ConstructionSpec epsilon", "epsilon", 0.25,
+    ("ConstructionSpec epsilon", "'epsilon'", 0.25,
      ((-0.5, "epsilon must be in [0, 1], got -0.5"), (1.5, "epsilon must be in [0, 1], got 1.5")),
      lambda v: ConstructionSpec(n=3, kind="bhattacharyya_bec", epsilon=v, dimension=2)),
 ]
